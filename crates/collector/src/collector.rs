@@ -15,7 +15,7 @@ use pint_query::{
     QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals, Watermark,
 };
 use pint_store::{Journal, Replayer, StoreReader};
-use pint_wire::store::CoveredSource;
+use pint_wire::store::{CoveredSource, StoreRecord};
 use pint_wire::WireDecode;
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -343,18 +343,21 @@ impl Collector {
     /// Rebuilds a collector from a persisted store log, replaying to
     /// the newest consistent epoch the log holds.
     ///
-    /// * **Uncompacted log** — every delta replays (in journal order,
-    ///   deduplicated by the same `SourceDedup` window live receivers
-    ///   run) through fresh recorders: the result answers every query
-    ///   plan byte-identically to a collector that never restarted
-    ///   (pinned by `tests/persistence.rs`).
-    /// * **Compacted log** — the delta chain no longer reaches the
-    ///   origin, so the newest checkpoint decodes into a base overlay,
-    ///   the replay windows are primed with the checkpoint's exact
-    ///   `covered` coverage, and only uncovered deltas replay. Reads
-    ///   then merge
-    ///   base under live exactly like a `FleetView` merges two
-    ///   collectors.
+    /// * **Deltas rebuild everything** (no checkpoint, or an
+    ///   uncompacted log whose deltas account for every digest its
+    ///   newest checkpoint ingested) — every delta replays (in journal
+    ///   order, deduplicated by the same `SourceDedup` window live
+    ///   receivers run) through fresh recorders: the result answers
+    ///   every query plan byte-identically to a collector that never
+    ///   restarted (pinned by `tests/persistence.rs`).
+    /// * **The checkpoint holds more** — compaction dropped the delta
+    ///   chain's head, or the checkpoint ingested digests no covered
+    ///   delta carries (the journal was attached to a collector already
+    ///   holding state, or dropped a delta on a full queue). The newest
+    ///   checkpoint then decodes into a base overlay, the replay
+    ///   windows are primed with its exact `covered` coverage, and only
+    ///   uncovered deltas replay. Reads merge base under live exactly
+    ///   like a `FleetView` merges two collectors.
     ///
     /// Replay runs through an ordinary producer handle, so per-shard
     /// apply order matches journal order; delivered batches count into
@@ -376,12 +379,13 @@ impl Collector {
             digests: 0,
             duplicates: 0,
         };
-        if reader.is_compacted() {
-            if let Some(i) = reader.newest_checkpoint() {
-                let pint_wire::store::StoreRecord::Checkpoint(c) = &reader.records()[i] else {
-                    unreachable!("newest_checkpoint indexes a checkpoint record");
-                };
-                collector.base = Some(decode_checkpoint(&c.payload)?);
+        if let Some(i) = reader.newest_checkpoint() {
+            let StoreRecord::Checkpoint(c) = &reader.records()[i] else {
+                unreachable!("newest_checkpoint indexes a checkpoint record");
+            };
+            let base = decode_checkpoint(&c.payload)?;
+            if reader.is_compacted() || base.ingested > covered_digests(reader, &c.covered) {
+                collector.base = Some(base);
                 replayer = replayer.primed(&c.covered);
                 report.from_checkpoint = true;
             }
@@ -720,44 +724,6 @@ impl Collector {
         Ok(out)
     }
 
-    /// A snapshot restricted to `flows` — only the owning shards are
-    /// consulted, and the snapshot's aggregate fields (`ingested`,
-    /// `shard_stats`) cover *those shards only*. Flows not currently
-    /// tracked are simply absent; duplicates are deduplicated; an
-    /// empty list consults no shard.
-    ///
-    /// Deprecated shim over the query tier's plan routing — kept for
-    /// one release. Use [`query`](Self::query) with
-    /// [`TelemetryQuery::flows`](pint_query::TelemetryQuery::flows)
-    /// (or `watch` for request-ordered rows) to get typed
-    /// [`QueryResult`] rows instead of a snapshot.
-    #[deprecated(
-        note = "use `Collector::query` with `TelemetryQuery::new().flows(..)` — same shard routing, typed rows"
-    )]
-    pub fn snapshot_flows(&self, flows: &[FlowId]) -> Result<CollectorSnapshot, CollectorError> {
-        self.gather(&Selector::FlowSet(flows.to_vec()), None)
-            .map(CollectorSnapshot::from_shards)
-    }
-
-    /// A snapshot of the `k` flows with the most recorded packets
-    /// (ties broken by ascending flow ID; the returned snapshot is
-    /// ID-sorted). `k = 0` yields an empty snapshot; `k` past the
-    /// population yields every flow.
-    ///
-    /// Deprecated shim over the query tier's plan routing — kept for
-    /// one release. Use [`query`](Self::query) with
-    /// [`TelemetryQuery::top_k`](pint_query::TelemetryQuery::top_k),
-    /// which returns rank-ordered rows (heaviest first).
-    #[deprecated(
-        note = "use `Collector::query` with `TelemetryQuery::new().top_k(k)` — same shard routing, typed rows"
-    )]
-    pub fn snapshot_top_k(&self, k: usize) -> Result<CollectorSnapshot, CollectorError> {
-        let merged = self
-            .gather(&Selector::TopK(k), None)
-            .map(CollectorSnapshot::from_shards)?;
-        Ok(merged.into_top_k(k))
-    }
-
     /// Takes a full [`snapshot`](Self::snapshot) and encodes it as a
     /// ready-to-send wire frame (header included) keyed by this
     /// collector's identity and an `epoch` sequence number — the unit a
@@ -859,6 +825,25 @@ impl Collector {
 
 /// Decodes a checkpoint payload (a `SnapshotFrame` wire frame, as
 /// [`Collector::checkpoint`] writes) into a restore base overlay.
+/// Digests carried by the log's deltas that `covered` claims — what a
+/// full replay contributes to a checkpoint with that coverage.
+fn covered_digests(reader: &StoreReader, covered: &[CoveredSource]) -> u64 {
+    reader
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            StoreRecord::Delta { batch, .. }
+                if covered
+                    .iter()
+                    .any(|c| c.source == batch.source && c.covers(batch.seq)) =>
+            {
+                Some(batch.reports.len() as u64)
+            }
+            _ => None,
+        })
+        .sum()
+}
+
 fn decode_checkpoint(payload: &[u8]) -> Result<BaseOverlay, CollectorError> {
     let (ty, body) =
         pint_wire::parse_frame(payload).map_err(|_| CollectorError::RestoreFailed {

@@ -99,22 +99,6 @@ impl CollectorSnapshot {
         (self.flows, self.shard_stats, self.ingested)
     }
 
-    /// Keeps only the `k` flows with the most recorded packets (ties
-    /// broken by ascending flow ID), preserving the sorted-by-ID
-    /// invariant of the survivors. Used by
-    /// [`Collector::snapshot_top_k`](crate::Collector::snapshot_top_k)
-    /// to trim the union of per-shard top-`k` lists to the global
-    /// top-`k`.
-    pub fn into_top_k(mut self, k: usize) -> Self {
-        if self.flows.len() > k {
-            self.flows
-                .sort_by(|a, b| pint_query::top_k_order((a.1.packets, a.0), (b.1.packets, b.0)));
-            self.flows.truncate(k);
-            self.flows.sort_by_key(|&(f, _)| f);
-        }
-        self
-    }
-
     /// Tracked flows.
     pub fn num_flows(&self) -> usize {
         self.flows.len()
@@ -279,45 +263,6 @@ mod tests {
         let snap = CollectorSnapshot::from_shards(vec![shard(0, flows)]);
         let med = snap.merged_hop_sketch(1).unwrap().quantile(0.5).unwrap();
         assert!((med as i64 - 5_000).abs() < 400, "median {med}");
-    }
-
-    #[test]
-    fn top_k_keeps_heaviest_flows_sorted_by_id() {
-        let with_packets = |packets: u64| {
-            let mut s = latency_summary(&[1, 2, 3]);
-            s.packets = packets;
-            s
-        };
-        let snap = CollectorSnapshot::from_shards(vec![
-            shard(0, vec![(10, with_packets(5)), (11, with_packets(50))]),
-            shard(1, vec![(12, with_packets(50)), (13, with_packets(500))]),
-        ]);
-        let top = snap.into_top_k(2);
-        // 13 (500) and the tie-break winner 11 (50, lower ID than 12).
-        let ids: Vec<FlowId> = top.flows().map(|&(f, _)| f).collect();
-        assert_eq!(ids, vec![11, 13], "heaviest two, re-sorted by ID");
-        assert!(top.flow(11).is_some() && top.flow(13).is_some());
-        assert!(top.flow(12).is_none());
-    }
-
-    #[test]
-    fn top_k_tie_break_is_ascending_flow_id() {
-        // Every flow has identical packet counts, scattered across
-        // shards in adversarial insertion order: the k survivors must
-        // be exactly the k smallest IDs — never hash- or
-        // insertion-order dependent.
-        let with_packets = |packets: u64| {
-            let mut s = latency_summary(&[1]);
-            s.packets = packets;
-            s
-        };
-        let snap = CollectorSnapshot::from_shards(vec![
-            shard(1, vec![(40, with_packets(9)), (12, with_packets(9))]),
-            shard(0, vec![(99, with_packets(9)), (7, with_packets(9))]),
-            shard(2, vec![(55, with_packets(9))]),
-        ]);
-        let ids: Vec<FlowId> = snap.into_top_k(3).flows().map(|&(f, _)| f).collect();
-        assert_eq!(ids, vec![7, 12, 40], "equal packets: ascending-ID winners");
     }
 
     #[test]

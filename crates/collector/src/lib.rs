@@ -375,58 +375,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_snapshot_shims_match_query_plans() {
-        // The one-release compatibility shims must answer exactly like
-        // the plans they wrap.
-        let agg = DynamicAggregator::new(33, 8, 100.0, 1.0e7);
-        let collector = Collector::spawn(
-            CollectorConfig::with_shards(4),
-            latency_factory(agg.clone(), 64),
-        );
-        let mut handle = collector.handle();
-        for flow in 0..32u64 {
-            for pid in 0..=(flow % 7) {
-                handle
-                    .push(encode_latency(&agg, flow, flow * 100 + pid, 2, 700.0))
-                    .unwrap();
-            }
-        }
-        handle.flush().unwrap();
-
-        let shim = collector.snapshot_flows(&[5, 5, 11, 999]).unwrap();
-        let plan = collector
-            .query(&TelemetryQuery::new().flows([5, 5, 11, 999]).plan().unwrap())
-            .unwrap();
-        match plan {
-            QueryResult::Summaries(rows) => {
-                assert_eq!(rows.len(), shim.num_flows());
-                for (f, s) in rows {
-                    assert_eq!(&s, shim.flow(f).unwrap());
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let shim = collector.snapshot_top_k(6).unwrap();
-        let plan = collector
-            .query(&TelemetryQuery::new().top_k(6).plan().unwrap())
-            .unwrap();
-        match plan {
-            QueryResult::Summaries(mut rows) => {
-                rows.sort_by_key(|&(f, _)| f); // shim is ID-sorted
-                assert_eq!(
-                    rows.iter().map(|&(f, _)| f).collect::<Vec<_>>(),
-                    shim.flows().map(|&(f, _)| f).collect::<Vec<_>>(),
-                    "same selection, shim re-sorted by ID"
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        collector.shutdown();
-    }
-
-    #[test]
     fn tail_latency_alarm_fires_once_per_flow() {
         let agg = DynamicAggregator::new(9, 8, 100.0, 1.0e7);
         let collector = Collector::spawn(

@@ -110,8 +110,8 @@ pub struct FleetRestoreReport {
 /// [`SnapshotFrame`]s via [`apply_snapshot`](Self::apply_snapshot))
 /// from whatever carries them: the in-process
 /// [`InMemoryTransport`](crate::InMemoryTransport), or
-/// [`FleetServer`](crate::FleetServer)'s TCP threads, which share one
-/// aggregator behind a mutex.
+/// [`FleetServer`](crate::FleetServer)'s poll thread, which shares the
+/// aggregator with its owner behind a mutex.
 pub struct FleetAggregator {
     config: FleetConfig,
     collectors: BTreeMap<u64, CollectorState>,
@@ -586,30 +586,10 @@ impl FleetAggregator {
         self.view().execute(plan)
     }
 
-    /// Fleet-wide top-`k` flows by packets, heaviest first.
-    ///
-    /// Deprecated shim kept for one release — use
-    /// [`query`](Self::query) with
-    /// [`TelemetryQuery::top_k`](pint_query::TelemetryQuery::top_k).
-    #[deprecated(note = "use `FleetAggregator::query` with `TelemetryQuery::new().top_k(k)`")]
-    pub fn top_k(&self, k: usize) -> Vec<(FlowId, u64)> {
-        let plan = QueryPlan {
-            selector: Selector::TopK(k),
-            projection: pint_query::Projection::Summaries,
-            options: Default::default(),
-        };
-        match self.query(&plan) {
-            Ok(QueryResult::Summaries(rows)) => {
-                rows.into_iter().map(|(f, s)| (f, s.packets)).collect()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Counts a transport-level framing failure (a connection whose
-    /// byte stream could not be resynchronized).
-    pub(crate) fn record_decode_error(&mut self) {
-        self.stats.decode_errors += 1;
+    /// Counts `n` transport-level framing failures (connections whose
+    /// byte streams could not be resynchronized).
+    pub(crate) fn record_decode_errors(&mut self, n: u64) {
+        self.stats.decode_errors += n;
         self.publish_obs();
     }
 

@@ -1,16 +1,13 @@
-//! The regional digest-ingest endpoint: a non-blocking poll-loop
-//! server for [`DigestBatch`] streams from many edge forwarders.
+//! The regional digest-ingest endpoint: [`DigestBatch`] streams from
+//! many edge forwarders.
 //!
-//! Unlike [`FleetServer`](crate::FleetServer) (snapshot frames, one
-//! thread per connection), [`DigestServer`] multiplexes every
-//! connection on **one** poll thread over non-blocking `std::net`
-//! sockets — the workspace is offline and runtime-free, so there is no
-//! async executor to lean on. Each connection carries its own frame
-//! reassembly buffer and write-back ack buffer; per-tick work is
-//! bounded per connection, so one hostile peer (oversized frames,
-//! garbage bytes, slow-loris partial writes, a half-open socket) can
-//! reject, stall, or die without delaying any other connection or the
-//! accept path.
+//! [`DigestServer`] is a [`FrameHandler`] on the workspace's one
+//! poll-loop server core ([`pint_wire::server`]), like
+//! [`FleetServer`](crate::FleetServer) and
+//! [`QueryResponder`](pint_query::remote::QueryResponder): every
+//! connection is multiplexed on one thread, and the core's connection
+//! cap, slow-loris deadline, and framing-error reaping keep one hostile
+//! peer from delaying any other connection or the accept path.
 //!
 //! Delivery is at-least-once: batches carry `(source, seq)`, the
 //! server deduplicates per source ([`SourceDedup`]) and acknowledges
@@ -23,24 +20,15 @@
 use pint_collector::CollectorHandle;
 use pint_core::DigestReport;
 use pint_obs::{FlightRecorder, GaugeGroup, Histogram, MetricsRegistry, TraceStage};
+use pint_wire::server::{MAX_CONNECTIONS, READ_DEADLINE};
 use pint_wire::{
-    frame_into, AckStatus, BatchAck, DigestBatch, FramePoll, FrameReader, FrameType, MetricsMsg,
-    MetricsReport, SourceDedup, TraceMsg, TraceReport, WireDecode,
+    AckStatus, BatchAck, DigestBatch, FrameHandler, FrameServer, FrameType, ServerConfig,
+    ServerStats, SourceDedup, WireDecode,
 };
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Sleep between poll ticks when no connection made progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-
-/// Frames decoded per connection per tick — bounds how long one
-/// firehose peer can monopolize the poll thread.
-const FRAMES_PER_TICK: usize = 64;
+use std::time::Duration;
 
 /// Tuning knobs of a [`DigestServer`].
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +48,8 @@ pub struct DigestServerConfig {
 impl Default for DigestServerConfig {
     fn default() -> Self {
         Self {
-            read_deadline: Duration::from_secs(2),
-            max_connections: 1_024,
+            read_deadline: READ_DEADLINE,
+            max_connections: MAX_CONNECTIONS,
             max_sources: 4_096,
         }
     }
@@ -136,19 +124,17 @@ pub type BatchSink = Box<dyn FnMut(u64, Vec<DigestReport>) + Send>;
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct DigestServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    core: FrameServer,
     stats: Arc<Mutex<DigestServerStats>>,
     metrics: MetricsRegistry,
 }
 
 /// `set_all` field order of the `digest_server` gauge group (mirrors
-/// [`DigestServerStats`]). Published once per poll tick, so a reader
-/// always observes one tick's consistent counters — in particular
-/// `acks_sent == batches_applied + batches_duplicate` holds in every
-/// snapshot (sourced batches are acked exactly once, rejected ones
-/// never).
+/// [`DigestServerStats`]). Published whole after every poll tick that
+/// moved, so a reader always observes one tick's consistent counters —
+/// in particular `acks_sent == batches_applied + batches_duplicate`
+/// holds in every snapshot (sourced batches are acked exactly once,
+/// rejected ones never).
 const DIGEST_SERVER_OBS_FIELDS: [&str; 12] = [
     "accepted",
     "active",
@@ -177,10 +163,10 @@ impl DigestServer {
     }
 
     /// [`bind`](Self::bind) publishing self-telemetry into a shared
-    /// registry: the `digest_server` gauge group is refreshed once per
-    /// poll tick, and `Metrics` request frames on any connection are
-    /// answered with a snapshot of `metrics` — share the collector's
-    /// registry and one fetch reports both tiers.
+    /// registry: the `digest_server` gauge group is refreshed after
+    /// every poll tick that moved, and `Metrics` request frames on any
+    /// connection are answered with a snapshot of `metrics` — share the
+    /// collector's registry and one fetch reports both tiers.
     pub fn bind_observed(
         addr: impl ToSocketAddrs,
         config: DigestServerConfig,
@@ -215,32 +201,31 @@ impl DigestServer {
         metrics: MetricsRegistry,
         recorder: Option<FlightRecorder>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(DigestServerStats::default()));
-        let loop_stop = Arc::clone(&stop);
-        let loop_stats = Arc::clone(&stats);
-        let loop_metrics = metrics.clone();
-        let thread = std::thread::Builder::new()
-            .name("pint-digest-ingest".into())
-            .spawn(move || {
-                poll_loop(
-                    listener,
-                    config,
-                    sink,
-                    loop_stats,
-                    loop_stop,
-                    loop_metrics,
-                    recorder,
-                )
-            })
-            .expect("spawn digest ingest thread");
-        Ok(Self {
+        let handler = Ingest {
+            max_sources: config.max_sources,
+            sink,
+            dedup: BTreeMap::new(),
+            stats: DigestServerStats::default(),
+            shared: Arc::clone(&stats),
+            group: metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS),
+            clock: metrics.clock(),
+            e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
+            recorder: recorder.clone(),
+        };
+        let core = FrameServer::bind(
             addr,
-            stop,
-            thread: Some(thread),
+            "pint-digest-ingest",
+            ServerConfig {
+                read_deadline: config.read_deadline,
+                max_connections: config.max_connections,
+                metrics: metrics.clone(),
+                recorder,
+            },
+            handler,
+        )?;
+        Ok(Self {
+            core,
             stats,
             metrics,
         })
@@ -274,7 +259,7 @@ impl DigestServer {
 
     /// The bound address forwarders connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.core.local_addr()
     }
 
     /// A copy of the live counters.
@@ -284,264 +269,50 @@ impl DigestServer {
 
     /// Stops the poll thread (open connections are dropped) and
     /// returns the final counters.
-    pub fn shutdown(mut self) -> DigestServerStats {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        self.stats()
+    pub fn shutdown(self) -> DigestServerStats {
+        drop(self.core);
+        *self.stats.lock().expect("digest server stats poisoned")
     }
 }
 
-impl Drop for DigestServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The poll loop's tracing hooks, built once at bind: the registry's
-/// clock, the end-to-end latency histogram it feeds, and the optional
-/// flight recorder served over `TraceDump` frames.
-struct IngestObs {
+/// The ingest logic on the poll thread: dedup, sink, acks, tracing.
+struct Ingest {
+    max_sources: usize,
+    sink: BatchSink,
+    dedup: BTreeMap<u64, SourceDedup>,
+    stats: DigestServerStats,
+    /// Where [`stats`](DigestServer::stats) reads from.
+    shared: Arc<Mutex<DigestServerStats>>,
+    group: GaugeGroup,
     clock: pint_obs::ClockHandle,
     e2e_latency: Histogram,
     recorder: Option<FlightRecorder>,
 }
 
-/// One connection's poll-loop state machine.
-struct Conn {
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
-    /// Pending ack bytes not yet accepted by the socket (partial
-    /// writes to a congested or hostile peer resume here).
-    write_buf: Vec<u8>,
-    /// Last instant this connection moved: bytes read, a frame
-    /// decoded, or ack bytes flushed.
-    last_progress: Instant,
-}
-
-/// What one connection tick concluded.
-enum TickOutcome {
-    Keep { progressed: bool },
-    Drop,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: FrameReader::new(stream),
-            writer,
-            write_buf: Vec::new(),
-            last_progress: Instant::now(),
-        })
-    }
-
-    /// Serves one tick: decode up to [`FRAMES_PER_TICK`] frames, route
-    /// them, flush pending acks, and police the progress deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn tick(
-        &mut self,
-        config: &DigestServerConfig,
-        sink: &mut BatchSink,
-        dedup: &mut BTreeMap<u64, SourceDedup>,
-        stats: &mut DigestServerStats,
-        metrics: &MetricsRegistry,
-        obs: &IngestObs,
-    ) -> TickOutcome {
-        let mut progressed = false;
-        let buffered_before = self.reader.buffered();
-        let mut closed = false;
-        for _ in 0..FRAMES_PER_TICK {
-            match self.reader.poll_frame() {
-                Ok(FramePoll::Frame(ty, payload)) => {
-                    progressed = true;
-                    self.route(ty, &payload, config, sink, dedup, stats, metrics, obs);
-                }
-                Ok(FramePoll::Pending) => break,
-                Ok(FramePoll::Closed) => {
-                    closed = true;
-                    break;
-                }
-                Err(pint_wire::ReadFrameError::Wire(_)) => {
-                    // Framing cannot resynchronize: count and drop.
-                    stats.framing_errors += 1;
-                    return TickOutcome::Drop;
-                }
-                Err(pint_wire::ReadFrameError::Io(_)) => {
-                    // Reset or mid-frame EOF; also a framing loss from
-                    // this server's perspective when bytes were
-                    // pending, but counted as a plain disconnect.
-                    return TickOutcome::Drop;
-                }
-            }
-        }
-        if self.reader.buffered() != buffered_before {
-            progressed = true;
-        }
-
-        // Flush acks, tolerating partial writes.
-        while !self.write_buf.is_empty() {
-            match self.writer.write(&self.write_buf) {
-                Ok(0) => return TickOutcome::Drop,
-                Ok(n) => {
-                    self.write_buf.drain(..n);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return TickOutcome::Drop,
-            }
-        }
-
-        if closed && self.write_buf.is_empty() {
-            return TickOutcome::Drop; // clean goodbye, acks delivered
-        }
-        if progressed {
-            self.last_progress = Instant::now();
-        } else {
-            // Mid-frame (or mid-ack) with no movement: slow-loris.
-            let mid_work = self.reader.buffered() > 0 || !self.write_buf.is_empty();
-            if mid_work && self.last_progress.elapsed() > config.read_deadline {
-                stats.stalled_dropped += 1;
-                return TickOutcome::Drop;
-            }
-        }
-        TickOutcome::Keep { progressed }
-    }
-
-    /// Dispatches one well-framed frame.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        ty: FrameType,
-        payload: &[u8],
-        config: &DigestServerConfig,
-        sink: &mut BatchSink,
-        dedup: &mut BTreeMap<u64, SourceDedup>,
-        stats: &mut DigestServerStats,
-        metrics: &MetricsRegistry,
-        obs: &IngestObs,
-    ) {
+impl FrameHandler for Ingest {
+    fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>) {
         match ty {
             FrameType::DigestBatch => match DigestBatch::decode(payload) {
-                Ok(batch) => {
-                    if !dedup.contains_key(&batch.source) && dedup.len() >= config.max_sources {
-                        stats.sources_rejected += 1;
-                        return; // never acked; the sender will shed it
-                    }
-                    let fresh = dedup.entry(batch.source).or_default().observe(batch.seq);
-                    let status = if fresh {
-                        stats.batches_applied += 1;
-                        stats.digests += batch.reports.len() as u64;
-                        let now = obs.clock.now_ns();
-                        if let Some(trace) = &batch.trace {
-                            // Edge→regional latency from the sender's
-                            // origin stamp — a true end-to-end sample,
-                            // not a per-hop guess (meaningful when both
-                            // ends share a time base).
-                            obs.e2e_latency.record(now.saturating_sub(trace.origin_ns));
-                        }
-                        if let Some(rec) = &obs.recorder {
-                            rec.record_at(
-                                batch.source as u32,
-                                TraceStage::ServerApplied,
-                                batch.source,
-                                batch.seq,
-                                now,
-                            );
-                        }
-                        sink(batch.source, batch.reports);
-                        AckStatus::Applied
-                    } else {
-                        stats.batches_duplicate += 1;
-                        if let Some(rec) = &obs.recorder {
-                            rec.record(
-                                batch.source as u32,
-                                TraceStage::ServerDuplicate,
-                                batch.source,
-                                batch.seq,
-                            );
-                        }
-                        AckStatus::Duplicate
-                    };
-                    let ack = BatchAck {
-                        seq: batch.seq,
-                        status,
-                    };
-                    self.write_buf.extend_from_slice(&ack.to_frame_bytes());
-                    stats.acks_sent += 1;
-                }
-                Err(_) => {
-                    // The envelope was valid, so the stream is still in
-                    // sync — count the bad payload, keep the connection.
-                    stats.payload_errors += 1;
-                }
-            },
-            FrameType::Metrics => match MetricsMsg::decode(payload) {
-                Ok(MetricsMsg::Request(req)) => {
-                    // Answered from the shared registry on the same
-                    // back-pressure-aware write path as acks.
-                    let report = MetricsReport {
-                        request_id: req.request_id,
-                        source: 0,
-                        snapshot: metrics.snapshot(),
-                    };
-                    frame_into(FrameType::Metrics, &report, &mut self.write_buf);
-                }
-                // A stray report (or junk payload) at the server side.
-                _ => stats.unsupported_frames += 1,
-            },
-            FrameType::TraceDump => match TraceMsg::decode(payload) {
-                Ok(TraceMsg::Request(req)) => {
-                    // Untraced servers answer with an empty dump, so
-                    // clients need not know which bind variant ran.
-                    let report = TraceReport {
-                        request_id: req.request_id,
-                        source: 0,
-                        dump: obs
-                            .recorder
-                            .as_ref()
-                            .map(|r| r.snapshot())
-                            .unwrap_or_default(),
-                    };
-                    frame_into(FrameType::TraceDump, &report, &mut self.write_buf);
-                }
-                _ => stats.unsupported_frames += 1,
+                Ok(batch) => self.batch(batch, reply),
+                // The envelope was valid, so the stream is still in
+                // sync — count the bad payload, keep the connection.
+                Err(_) => self.stats.payload_errors += 1,
             },
             // Edge processes may announce/leave; nothing to track here.
             FrameType::Hello | FrameType::Bye => {}
-            _ => stats.unsupported_frames += 1,
+            _ => self.stats.unsupported_frames += 1,
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn poll_loop(
-    listener: TcpListener,
-    config: DigestServerConfig,
-    mut sink: BatchSink,
-    shared_stats: Arc<Mutex<DigestServerStats>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
-    recorder: Option<FlightRecorder>,
-) {
-    let ingest_obs = IngestObs {
-        clock: metrics.clock(),
-        e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
-        recorder,
-    };
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut dedup: BTreeMap<u64, SourceDedup> = BTreeMap::new();
-    let mut stats = DigestServerStats::default();
-    let obs = metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS);
-    let publish = |obs: &GaugeGroup, s: &DigestServerStats| {
-        obs.set_all(&[
+    fn tick(&mut self, core: &ServerStats) {
+        let s = &mut self.stats;
+        s.accepted = core.accepted;
+        s.active = core.active;
+        s.framing_errors = core.framing_errors;
+        s.stalled_dropped = core.stalled_dropped;
+        s.connections_rejected = core.connections_rejected;
+        *self.shared.lock().expect("digest server stats poisoned") = *s;
+        self.group.set_all(&[
             s.accepted,
             s.active as u64,
             s.batches_applied,
@@ -555,141 +326,200 @@ fn poll_loop(
             s.connections_rejected,
             s.sources_rejected,
         ]);
-    };
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-        // Accept everything pending this tick.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    progressed = true;
-                    if conns.len() >= config.max_connections {
-                        stats.connections_rejected += 1;
-                        continue; // stream drops here
-                    }
-                    match Conn::new(stream) {
-                        Ok(conn) => {
-                            stats.accepted += 1;
-                            conns.push(conn);
-                        }
-                        Err(_) => stats.connections_rejected += 1,
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        // One bounded tick per connection; a dropped connection never
-        // takes the loop down with it.
-        conns.retain_mut(|conn| {
-            match conn.tick(
-                &config,
-                &mut sink,
-                &mut dedup,
-                &mut stats,
-                &metrics,
-                &ingest_obs,
-            ) {
-                TickOutcome::Keep { progressed: p } => {
-                    progressed |= p;
-                    true
-                }
-                TickOutcome::Drop => {
-                    progressed = true;
-                    false
-                }
-            }
-        });
-        stats.active = conns.len();
-        *shared_stats.lock().expect("digest server stats poisoned") = stats;
-        publish(&obs, &stats);
-        if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
-        }
     }
-    stats.active = 0;
-    *shared_stats.lock().expect("digest server stats poisoned") = stats;
-    publish(&obs, &stats);
+}
+
+impl Ingest {
+    /// Deduplicates one decoded batch, feeds a fresh one to the sink,
+    /// and queues its ack.
+    fn batch(&mut self, batch: DigestBatch, reply: &mut Vec<u8>) {
+        if !self.dedup.contains_key(&batch.source) && self.dedup.len() >= self.max_sources {
+            self.stats.sources_rejected += 1;
+            return; // never acked; the sender will shed it
+        }
+        let fresh = self
+            .dedup
+            .entry(batch.source)
+            .or_default()
+            .observe(batch.seq);
+        let status = if fresh {
+            self.stats.batches_applied += 1;
+            self.stats.digests += batch.reports.len() as u64;
+            let now = self.clock.now_ns();
+            if let Some(trace) = &batch.trace {
+                // Edge→regional latency from the sender's origin stamp
+                // — a true end-to-end sample, not a per-hop guess
+                // (meaningful when both ends share a time base).
+                self.e2e_latency.record(now.saturating_sub(trace.origin_ns));
+            }
+            if let Some(rec) = &self.recorder {
+                rec.record_at(
+                    batch.source as u32,
+                    TraceStage::ServerApplied,
+                    batch.source,
+                    batch.seq,
+                    now,
+                );
+            }
+            (self.sink)(batch.source, batch.reports);
+            AckStatus::Applied
+        } else {
+            self.stats.batches_duplicate += 1;
+            if let Some(rec) = &self.recorder {
+                rec.record(
+                    batch.source as u32,
+                    TraceStage::ServerDuplicate,
+                    batch.source,
+                    batch.seq,
+                );
+            }
+            AckStatus::Duplicate
+        };
+        let ack = BatchAck {
+            seq: batch.seq,
+            status,
+        };
+        reply.extend_from_slice(&ack.to_frame_bytes());
+        self.stats.acks_sent += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FleetConfig, FleetServer};
+    use pint_query::remote::{QueryRequest, QueryResponder};
+    use pint_query::{QueryBackend, QueryError, QueryPlan, QueryResult, TelemetryQuery};
+    use pint_wire::FrameReader;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    /// Blocks until the server closes `stream`, failing after `within`.
+    fn expect_closed(stream: &mut TcpStream, within: Duration, what: &str) {
+        stream.set_read_timeout(Some(within)).unwrap();
+        let mut buf = [0u8; 256];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return,
+                Err(e) => panic!("{what}: not closed within {within:?} ({e})"),
+            }
+        }
+    }
+
+    /// One server under attack: a garbage peer, a slow-loris prefix and
+    /// a half-open socket, then one well-behaved request that must
+    /// still get its `reply` frame. Both hostile streams must be
+    /// reaped — garbage at once, the slow-loris prefix after
+    /// `read_deadline` — while the half-open peer stays parked.
+    fn survives_hostile_peers(
+        addr: SocketAddr,
+        read_deadline: Duration,
+        request: &[u8],
+        reply: FrameType,
+    ) -> Vec<u8> {
+        let mut garbage = TcpStream::connect(addr).unwrap();
+        garbage.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        let mut loris = TcpStream::connect(addr).unwrap();
+        loris.write_all(b"PINT\x01").unwrap();
+        let mut half_open = TcpStream::connect(addr).unwrap();
+
+        let mut good = TcpStream::connect(addr).unwrap();
+        good.write_all(request).unwrap();
+        good.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (ty, payload) = FrameReader::new(good).read_frame().unwrap().unwrap();
+        assert_eq!(ty, reply);
+
+        expect_closed(&mut garbage, Duration::from_secs(10), "garbage peer");
+        expect_closed(&mut loris, read_deadline * 5, "slow-loris peer");
+        // Idle at a frame boundary is legal: still open.
+        half_open
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let err = half_open.read(&mut [0u8; 1]).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ));
+        payload
+    }
+
+    struct Fixed;
+    impl QueryBackend for Fixed {
+        fn query(&self, _plan: &QueryPlan) -> Result<QueryResult, QueryError> {
+            Ok(QueryResult::PathCompletion {
+                complete: 1,
+                total: 1,
+            })
+        }
+    }
 
     #[test]
     fn server_survives_garbage_slow_and_half_open_peers() {
-        let applied = Arc::new(Mutex::new(0u64));
-        let sink_applied = Arc::clone(&applied);
-        let server = DigestServer::bind(
-            "127.0.0.1:0",
-            DigestServerConfig {
-                read_deadline: Duration::from_millis(100),
-                ..DigestServerConfig::default()
-            },
-            Box::new(move |_src, reports| {
-                *sink_applied.lock().unwrap() += reports.len() as u64;
-            }),
-        )
-        .unwrap();
-        let addr = server.local_addr();
-
-        // A garbage peer: not PINT frames at all.
-        let mut garbage = TcpStream::connect(addr).unwrap();
-        garbage.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        // A slow-loris peer: a valid prefix, then silence.
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris.write_all(b"PINT\x01").unwrap();
-        // A half-open peer: connects and says nothing (legal; parked).
-        let _half_open = TcpStream::connect(addr).unwrap();
-
-        // A well-behaved batch still lands while all three misbehave.
-        let mut good = TcpStream::connect(addr).unwrap();
-        let batch = DigestBatch {
-            source: 1,
-            seq: 1,
-            reports: vec![pint_core::DigestReport::new(
-                9,
-                100,
-                pint_core::Digest::new(1),
-                3,
-                0,
-            )],
-            trace: None,
-        };
-        good.write_all(&batch.to_frame_bytes()).unwrap();
-        good.flush().unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while *applied.lock().unwrap() < 1 {
-            assert!(Instant::now() < deadline, "batch never applied");
-            std::thread::sleep(Duration::from_millis(5));
+        let query = QueryRequest {
+            request_id: 1,
+            plan: TelemetryQuery::new().stats().plan().unwrap(),
         }
-        // The ack comes back to the good client.
-        good.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut reader = FrameReader::new(good);
-        let (ty, payload) = reader.read_frame().unwrap().unwrap();
-        assert_eq!(ty, FrameType::BatchAck);
-        let ack = BatchAck::decode(&payload).unwrap();
-        assert_eq!(ack.seq, 1);
-        assert_eq!(ack.status, AckStatus::Applied);
+        .to_frame_bytes();
 
-        // The garbage and slow-loris peers get cleaned up; the server
-        // keeps running.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let s = server.stats();
-            if s.framing_errors >= 1 && s.stalled_dropped >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "hostile peers never reaped: {s:?}"
+        // The digest server, with a short deadline and a counting sink.
+        let digest = std::thread::spawn(|| {
+            let applied = Arc::new(Mutex::new(0u64));
+            let sink_applied = Arc::clone(&applied);
+            let deadline = Duration::from_millis(100);
+            let server = DigestServer::bind(
+                "127.0.0.1:0",
+                DigestServerConfig {
+                    read_deadline: deadline,
+                    ..DigestServerConfig::default()
+                },
+                Box::new(move |_src, reports| {
+                    *sink_applied.lock().unwrap() += reports.len() as u64;
+                }),
+            )
+            .unwrap();
+            let batch = DigestBatch {
+                source: 1,
+                seq: 1,
+                reports: vec![DigestReport::new(9, 100, pint_core::Digest::new(1), 3, 0)],
+                trace: None,
+            };
+            let ack = survives_hostile_peers(
+                server.local_addr(),
+                deadline,
+                &batch.to_frame_bytes(),
+                FrameType::BatchAck,
             );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let s = server.shutdown();
-        assert_eq!(s.batches_applied, 1);
-        assert_eq!(s.digests, 1);
-        assert_eq!(s.acks_sent, 1);
+            let ack = BatchAck::decode(&ack).unwrap();
+            assert_eq!((ack.seq, ack.status), (1, AckStatus::Applied));
+            assert_eq!(*applied.lock().unwrap(), 1);
+            let s = server.shutdown();
+            assert!(s.framing_errors >= 1 && s.stalled_dropped >= 1, "{s:?}");
+            assert_eq!((s.batches_applied, s.digests, s.acks_sent), (1, 1, 1));
+        });
+
+        // The fleet and query servers run the core's default deadline.
+        let fleet_query = query.clone();
+        let fleet = std::thread::spawn(move || {
+            let server = FleetServer::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
+            survives_hostile_peers(
+                server.local_addr(),
+                READ_DEADLINE,
+                &fleet_query,
+                FrameType::QueryResponse,
+            );
+            assert!(server.with_aggregator(|a| a.stats().decode_errors) >= 1);
+        });
+        let responder = QueryResponder::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
+        survives_hostile_peers(
+            responder.local_addr(),
+            READ_DEADLINE,
+            &query,
+            FrameType::QueryResponse,
+        );
+        digest.join().unwrap();
+        fleet.join().unwrap();
     }
 }

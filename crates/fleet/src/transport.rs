@@ -11,20 +11,13 @@ use pint_collector::wire::SnapshotFrame;
 use pint_obs::{Gauge, MetricsRegistry};
 use pint_query::{QueryError, QueryPlan, QueryResult};
 use pint_wire::{
-    frame_into, FrameReader, FrameType, MetricsMsg, MetricsReport, ReadFrameError, TraceMsg,
-    TraceReport, WireDecode,
+    FrameHandler, FrameReader, FrameServer, FrameType, MetricsReport, ServerConfig, ServerStats,
+    TraceReport,
 };
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long the accept loop sleeps between polls, and the per-read
-/// timeout on connections — both bound how long shutdown can lag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An in-process frame transport: senders queue encoded frames, the
 /// owner pumps them into an aggregator. Useful for tests and
@@ -87,78 +80,59 @@ impl InMemorySender {
     }
 }
 
-/// A TCP fleet endpoint: accepts collector connections on a
-/// `std::net::TcpListener` and feeds their frames to a shared
-/// [`FleetAggregator`].
+/// A TCP fleet endpoint: accepts collector connections and feeds their
+/// frames to a shared [`FleetAggregator`].
 ///
-/// One reader thread per connection reassembles frames from the byte
-/// stream ([`FrameReader`](pint_wire::FrameReader)'s incremental contract)
-/// under the aggregator mutex. A connection whose stream turns out not
-/// to be PINT frames (bad magic, future version, oversized payload) is
-/// dropped — framing cannot resynchronize — with the error counted in
+/// A [`FrameHandler`] on the workspace's one poll-loop server core
+/// ([`pint_wire::server`]): one thread serves every connection, with
+/// the same connection cap and slow-loris deadline as
+/// [`DigestServer`](crate::DigestServer)'s defaults. Frames apply under
+/// the aggregator mutex; `Query` frames clone the contributing
+/// snapshots under it and merge and execute outside it. A connection
+/// whose stream turns out not to be PINT frames (bad magic, future
+/// version, oversized payload) is dropped — framing cannot
+/// resynchronize — with the error counted in
 /// [`FleetStats::decode_errors`](crate::FleetStats).
+///
+/// The cost of the one thread is head-of-line blocking: a `Query`'s
+/// merge and plan run on the poll thread, so while one runs no other
+/// connection is served — snapshot syncs and digest batches from every
+/// other collector wait until the answer is built. The
+/// `a_sync_behind_a_running_fleet_query_completes` test measures the
+/// delay.
 pub struct FleetServer {
     agg: Arc<Mutex<FleetAggregator>>,
     metrics: MetricsRegistry,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-/// Holds the `fleet_connections` gauge up for one connection's
-/// lifetime; the `Drop` decrement covers every exit path of
-/// [`connection_loop`], panics included.
-struct ConnectionGuard(Gauge);
-
-impl ConnectionGuard {
-    fn new(gauge: Gauge) -> Self {
-        gauge.add(1);
-        Self(gauge)
-    }
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.sub(1);
-    }
+    core: FrameServer,
 }
 
 impl FleetServer {
     /// Binds and starts accepting. Use `"127.0.0.1:0"` to let the OS
     /// pick a port (read it back via [`local_addr`](Self::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs, config: FleetConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let aggregator = FleetAggregator::new(config);
         let metrics = aggregator.metrics().clone();
-        // Registered at bind so the gauge reports 0 before the first
-        // connection rather than being absent from snapshots.
-        let connections = metrics.gauge("fleet_connections");
+        let recorder = aggregator.trace_recorder().cloned();
         let agg = Arc::new(Mutex::new(aggregator));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_agg = Arc::clone(&agg);
-        let accept_stop = Arc::clone(&stop);
-        let accept_metrics = metrics.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("pint-fleet-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    listener,
-                    accept_agg,
-                    accept_stop,
-                    accept_metrics,
-                    connections,
-                )
-            })
-            .expect("spawn fleet accept thread");
-        Ok(Self {
-            agg,
-            metrics,
+        let handler = FleetHandler {
+            agg: Arc::clone(&agg),
+            // Registered at bind so the gauge reports 0 before the
+            // first connection rather than being absent from snapshots.
+            connections: metrics.gauge("fleet_connections"),
+            framing_errors: 0,
+            retired: None,
+        };
+        let core = FrameServer::bind(
             addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+            "pint-fleet-server",
+            ServerConfig {
+                metrics: metrics.clone(),
+                recorder,
+                ..ServerConfig::default()
+            },
+            handler,
+        )?;
+        Ok(Self { agg, metrics, core })
     }
 
     /// The registry this server answers `Metrics` frames from — the
@@ -170,7 +144,7 @@ impl FleetServer {
 
     /// The bound address collectors connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.core.local_addr()
     }
 
     /// The shared aggregator (lock to query or drain events).
@@ -184,208 +158,78 @@ impl FleetServer {
         f(&mut agg)
     }
 
-    /// Stops accepting, joins the accept thread, and returns the shared
-    /// aggregator handle. Live connections wind down on their own: each
-    /// reader notices the stop flag within its poll interval.
-    pub fn shutdown(mut self) -> Arc<Mutex<FleetAggregator>> {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        Arc::clone(&self.agg)
+    /// Stops the server thread (open connections are dropped) and
+    /// returns the shared aggregator handle.
+    pub fn shutdown(self) -> Arc<Mutex<FleetAggregator>> {
+        drop(self.core);
+        self.agg
     }
 }
 
-impl Drop for FleetServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
+/// The fleet logic on the poll thread.
+struct FleetHandler {
     agg: Arc<Mutex<FleetAggregator>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
+    /// The `fleet_connections` gauge, set from the core's count.
     connections: Gauge,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_agg = Arc::clone(&agg);
-                let conn_stop = Arc::clone(&stop);
-                let conn_metrics = metrics.clone();
-                let conn_gauge = connections.clone();
-                match std::thread::Builder::new()
-                    .name("pint-fleet-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, conn_agg, conn_stop, conn_metrics, conn_gauge)
-                    }) {
-                    Ok(t) => readers.push(t),
-                    Err(_) => { /* thread exhaustion: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-        readers.retain(|t| !t.is_finished());
-    }
-    for t in readers {
-        let _ = t.join();
+    /// Framing errors already counted into the aggregator.
+    framing_errors: u64,
+    /// The last query's merged view, dropped in `tick` — after the core
+    /// has flushed the reply, so the client does not wait while a large
+    /// view is freed.
+    retired: Option<crate::view::FleetView>,
+}
+
+impl FleetHandler {
+    fn lock(&self) -> MutexGuard<'_, FleetAggregator> {
+        self.agg.lock().expect("fleet aggregator poisoned")
     }
 }
 
-/// Reads one connection's byte stream, reassembling frames with
-/// [`FrameReader`] (a read timeout surfaces as `Io(WouldBlock)` with
-/// the partial frame still buffered — exactly the stop-flag poll point
-/// this loop needs) and applying them to the shared aggregator.
-/// `Query` frames are answered on the same connection: the
-/// contributing snapshots are cloned under the lock, then merged and
-/// executed outside it, so a slow query delays only this connection —
-/// ingestion never waits on a query's merge.
-fn connection_loop(
-    stream: TcpStream,
-    agg: Arc<Mutex<FleetAggregator>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
-    connections: Gauge,
-) {
-    let _guard = ConnectionGuard::new(connections);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = stream.try_clone().ok();
-    let mut reader = FrameReader::new(stream);
-    while !stop.load(Ordering::Acquire) {
-        match reader.read_frame() {
-            Ok(Some((FrameType::Query, payload))) => {
-                // Snapshot clones leave the lock quickly; the
-                // expensive fleet merge and the plan itself run
-                // outside it. The watermark is read under the same
-                // lock hold, so the stamp is consistent with the
-                // snapshots the answer was computed from.
+impl FrameHandler for FleetHandler {
+    fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>) {
+        match ty {
+            FrameType::Query => {
+                // Snapshot clones leave the lock quickly; the expensive
+                // fleet merge and the plan itself run outside it. The
+                // watermark is read under the same lock hold, so the
+                // stamp is consistent with the snapshots the answer was
+                // computed from.
                 let (pods, watermark) = {
-                    let agg = agg.lock().expect("fleet aggregator poisoned");
+                    let agg = self.lock();
                     (agg.collector_snapshots(), agg.watermark())
                 };
                 let view = crate::view::FleetView::merge(pods);
-                let response = pint_query::remote::respond_with(&view, &payload, Some(watermark));
-                let delivered = writer
-                    .as_mut()
-                    .map(|w| w.write_all(&response).and_then(|()| w.flush()));
-                if !matches!(delivered, Some(Ok(()))) {
-                    return; // reply path gone; drop the connection
-                }
+                reply.extend_from_slice(&pint_query::remote::respond_with(
+                    &view,
+                    payload,
+                    Some(watermark),
+                ));
+                self.retired = Some(view);
             }
-            Ok(Some((FrameType::DigestBatch, payload))) => {
+            FrameType::DigestBatch => {
                 // Digest batches are acknowledged so the sending
-                // forwarder can retire them (at-least-once delivery).
-                let ack = agg
-                    .lock()
-                    .expect("fleet aggregator poisoned")
-                    .ingest_digest_batch(&payload);
-                if let Ok(ack) = ack {
-                    let delivered = writer
-                        .as_mut()
-                        .map(|w| w.write_all(&ack.to_frame_bytes()).and_then(|()| w.flush()));
-                    if !matches!(delivered, Some(Ok(()))) {
-                        return; // ack path gone; force a reconnect
-                    }
-                }
-                // A decode error was counted; framing is intact, keep
-                // reading.
-            }
-            Ok(Some((FrameType::Metrics, payload))) => {
-                // Self-telemetry: answered from the registry snapshot,
-                // no aggregator lock needed. Anything but a request
-                // (a stray report, junk payload) is funneled to the
-                // aggregator, which counts it as unsupported.
-                match MetricsMsg::decode(&payload) {
-                    Ok(MetricsMsg::Request(req)) => {
-                        let report = MetricsReport {
-                            request_id: req.request_id,
-                            source: 0,
-                            snapshot: metrics.snapshot(),
-                        };
-                        let mut out = Vec::new();
-                        frame_into(FrameType::Metrics, &report, &mut out);
-                        let delivered = writer
-                            .as_mut()
-                            .map(|w| w.write_all(&out).and_then(|()| w.flush()));
-                        if !matches!(delivered, Some(Ok(()))) {
-                            return; // reply path gone; drop the connection
-                        }
-                    }
-                    _ => {
-                        let _ = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .ingest_payload(FrameType::Metrics, &payload);
-                    }
+                // forwarder can retire them (at-least-once delivery); a
+                // decode error was counted and gets no ack.
+                if let Ok(ack) = self.lock().ingest_digest_batch(payload) {
+                    reply.extend_from_slice(&ack.to_frame_bytes());
                 }
             }
-            Ok(Some((FrameType::TraceDump, payload))) => {
-                // Flight-recorder exposition: snapshotting is lock-free
-                // on the recorder itself, but the recorder handle lives
-                // in the aggregator config. Untraced servers answer
-                // with an empty dump.
-                match TraceMsg::decode(&payload) {
-                    Ok(TraceMsg::Request(req)) => {
-                        let dump = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .trace_recorder()
-                            .map(|r| r.snapshot())
-                            .unwrap_or_default();
-                        let report = TraceReport {
-                            request_id: req.request_id,
-                            source: 0,
-                            dump,
-                        };
-                        let mut out = Vec::new();
-                        frame_into(FrameType::TraceDump, &report, &mut out);
-                        let delivered = writer
-                            .as_mut()
-                            .map(|w| w.write_all(&out).and_then(|()| w.flush()));
-                        if !matches!(delivered, Some(Ok(()))) {
-                            return; // reply path gone; drop the connection
-                        }
-                    }
-                    _ => {
-                        let _ = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .ingest_payload(FrameType::TraceDump, &payload);
-                    }
-                }
+            // Decode errors and unsupported types (stray metrics or
+            // trace reports included) are counted by the aggregator;
+            // the stream itself is still in sync.
+            _ => {
+                let _ = self.lock().ingest_payload(ty, payload);
             }
-            Ok(Some((ty, payload))) => {
-                let mut agg = agg.lock().expect("fleet aggregator poisoned");
-                // Decode errors inside a well-delimited frame are
-                // counted by the aggregator; the stream itself is still
-                // in sync, keep reading.
-                let _ = agg.ingest_payload(ty, &payload);
-            }
-            Ok(None) => return, // peer closed cleanly
-            Err(ReadFrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag, then resume buffering
-            }
-            Err(ReadFrameError::Wire(_)) => {
-                // Framing is broken; the connection cannot recover.
-                // Count and drop it.
-                agg.lock()
-                    .expect("fleet aggregator poisoned")
-                    .record_decode_error();
-                return;
-            }
-            Err(ReadFrameError::Io(_)) => return, // reset / mid-frame EOF
+        }
+    }
+
+    fn tick(&mut self, stats: &ServerStats) {
+        self.retired = None;
+        self.connections.set(stats.active as u64);
+        if stats.framing_errors > self.framing_errors {
+            self.lock()
+                .record_decode_errors(stats.framing_errors - self.framing_errors);
+            self.framing_errors = stats.framing_errors;
         }
     }
 }
@@ -458,7 +302,7 @@ mod tests {
     use pint_collector::{CollectorSnapshot, FlowSummary, ShardSnapshot};
     use pint_core::RecorderKind;
     use pint_sketches::KllSketch;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn snapshot_frame(collector_id: u64, epoch: u64, flow: u64) -> SnapshotFrame {
         let mut sk = KllSketch::with_seed(32, collector_id);
@@ -532,6 +376,113 @@ mod tests {
         let agg = agg.lock().unwrap();
         assert_eq!(agg.view().num_flows(), 3);
         assert_eq!(agg.stats().decode_errors, 0);
+    }
+
+    /// A pod snapshot of `flows` latency flows. Flow IDs are shared
+    /// across pods, so a fleet merge folds sketches instead of
+    /// concatenating rows.
+    fn pod_frame(collector_id: u64, flows: u64) -> SnapshotFrame {
+        let rows = (0..flows)
+            .map(|flow| {
+                let mut sk = KllSketch::with_seed(32, collector_id * flows + flow);
+                for v in 0..64u64 {
+                    sk.update(v * (flow % 7 + 1));
+                }
+                let summary = FlowSummary {
+                    kind: RecorderKind::LatencyQuantiles,
+                    packets: 64,
+                    state_bytes: 800,
+                    last_ts: 1,
+                    hop_sketches: vec![KllSketch::with_seed(32, 0), sk],
+                    path: None,
+                    inconsistencies: 0,
+                };
+                (flow, summary)
+            })
+            .collect();
+        SnapshotFrame {
+            collector_id,
+            epoch: 1,
+            snapshot: CollectorSnapshot::from_shards(vec![ShardSnapshot {
+                shard: 0,
+                flows: rows,
+                table_stats: TableStats::default(),
+                ingested: 64 * flows,
+                journal_seq: 0,
+            }]),
+        }
+    }
+
+    /// The cost of serving every connection on one thread: a fleet
+    /// `Query`'s merge and plan run on the poll thread, so a snapshot
+    /// sync arriving on another connection meanwhile waits for them
+    /// (head-of-line blocking). Pins that both exchanges still complete
+    /// correctly, and prints the sync's delay next to an idle server's
+    /// (`cargo test --release -p pint-fleet --lib sync_behind --
+    /// --nocapture`).
+    #[test]
+    fn a_sync_behind_a_running_fleet_query_completes() {
+        const PODS: u64 = 3;
+        const FLOWS: u64 = 2_000;
+        let server = FleetServer::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut loader = FleetClient::connect(addr).unwrap();
+        for pod in 1..=PODS {
+            loader.send_snapshot(&pod_frame(pod, FLOWS)).unwrap();
+        }
+        // Frames on one connection are handled in order: the answer
+        // confirms every pod applied.
+        loader.fetch_metrics().unwrap();
+
+        let mut syncer = FleetClient::connect(addr).unwrap();
+        let mut epoch = 0;
+        let mut sync = move || {
+            epoch += 1;
+            let start = Instant::now();
+            syncer
+                .send_snapshot(&snapshot_frame(PODS + 1, epoch, FLOWS + 1))
+                .unwrap();
+            syncer.fetch_metrics().unwrap();
+            start.elapsed()
+        };
+        let mut idle: Vec<Duration> = (0..5).map(|_| sync()).collect();
+        idle.sort();
+
+        // Connected (and served once) up front, so the query is not
+        // waiting on its accept.
+        let mut client = FleetClient::connect(addr).unwrap();
+        client.fetch_metrics().unwrap();
+        let querier = std::thread::spawn(move || {
+            let start = Instant::now();
+            let result = client.query(&pint_query::TelemetryQuery::new().plan().unwrap());
+            (result, start.elapsed())
+        });
+        // Into the merge.
+        std::thread::sleep(Duration::from_millis(5));
+        let behind = sync();
+        let (result, query_time) = querier.join().unwrap();
+
+        let Ok(QueryResult::Summaries(rows)) = result else {
+            panic!("a full scan answers rows");
+        };
+        assert_eq!(rows.len() as u64, FLOWS + 1);
+        assert_eq!(
+            server.with_aggregator(|a| a.stats().snapshots_applied),
+            PODS + 6
+        );
+        eprintln!(
+            "sync+confirm: idle median {:?}; behind a {query_time:?} fleet query {behind:?}",
+            idle[idle.len() / 2]
+        );
+    }
+
+    #[test]
+    fn bind_failures_surface_as_io_errors() {
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let err = FleetServer::bind(taken.local_addr().unwrap(), FleetConfig::default())
+            .err()
+            .expect("the address is taken");
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
     }
 
     #[test]

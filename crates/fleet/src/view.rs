@@ -173,23 +173,6 @@ impl FleetView {
         t
     }
 
-    /// The `k` heaviest flows by recorded packets, heaviest first (ties
-    /// broken by ascending flow ID). `k = 0` is empty; `k` past the
-    /// population returns every flow.
-    ///
-    /// Deprecated shim kept for one release — use
-    /// [`execute`](Self::execute) with
-    /// [`TelemetryQuery::top_k`](pint_query::TelemetryQuery::top_k),
-    /// which shares its ranking with every other backend.
-    #[deprecated(note = "use `FleetView::execute` with `TelemetryQuery::new().top_k(k)`")]
-    pub fn top_k(&self, k: usize) -> Vec<(FlowId, &FlowSummary)> {
-        let mut ranked: Vec<(FlowId, &FlowSummary)> =
-            self.merged.flows().map(|(f, s)| (*f, s)).collect();
-        ranked.sort_by(|a, b| pint_query::top_k_order((a.1.packets, a.0), (b.1.packets, b.0)));
-        ranked.truncate(k);
-        ranked
-    }
-
     /// A sub-view over the flows a selector names — how scoped fleet
     /// rules evaluate, at selection cost instead of a full-fleet
     /// merge. The selector's ordering is irrelevant here (the snapshot
@@ -205,25 +188,6 @@ impl FleetView {
             merged: CollectorSnapshot::from_parts(kept, Vec::new(), 0),
             collectors: self.collectors.clone(),
         }
-    }
-
-    /// Watch-list lookup: the requested flows that exist fleet-wide,
-    /// ascending by ID. Unknown IDs are simply absent; duplicates in the
-    /// request collapse.
-    ///
-    /// Deprecated shim kept for one release — use
-    /// [`execute`](Self::execute) with
-    /// [`TelemetryQuery::flows`](pint_query::TelemetryQuery::flows)
-    /// (ID-sorted) or `watch` (request-ordered).
-    #[deprecated(note = "use `FleetView::execute` with `TelemetryQuery::new().flows(..)`")]
-    pub fn filtered(&self, flows: &[FlowId]) -> Vec<(FlowId, &FlowSummary)> {
-        let mut wanted = flows.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        wanted
-            .into_iter()
-            .filter_map(|f| self.merged.flow(f).map(|s| (f, s)))
-            .collect()
     }
 }
 
@@ -354,21 +318,6 @@ mod tests {
             vec![3, 1],
             "watch lists keep request order"
         );
-
-        // The one-release deprecated shims agree with the plans.
-        #[allow(deprecated)]
-        {
-            let top = view.top_k(2);
-            assert_eq!(
-                top.iter().map(|&(f, _)| f).collect::<Vec<_>>(),
-                run(TelemetryQuery::new().top_k(2))
-            );
-            let watch = view.filtered(&[3, 3, 1, 42]);
-            assert_eq!(
-                watch.iter().map(|&(f, _)| f).collect::<Vec<_>>(),
-                run(TelemetryQuery::new().flows([3, 3, 1, 42]))
-            );
-        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper organizes its control plane around a *query tuple* (§3.3:
 //! value, aggregation, budgets, flow definition) compiled into one
 //! execution plan. The read side of this workspace had grown the
-//! opposite way: per-tier ad-hoc methods (`Collector::snapshot_flows`,
-//! `FleetView::top_k`, a wire tier that could only ship full
-//! snapshots). This crate makes the read path symmetrical with the
+//! opposite way: per-tier ad-hoc methods (flow-set and top-K snapshot
+//! calls on the collector and the fleet view, a wire tier that could
+//! only ship full snapshots). This crate makes the read path symmetrical with the
 //! write path: one declarative [`TelemetryQuery`] compiles into a
 //! [`QueryPlan`] that any backend executes through the single
 //! [`QueryBackend`] trait.

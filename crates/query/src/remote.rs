@@ -14,19 +14,13 @@
 use crate::exec::{QueryBackend, QueryResult, Watermark};
 use crate::plan::{QueryError, QueryPlan};
 use pint_wire::{
-    frame_into, FrameReader, FrameType, MetricsMsg, MetricsReport, MetricsRequest, ReadFrameError,
-    TraceMsg, TraceReport, TraceRequest, WireDecode, WireEncode, WireError, WireReader, WireWriter,
+    frame_into, FrameReader, FrameServer, FrameType, MetricsMsg, MetricsReport, MetricsRequest,
+    ReadFrameError, ServerConfig, TraceMsg, TraceReport, TraceRequest, WireDecode, WireEncode,
+    WireError, WireReader, WireWriter,
 };
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Accept-loop poll interval and per-connection read timeout — bounds
-/// how long shutdown can lag (same contract as the fleet server).
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Longest error message a response may carry (a hostile server must
 /// not drive client allocation).
@@ -214,12 +208,19 @@ pub fn respond_with<B: QueryBackend + ?Sized>(
 /// collector-side responder (`QueryResponder::bind(addr,
 /// Arc::new(collector))`) or any other [`QueryBackend`].
 ///
-/// One reader thread per connection; non-`Query` frames are ignored,
-/// streams that cannot resynchronize are dropped.
+/// A [`FrameHandler`](pint_wire::FrameHandler) on the workspace's one
+/// poll-loop server core ([`pint_wire::server`]): one thread serves
+/// every connection, with the same connection cap and slow-loris
+/// deadline as the fleet tier's servers. `Query` frames are answered
+/// through [`respond`], `Metrics` requests with an (empty) metrics
+/// snapshot and `TraceDump` requests with an empty dump, other frames
+/// are ignored, and streams that cannot resynchronize are dropped.
+///
+/// Queries execute on the poll thread, so concurrent clients are
+/// served one query at a time: a long full scan holds up every other
+/// connection until its answer is built.
 pub struct QueryResponder {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    core: FrameServer,
 }
 
 impl QueryResponder {
@@ -229,113 +230,23 @@ impl QueryResponder {
     where
         B: QueryBackend + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pint-query-accept".into())
-            .spawn(move || accept_loop(listener, backend, accept_stop))
-            .expect("spawn query accept thread");
-        Ok(Self {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let handler = move |ty: FrameType, payload: &[u8], reply: &mut Vec<u8>| {
+            if ty == FrameType::Query {
+                reply.extend_from_slice(&respond(&*backend, payload));
+            }
+        };
+        let core = FrameServer::bind(addr, "pint-query-server", ServerConfig::default(), handler)?;
+        Ok(Self { core })
     }
 
     /// The bound address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.core.local_addr()
     }
 
-    /// Stops accepting and joins the accept thread; live connections
-    /// notice the stop flag within a poll interval.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for QueryResponder {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop<B>(listener: TcpListener, backend: Arc<B>, stop: Arc<AtomicBool>)
-where
-    B: QueryBackend + Send + Sync + 'static,
-{
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_backend = Arc::clone(&backend);
-                let conn_stop = Arc::clone(&stop);
-                match std::thread::Builder::new()
-                    .name("pint-query-conn".into())
-                    .spawn(move || connection_loop(stream, &*conn_backend, conn_stop))
-                {
-                    Ok(t) => readers.push(t),
-                    Err(_) => { /* thread exhaustion: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-        readers.retain(|t| !t.is_finished());
-    }
-    for t in readers {
-        let _ = t.join();
-    }
-}
-
-fn connection_loop<B: QueryBackend + ?Sized>(
-    stream: TcpStream,
-    backend: &B,
-    stop: Arc<AtomicBool>,
-) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = FrameReader::new(stream);
-    while !stop.load(Ordering::Acquire) {
-        match reader.read_frame() {
-            Ok(Some((FrameType::Query, payload))) => {
-                let bytes = respond(backend, &payload);
-                if writer
-                    .write_all(&bytes)
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Some(_)) => { /* not a query; ignore */ }
-            Ok(None) => return, // peer closed cleanly
-            Err(ReadFrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag, then resume buffering
-            }
-            // Framing broken (bad magic / oversized / mid-frame EOF):
-            // the connection cannot recover. Drop it; the process and
-            // its other connections live on.
-            Err(_) => return,
-        }
+    /// Stops the server thread; open connections are dropped.
+    pub fn shutdown(self) {
+        drop(self.core);
     }
 }
 
@@ -367,28 +278,14 @@ pub fn response_over<W: Write, R: std::io::Read>(
         request_id,
         plan: plan.clone(),
     };
-    writer.write_all(&request.to_frame_bytes())?;
-    writer.flush()?;
-    loop {
-        match reader.read_frame() {
-            Ok(Some((FrameType::QueryResponse, payload))) => {
-                let response = QueryResponse::decode(&payload).map_err(QueryError::Wire)?;
-                if response.request_id != request_id {
-                    continue; // an earlier request's answer; skip
-                }
-                return Ok(response);
-            }
-            Ok(Some(_)) => continue, // unrelated frame type
-            Ok(None) => {
-                return Err(QueryError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before the response",
-                )))
-            }
-            Err(ReadFrameError::Io(e)) => return Err(QueryError::Io(e)),
-            Err(ReadFrameError::Wire(e)) => return Err(QueryError::Wire(e)),
+    exchange(writer, reader, &request.to_frame_bytes(), |ty, payload| {
+        if ty != FrameType::QueryResponse {
+            return Ok(None);
         }
-    }
+        let response = QueryResponse::decode(payload)?;
+        // An earlier request's answer is skipped.
+        Ok((response.request_id == request_id).then_some(response))
+    })
 }
 
 /// Sends one `Metrics` request frame on `writer` and reads frames from
@@ -401,35 +298,21 @@ pub fn metrics_over<W: Write, R: std::io::Read>(
     reader: &mut FrameReader<R>,
     request_id: u64,
 ) -> Result<MetricsReport, QueryError> {
-    let mut bytes = Vec::new();
+    let mut request = Vec::new();
     frame_into(
         FrameType::Metrics,
         &MetricsRequest { request_id },
-        &mut bytes,
+        &mut request,
     );
-    writer.write_all(&bytes)?;
-    writer.flush()?;
-    loop {
-        match reader.read_frame() {
-            Ok(Some((FrameType::Metrics, payload))) => {
-                match MetricsMsg::decode(&payload).map_err(QueryError::Wire)? {
-                    MetricsMsg::Report(report) if report.request_id == request_id => {
-                        return Ok(report)
-                    }
-                    _ => continue, // another request's report, or an echo
-                }
-            }
-            Ok(Some(_)) => continue, // unrelated frame type
-            Ok(None) => {
-                return Err(QueryError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before the metrics report",
-                )))
-            }
-            Err(ReadFrameError::Io(e)) => return Err(QueryError::Io(e)),
-            Err(ReadFrameError::Wire(e)) => return Err(QueryError::Wire(e)),
+    exchange(writer, reader, &request, |ty, payload| {
+        if ty != FrameType::Metrics {
+            return Ok(None);
         }
-    }
+        Ok(match MetricsMsg::decode(payload)? {
+            MetricsMsg::Report(report) if report.request_id == request_id => Some(report),
+            _ => None, // another request's report, or an echo
+        })
+    })
 }
 
 /// Sends one `TraceDump` request frame on `writer` and reads frames
@@ -441,29 +324,45 @@ pub fn trace_over<W: Write, R: std::io::Read>(
     reader: &mut FrameReader<R>,
     request_id: u64,
 ) -> Result<TraceReport, QueryError> {
-    let mut bytes = Vec::new();
+    let mut request = Vec::new();
     frame_into(
         FrameType::TraceDump,
         &TraceRequest { request_id },
-        &mut bytes,
+        &mut request,
     );
-    writer.write_all(&bytes)?;
+    exchange(writer, reader, &request, |ty, payload| {
+        if ty != FrameType::TraceDump {
+            return Ok(None);
+        }
+        Ok(match TraceMsg::decode(payload)? {
+            TraceMsg::Report(report) if report.request_id == request_id => Some(report),
+            _ => None, // another request's report, or an echo
+        })
+    })
+}
+
+/// Writes one request frame, then reads frames until `answer` picks
+/// out the reply (`Ok(None)` skips a frame: an unrelated type, or an
+/// earlier request's answer).
+fn exchange<W: Write, R: std::io::Read, T>(
+    writer: &mut W,
+    reader: &mut FrameReader<R>,
+    request: &[u8],
+    mut answer: impl FnMut(FrameType, &[u8]) -> Result<Option<T>, WireError>,
+) -> Result<T, QueryError> {
+    writer.write_all(request)?;
     writer.flush()?;
     loop {
         match reader.read_frame() {
-            Ok(Some((FrameType::TraceDump, payload))) => {
-                match TraceMsg::decode(&payload).map_err(QueryError::Wire)? {
-                    TraceMsg::Report(report) if report.request_id == request_id => {
-                        return Ok(report)
-                    }
-                    _ => continue, // another request's report, or an echo
+            Ok(Some((ty, payload))) => {
+                if let Some(reply) = answer(ty, &payload)? {
+                    return Ok(reply);
                 }
             }
-            Ok(Some(_)) => continue, // unrelated frame type
             Ok(None) => {
                 return Err(QueryError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before the trace report",
+                    "connection closed before the reply",
                 )))
             }
             Err(ReadFrameError::Io(e)) => return Err(QueryError::Io(e)),
@@ -514,9 +413,10 @@ impl QueryClient {
     }
 
     /// Fetches the server's live self-telemetry snapshot (a `Metrics`
-    /// frame), blocking for the report. Servers that do not serve
-    /// metrics close the request unanswered, which surfaces as a
-    /// timeout/EOF error here, never a hang past the socket timeout.
+    /// frame), blocking for the report. Every PINT server answers it
+    /// (a [`QueryResponder`] with an empty snapshot); the client sets
+    /// no read timeout, so a peer that never answers blocks this call
+    /// until the connection closes.
     pub fn fetch_metrics(&mut self) -> Result<MetricsReport, QueryError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -548,6 +448,7 @@ impl QueryBackend for std::sync::Mutex<QueryClient> {
 mod tests {
     use super::*;
     use crate::{SelectionStats, TelemetryQuery};
+    use std::time::Duration;
 
     /// A deterministic in-memory backend for transport tests.
     struct Fixed;
@@ -635,6 +536,27 @@ mod tests {
             .query(&TelemetryQuery::new().top_k(0).plan().unwrap())
             .unwrap_err();
         assert!(matches!(err, QueryError::Remote(ref m) if m.contains("nothing to rank")));
+        responder.shutdown();
+    }
+
+    #[test]
+    fn responder_answers_metrics_and_trace_requests() {
+        let responder = QueryResponder::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
+        let addr = responder.local_addr();
+        // On a thread, so a responder that never answers fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = QueryClient::connect(addr).unwrap();
+            let metrics = client.fetch_metrics().map(|r| r.request_id);
+            let trace = client.fetch_trace().map(|r| r.dump);
+            let _ = tx.send((metrics.ok(), trace.ok()));
+        });
+        let (metrics, trace) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("fetch_metrics/fetch_trace never returned");
+        assert_eq!(metrics, Some(1));
+        assert_eq!(trace.map(|d| d.events.is_empty()), Some(true));
         responder.shutdown();
     }
 

@@ -59,12 +59,13 @@ pub enum FrameType {
     /// Self-telemetry: a metrics request (kind byte 0, request id) or a
     /// metrics report (kind byte 1, request id, source id, then a full
     /// `MetricsSnapshot`) — see the [`metrics`](crate::metrics) module.
-    /// Served by `FleetServer` and `DigestServer`.
+    /// Requests are answered by every [`FrameServer`](crate::FrameServer).
     Metrics = 8,
     /// Pipeline tracing: a trace request (kind byte 0, request id) or a
     /// trace report (kind byte 1, request id, source id, then a
     /// `pint-obs` `TraceDump`) — see the [`trace`](crate::trace)
-    /// module. Served by `FleetServer` and `DigestServer` next to
+    /// module. Requests are answered by every
+    /// [`FrameServer`](crate::FrameServer), next to
     /// [`Metrics`](FrameType::Metrics).
     TraceDump = 9,
 }
@@ -199,10 +200,11 @@ impl From<WireError> for ReadFrameError {
 /// Reassembles frames from a byte stream (`TcpStream`, pipe, …).
 ///
 /// Reads are buffered and frames may arrive split or coalesced
-/// arbitrarily. A read timeout on the underlying stream surfaces as
-/// `Io(WouldBlock/TimedOut)` with **no bytes lost** — the partial frame
-/// stays buffered and the next call resumes it (this is what lets a
-/// server thread poll a shutdown flag between reads).
+/// arbitrarily. A read timeout (or an empty non-blocking socket)
+/// surfaces as `Io(WouldBlock)` / [`FramePoll::Pending`] with **no
+/// bytes lost** — the partial frame stays buffered and the next call
+/// resumes it (this is what lets a client poll its own deadlines and a
+/// server poll many connections).
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
@@ -229,39 +231,20 @@ impl<R: Read> FrameReader<R> {
     /// Returns the next complete frame as `(type, payload)`, `Ok(None)`
     /// on a clean EOF at a frame boundary.
     ///
+    /// [`poll_frame`](Self::poll_frame) for blocking callers:
     /// `ErrorKind::Interrupted` reads are retried internally — a signal
-    /// mid-read must not tear down the stream. `WouldBlock`/`TimedOut`
-    /// still surface (with the partial frame kept buffered) so blocking
-    /// callers can poll a shutdown flag; non-blocking callers should use
-    /// [`poll_frame`](Self::poll_frame) instead.
+    /// mid-read must not tear down the stream — and an expired read
+    /// timeout surfaces as `Io(WouldBlock)` with the partial frame kept
+    /// buffered, so the caller can poll a shutdown flag and resume.
     pub fn read_frame(&mut self) -> Result<Option<(FrameType, Vec<u8>)>, ReadFrameError> {
-        loop {
-            match peek_frame(&self.buf)? {
-                Some((ty, payload, consumed)) => {
-                    let payload = payload.to_vec();
-                    self.buf.drain(..consumed);
-                    return Ok(Some((ty, payload)));
-                }
-                None => match self.inner.read(&mut self.chunk) {
-                    Ok(0) => {
-                        if self.buf.is_empty() {
-                            return Ok(None); // clean EOF
-                        }
-                        return Err(ReadFrameError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "stream ended mid-frame",
-                        )));
-                    }
-                    Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ReadFrameError::Io(e)),
-                },
-            }
+        match self.poll_frame()? {
+            FramePoll::Frame(ty, payload) => Ok(Some((ty, payload))),
+            FramePoll::Closed => Ok(None),
+            FramePoll::Pending => Err(ReadFrameError::Io(std::io::ErrorKind::WouldBlock.into())),
         }
     }
 
-    /// Non-blocking [`read_frame`](Self::read_frame): one step of a
-    /// poll loop over a non-blocking stream.
+    /// One step of a poll loop over a non-blocking stream.
     ///
     /// `WouldBlock`/`TimedOut` become [`FramePoll::Pending`] — no bytes
     /// are lost; the partial frame stays buffered and the next call

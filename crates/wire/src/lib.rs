@@ -51,6 +51,12 @@
 //! it with [`WireError::UnsupportedVersion`] — payload layouts may
 //! change between versions, so there is no partial forward parsing.
 //!
+//! The [`server`] module is the one connection runtime every PINT TCP
+//! endpoint runs on: a [`FrameServer`] polls all of a listener's
+//! connections on one thread, enforces the connection cap and the
+//! slow-loris deadline, answers `Metrics`/`TraceDump` requests, and
+//! hands every other frame to the server's [`FrameHandler`].
+//!
 //! Beyond socket frames, the [`store`] module defines the *on-disk*
 //! codecs of `pint-store`'s durable logs: a versioned [`Superblock`]
 //! and CRC-checksummed [`StoreRecord`]s (checkpoint/delta chains). The
@@ -95,6 +101,7 @@ pub mod fault;
 mod frame;
 pub mod metrics;
 mod rw;
+pub mod server;
 pub mod store;
 pub mod trace;
 
@@ -109,6 +116,7 @@ pub use frame::{
 };
 pub use metrics::{MetricsMsg, MetricsReport, MetricsRequest, MAX_METRIC_NAME};
 pub use rw::{WireReader, WireWriter};
+pub use server::{FrameHandler, FrameServer, ServerConfig, ServerStats};
 pub use store::{
     crc32, CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock, STORE_MAGIC,
     STORE_VERSION,

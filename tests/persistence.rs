@@ -313,6 +313,92 @@ fn compacted_restore_resumes_from_checkpoint_with_exact_totals() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A journal attached to a collector that already holds state, then
+/// checkpointed: the log holds only the checkpoint (nothing compacts,
+/// there is no delta to drop), and restore must still start from it
+/// rather than come back empty.
+#[test]
+fn checkpoint_only_log_restores_the_populated_collector() {
+    let path = unique_path("ckpt-only");
+    let live = Collector::spawn(config(), factory());
+    ingest(&live, &workload(0, 12));
+    let writer = StoreWriter::create(
+        &path,
+        Superblock::new(StoreKind::Collector, 1, 0),
+        StoreOptions::default(),
+    )
+    .unwrap();
+    live.attach_store(Journal::spawn(
+        writer,
+        JournalConfig::default(),
+        &MetricsRegistry::new(),
+    ));
+    assert!(live.checkpoint(1).unwrap(), "store attached");
+    live.flush_store();
+
+    let reader = StoreReader::open(&path).unwrap();
+    assert!(!reader.is_compacted(), "nothing to compact away");
+    let (restored, report) = Collector::restore(config(), factory(), &reader).unwrap();
+    assert!(report.from_checkpoint);
+    assert_eq!(report.epoch, Some(1));
+    for plan in plans() {
+        assert_eq!(
+            restored.query(&plan).unwrap().encode(),
+            live.query(&plan).unwrap().encode(),
+            "checkpoint-only restore must answer {plan:?} like the live collector"
+        );
+    }
+    assert_eq!(restored.watermark(), live.watermark());
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Journaled from the start, checkpointed partway, ingesting on: the
+/// uncompacted log's deltas account for everything the checkpoint
+/// holds, so restore replays the whole chain and stays byte-identical
+/// to a twin instead of merging a checkpoint overlay.
+#[test]
+fn uncompacted_log_with_a_checkpoint_replays_byte_identically() {
+    let path = unique_path("ckpt-mid");
+    let (first, second) = (workload(0, 12), workload(1, 12));
+    {
+        let writer = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Collector, 1, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        let collector = Collector::spawn(config(), factory());
+        collector.attach_store(Journal::spawn(
+            writer,
+            JournalConfig::default(),
+            &MetricsRegistry::new(),
+        ));
+        ingest(&collector, &first);
+        assert!(collector.checkpoint(1).unwrap(), "store attached");
+        ingest(&collector, &second);
+        collector.flush_store();
+    }
+    let twin = Collector::spawn(config(), factory());
+    ingest(&twin, &first);
+    ingest(&twin, &second);
+
+    let reader = StoreReader::open(&path).unwrap();
+    assert!(!reader.is_compacted());
+    assert!(reader.newest_checkpoint().is_some());
+    let (restored, report) = Collector::restore(config(), factory(), &reader).unwrap();
+    assert!(!report.from_checkpoint, "the deltas rebuild the checkpoint");
+    assert_eq!(report.digests, (first.len() + second.len()) as u64);
+    for plan in plans() {
+        assert_eq!(
+            restored.query(&plan).unwrap().encode(),
+            twin.query(&plan).unwrap().encode(),
+            "restored and never-restarted answers must be byte-identical for {plan:?}"
+        );
+    }
+    assert_eq!(restored.watermark(), twin.watermark());
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// The snapshot/append race the explicit covered list fixes: shards
 /// keep applying (and teeing) deltas while a checkpoint is being
 /// taken, so deltas can land in the file between the snapshot and the
