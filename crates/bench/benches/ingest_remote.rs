@@ -98,9 +98,11 @@ fn bench_ingest(c: &mut Criterion) {
                 fwd.flush();
                 expected += DIGESTS_PER_ITER;
                 let deadline = Instant::now() + Duration::from_secs(30);
+                // Sleep between polls: a spin would take a core from
+                // the forwarder and server threads being timed.
                 while server.stats().digests < expected {
                     assert!(Instant::now() < deadline, "remote ingest stalled");
-                    std::hint::spin_loop();
+                    std::thread::sleep(Duration::from_micros(50));
                 }
             })
         });

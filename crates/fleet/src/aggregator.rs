@@ -1,5 +1,11 @@
-//! The fleet aggregator: frame ingestion, epoch keying, rule
+//! The fleet aggregator: snapshot-frame ingestion, epoch keying, rule
 //! evaluation.
+//!
+//! The aggregator merges collector *snapshots*; it takes no digests.
+//! Raw [`DigestBatch`](pint_wire::DigestBatch) streams go to a
+//! [`DigestServer`](crate::DigestServer), the one endpoint that
+//! deduplicates, acknowledges and routes them — typically into a
+//! collector whose snapshots then reach the fleet.
 
 use crate::error::FleetError;
 use crate::rules::{FleetEdge, FleetEvent, FleetRule};
@@ -7,13 +13,11 @@ use crate::view::FleetView;
 use pint_collector::wire::SnapshotFrame;
 use pint_collector::{CollectorSnapshot, FlowId};
 use pint_core::dynamic::DynamicAggregator;
-use pint_core::DigestReport;
 use pint_obs::{FlightRecorder, Gauge, GaugeGroup, MetricsRegistry, TraceStage};
 use pint_query::{QueryError, QueryPlan, QueryResult, Selector, Watermark};
-use pint_store::{Journal, JournalSender, StoreReader};
-use pint_wire::store::{CoveredSource, StoreRecord};
-use pint_wire::SourceDedup;
-use pint_wire::{parse_frame, AckStatus, BatchAck, DigestBatch, FrameType, WireDecode, WireReader};
+use pint_store::{Journal, StoreReader};
+use pint_wire::store::StoreRecord;
+use pint_wire::{parse_frame, FrameType, WireDecode, WireReader};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -37,9 +41,8 @@ pub struct FleetConfig {
     /// single `Metrics` wire frame reports every tier; `None` gives the
     /// aggregator a private registry.
     pub metrics: Option<MetricsRegistry>,
-    /// Flight recorder for pipeline tracing: applied snapshots and
-    /// fresh digest batches are stamped as
-    /// [`TraceStage::AggregatorApplied`] events. `None` disables
+    /// Flight recorder for pipeline tracing: applied snapshots are
+    /// stamped as [`TraceStage::AggregatorApplied`] events. `None` disables
     /// tracing (the hot path pays nothing).
     pub trace: Option<FlightRecorder>,
 }
@@ -58,19 +61,11 @@ pub struct FleetStats {
     pub decode_errors: u64,
     /// Well-formed frames of types the aggregator does not ingest
     /// (`Query`/`QueryResponse`, which belong to the serving
-    /// transport, and `BatchAck`, which only a forwarder consumes).
-    /// Each also returned a typed [`FleetError::UnsupportedFrame`].
+    /// transport, `DigestBatch`, which only a
+    /// [`DigestServer`](crate::DigestServer) takes, and `BatchAck`,
+    /// which only a forwarder consumes). Each also returned a typed
+    /// [`FleetError::UnsupportedFrame`].
     pub unsupported_frames: u64,
-    /// Fresh digest batches applied (deduped per `(source, seq)`).
-    pub digest_batches: u64,
-    /// Retransmitted digest batches recognized and dropped by dedup.
-    pub digest_batches_duplicate: u64,
-    /// Digests inside applied batches.
-    pub digests: u64,
-    /// Digests from applied batches that had nowhere to go because no
-    /// sink was installed ([`FleetAggregator::set_digest_sink`]); they
-    /// were still acknowledged and deduplicated, just not routed.
-    pub digests_unrouted: u64,
     /// Fleet events discarded because the event queue was full.
     pub events_dropped: u64,
     /// Collectors currently contributing snapshots.
@@ -93,10 +88,6 @@ pub struct FleetRestoreReport {
     /// Checkpoint records the epoch gate discarded — an older epoch
     /// for a collector a newer record already restored.
     pub checkpoints_stale: u64,
-    /// Delta records primed into the digest dedup windows, so
-    /// forwarders retransmitting after the restart are acknowledged
-    /// `Duplicate` instead of double-applied.
-    pub deltas_primed: u64,
     /// The newest epoch any restored record carried, if the log held
     /// any records.
     pub newest_epoch: Option<u64>,
@@ -120,11 +111,6 @@ pub struct FleetAggregator {
     /// Last observation per fired rule (reported on the cleared edge).
     last_observed: Vec<f64>,
     events: VecDeque<FleetEvent>,
-    /// Where applied digest batches go; without one they are counted
-    /// as unrouted (still acked and deduplicated).
-    digest_sink: Option<Box<dyn FnMut(u64, Vec<DigestReport>) + Send>>,
-    /// Per-source sequence dedup for at-least-once digest delivery.
-    digest_dedup: BTreeMap<u64, SourceDedup>,
     stats: FleetStats,
     metrics: MetricsRegistry,
     /// The registry view of `stats` (+ the live event-queue depth),
@@ -139,25 +125,18 @@ pub struct FleetAggregator {
     /// freshness gauges, created lazily on first apply.
     freshness_gauges: BTreeMap<u64, (Gauge, Gauge)>,
     /// Durable journal ([`attach_store`](Self::attach_store)): applied
-    /// snapshots become checkpoint records, fresh digest batches
-    /// become delta records.
+    /// snapshots become checkpoint records.
     journal: Option<Journal>,
-    /// The journal's non-blocking delta sender, cached at attach.
-    journal_tx: Option<JournalSender>,
 }
 
 /// `set_all` field order of the `fleet` gauge group (mirrors
 /// [`FleetStats`] plus the live event-queue depth).
-const FLEET_OBS_FIELDS: [&str; 12] = [
+const FLEET_OBS_FIELDS: [&str; 8] = [
     "frames",
     "snapshots_applied",
     "snapshots_stale",
     "decode_errors",
     "unsupported_frames",
-    "digest_batches",
-    "digest_batches_duplicate",
-    "digests",
-    "digests_unrouted",
     "events_dropped",
     "collectors",
     "events_queued",
@@ -175,31 +154,23 @@ impl FleetAggregator {
             fired: vec![false; rules],
             last_observed: vec![0.0; rules],
             events: VecDeque::new(),
-            digest_sink: None,
-            digest_dedup: BTreeMap::new(),
             stats: FleetStats::default(),
             metrics,
             obs_group,
             newest_seen_epoch: 0,
             freshness_gauges: BTreeMap::new(),
             journal: None,
-            journal_tx: None,
         }
     }
 
     /// Attaches a durable journal (a [`Journal`] over a
     /// [`StoreKind::Fleet`](pint_wire::store::StoreKind::Fleet) log).
     /// From here on, every *applied* snapshot is persisted as a
-    /// checkpoint record keyed by `(collector_id, epoch)` and every
-    /// *fresh* digest batch as a delta record under its original
-    /// `(source, seq)` — stale snapshots and duplicate batches are
-    /// never journaled, so replaying the log is naturally idempotent.
-    /// Digest journaling is non-blocking: a full journal queue drops
-    /// the delta (counted in `store_journal_dropped_total`), never
-    /// stalls ingestion. Checkpoint writes block briefly (snapshots
-    /// are periodic, not hot-path).
+    /// checkpoint record keyed by `(collector_id, epoch)` with an empty
+    /// `covered` list — the log holds no deltas for it to subsume.
+    /// Stale snapshots are never journaled. Checkpoint writes block
+    /// briefly (snapshots are periodic, not hot-path).
     pub fn attach_store(&mut self, journal: Journal) {
-        self.journal_tx = Some(journal.sender());
         self.journal = Some(journal);
     }
 
@@ -214,19 +185,10 @@ impl FleetAggregator {
     /// Rebuilds an aggregator from a persisted fleet log: every
     /// checkpoint record's snapshot frame is re-applied through the
     /// same epoch gate as live ingestion (newest epoch per collector
-    /// wins, stale records counted), and every delta record primes the
-    /// per-source digest dedup — so forwarders that retransmit
-    /// *applied* batches after the restart are acknowledged
-    /// `Duplicate` instead of double-applied, while a batch that was
-    /// lost in transit (a seq gap the dedup windows never observed)
-    /// stays fresh and its retransmission is applied. Checkpoint
-    /// `covered` entries prime dedup with the same exact state,
-    /// keeping both guarantees across compactions that dropped the
-    /// underlying delta records.
-    ///
-    /// Digest *contents* are not re-routed (the restored aggregator
-    /// has no sink yet); to replay persisted digests into a collector,
-    /// run a [`pint_store::Replayer`] over the same log.
+    /// wins, stale records counted). `Delta` records — which logs
+    /// written by aggregators that still took digest batches may hold
+    /// — are skipped; to replay their digests into a collector, run a
+    /// [`pint_store::Replayer`] over the same log.
     pub fn restore(
         config: FleetConfig,
         reader: &StoreReader,
@@ -247,24 +209,8 @@ impl FleetAggregator {
                     } else {
                         report.checkpoints_stale += 1;
                     }
-                    // Exact priming: rebuild each window as it was at
-                    // checkpoint time. Seqs in transient gaps (lost
-                    // batches awaiting retransmission) were never
-                    // observed, so they stay fresh after restore.
-                    for cov in &c.covered {
-                        cov.prime(agg.digest_dedup.entry(cov.source).or_default());
-                    }
                 }
-                StoreRecord::Delta { batch, .. } => {
-                    if agg
-                        .digest_dedup
-                        .entry(batch.source)
-                        .or_default()
-                        .observe(batch.seq)
-                    {
-                        report.deltas_primed += 1;
-                    }
-                }
+                StoreRecord::Delta { .. } => {}
             }
         }
         Ok((agg, report))
@@ -294,26 +240,10 @@ impl FleetAggregator {
             s.snapshots_stale,
             s.decode_errors,
             s.unsupported_frames,
-            s.digest_batches,
-            s.digest_batches_duplicate,
-            s.digests,
-            s.digests_unrouted,
             s.events_dropped,
             s.collectors as u64,
             self.events.len() as u64,
         ]);
-    }
-
-    /// Installs the destination for applied digest batches — typically
-    /// a [`CollectorHandle`](pint_collector::CollectorHandle) push —
-    /// called with `(source id, reports)` per fresh batch. Without a
-    /// sink, batches are still acknowledged and deduplicated but their
-    /// digests are counted in [`FleetStats::digests_unrouted`].
-    ///
-    /// (A method rather than a [`FleetConfig`] field: the config stays
-    /// `Clone`, closures do not.)
-    pub fn set_digest_sink(&mut self, sink: Box<dyn FnMut(u64, Vec<DigestReport>) + Send>) {
-        self.digest_sink = Some(sink);
     }
 
     /// Ingests one complete wire frame (header included): parses the
@@ -335,13 +265,12 @@ impl FleetAggregator {
     /// Ingests an already-framed payload (e.g. from
     /// [`FrameReader`](pint_wire::FrameReader)), dispatching on its
     /// type: `Snapshot` updates fleet state and re-evaluates rules,
-    /// `Bye` removes the collector, `Hello` is acknowledged,
-    /// `DigestBatch` is deduplicated and routed to the digest sink
-    /// (see [`ingest_digest_batch`](Self::ingest_digest_batch), which
-    /// transports call directly when they need the ack to send back).
+    /// `Bye` removes the collector, `Hello` is acknowledged.
     /// `Query`/`QueryResponse` (answered by the serving transport, not
-    /// the aggregator) and `BatchAck` (consumed only by forwarders)
-    /// return a typed [`FleetError::UnsupportedFrame`], counted in
+    /// the aggregator), `DigestBatch` (taken only by a
+    /// [`DigestServer`](crate::DigestServer)) and `BatchAck` (consumed
+    /// only by forwarders) return a typed
+    /// [`FleetError::UnsupportedFrame`], counted in
     /// [`FleetStats::unsupported_frames`] — the sender learns its
     /// frame went nowhere instead of a silent acknowledgment.
     pub fn ingest_payload(
@@ -360,9 +289,6 @@ impl FleetAggregator {
         payload: &[u8],
     ) -> Result<FrameType, FleetError> {
         match ty {
-            FrameType::DigestBatch => {
-                return self.ingest_digest_batch(payload).map(|_| ty);
-            }
             FrameType::Snapshot => match SnapshotFrame::decode(payload) {
                 Ok(frame) => {
                     self.apply_snapshot(frame);
@@ -390,6 +316,7 @@ impl FleetAggregator {
             FrameType::Hello => {}
             FrameType::Query
             | FrameType::QueryResponse
+            | FrameType::DigestBatch
             | FrameType::BatchAck
             | FrameType::Metrics
             | FrameType::TraceDump => {
@@ -402,64 +329,6 @@ impl FleetAggregator {
         }
         self.stats.frames += 1;
         Ok(ty)
-    }
-
-    /// Ingests one [`DigestBatch`] payload: decodes it, deduplicates
-    /// per `(source, seq)` (at-least-once delivery means retransmitted
-    /// batches arrive; they must be applied exactly once), routes a
-    /// fresh batch to the digest sink, and returns the [`BatchAck`]
-    /// the transport should send back to the forwarder. Decode
-    /// failures are typed errors (counted), never panics.
-    pub fn ingest_digest_batch(&mut self, payload: &[u8]) -> Result<BatchAck, FleetError> {
-        let out = self.ingest_digest_batch_inner(payload);
-        self.publish_obs();
-        out
-    }
-
-    fn ingest_digest_batch_inner(&mut self, payload: &[u8]) -> Result<BatchAck, FleetError> {
-        let batch = match DigestBatch::decode(payload) {
-            Ok(batch) => batch,
-            Err(e) => {
-                self.stats.decode_errors += 1;
-                return Err(e.into());
-            }
-        };
-        let fresh = self
-            .digest_dedup
-            .entry(batch.source)
-            .or_default()
-            .observe(batch.seq);
-        let status = if fresh {
-            self.stats.digest_batches += 1;
-            self.stats.digests += batch.reports.len() as u64;
-            // Journal the fresh batch under its original (source, seq)
-            // before the sink consumes it; duplicates never reach here,
-            // so the persisted log is already deduplicated.
-            if let Some(tx) = &self.journal_tx {
-                tx.try_delta(batch.clone());
-            }
-            if let Some(rec) = &self.config.trace {
-                rec.record(
-                    batch.source as u32,
-                    TraceStage::AggregatorApplied,
-                    batch.source,
-                    batch.seq,
-                );
-            }
-            match &mut self.digest_sink {
-                Some(sink) => sink(batch.source, batch.reports),
-                None => self.stats.digests_unrouted += batch.reports.len() as u64,
-            }
-            AckStatus::Applied
-        } else {
-            self.stats.digest_batches_duplicate += 1;
-            AckStatus::Duplicate
-        };
-        self.stats.frames += 1;
-        Ok(BatchAck {
-            seq: batch.seq,
-            status,
-        })
     }
 
     /// Applies one decoded snapshot, keyed by `(collector_id, epoch)`:
@@ -488,23 +357,13 @@ impl FleetAggregator {
             );
         }
         // Persist the applied snapshot (re-framed — only paid with a
-        // store attached, and only for frames that pass the epoch
-        // gate), carrying the exact dedup state at this moment as its
-        // coverage: every journaled delta so far was observed by these
-        // windows, and a seq the windows never saw (a batch lost in
-        // transit) stays uncovered, so its post-restore retransmission
-        // is still applied rather than dropped as a duplicate.
+        // store attached, and only for frames that pass the epoch gate).
         if let Some(journal) = &self.journal {
-            let covered = self
-                .digest_dedup
-                .iter()
-                .map(|(&source, dedup)| CoveredSource::from_dedup(source, dedup))
-                .collect();
             journal.checkpoint(
                 frame.collector_id,
                 frame.epoch,
                 frame.to_frame_bytes(),
-                covered,
+                Vec::new(),
             );
         }
         self.collectors.insert(
@@ -805,76 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn digest_batches_ingest_dedup_and_ack() {
-        use pint_core::{Digest, DigestReport};
-        use pint_wire::WireEncode;
-        use std::sync::{Arc, Mutex};
-
-        let payload = |b: &DigestBatch| {
-            let mut v = Vec::new();
-            b.encode_into(&mut v);
-            v
-        };
-
-        let routed = Arc::new(Mutex::new(Vec::new()));
-        let sink_routed = Arc::clone(&routed);
-        let mut agg = FleetAggregator::new(FleetConfig::default());
-        agg.set_digest_sink(Box::new(move |source, reports| {
-            sink_routed.lock().unwrap().push((source, reports.len()));
-        }));
-
-        let batch = |source: u64, seq: u64, n: u64| DigestBatch {
-            source,
-            seq,
-            reports: (0..n)
-                .map(|pid| DigestReport::new(1, pid, Digest::new(1), 3, 0))
-                .collect(),
-            trace: None,
-        };
-        // Fresh batches route to the sink and ack `Applied`.
-        let ack = agg.ingest_digest_batch(&payload(&batch(7, 1, 3))).unwrap();
-        assert_eq!(
-            ack,
-            pint_wire::BatchAck {
-                seq: 1,
-                status: AckStatus::Applied,
-            }
-        );
-        // A retransmission dedups: acked `Duplicate`, not re-routed.
-        let ack = agg.ingest_digest_batch(&payload(&batch(7, 1, 3))).unwrap();
-        assert_eq!(ack.status, AckStatus::Duplicate);
-        // Sequences are per source: another edge reuses seq 1 freely.
-        let ack = agg.ingest_digest_batch(&payload(&batch(8, 1, 2))).unwrap();
-        assert_eq!(ack.status, AckStatus::Applied);
-        assert_eq!(*routed.lock().unwrap(), vec![(7, 3), (8, 2)]);
-
-        // The framed path ingests too (no ack surfaced — the
-        // UnsupportedFrame era is over).
-        let frame_bytes = batch(7, 2, 1).to_frame_bytes();
-        assert_eq!(
-            agg.ingest_frame(&frame_bytes).unwrap(),
-            FrameType::DigestBatch
-        );
-
-        let stats = agg.stats();
-        assert_eq!(stats.digest_batches, 3);
-        assert_eq!(stats.digest_batches_duplicate, 1);
-        assert_eq!(stats.digests, 6);
-        assert_eq!(stats.digests_unrouted, 0);
-        assert_eq!(stats.unsupported_frames, 0);
-        assert_eq!(stats.decode_errors, 0);
-
-        // Garbage payloads are typed errors; the aggregator survives.
-        assert!(agg.ingest_digest_batch(&[0xFF; 3]).is_err());
-        assert_eq!(agg.stats().decode_errors, 1);
-        assert!(agg.apply_snapshot(frame(1, 1, latency_snapshot(10, &[1]))));
-    }
-
-    #[test]
     fn acks_and_query_frames_are_typed_unsupported_errors() {
-        // BatchAck is consumed by forwarders; Query/QueryResponse by
-        // the serving transport. An aggregator receiving one must say
-        // so (typed error + counter), not silently acknowledge.
+        // BatchAck is consumed by forwarders, DigestBatch by a
+        // DigestServer, Query/QueryResponse by the serving transport.
+        // An aggregator receiving one must say so (typed error +
+        // counter), not silently acknowledge.
         struct Zero;
         impl pint_wire::WireEncode for Zero {
             fn encode_into(&self, out: &mut Vec<u8>) {
@@ -889,8 +683,25 @@ mod tests {
             err,
             FleetError::UnsupportedFrame(FrameType::BatchAck)
         ));
+        let batch = pint_wire::DigestBatch {
+            source: 7,
+            seq: 1,
+            reports: vec![pint_core::DigestReport::new(
+                1,
+                1,
+                pint_core::Digest::new(1),
+                3,
+                0,
+            )],
+            trace: None,
+        };
+        let err = agg.ingest_frame(&batch.to_frame_bytes()).unwrap_err();
+        assert!(matches!(
+            err,
+            FleetError::UnsupportedFrame(FrameType::DigestBatch)
+        ));
         let stats = agg.stats();
-        assert_eq!(stats.unsupported_frames, 1);
+        assert_eq!(stats.unsupported_frames, 2);
         assert_eq!(
             stats.frames, 0,
             "unsupported frames are not counted as ingested"

@@ -1,8 +1,7 @@
 //! The edge side of digest shipping: a [`DigestForwarder`] tails a
 //! digest sink at an edge process and ships sequence-numbered
 //! [`DigestBatch`] frames upstream to a
-//! [`DigestServer`](crate::DigestServer) (or a
-//! [`FleetServer`](crate::FleetServer), which acks batches too).
+//! [`DigestServer`](crate::DigestServer).
 //!
 //! The hot path ([`push`](DigestForwarder::push)) never touches the
 //! network: it buffers into the current batch and, when the batch
@@ -485,14 +484,7 @@ impl DigestForwarder {
     /// onto the pending queue every
     /// [`batch_digests`](ForwarderConfig::batch_digests) pushes.
     pub fn push(&self, report: DigestReport) {
-        let (lock, cvar) = &*self.shared;
-        let mut inner = lock.lock().expect("forwarder state poisoned");
-        inner.stats.digests += 1;
-        inner.batch.push(report);
-        if inner.batch.len() >= self.config.batch_digests {
-            inner.seal(&self.config);
-            cvar.notify_all();
-        }
+        push_into(&self.shared, &self.config, report);
     }
 
     /// Seals the partial batch, if any, so it ships without waiting to
@@ -509,16 +501,7 @@ impl DigestForwarder {
     pub fn digest_sink(&self) -> impl FnMut(DigestReport) + Send + 'static {
         let shared = Arc::clone(&self.shared);
         let config = self.config;
-        move |report| {
-            let (lock, cvar) = &*shared;
-            let mut inner = lock.lock().expect("forwarder state poisoned");
-            inner.stats.digests += 1;
-            inner.batch.push(report);
-            if inner.batch.len() >= config.batch_digests {
-                inner.seal(&config);
-                cvar.notify_all();
-            }
-        }
+        move |report| push_into(&shared, &config, report)
     }
 
     /// A copy of the live counters.
@@ -586,6 +569,20 @@ impl Drop for DigestForwarder {
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
+    }
+}
+
+/// The one body behind [`DigestForwarder::push`] and
+/// [`DigestForwarder::digest_sink`]: buffers `report`, sealing the
+/// batch onto the pending queue when it is full.
+fn push_into(shared: &(Mutex<Inner>, Condvar), config: &ForwarderConfig, report: DigestReport) {
+    let (lock, cvar) = shared;
+    let mut inner = lock.lock().expect("forwarder state poisoned");
+    inner.stats.digests += 1;
+    inner.batch.push(report);
+    if inner.batch.len() >= config.batch_digests {
+        inner.seal(config);
+        cvar.notify_all();
     }
 }
 

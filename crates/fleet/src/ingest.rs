@@ -456,6 +456,76 @@ mod tests {
         }
     }
 
+    /// `max_sources` is the only bound on dedup state: a batch from a
+    /// source beyond it is counted and never acked, while the sources
+    /// already tracked keep their `Applied`/`Duplicate` acks.
+    #[test]
+    fn sources_beyond_max_sources_are_rejected_unacked() {
+        let metrics = MetricsRegistry::new();
+        let server = DigestServer::bind_observed(
+            "127.0.0.1:0",
+            DigestServerConfig {
+                max_sources: 2,
+                ..DigestServerConfig::default()
+            },
+            Box::new(|_src, _reports| {}),
+            metrics.clone(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        let mut send = |source: u64, seq: u64| {
+            let batch = DigestBatch {
+                source,
+                seq,
+                reports: vec![DigestReport::new(9, seq, pint_core::Digest::new(1), 3, 0)],
+                trace: None,
+            };
+            stream.write_all(&batch.to_frame_bytes()).unwrap();
+        };
+        let mut next_ack = || {
+            let (ty, payload) = reader.read_frame().unwrap().unwrap();
+            assert_eq!(ty, FrameType::BatchAck);
+            let ack = BatchAck::decode(&payload).unwrap();
+            (ack.seq, ack.status)
+        };
+
+        send(1, 1);
+        assert_eq!(next_ack(), (1, AckStatus::Applied));
+        send(2, 2);
+        assert_eq!(next_ack(), (2, AckStatus::Applied));
+        // The third source is over the cap. Acks carry only the seq, so
+        // the rejected batch's seq (3) is unique: the next ack on the
+        // stream must be the following batch's.
+        send(3, 3);
+        send(1, 4);
+        assert_eq!(next_ack(), (4, AckStatus::Applied));
+        send(1, 1);
+        assert_eq!(next_ack(), (1, AckStatus::Duplicate));
+        send(2, 2);
+        assert_eq!(next_ack(), (2, AckStatus::Duplicate));
+
+        let published = || {
+            metrics
+                .snapshot()
+                .gauge("digest_server_sources_rejected", None)
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while published() != Some(1) {
+            assert!(std::time::Instant::now() < deadline, "gauge not published");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let s = server.shutdown();
+        assert_eq!(s.sources_rejected, 1);
+        assert_eq!(
+            (s.batches_applied, s.batches_duplicate, s.acks_sent),
+            (3, 2, 5)
+        );
+    }
+
     #[test]
     fn server_survives_garbage_slow_and_half_open_peers() {
         let query = QueryRequest {

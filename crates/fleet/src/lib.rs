@@ -47,10 +47,11 @@
 //!   [`DigestForwarder`] tails an edge process's digest stream and
 //!   sends sequence-numbered `DigestBatch` frames with bounded
 //!   buffering, reconnect + exponential backoff, and shed-oldest
-//!   overload behavior; [`DigestServer`] ingests those streams from
-//!   many forwarders on one non-blocking poll thread, deduplicates per
-//!   `(source, seq)`, acknowledges every batch (`BatchAck`), and feeds
-//!   a local collector's producer rings. Delivery is at-least-once
+//!   overload behavior; [`DigestServer`] — the only endpoint that
+//!   takes them — ingests those streams from many forwarders on one
+//!   non-blocking poll thread, deduplicates per `(source, seq)`,
+//!   acknowledges every batch (`BatchAck`), and feeds a local
+//!   collector's producer rings. Delivery is at-least-once
 //!   with exact accounting: after shutdown,
 //!   `delivered + deduped + shed == sent` holds per forwarder.
 

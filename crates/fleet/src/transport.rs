@@ -3,19 +3,21 @@
 //!
 //! Both transports deliver *identical* frame bytes to the same
 //! [`FleetAggregator`] — the integration tests pin down that a fleet
-//! fed over TCP answers exactly like one fed in-memory.
+//! fed over TCP answers exactly like one fed in-memory. They carry
+//! collector snapshots up and query answers back; a `DigestBatch` sent
+//! here is refused (counted in
+//! [`FleetStats::unsupported_frames`](crate::FleetStats), never acked)
+//! — digest streams belong to a [`DigestServer`](crate::DigestServer).
 
 use crate::aggregator::{FleetAggregator, FleetConfig};
 use crate::error::FleetError;
 use pint_collector::wire::SnapshotFrame;
 use pint_obs::{Gauge, MetricsRegistry};
-use pint_query::{QueryError, QueryPlan, QueryResult};
+use pint_query::{QueryClient, QueryError, QueryPlan, QueryResult};
 use pint_wire::{
-    FrameHandler, FrameReader, FrameServer, FrameType, MetricsReport, ServerConfig, ServerStats,
-    TraceReport,
+    FrameHandler, FrameServer, FrameType, MetricsReport, ServerConfig, ServerStats, TraceReport,
 };
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -86,9 +88,13 @@ impl InMemorySender {
 /// A [`FrameHandler`] on the workspace's one poll-loop server core
 /// ([`pint_wire::server`]): one thread serves every connection, with
 /// the same connection cap and slow-loris deadline as
-/// [`DigestServer`](crate::DigestServer)'s defaults. Frames apply under
-/// the aggregator mutex; `Query` frames clone the contributing
-/// snapshots under it and merge and execute outside it. A connection
+/// [`DigestServer`](crate::DigestServer)'s defaults. Snapshot frames
+/// apply under the aggregator mutex; `Query` frames clone the
+/// contributing snapshots under it and merge and execute outside it.
+/// `DigestBatch` frames are not taken here: they are counted in
+/// [`FleetStats::unsupported_frames`](crate::FleetStats) and never
+/// acked, so a forwarder pointed at a fleet server sheds rather than
+/// believes its digests delivered. A connection
 /// whose stream turns out not to be PINT frames (bad magic, future
 /// version, oversized payload) is dropped — framing cannot
 /// resynchronize — with the error counted in
@@ -96,8 +102,8 @@ impl InMemorySender {
 ///
 /// The cost of the one thread is head-of-line blocking: a `Query`'s
 /// merge and plan run on the poll thread, so while one runs no other
-/// connection is served — snapshot syncs and digest batches from every
-/// other collector wait until the answer is built. The
+/// connection is served — snapshot syncs from every other collector
+/// wait until the answer is built. The
 /// `a_sync_behind_a_running_fleet_query_completes` test measures the
 /// delay.
 pub struct FleetServer {
@@ -206,17 +212,9 @@ impl FrameHandler for FleetHandler {
                 ));
                 self.retired = Some(view);
             }
-            FrameType::DigestBatch => {
-                // Digest batches are acknowledged so the sending
-                // forwarder can retire them (at-least-once delivery); a
-                // decode error was counted and gets no ack.
-                if let Ok(ack) = self.lock().ingest_digest_batch(payload) {
-                    reply.extend_from_slice(&ack.to_frame_bytes());
-                }
-            }
-            // Decode errors and unsupported types (stray metrics or
-            // trace reports included) are counted by the aggregator;
-            // the stream itself is still in sync.
+            // Decode errors and unsupported types (digest batches and
+            // stray metrics or trace reports included) are counted by
+            // the aggregator; the stream itself is still in sync.
             _ => {
                 let _ = self.lock().ingest_payload(ty, payload);
             }
@@ -236,30 +234,21 @@ impl FrameHandler for FleetHandler {
 
 /// A collector's (or dashboard's) connection to a [`FleetServer`]:
 /// ships snapshot frames up, and executes query plans against the
-/// server's merged fleet view over the same connection.
+/// server's merged fleet view over the same connection — a
+/// [`QueryClient`] that can also send.
 pub struct FleetClient {
-    stream: TcpStream,
-    reader: FrameReader<TcpStream>,
-    next_request: u64,
+    client: QueryClient,
 }
 
 impl FleetClient {
     /// Connects to an aggregator endpoint.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let reader = FrameReader::new(stream.try_clone()?);
-        Ok(Self {
-            stream,
-            reader,
-            next_request: 1,
-        })
+        QueryClient::connect(addr).map(|client| Self { client })
     }
 
     /// Writes one encoded frame (header included).
     pub fn send(&mut self, frame_bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(frame_bytes)?;
-        self.stream.flush()
+        self.client.send(frame_bytes)
     }
 
     /// Encodes and sends one snapshot frame.
@@ -271,27 +260,21 @@ impl FleetClient {
     /// blocking for the response — the remote tier of the unified
     /// query API, carrying the same bytes the local API exchanges.
     pub fn query(&mut self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
-        let id = self.next_request;
-        self.next_request += 1;
-        pint_query::remote::query_over(&mut self.stream, &mut self.reader, id, plan)
+        self.client.query(plan)
     }
 
     /// Fetches the server's live self-telemetry ([`MetricsReport`])
     /// over this connection — every tier publishing into the server's
     /// shared registry shows up in one snapshot.
     pub fn fetch_metrics(&mut self) -> Result<MetricsReport, QueryError> {
-        let id = self.next_request;
-        self.next_request += 1;
-        pint_query::remote::metrics_over(&mut self.stream, &mut self.reader, id)
+        self.client.fetch_metrics()
     }
 
     /// Fetches the server's flight-recorder snapshot ([`TraceReport`])
     /// over this connection. Servers without a recorder installed
     /// ([`FleetConfig::trace`]) answer with an empty dump.
     pub fn fetch_trace(&mut self) -> Result<TraceReport, QueryError> {
-        let id = self.next_request;
-        self.next_request += 1;
-        pint_query::remote::trace_over(&mut self.stream, &mut self.reader, id)
+        self.client.fetch_trace()
     }
 }
 
@@ -302,6 +285,9 @@ mod tests {
     use pint_collector::{CollectorSnapshot, FlowSummary, ShardSnapshot};
     use pint_core::RecorderKind;
     use pint_sketches::KllSketch;
+    use pint_wire::FrameReader;
+    use std::io::Write;
+    use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
     fn snapshot_frame(collector_id: u64, epoch: u64, flow: u64) -> SnapshotFrame {
@@ -474,6 +460,48 @@ mod tests {
             "sync+confirm: idle median {:?}; behind a {query_time:?} fleet query {behind:?}",
             idle[idle.len() / 2]
         );
+    }
+
+    /// Digest batches belong to a `DigestServer`: a fleet server counts
+    /// one as unsupported and never acks it, and the same connection
+    /// keeps answering queries.
+    #[test]
+    fn digest_batches_are_refused_without_an_ack() {
+        use pint_query::remote::{QueryRequest, QueryResponse};
+        use pint_wire::WireDecode;
+        let server = FleetServer::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let batch = pint_wire::DigestBatch {
+            source: 7,
+            seq: 1,
+            reports: vec![pint_core::DigestReport::new(
+                1,
+                1,
+                pint_core::Digest::new(1),
+                3,
+                0,
+            )],
+            trace: None,
+        };
+        stream.write_all(&batch.to_frame_bytes()).unwrap();
+        wait_for(
+            || server.with_aggregator(|a| a.stats().unsupported_frames) == 1,
+            "the batch counted as unsupported",
+        );
+        // Replies leave in frame order, so an ack for the batch would
+        // arrive before the query's answer.
+        let query = QueryRequest {
+            request_id: 9,
+            plan: pint_query::TelemetryQuery::new().stats().plan().unwrap(),
+        };
+        stream.write_all(&query.to_frame_bytes()).unwrap();
+        let (ty, payload) = FrameReader::new(stream).read_frame().unwrap().unwrap();
+        assert_eq!(ty, FrameType::QueryResponse);
+        let response = QueryResponse::decode(&payload).unwrap();
+        assert_eq!(response.request_id, 9);
+        assert!(response.result.is_ok(), "{response:?}");
+        let stats = server.with_aggregator(|a| a.stats());
+        assert_eq!((stats.unsupported_frames, stats.frames), (1, 0));
     }
 
     #[test]

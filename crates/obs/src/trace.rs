@@ -36,7 +36,7 @@ pub enum TraceStage {
     ServerDuplicate = 2,
     /// A collector shard worker applied one ring batch.
     CollectorBatch = 3,
-    /// A `FleetAggregator` applied a digest batch or snapshot.
+    /// A `FleetAggregator` applied a collector snapshot.
     AggregatorApplied = 4,
     /// A simulated sink delivered a digest report (netsim tap).
     SinkDelivered = 5,

@@ -250,127 +250,6 @@ impl QueryResponder {
     }
 }
 
-/// Sends one plan as a `Query` frame on `writer` and reads frames from
-/// `reader` until the matching `QueryResponse` arrives. Shared by
-/// [`QueryClient`] and the fleet tier's client.
-pub fn query_over<W: Write, R: std::io::Read>(
-    writer: &mut W,
-    reader: &mut FrameReader<R>,
-    request_id: u64,
-    plan: &QueryPlan,
-) -> Result<QueryResult, QueryError> {
-    response_over(writer, reader, request_id, plan)?
-        .result
-        .map_err(QueryError::Remote)
-}
-
-/// [`query_over`] returning the whole [`QueryResponse`] — for callers
-/// that also want the server's freshness [`Watermark`], not just the
-/// result.
-pub fn response_over<W: Write, R: std::io::Read>(
-    writer: &mut W,
-    reader: &mut FrameReader<R>,
-    request_id: u64,
-    plan: &QueryPlan,
-) -> Result<QueryResponse, QueryError> {
-    plan.validate()?;
-    let request = QueryRequest {
-        request_id,
-        plan: plan.clone(),
-    };
-    exchange(writer, reader, &request.to_frame_bytes(), |ty, payload| {
-        if ty != FrameType::QueryResponse {
-            return Ok(None);
-        }
-        let response = QueryResponse::decode(payload)?;
-        // An earlier request's answer is skipped.
-        Ok((response.request_id == request_id).then_some(response))
-    })
-}
-
-/// Sends one `Metrics` request frame on `writer` and reads frames from
-/// `reader` until the matching report arrives — the self-telemetry
-/// sibling of [`query_over`], shared by [`QueryClient`] and the fleet
-/// tier's client. Frames that are not the answer (earlier requests'
-/// reports, interleaved query responses) are skipped, never errors.
-pub fn metrics_over<W: Write, R: std::io::Read>(
-    writer: &mut W,
-    reader: &mut FrameReader<R>,
-    request_id: u64,
-) -> Result<MetricsReport, QueryError> {
-    let mut request = Vec::new();
-    frame_into(
-        FrameType::Metrics,
-        &MetricsRequest { request_id },
-        &mut request,
-    );
-    exchange(writer, reader, &request, |ty, payload| {
-        if ty != FrameType::Metrics {
-            return Ok(None);
-        }
-        Ok(match MetricsMsg::decode(payload)? {
-            MetricsMsg::Report(report) if report.request_id == request_id => Some(report),
-            _ => None, // another request's report, or an echo
-        })
-    })
-}
-
-/// Sends one `TraceDump` request frame on `writer` and reads frames
-/// from `reader` until the matching report arrives — the flight-
-/// recorder sibling of [`metrics_over`], shared by [`QueryClient`] and
-/// the fleet tier's client.
-pub fn trace_over<W: Write, R: std::io::Read>(
-    writer: &mut W,
-    reader: &mut FrameReader<R>,
-    request_id: u64,
-) -> Result<TraceReport, QueryError> {
-    let mut request = Vec::new();
-    frame_into(
-        FrameType::TraceDump,
-        &TraceRequest { request_id },
-        &mut request,
-    );
-    exchange(writer, reader, &request, |ty, payload| {
-        if ty != FrameType::TraceDump {
-            return Ok(None);
-        }
-        Ok(match TraceMsg::decode(payload)? {
-            TraceMsg::Report(report) if report.request_id == request_id => Some(report),
-            _ => None, // another request's report, or an echo
-        })
-    })
-}
-
-/// Writes one request frame, then reads frames until `answer` picks
-/// out the reply (`Ok(None)` skips a frame: an unrelated type, or an
-/// earlier request's answer).
-fn exchange<W: Write, R: std::io::Read, T>(
-    writer: &mut W,
-    reader: &mut FrameReader<R>,
-    request: &[u8],
-    mut answer: impl FnMut(FrameType, &[u8]) -> Result<Option<T>, WireError>,
-) -> Result<T, QueryError> {
-    writer.write_all(request)?;
-    writer.flush()?;
-    loop {
-        match reader.read_frame() {
-            Ok(Some((ty, payload))) => {
-                if let Some(reply) = answer(ty, &payload)? {
-                    return Ok(reply);
-                }
-            }
-            Ok(None) => {
-                return Err(QueryError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before the reply",
-                )))
-            }
-            Err(ReadFrameError::Io(e)) => return Err(QueryError::Io(e)),
-            Err(ReadFrameError::Wire(e)) => return Err(QueryError::Wire(e)),
-        }
-    }
-}
-
 /// A connection to a [`QueryResponder`] (or any server speaking
 /// `Query`/`QueryResponse` frames, e.g. the fleet server).
 pub struct QueryClient {
@@ -394,13 +273,32 @@ impl QueryClient {
         })
     }
 
+    /// Writes one encoded frame (header included) without waiting for
+    /// a reply — how a fleet client ships snapshots on the connection
+    /// it also queries over.
+    pub fn send(&mut self, frame_bytes: &[u8]) -> std::io::Result<()> {
+        self.writer.write_all(frame_bytes)?;
+        self.writer.flush()
+    }
+
     /// Executes one plan remotely, blocking for the response. On any
     /// answered request — success or remote error — the response's
     /// freshness stamp is retained for [`last_watermark`](Self::last_watermark).
     pub fn query(&mut self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let response = response_over(&mut self.writer, &mut self.reader, id, plan)?;
+        plan.validate()?;
+        let request_id = self.next_id();
+        let request = QueryRequest {
+            request_id,
+            plan: plan.clone(),
+        };
+        let response = self.exchange(&request.to_frame_bytes(), |ty, payload| {
+            if ty != FrameType::QueryResponse {
+                return Ok(None);
+            }
+            let response = QueryResponse::decode(payload)?;
+            // An earlier request's answer is skipped.
+            Ok((response.request_id == request_id).then_some(response))
+        })?;
         self.last_watermark = response.watermark;
         response.result.map_err(QueryError::Remote)
     }
@@ -418,18 +316,78 @@ impl QueryClient {
     /// no read timeout, so a peer that never answers blocks this call
     /// until the connection closes.
     pub fn fetch_metrics(&mut self) -> Result<MetricsReport, QueryError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        metrics_over(&mut self.writer, &mut self.reader, id)
+        let request_id = self.next_id();
+        let mut request = Vec::new();
+        frame_into(
+            FrameType::Metrics,
+            &MetricsRequest { request_id },
+            &mut request,
+        );
+        self.exchange(&request, |ty, payload| {
+            if ty != FrameType::Metrics {
+                return Ok(None);
+            }
+            Ok(match MetricsMsg::decode(payload)? {
+                MetricsMsg::Report(report) if report.request_id == request_id => Some(report),
+                _ => None, // another request's report, or an echo
+            })
+        })
     }
 
     /// Fetches the server's flight-recorder snapshot (a `TraceDump`
     /// frame), blocking for the report. Servers without a recorder
     /// answer with an empty dump.
     pub fn fetch_trace(&mut self) -> Result<TraceReport, QueryError> {
+        let request_id = self.next_id();
+        let mut request = Vec::new();
+        frame_into(
+            FrameType::TraceDump,
+            &TraceRequest { request_id },
+            &mut request,
+        );
+        self.exchange(&request, |ty, payload| {
+            if ty != FrameType::TraceDump {
+                return Ok(None);
+            }
+            Ok(match TraceMsg::decode(payload)? {
+                TraceMsg::Report(report) if report.request_id == request_id => Some(report),
+                _ => None, // another request's report, or an echo
+            })
+        })
+    }
+
+    fn next_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        trace_over(&mut self.writer, &mut self.reader, id)
+        id
+    }
+
+    /// Writes one request frame, then reads frames until `answer`
+    /// picks out the reply (`Ok(None)` skips a frame: an unrelated
+    /// type, or an earlier request's answer).
+    fn exchange<T>(
+        &mut self,
+        request: &[u8],
+        mut answer: impl FnMut(FrameType, &[u8]) -> Result<Option<T>, WireError>,
+    ) -> Result<T, QueryError> {
+        self.send(request)?;
+        loop {
+            match self.reader.read_frame() {
+                Ok(Some((ty, payload))) => {
+                    if let Some(reply) = answer(ty, &payload)? {
+                        return Ok(reply);
+                    }
+                }
+                Ok(None) => {
+                    return Err(QueryError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "connection closed before the reply",
+                    )))
+                }
+                Err(ReadFrameError::Io(e)) => return Err(QueryError::Io(e)),
+                Err(ReadFrameError::Wire(e)) => return Err(QueryError::Wire(e)),
+            }
+        }
     }
 }
 

@@ -153,8 +153,8 @@ pub const DEDUP_WINDOW: usize = 1_024;
 /// never double-applied).
 ///
 /// This lives in `pint-wire` because every consumer of the protocol
-/// needs it: the fleet's `DigestServer`/`FleetAggregator` deduplicate
-/// live streams, and `pint-store` restore paths replay persisted
+/// needs it: the fleet's `DigestServer` deduplicates live streams,
+/// and `pint-store` restore paths replay persisted
 /// batches through the same window so a crash mid-batch (or a
 /// checkpoint overlapping the delta chain) never double-applies.
 #[derive(Debug, Default, Clone)]
@@ -203,14 +203,6 @@ impl SourceDedup {
     /// Out-of-order seqs currently remembered above the floor.
     pub fn pending_above(&self) -> usize {
         self.above.len()
-    }
-
-    /// The out-of-order seqs above the floor, ascending. Together with
-    /// [`floor`](Self::floor) this is the window's *exact* state — what
-    /// a checkpoint persists so a restore can rebuild the window
-    /// without covering gaps that were never seen.
-    pub fn seen_above(&self) -> impl Iterator<Item = u64> + '_ {
-        self.above.iter().copied()
     }
 
     /// Raises the floor to at least `seq` (no-op when already past

@@ -177,15 +177,6 @@ impl CoveredSource {
         }
     }
 
-    /// Captures a dedup window's exact state as coverage.
-    pub fn from_dedup(source: u64, dedup: &SourceDedup) -> Self {
-        Self {
-            source,
-            floor: dedup.floor(),
-            above: dedup.seen_above().collect(),
-        }
-    }
-
     /// Whether `seq` is contained in this coverage.
     pub fn covers(&self, seq: u64) -> bool {
         seq <= self.floor || self.above.binary_search(&seq).is_ok()
@@ -444,14 +435,12 @@ mod tests {
 
     #[test]
     fn covered_source_tracks_exact_dedup_state() {
-        let mut d = SourceDedup::new();
-        for seq in [1u64, 2, 3, 5, 9] {
-            assert!(d.observe(seq));
-        }
-        let cov = CoveredSource::from_dedup(7, &d);
-        assert_eq!(cov.source, 7);
-        assert_eq!(cov.floor, 3);
-        assert_eq!(cov.above, vec![5, 9]);
+        // The window a receiver holds after seqs 1, 2, 3, 5, 9.
+        let cov = CoveredSource {
+            source: 7,
+            floor: 3,
+            above: vec![5, 9],
+        };
         assert_eq!(cov.max_seq(), 9);
         for seq in [1u64, 3, 5, 9] {
             assert!(cov.covers(seq));

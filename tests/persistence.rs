@@ -23,8 +23,8 @@ use pint::fleet::{
 };
 use pint::obs::MetricsRegistry;
 use pint::query::TelemetryQuery;
-use pint::wire::store::{StoreKind, Superblock};
-use pint::wire::WireEncode;
+use pint::wire::store::{CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock};
+use pint::wire::{DigestBatch, WireEncode};
 use pint::{Journal, JournalConfig, SpillQueue, StoreOptions, StoreReader, StoreWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -465,74 +465,13 @@ fn checkpoints_under_live_ingest_never_lose_digests() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The at-least-once recovery path across a restart: a batch lost in
-/// transit (its seq a gap in the dedup window) is *not* covered by a
-/// checkpoint's exact coverage, so when its forwarder retransmits it
-/// after a restore it is applied — only genuinely applied seqs ack as
-/// duplicates.
+/// The snapshot half of fleet persistence: every applied snapshot is
+/// journaled as a checkpoint (a superseded epoch included — restore's
+/// epoch gate orders them again), a stale arrival is not journaled,
+/// and a torn log restores an aggregator that answers every plan
+/// byte-identically to one that was never persisted.
 #[test]
-fn fleet_restore_keeps_lost_gap_seqs_fresh() {
-    use pint::wire::DigestBatch;
-
-    let path = unique_path("gap");
-    let payload_of = |seq: u64| {
-        let mut v = Vec::new();
-        DigestBatch {
-            source: 7,
-            seq,
-            reports: workload(seq, 2),
-            trace: None,
-        }
-        .encode_into(&mut v);
-        v
-    };
-    let c1 = Collector::spawn(config(), factory());
-    ingest(&c1, &workload(0, 8));
-
-    {
-        let writer = StoreWriter::create(
-            &path,
-            Superblock::new(StoreKind::Fleet, 0, 0),
-            StoreOptions::default(),
-        )
-        .unwrap();
-        let registry = MetricsRegistry::new();
-        let mut agg = FleetAggregator::new(FleetConfig::default());
-        agg.attach_store(Journal::spawn(writer, JournalConfig::default(), &registry));
-        // Seqs 1 and 3 arrive; seq 2 is lost in transit (unacked — its
-        // forwarder will retransmit it). The snapshot checkpoint then
-        // persists the dedup windows exactly: floor 1, out-of-order {3}.
-        agg.ingest_digest_batch(&payload_of(1)).unwrap();
-        agg.ingest_digest_batch(&payload_of(3)).unwrap();
-        agg.ingest_frame(&c1.export_snapshot_frame(1, 5).unwrap())
-            .unwrap();
-        agg.flush_store();
-    }
-    tear_tail(&path);
-
-    let reader = StoreReader::open(&path).unwrap();
-    let (mut restored, _) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
-    let ack = restored.ingest_digest_batch(&payload_of(2)).unwrap();
-    assert_eq!(
-        ack.status,
-        pint::wire::AckStatus::Applied,
-        "a never-applied gap seq must stay fresh across restore"
-    );
-    for seq in [1u64, 3] {
-        let ack = restored.ingest_digest_batch(&payload_of(seq)).unwrap();
-        assert_eq!(
-            ack.status,
-            pint::wire::AckStatus::Duplicate,
-            "applied seq {seq} must dedup across restore"
-        );
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn fleet_aggregator_journals_and_restores_with_primed_dedup() {
-    use pint::wire::DigestBatch;
-
+fn fleet_aggregator_journals_and_restores_snapshots() {
     let path = unique_path("fleet");
     let snapshot_of = |collector: &Collector, id: u64, epoch: u64| {
         collector.export_snapshot_frame(id, epoch).unwrap()
@@ -541,18 +480,6 @@ fn fleet_aggregator_journals_and_restores_with_primed_dedup() {
     ingest(&c1, &workload(0, 8));
     let c2 = Collector::spawn(config(), factory());
     ingest(&c2, &workload(1, 6));
-
-    let batch = DigestBatch {
-        source: 7,
-        seq: 1,
-        reports: workload(2, 2),
-        trace: None,
-    };
-    let batch_payload = {
-        let mut v = Vec::new();
-        batch.encode_into(&mut v);
-        v
-    };
 
     {
         let writer = StoreWriter::create(
@@ -566,42 +493,101 @@ fn fleet_aggregator_journals_and_restores_with_primed_dedup() {
         agg.attach_store(Journal::spawn(writer, JournalConfig::default(), &registry));
         agg.ingest_frame(&snapshot_of(&c1, 1, 5)).unwrap();
         agg.ingest_frame(&snapshot_of(&c2, 2, 3)).unwrap();
-        // A newer epoch for collector 1 supersedes; the stale original
-        // is journaled too, but restore's epoch gate discards it again.
+        // A newer epoch for collector 1 supersedes the first.
         agg.ingest_frame(&snapshot_of(&c1, 1, 6)).unwrap();
-        agg.ingest_digest_batch(&batch_payload).unwrap();
-        // The duplicate is NOT journaled: replay is pre-deduplicated.
-        let ack = agg.ingest_digest_batch(&batch_payload).unwrap();
-        assert_eq!(ack.status, pint::wire::AckStatus::Duplicate);
+        // A stale epoch is discarded before the journal sees it.
+        agg.ingest_frame(&snapshot_of(&c2, 2, 2)).unwrap();
+        assert_eq!(agg.stats().snapshots_stale, 1);
         agg.flush_store();
     }
     tear_tail(&path);
 
     let reader = StoreReader::open(&path).unwrap();
-    let (mut restored, report) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
+    assert_eq!(reader.records().len(), 3);
+    assert!(
+        reader
+            .records()
+            .iter()
+            .all(|r| matches!(r, StoreRecord::Checkpoint(c) if c.covered.is_empty())),
+        "fleet logs are checkpoint-only, with nothing to cover"
+    );
+    let (restored, report) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
     assert_eq!(report.checkpoints_applied, 3);
-    assert_eq!(report.deltas_primed, 1);
     assert_eq!(restored.collector_epochs(), vec![(1, 6), (2, 3)]);
+    assert_same_fleet_answers(&restored, &[(&c1, 1, 6), (&c2, 2, 3)]);
+    std::fs::remove_file(&path).unwrap();
+}
 
-    // The merged view equals a never-persisted aggregator's.
+/// Fleet logs written while the aggregator also took digest batches
+/// hold `Delta` records between their checkpoints. Restore skips them
+/// and rebuilds the snapshot state from the checkpoints alone.
+#[test]
+fn fleet_log_with_delta_records_still_restores() {
+    let path = unique_path("fleet-deltas");
+    let c1 = Collector::spawn(config(), factory());
+    ingest(&c1, &workload(0, 8));
+    let c2 = Collector::spawn(config(), factory());
+    ingest(&c2, &workload(1, 6));
+
+    {
+        let mut writer = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Fleet, 0, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        let delta = |epoch: u64, seq: u64| StoreRecord::Delta {
+            epoch,
+            batch: DigestBatch {
+                source: 7,
+                seq,
+                reports: workload(2 + seq, 2),
+                trace: None,
+            },
+        };
+        let checkpoint = |collector: &Collector, id: u64, epoch: u64, seqs: u64| {
+            StoreRecord::Checkpoint(CheckpointRecord {
+                source: id,
+                epoch,
+                covered: vec![CoveredSource::floor_only(7, seqs)],
+                payload: collector.export_snapshot_frame(id, epoch).unwrap(),
+            })
+        };
+        writer.append(&delta(0, 1)).unwrap();
+        writer.append(&checkpoint(&c1, 1, 5, 1)).unwrap();
+        writer.append(&delta(5, 2)).unwrap();
+        writer.append(&checkpoint(&c2, 2, 3, 2)).unwrap();
+        writer.append(&delta(3, 3)).unwrap();
+        writer.sync().unwrap();
+    }
+
+    let reader = StoreReader::open(&path).unwrap();
+    assert_eq!(reader.records().len(), 5);
+    let (restored, report) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
+    assert_eq!(
+        (report.checkpoints_applied, report.checkpoints_stale),
+        (2, 0)
+    );
+    assert_eq!(restored.collector_epochs(), vec![(1, 5), (2, 3)]);
+    assert_same_fleet_answers(&restored, &[(&c1, 1, 5), (&c2, 2, 3)]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Asserts `restored` answers every plan byte-identically to a
+/// never-persisted aggregator fed `(collector, id, epoch)` snapshots.
+fn assert_same_fleet_answers(restored: &FleetAggregator, pods: &[(&Collector, u64, u64)]) {
     let mut direct = FleetAggregator::new(FleetConfig::default());
-    direct.ingest_frame(&snapshot_of(&c1, 1, 6)).unwrap();
-    direct.ingest_frame(&snapshot_of(&c2, 2, 3)).unwrap();
+    for &(collector, id, epoch) in pods {
+        direct
+            .ingest_frame(&collector.export_snapshot_frame(id, epoch).unwrap())
+            .unwrap();
+    }
     for plan in plans() {
         assert_eq!(
             restored.view().execute(&plan).unwrap().encode(),
             direct.view().execute(&plan).unwrap().encode(),
         );
     }
-
-    // A forwarder retransmitting the pre-crash batch is absorbed.
-    let ack = restored.ingest_digest_batch(&batch_payload).unwrap();
-    assert_eq!(
-        ack.status,
-        pint::wire::AckStatus::Duplicate,
-        "restored dedup must recognize pre-crash seqs"
-    );
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -350,20 +350,16 @@ fn fleet_server_answers_query_frames_on_the_ingest_connection() {
     }
     // Fleet responses are watermark-stamped with collector *epochs*:
     // one snapshot applied at epoch 1, nothing newer seen, one source.
-    let mut s = TcpStream::connect(server.local_addr()).unwrap();
-    let mut reader = pint::wire::FrameReader::new(s.try_clone().unwrap());
-    let resp = pint::query::remote::response_over(
-        &mut s,
-        &mut reader,
-        77,
-        &TelemetryQuery::new().stats().plan().unwrap(),
-    )
-    .unwrap();
-    let wm = resp.watermark.expect("fleet response carries a watermark");
+    let mut stamped = QueryClient::connect(server.local_addr()).unwrap();
+    stamped
+        .query(&TelemetryQuery::new().stats().plan().unwrap())
+        .unwrap();
+    let wm = stamped
+        .last_watermark()
+        .expect("fleet response carries a watermark");
     assert_eq!(wm, server.with_aggregator(|a| a.watermark()));
     assert_eq!((wm.newest_applied, wm.newest_seen, wm.sources), (1, 1, 1));
     assert_eq!(wm.lag(), 0);
-    drop(reader);
 
     // Path-through-switch actually selects the even path flows.
     let via = client
