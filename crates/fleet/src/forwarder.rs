@@ -5,12 +5,21 @@
 //!
 //! The hot path ([`push`](DigestForwarder::push)) never touches the
 //! network: it buffers into the current batch and, when the batch
-//! seals, moves it onto a bounded pending queue. A background worker
-//! owns the socket — connecting with exponential backoff plus seeded
-//! jitter, (re)transmitting pending batches oldest-first, and retiring
-//! them as [`BatchAck`] frames come back. Under overload or a long
-//! outage the queue sheds its **oldest** batch (counted, never
+//! seals, moves it onto a bounded pending queue. Under overload or a
+//! long outage the queue sheds its **oldest** batch (counted, never
 //! silent) instead of blocking the edge.
+//!
+//! Two threads serve each connection, and events, not timers, wake
+//! both. The **writer** owns the connection: it connects with
+//! exponential backoff plus seeded jitter, then sleeps on the state
+//! condvar until a batch is sealed or resumed from the spill, the
+//! oldest unacked batch reaches its [`rto`](ForwarderConfig::rto)
+//! deadline, the link drops, or the forwarder stops — and writes what
+//! is due, oldest-first. The **ack reader** blocks on the socket with
+//! no read timeout and retires each [`BatchAck`] the moment it
+//! arrives; on EOF or an error it marks the link down and wakes the
+//! writer, which shuts the socket down, joins the reader, and
+//! reconnects.
 //!
 //! Delivery is at-least-once with exact accounting: every sealed
 //! batch ends in exactly one of `delivered`, `deduped`, or `shed`, so
@@ -28,14 +37,10 @@ use pint_wire::{
 };
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long the worker blocks waiting for acks before re-checking the
-/// queue for due retransmissions.
-const ACK_POLL: Duration = Duration::from_millis(5);
 
 /// Tuning knobs of a [`DigestForwarder`].
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +129,9 @@ impl ForwarderStats {
 /// One sealed batch awaiting an ack.
 struct Pending {
     seq: u64,
-    frame: Vec<u8>,
+    /// Shared with the writer while it is on the wire, so a
+    /// (re)transmission never copies it.
+    frame: Arc<[u8]>,
     digests: u64,
     /// When it last went on the wire; `None` = due for (re)send.
     sent_at: Option<Instant>,
@@ -162,6 +169,15 @@ struct Inner {
     next_seq: u64,
     stats: ForwarderStats,
     stop: bool,
+    /// Something new is due on the wire — a sealed or resumed batch,
+    /// or a fresh connection — so the writer must take a pass.
+    due: bool,
+    /// The live connection, so [`DigestForwarder`] can shut it down and
+    /// unblock both threads when it stops; `None` between connections.
+    link: Option<TcpStream>,
+    /// Set by the ack reader when the connection fails; the writer then
+    /// tears it down and reconnects.
+    link_down: bool,
     source: u64,
     obs: GaugeGroup,
     /// Stamps each sealed batch's trace-context origin timestamp —
@@ -255,7 +271,8 @@ impl Inner {
             reports,
             trace: Some(trace),
         }
-        .to_frame_bytes();
+        .to_frame_bytes()
+        .into();
         if self.queue.len() >= config.queue_batches {
             if let Some(old) = self.queue.pop_front() {
                 if self.spill_displaced(&old) {
@@ -273,13 +290,14 @@ impl Inner {
             sent_at: None,
         });
         self.stats.sent += 1;
+        self.due = true;
         self.publish_obs();
     }
 
     /// Moves spilled batches back onto the pending queue while it has
     /// headroom (only up to half the queue bound, so resumed batches
     /// are not immediately displaced again by fresh seals). Called by
-    /// the worker each transmit pass, under the state mutex.
+    /// the writer each transmit pass, under the state mutex.
     ///
     /// Leftovers persisted by a previous run enter this run's books at
     /// resumption: `sent` and `digests` advance with them, keeping
@@ -296,7 +314,7 @@ impl Inner {
                     let digests = batch.reports.len() as u64;
                     self.queue.push_back(Pending {
                         seq: batch.seq,
-                        frame: batch.to_frame_bytes(),
+                        frame: batch.to_frame_bytes().into(),
                         digests,
                         sent_at: None,
                     });
@@ -329,17 +347,61 @@ impl Inner {
 
     /// Retires the pending batch `ack` covers, if it is still queued.
     /// A late ack for an already-shed batch changes nothing — that
-    /// batch was already accounted as shed.
-    fn apply_ack(&mut self, ack: &BatchAck) {
-        if let Some(pos) = self.queue.iter().position(|p| p.seq == ack.seq) {
-            let p = self.queue.remove(pos).expect("position just found");
-            match ack.status {
-                AckStatus::Applied => self.stats.delivered += 1,
-                AckStatus::Duplicate => self.stats.deduped += 1,
+    /// batch was already accounted as shed. `true` when a waiter needs
+    /// waking: the queue drained (a draining `shutdown`), or the ack
+    /// freed the headroom spilled batches resume into, which marks the
+    /// queue due so the writer resumes them.
+    fn apply_ack(&mut self, ack: &BatchAck, config: &ForwarderConfig) -> bool {
+        let Some(pos) = self.queue.iter().position(|p| p.seq == ack.seq) else {
+            return false;
+        };
+        let p = self.queue.remove(pos).expect("position just found");
+        match ack.status {
+            AckStatus::Applied => self.stats.delivered += 1,
+            AckStatus::Duplicate => self.stats.deduped += 1,
+        }
+        self.stats.digests_delivered += p.digests;
+        self.publish_obs();
+        let resume = !self.due
+            && self.queue.len() < config.queue_batches.div_ceil(2)
+            && self.spill.as_ref().is_some_and(|s| !s.is_empty());
+        self.due |= resume;
+        resume || self.queue.is_empty()
+    }
+
+    /// Collects the frames due on the wire — unsent batches and those
+    /// whose `rto` ran out — and stamps them sent. Returns the earliest
+    /// retransmit deadline left; an ack that retires that batch only
+    /// makes the writer's next wake-up early.
+    fn take_due(
+        &mut self,
+        config: &ForwarderConfig,
+        frames: &mut Vec<Arc<[u8]>>,
+    ) -> Option<Instant> {
+        self.due = false;
+        // The link is up and we hold the lock: pull spilled batches
+        // back in while the queue has headroom.
+        self.resume_spilled(config);
+        let now = Instant::now();
+        let mut earliest = now + config.rto;
+        let mut resent = 0;
+        for p in &mut self.queue {
+            match p.sent_at {
+                Some(at) if now.duration_since(at) < config.rto => {
+                    earliest = earliest.min(at + config.rto);
+                    continue;
+                }
+                Some(_) => resent += 1,
+                None => {}
             }
-            self.stats.digests_delivered += p.digests;
+            p.sent_at = Some(now);
+            frames.push(Arc::clone(&p.frame));
+        }
+        if resent > 0 {
+            self.stats.retransmits += resent;
             self.publish_obs();
         }
+        (!self.queue.is_empty()).then_some(earliest)
     }
 }
 
@@ -453,6 +515,9 @@ impl DigestForwarder {
                 next_seq,
                 stats: ForwarderStats::default(),
                 stop: false,
+                due: false,
+                link: None,
+                link_down: false,
                 source: config.source,
                 obs,
                 clock: metrics.clock(),
@@ -550,25 +615,35 @@ impl DigestForwarder {
                 inner.stats.digests_shed += digests.saturating_sub(inner.spill_leftover.1);
             }
             inner.publish_obs();
+        }
+        self.stop_worker();
+        let stats = self.stats();
+        debug_assert!(stats.accounted(), "unaccounted batches: {stats:?}");
+        stats
+    }
+
+    /// Stops the writer and joins it. Shutting the live connection
+    /// down here too means neither a blocked ack read nor a write
+    /// blocked on a peer that stopped reading can hold up the join.
+    fn stop_worker(&mut self) {
+        {
+            let (lock, cvar) = &*self.shared;
+            let mut inner = lock.lock().expect("forwarder state poisoned");
             inner.stop = true;
+            if let Some(link) = &inner.link {
+                let _ = link.shutdown(Shutdown::Both);
+            }
             cvar.notify_all();
         }
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-        let stats = self.stats();
-        debug_assert!(stats.accounted(), "unaccounted batches: {stats:?}");
-        stats
     }
 }
 
 impl Drop for DigestForwarder {
     fn drop(&mut self) {
-        self.shared.0.lock().expect("forwarder state poisoned").stop = true;
-        self.shared.1.notify_all();
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
+        self.stop_worker();
     }
 }
 
@@ -586,31 +661,30 @@ fn push_into(shared: &(Mutex<Inner>, Condvar), config: &ForwarderConfig, report:
     }
 }
 
+/// The writer: connects (with backoff), serves each connection until it
+/// drops, and returns once the forwarder stops.
 fn worker_loop(
     addr: SocketAddr,
     config: ForwarderConfig,
     mut faults: Option<FaultInjector>,
     shared: Arc<(Mutex<Inner>, Condvar)>,
 ) {
-    let (lock, cvar) = &*shared;
+    let lock = &shared.0;
     let mut backoff = config.retry_base;
     let mut jitter_state = config.seed;
     let mut connected_before = false;
-    'connect: loop {
+    loop {
         if lock.lock().expect("forwarder state poisoned").stop {
             return;
         }
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                // Exponential backoff with deterministic jitter, so a
-                // fleet of forwarders does not thunder back in sync.
-                jitter_state = jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let jitter_ns = mix64(jitter_state) % (backoff.as_nanos().max(1) as u64 / 2 + 1);
-                std::thread::sleep(backoff + Duration::from_nanos(jitter_ns));
-                backoff = (backoff * 2).min(config.retry_max);
-                continue;
-            }
+        let Some((mut stream, reader)) = open_link(addr, config, &shared) else {
+            // Exponential backoff with deterministic jitter, so a fleet
+            // of forwarders does not thunder back in sync.
+            jitter_state = jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let jitter_ns = mix64(jitter_state) % (backoff.as_nanos().max(1) as u64 / 2 + 1);
+            std::thread::sleep(backoff + Duration::from_nanos(jitter_ns));
+            backoff = (backoff * 2).min(config.retry_max);
+            continue;
         };
         backoff = config.retry_base;
         if connected_before {
@@ -619,86 +693,122 @@ fn worker_loop(
             inner.publish_obs();
         }
         connected_before = true;
-        stream.set_nodelay(true).ok();
-        if stream.set_read_timeout(Some(ACK_POLL)).is_err() {
-            continue;
-        }
-        let reader_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let mut reader = FrameReader::new(reader_stream);
-        let mut writer = stream;
+        write_due(&mut stream, &config, &mut faults, &shared);
+        // Closing both directions ends the reader's blocked read.
+        let _ = stream.shutdown(Shutdown::Both);
+        let _ = reader.join();
+        lock.lock().expect("forwarder state poisoned").link = None;
+    }
+}
+
+/// Connects and starts the connection's ack reader, returning the
+/// writer's half of the stream and the reader's handle. `None` — close,
+/// back off, retry — when the connect, a stream clone, or the reader
+/// spawn fails.
+fn open_link(
+    addr: SocketAddr,
+    config: ForwarderConfig,
+    shared: &Arc<(Mutex<Inner>, Condvar)>,
+) -> Option<(TcpStream, JoinHandle<()>)> {
+    let stream = TcpStream::connect(addr).ok()?;
+    stream.set_nodelay(true).ok();
+    let read_half = stream.try_clone().ok()?;
+    let owner_half = stream.try_clone().ok()?;
+    {
+        let mut inner = shared.0.lock().expect("forwarder state poisoned");
         // Everything unacked must be assumed lost with the old
-        // connection: mark it due for retransmission.
-        for p in &mut lock.lock().expect("forwarder state poisoned").queue {
+        // connection: the whole queue is due again.
+        for p in &mut inner.queue {
             p.sent_at = None;
         }
+        inner.due = true;
+        inner.link_down = false;
+        inner.link = Some(owner_half);
+    }
+    let reader_shared = Arc::clone(shared);
+    match std::thread::Builder::new()
+        .name("pint-digest-acks".into())
+        .spawn(move || read_acks(read_half, config, reader_shared))
+    {
+        Ok(reader) => Some((stream, reader)),
+        Err(_) => {
+            shared.0.lock().expect("forwarder state poisoned").link = None;
+            None
+        }
+    }
+}
 
-        loop {
-            // Collect frames due for (re)transmission without holding
-            // the lock across socket writes.
-            let due: Vec<Vec<u8>> = {
-                let mut guard = lock.lock().expect("forwarder state poisoned");
-                if guard.stop {
+/// Writes due frames until the link goes down, a write fails, or the
+/// forwarder stops. Sleeps on the condvar in between: a seal, a spill
+/// resume, a dropped link or `stop` wakes it, and so does the earliest
+/// retransmit deadline, as the wait's timeout.
+fn write_due(
+    stream: &mut TcpStream,
+    config: &ForwarderConfig,
+    faults: &mut Option<FaultInjector>,
+    shared: &(Mutex<Inner>, Condvar),
+) {
+    let (lock, cvar) = shared;
+    let mut frames: Vec<Arc<[u8]>> = Vec::new();
+    let mut deadline: Option<Instant> = None;
+    loop {
+        {
+            let mut inner = lock.lock().expect("forwarder state poisoned");
+            loop {
+                if inner.stop || inner.link_down {
                     return;
                 }
-                let inner = &mut *guard;
-                // The link is up and we hold the lock: pull spilled
-                // batches back in while the queue has headroom.
-                inner.resume_spilled(&config);
                 let now = Instant::now();
-                let rto = config.rto;
-                let mut frames = Vec::new();
-                for p in &mut inner.queue {
-                    let resend = match p.sent_at {
-                        None => true,
-                        Some(at) => now.duration_since(at) >= rto,
-                    };
-                    if resend {
-                        if p.sent_at.is_some() {
-                            inner.stats.retransmits += 1;
-                        }
-                        p.sent_at = Some(now);
-                        frames.push(p.frame.clone());
+                if inner.due || deadline.is_some_and(|d| now >= d) {
+                    break;
+                }
+                inner = match deadline {
+                    Some(d) => {
+                        cvar.wait_timeout(inner, d - now)
+                            .expect("forwarder state poisoned")
+                            .0
                     }
-                }
-                if !frames.is_empty() {
-                    inner.publish_obs();
-                }
-                frames
-            };
-            for frame in &due {
-                let sent = match &mut faults {
-                    Some(inj) => inj.transmit(frame, &mut writer),
-                    None => writer.write_all(frame),
+                    None => cvar.wait(inner).expect("forwarder state poisoned"),
                 };
-                if sent.is_err() {
-                    continue 'connect;
-                }
             }
-            if !due.is_empty() && writer.flush().is_err() {
-                continue 'connect;
-            }
-
-            // Drain acks; the read timeout doubles as the pacing tick.
-            match reader.read_frame() {
-                Ok(Some((FrameType::BatchAck, payload))) => {
-                    if let Ok(ack) = BatchAck::decode(&payload) {
-                        let mut inner = lock.lock().expect("forwarder state poisoned");
-                        inner.apply_ack(&ack);
-                        cvar.notify_all();
-                    }
-                }
-                Ok(Some(_)) => {} // tolerate unrelated frames
-                Ok(None) => continue 'connect,
-                Err(pint_wire::ReadFrameError::Io(e))
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => continue 'connect,
+            deadline = inner.take_due(config, &mut frames);
+        }
+        for frame in frames.drain(..) {
+            let sent = match faults {
+                Some(inj) => inj.transmit(&frame, stream),
+                None => stream.write_all(&frame),
+            };
+            if sent.is_err() {
+                return;
             }
         }
     }
+}
+
+/// The ack reader: blocks on the socket with no read timeout and
+/// applies each [`BatchAck`] as it arrives. On EOF or an error it marks
+/// the link down and wakes the writer.
+fn read_acks(stream: TcpStream, config: ForwarderConfig, shared: Arc<(Mutex<Inner>, Condvar)>) {
+    let (lock, cvar) = &*shared;
+    let mut reader = FrameReader::new(stream);
+    while let Ok(Some((ty, payload))) = reader.read_frame() {
+        // Tolerate unrelated frames and undecodable acks.
+        if ty != FrameType::BatchAck {
+            continue;
+        }
+        let Ok(ack) = BatchAck::decode(&payload) else {
+            continue;
+        };
+        let wake = lock
+            .lock()
+            .expect("forwarder state poisoned")
+            .apply_ack(&ack, &config);
+        if wake {
+            cvar.notify_all();
+        }
+    }
+    lock.lock().expect("forwarder state poisoned").link_down = true;
+    cvar.notify_all();
 }
 
 #[cfg(test)]
@@ -706,6 +816,8 @@ mod tests {
     use super::*;
     use crate::ingest::{DigestServer, DigestServerConfig};
     use pint_core::Digest;
+    use std::io::Read;
+    use std::net::TcpListener;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn report(flow: u64, pid: u64) -> DigestReport {
@@ -817,5 +929,154 @@ mod tests {
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.shed, 20, "everything sheds: {stats:?}");
         assert_eq!(stats.digests_shed, 20);
+    }
+
+    #[test]
+    fn flushes_go_on_the_wire_without_waiting_for_a_timer() {
+        // The peer reads everything and acks nothing; with a 60 s rto
+        // nothing is retransmitted, so a flushed batch reaches it
+        // promptly only if the seal itself wakes the writer.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            while let Ok(n) = conn.read(&mut buf) {
+                if n == 0 || tx.send(Instant::now()).is_err() {
+                    break;
+                }
+            }
+        });
+        let fwd = DigestForwarder::connect(
+            addr,
+            ForwarderConfig {
+                source: 4,
+                rto: Duration::from_secs(60),
+                ..ForwarderConfig::default()
+            },
+        );
+        // The first batch also waits out the connect; it is not timed.
+        fwd.push(report(1, 0));
+        fwd.flush();
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("first batch never arrived");
+        let mut trips: Vec<Duration> = (1..=10)
+            .map(|pid| {
+                while rx.try_recv().is_ok() {}
+                fwd.push(report(1, pid));
+                let flushed = Instant::now();
+                fwd.flush();
+                let arrived = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("flushed batch never arrived");
+                arrived.saturating_duration_since(flushed)
+            })
+            .collect();
+        trips.sort();
+        let median = trips[trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(2),
+            "flush -> wire median {median:?}: {trips:?}"
+        );
+        drop(fwd);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn teardown_never_hangs_on_a_peer_that_never_reads() {
+        // The peer accepts and then neither reads nor acks, so the
+        // reader blocks for good and, once the socket buffers fill, so
+        // does the writer. Both `shutdown` and `Drop` must still return.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ForwarderConfig {
+            source: 5,
+            batch_digests: 256,
+            queue_batches: 1024,
+            ..ForwarderConfig::default()
+        };
+        for graceful in [true, false] {
+            let fwd = DigestForwarder::connect(addr, config);
+            let (silent, _) = listener.accept().unwrap();
+            for pid in 0..128 * 1024 {
+                fwd.push(report(pid % 64, pid));
+            }
+            fwd.flush();
+            // Tear down on a helper thread, so a hang fails the test
+            // instead of stalling the suite.
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let stats = if graceful {
+                    Some(fwd.shutdown(Duration::from_millis(100)))
+                } else {
+                    drop(fwd);
+                    None
+                };
+                let _ = done.send((started.elapsed(), stats));
+            });
+            let (took, stats) = finished
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("teardown (graceful: {graceful}) hung"));
+            assert!(
+                took < Duration::from_secs(1),
+                "teardown (graceful: {graceful}) took {took:?}"
+            );
+            if let Some(stats) = stats {
+                assert!(stats.accounted(), "{stats:?}");
+                assert_eq!(stats.delivered, 0, "{stats:?}");
+                assert_eq!(stats.shed, stats.sent, "{stats:?}");
+            }
+            drop(silent);
+        }
+    }
+
+    #[test]
+    fn reconnects_after_the_peer_closes_mid_stream() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fwd = DigestForwarder::connect(
+            addr,
+            ForwarderConfig {
+                source: 6,
+                batch_digests: 8,
+                retry_base: Duration::from_millis(5),
+                retry_max: Duration::from_millis(50),
+                ..ForwarderConfig::default()
+            },
+        );
+        for pid in 0..40 {
+            fwd.push(report(1, pid));
+        }
+        fwd.flush();
+        // The first peer takes part of the stream, acks nothing, and
+        // goes away with its listener.
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut head = [0u8; 64];
+        conn.read_exact(&mut head).unwrap();
+        drop(conn);
+        drop(listener);
+
+        let applied = Arc::new(AtomicU64::new(0));
+        let sink_applied = Arc::clone(&applied);
+        let server = DigestServer::bind(
+            addr,
+            DigestServerConfig::default(),
+            Box::new(move |_src, reports| {
+                sink_applied.fetch_add(reports.len() as u64, Ordering::Relaxed);
+            }),
+        )
+        .unwrap();
+        for pid in 40..80 {
+            fwd.push(report(2, pid));
+        }
+        let stats = fwd.shutdown(Duration::from_secs(10));
+        assert!(stats.accounted(), "{stats:?}");
+        assert!(stats.reconnects >= 1, "{stats:?}");
+        assert_eq!(stats.shed, 0, "{stats:?}");
+        assert_eq!(stats.digests_delivered, 80, "{stats:?}");
+        assert_eq!(applied.load(Ordering::Relaxed), 80);
+        server.shutdown();
     }
 }

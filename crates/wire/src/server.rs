@@ -44,12 +44,10 @@ pub const MAX_CONNECTIONS: usize = 1_024;
 /// firehose peer can monopolize the poll thread.
 const FRAMES_PER_TICK: usize = 64;
 
-/// Sleep after a tick in which nothing moved. A fixed tick rather than
-/// a backoff that starts shorter: a `DigestForwarder` sends its next
-/// batch only when an ack arrives or its 5 ms ack poll expires, so
-/// acking a paced 1 kHz stream faster than its period stalls the stream
-/// for the whole poll. On a 2-vCPU host a 50 µs-first backoff raised
-/// the whole-pipe benchmark's edge freshness p50 by 22–26%.
+/// Sleep after a tick in which nothing moved: the poll thread never
+/// spins while idle, at the price of noticing a new frame up to 1 ms
+/// late. A `DigestForwarder` writes each batch as it seals, so this
+/// sleep bounds how long a sealed batch waits for the poll thread.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
 /// Sleep instead of [`IDLE_SLEEP`] while a connection is mid-exchange
@@ -246,11 +244,11 @@ struct Conn {
     /// decoded, or reply bytes flushed.
     last_progress: Instant,
     /// The last frame got a reply — clients chain their next request
-    /// on answers. Digest batches are the exception: their acks pace a
-    /// forwarder's stream (see [`IDLE_SLEEP`]), and counting them kept
-    /// the poll thread at the short sleep under a paced digest stream,
-    /// which raised the whole-pipe benchmark's edge freshness p50 by
-    /// 19–26% on a 2-vCPU host.
+    /// on answers. Digest batches are the exception: a forwarder writes
+    /// its batches as they seal, never waiting on an ack, so an ack
+    /// predicts no next frame, and counting them would hold the poll
+    /// thread at the short sleep for as long as a paced digest stream
+    /// runs.
     answered: bool,
 }
 
