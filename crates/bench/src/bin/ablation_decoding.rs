@@ -48,7 +48,7 @@ fn pint_mean(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["runs"]);
     let runs = args.get_u64("runs", 100);
 
     // Shared setting: 753-switch ISP proxy, 25-hop path, d = 10.

@@ -21,7 +21,7 @@ fn walk(det: &LoopDetector, pid: u64, path: &[u64]) -> Option<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["packets"]);
     let packets = args.get_u64("packets", 2_000_000);
 
     println!("# App A.4: loop detection — false positives on a 32-hop loop-free path");

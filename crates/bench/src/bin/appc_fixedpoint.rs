@@ -10,7 +10,7 @@ use pint_bench::Args;
 use pint_dataplane::{ApproxAlu, Fx, LogExpTables};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["samples"]);
     let n = args.get_u64("samples", 20_000);
 
     println!("# App C: data-plane approximate arithmetic error vs table precision q");

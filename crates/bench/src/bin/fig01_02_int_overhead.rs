@@ -57,7 +57,7 @@ fn run(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["duration-ms", "drain-ms", "seeds", "long-flow-mb"]);
     let duration = args.get_u64("duration-ms", 30) * 1_000_000;
     let drain = args.get_u64("drain-ms", 400) * 1_000_000;
     let seeds = args.get_u64("seeds", 1);

@@ -16,7 +16,7 @@ use pint_core::coding::SchemeConfig;
 use pint_core::hash::HashFamily;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["runs", "k"]);
     let runs = args.get_u64("runs", 1000);
     let k = args.get_u64("k", 25) as usize;
     let d = k;

@@ -104,7 +104,7 @@ fn print_slowdown_deciles(rep: &Report, cdf: &FlowSizeCdf, label: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["full", "t-us", "duration-ms", "drain-ms", "seed"]);
     let full = args.get_bool("full");
     let setup = Setup {
         nic: if full {

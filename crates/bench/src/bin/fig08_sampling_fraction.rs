@@ -86,7 +86,7 @@ fn print_deciles(rep: &Report, cdf: &FlowSizeCdf, label: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["full", "t-us", "duration-ms", "drain-ms", "seed"]);
     let full = args.get_bool("full");
     let nic = if full {
         100_000_000_000

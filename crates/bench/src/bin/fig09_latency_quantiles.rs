@@ -175,7 +175,7 @@ fn panel(traces: &[FlowTrace], flows: usize, phi: f64, label: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["duration-ms", "drain-ms", "flows", "seed"]);
     let duration = args.get_u64("duration-ms", 3) * 1_000_000;
     let drain = args.get_u64("drain-ms", 40) * 1_000_000;
     let flows = args.get_u64("flows", 30) as usize;

@@ -147,7 +147,7 @@ fn evaluate(topo: &Topology, lengths: &[usize], d: usize, runs: u64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "runs"]);
     let quick = args.get_bool("quick");
     let runs = args.get_u64("runs", if quick { 30 } else { 100 });
 

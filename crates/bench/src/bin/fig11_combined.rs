@@ -220,7 +220,7 @@ fn latency_panel(duration: Nanos, drain: Nanos, seed: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["duration-ms", "drain-ms", "runs", "seed"]);
     let duration = args.get_u64("duration-ms", 4) * 1_000_000;
     let drain = args.get_u64("drain-ms", 60) * 1_000_000;
     let runs = args.get_u64("runs", 100);

@@ -41,7 +41,7 @@ fn mean_lnc(k: usize, runs: u64) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["runs"]);
     let runs = args.get_u64("runs", 200);
     println!("# Theorem 3: packets to decode vs k ({runs} runs)");
     println!(

@@ -311,7 +311,8 @@ impl FrameHandler for Ingest {
         s.framing_errors = core.framing_errors;
         s.stalled_dropped = core.stalled_dropped;
         s.connections_rejected = core.connections_rejected;
-        *self.shared.lock().expect("digest server stats poisoned") = *s;
+        self.publish();
+        let s = &self.stats;
         self.group.set_all(&[
             s.accepted,
             s.active as u64,
@@ -381,6 +382,16 @@ impl Ingest {
         };
         reply.extend_from_slice(&ack.to_frame_bytes());
         self.stats.acks_sent += 1;
+        // Replies are flushed after dispatch returns, so publishing here
+        // means a peer holding this ack always finds its batch counted
+        // in `DigestServer::stats` — the poll pass's closing tick can
+        // come after the peer has already acted on the ack.
+        self.publish();
+    }
+
+    /// Makes the counters visible to [`DigestServer::stats`].
+    fn publish(&self) {
+        *self.shared.lock().expect("digest server stats poisoned") = self.stats;
     }
 }
 

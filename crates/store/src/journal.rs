@@ -17,16 +17,32 @@
 //! wrote, so epoch stamps are monotone with file order by
 //! construction.
 //!
+//! ## Group commit
+//!
+//! The writer thread does not write one delta at a time. It blocks for
+//! one message; if that is a delta it keeps draining the queue with
+//! `try_recv`, staging each delta into the [`StoreWriter`]'s reused
+//! buffer, until the queue is empty, the next message is not a delta,
+//! or the staged group reaches [`GROUP_BYTES`]. Then it commits the
+//! group with one `write_all` (and one `sync_data` when
+//! [`StoreOptions::fsync`](crate::StoreOptions::fsync) is on). A
+//! checkpoint, flush or stop that ends a drain is handled right after
+//! the group ahead of it commits, so FIFO order is unchanged: the file
+//! holds exactly the records, in exactly the order and bytes, that one
+//! `append` per message would have written. The bound keeps a long
+//! backlog from growing the staging buffer (and the process heap) past
+//! one fixed size; under light load each group is a single delta.
+//!
 //! Self-telemetry (all in the registry handed to [`Journal::spawn`]):
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `store_bytes_appended_total` | counter | record bytes written |
-//! | `store_checkpoints_total` | counter | checkpoint records written |
+//! | `store_bytes_appended_total` | counter | record bytes (headers + payloads) of committed groups — bytes of a failed group are not counted |
+//! | `store_checkpoints_total` | counter | checkpoint records committed |
 //! | `store_compactions_total` | counter | log rewrites |
-//! | `store_journal_depth` | gauge | deltas queued, not yet written |
-//! | `store_journal_dropped_total` | counter | deltas lost to a full queue |
-//! | `store_journal_errors_total` | counter | records lost to I/O errors |
+//! | `store_journal_depth` | gauge | deltas queued, not yet staged |
+//! | `store_journal_dropped_total` | counter | deltas lost to a full queue (or a stopped journal) |
+//! | `store_journal_errors_total` | counter | one per record of a failed commit (the group is rolled back off the file), per record refused as too large, per failed compaction, and per failed sync on [`Journal::flush`] |
 
 use crate::log::StoreWriter;
 use pint_obs::{Counter, Gauge, MetricsRegistry};
@@ -37,6 +53,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// Upper bound on one group commit's staged bytes: the writer stops
+/// draining the queue into a group once it holds this much. A fixed
+/// constant, not a knob — it only caps the staging buffer, and 64 KiB
+/// already amortises the per-write syscall across hundreds of deltas.
+const GROUP_BYTES: usize = 64 * 1024;
 
 /// Tuning of a [`Journal`].
 #[derive(Debug, Clone, Copy)]
@@ -245,16 +267,30 @@ struct Worker {
 
 impl Worker {
     fn run(mut self) -> StoreWriter {
-        while let Ok(msg) = self.rx.recv() {
+        // A non-delta message that ended a drain, handled next.
+        let mut held = None;
+        loop {
+            let msg = match held.take() {
+                Some(msg) => msg,
+                None => match self.rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => break,
+                },
+            };
             match msg {
                 JournalMsg::Delta { batch } => {
-                    let d = self
-                        .pending
-                        .fetch_sub(1, Ordering::Relaxed)
-                        .saturating_sub(1);
-                    self.depth.set(d);
-                    let epoch = self.epoch;
-                    self.append(&StoreRecord::Delta { epoch, batch });
+                    let mut group = self.stage_delta(batch);
+                    while self.writer.staged_bytes() < GROUP_BYTES {
+                        match self.rx.try_recv() {
+                            Ok(JournalMsg::Delta { batch }) => group += self.stage_delta(batch),
+                            Ok(other) => {
+                                held = Some(other);
+                                break;
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    self.commit(group);
                 }
                 JournalMsg::Checkpoint {
                     source,
@@ -268,7 +304,7 @@ impl Worker {
                         covered,
                         payload,
                     });
-                    if self.append(&rec) {
+                    if self.stage(&rec) && self.commit(1) {
                         self.checkpoints.inc();
                     }
                     // Deltas behind this point in the queue were teed
@@ -290,19 +326,42 @@ impl Worker {
         self.writer
     }
 
-    fn append(&mut self, record: &StoreRecord) -> bool {
-        match self.writer.append(record) {
-            Ok(info) => {
-                self.bytes.add(info.bytes);
-                if info.compacted {
-                    self.compactions.inc();
+    /// Dequeues one delta into the staged group, stamped with the
+    /// current epoch. Returns how many records it staged (0 or 1).
+    fn stage_delta(&mut self, batch: DigestBatch) -> u64 {
+        let d = self
+            .pending
+            .fetch_sub(1, Ordering::Relaxed)
+            .saturating_sub(1);
+        self.depth.set(d);
+        let epoch = self.epoch;
+        u64::from(self.stage(&StoreRecord::Delta { epoch, batch }))
+    }
+
+    fn stage(&mut self, record: &StoreRecord) -> bool {
+        let staged = self.writer.stage(record).is_ok();
+        if !staged {
+            self.errors.inc();
+        }
+        staged
+    }
+
+    /// Commits the staged group of `records` records. An unwritable
+    /// journal must not take ingest down: a failed group is counted
+    /// record by record and the writer keeps consuming the queue.
+    fn commit(&mut self, records: u64) -> bool {
+        match self.writer.commit() {
+            Ok(commit) => {
+                self.bytes.add(commit.bytes);
+                match commit.compacted {
+                    Ok(true) => self.compactions.inc(),
+                    Ok(false) => {}
+                    Err(_) => self.errors.inc(),
                 }
                 true
             }
             Err(_) => {
-                // An unwritable journal must not take ingest down:
-                // count the loss and keep consuming the queue.
-                self.errors.inc();
+                self.errors.add(records);
                 false
             }
         }
@@ -386,6 +445,117 @@ mod tests {
         // Writer-side stamping: epochs are monotone with file order.
         let epochs: Vec<u64> = r.records().iter().map(StoreRecord::epoch).collect();
         assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "{epochs:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn group_committed_journal_is_byte_identical_to_one_append_per_record() {
+        const N: u64 = 6_000;
+        let mut path = std::env::temp_dir();
+        path.push(format!("pint-journal-groups-{}", std::process::id()));
+        let mut twin_path = path.clone();
+        twin_path.set_extension("twin");
+        let sb = Superblock::new(StoreKind::Collector, 1, 0);
+        let writer = StoreWriter::create(&path, sb.clone(), StoreOptions::default()).unwrap();
+        let mut twin = StoreWriter::create(&twin_path, sb, StoreOptions::default()).unwrap();
+        let registry = MetricsRegistry::new();
+        let config = JournalConfig {
+            queue_depth: N as usize + 1,
+        };
+        let journal = Journal::spawn(writer, config, &registry);
+        let sender = journal.sender();
+
+        // Enough deltas, offered back to back, that the writer drains
+        // them in groups — some of them cut by the byte bound.
+        let covered = vec![CoveredSource::floor_only(2, N / 2)];
+        for seq in 1..=N {
+            assert!(sender.try_delta(batch(2, seq)));
+            if seq == N / 2 {
+                assert!(journal.checkpoint(0, 5, vec![0xAA; 40], covered.clone()));
+            }
+        }
+        // The same records, stamped as the journal stamps them, one
+        // `append` each.
+        for seq in 1..=N {
+            let epoch = if seq > N / 2 { 5 } else { 0 };
+            twin.append(&StoreRecord::Delta {
+                epoch,
+                batch: batch(2, seq),
+            })
+            .unwrap();
+            if seq == N / 2 {
+                twin.append(&StoreRecord::Checkpoint(CheckpointRecord {
+                    source: 0,
+                    epoch: 5,
+                    covered: covered.clone(),
+                    payload: vec![0xAA; 40],
+                }))
+                .unwrap();
+            }
+        }
+        journal.flush();
+        let snap = registry.snapshot();
+        let get = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| c.value)
+                .unwrap_or(0)
+        };
+        assert_eq!(get("store_journal_errors_total"), 0);
+        assert_eq!(
+            get("store_bytes_appended_total"),
+            twin.len() - twin.data_start()
+        );
+        let writer = journal.shutdown().unwrap();
+        assert_eq!(writer.len(), twin.len());
+        assert_eq!(writer.delta_floors(), twin.delta_floors());
+        assert_eq!(writer.newest_checkpoint_epoch(), 5);
+        drop(twin);
+
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&twin_path).unwrap(),
+            "group commit changes no byte of the file"
+        );
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&twin_path).unwrap();
+    }
+
+    #[test]
+    fn failed_groups_count_every_record_and_no_bytes() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("pint-journal-failing-{}", std::process::id()));
+        let mut writer = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Collector, 1, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        // Every commit through a read-only handle fails.
+        writer.swap_file(std::fs::File::open(&path).unwrap());
+        let registry = MetricsRegistry::new();
+        let journal = Journal::spawn(writer, JournalConfig::default(), &registry);
+        let sender = journal.sender();
+        for seq in 1..=500u64 {
+            assert!(sender.try_delta(batch(1, seq)));
+        }
+        assert!(journal.checkpoint(0, 1, vec![0xAA; 16], Vec::new()));
+        journal.flush();
+        let snap = registry.snapshot();
+        let get = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| c.value)
+                .unwrap_or(0)
+        };
+        assert_eq!(get("store_journal_errors_total"), 501);
+        assert_eq!(get("store_bytes_appended_total"), 0);
+        assert_eq!(get("store_checkpoints_total"), 0);
+        let writer = journal.shutdown().unwrap();
+        assert!(writer.is_empty());
+        assert_eq!(writer.len(), writer.data_start());
         std::fs::remove_file(&path).unwrap();
     }
 

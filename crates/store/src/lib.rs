@@ -26,7 +26,9 @@
 //! * [`Journal`] — the off-hot-path writer: ingest shards tee applied
 //!   batches through a cloneable [`JournalSender`] whose `try_delta`
 //!   never blocks (a full queue drops and counts instead), a dedicated
-//!   thread owns the `StoreWriter`, and checkpoints ride the same FIFO
+//!   thread owns the `StoreWriter` and group-commits whatever deltas
+//!   are queued (one write per drain, file bytes identical to one
+//!   append per record), and checkpoints ride the same FIFO
 //!   carrying the exact coverage their taker captured at snapshot
 //!   time (deltas teed after the snapshot stay uncovered and survive
 //!   compaction). All drops, bytes, depths, and compactions are

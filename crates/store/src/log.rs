@@ -10,9 +10,18 @@
 //! [ 4B len ][ 4B crc ][ record payload ]    ⟵ repeated
 //! ```
 //!
-//! Records append with one buffered `write_all`; a crash can only tear
-//! the *last* record, and the CRC detects any tear (or bit rot) on the
-//! next open, which truncates back to the last intact boundary.
+//! Writes are group commits: the writer stages any number of records
+//! into one reused buffer (each framed in place: header reserved,
+//! payload encoded, then length and CRC filled in) and commits them
+//! with one `write_all`. A crash can therefore tear only the *last
+//! group*, and because every record in it carries its own CRC, the
+//! next open still truncates back to the last intact *record*, not the
+//! last group: a torn group loses only the records past the tear. A
+//! commit that fails outright (ENOSPC, EIO) is rolled back — the file
+//! is cut back to its last committed length and the cursor returned
+//! there — so one failed write never strands later records behind a
+//! torn fragment. [`StoreWriter::append`] is one record staged and
+//! committed alone; the journal stages whole queue drains.
 
 use crate::error::{StoreError, TailStatus, TornReason};
 use pint_wire::store::{crc32, StoreKind, StoreRecord, Superblock, STORE_MAGIC};
@@ -34,10 +43,11 @@ pub struct StoreOptions {
     /// compaction never loses information (a log with no checkpoint is
     /// never compacted, whatever its size).
     pub max_bytes: Option<u64>,
-    /// `fsync` after every append. Off by default: the journal is a
-    /// crash-*consistency* mechanism (the CRC scan recovers a prefix),
-    /// not a zero-loss one, and per-record fsync would gate ingest on
-    /// disk latency.
+    /// `fsync` (`sync_data`) once per commit — after every
+    /// [`append`](StoreWriter::append), and once per group the journal
+    /// writes. Off by default: the journal is a crash-*consistency*
+    /// mechanism (the CRC scan recovers a prefix), not a zero-loss one,
+    /// and a sync per commit would gate ingest on disk latency.
     pub fsync: bool,
 }
 
@@ -49,6 +59,16 @@ pub struct AppendInfo {
     /// Whether the append pushed the file over budget and a compaction
     /// rewrote it.
     pub compacted: bool,
+}
+
+/// What one [`StoreWriter::commit`] did. The group is on file whatever
+/// `compacted` says: a failed compaction leaves the log as it was.
+pub(crate) struct Commit {
+    /// Bytes the group occupied (headers + payloads).
+    pub(crate) bytes: u64,
+    /// Whether the group pushed the file over budget and a compaction
+    /// rewrote it.
+    pub(crate) compacted: Result<bool, StoreError>,
 }
 
 /// Scan metadata for one intact record.
@@ -259,8 +279,19 @@ pub struct StoreWriter {
     /// Epoch of the newest checkpoint record in the file (0 if none):
     /// the journal writer seeds its delta epoch stamp from this.
     newest_checkpoint_epoch: u64,
-    /// Scratch encode buffer, reused across appends.
+    /// The staged group: framed records waiting for the next commit.
+    /// Reused across commits.
     buf: Vec<u8>,
+    /// Index entries of the staged records (absolute offsets: `len`
+    /// does not move until the group commits).
+    staged: Vec<IndexEntry>,
+    /// `(source, seq)` floor raises the staged records claim.
+    staged_floors: Vec<(u64, u64)>,
+    /// Epoch of the newest staged checkpoint.
+    staged_checkpoint_epoch: Option<u64>,
+    /// A failed commit could not cut the file back to `len`; the next
+    /// commit retries that before writing.
+    needs_rollback: bool,
 }
 
 impl StoreWriter {
@@ -283,6 +314,7 @@ impl StoreWriter {
         frame_into_buf(&superblock, &mut buf);
         file.write_all(&buf)?;
         let len = buf.len() as u64;
+        buf.clear();
         Ok(Self {
             file,
             path,
@@ -294,6 +326,10 @@ impl StoreWriter {
             floors: BTreeMap::new(),
             newest_checkpoint_epoch: 0,
             buf,
+            staged: Vec::new(),
+            staged_floors: Vec::new(),
+            staged_checkpoint_epoch: None,
+            needs_rollback: false,
         })
     }
 
@@ -367,6 +403,10 @@ impl StoreWriter {
                 floors,
                 newest_checkpoint_epoch,
                 buf: Vec::new(),
+                staged: Vec::new(),
+                staged_floors: Vec::new(),
+                staged_checkpoint_epoch: None,
+                needs_rollback: false,
             },
             tail,
         ))
@@ -413,33 +453,46 @@ impl StoreWriter {
         self.newest_checkpoint_epoch
     }
 
-    /// Appends one record (buffered single `write_all`, so a crash can
-    /// only tear this record, never an earlier one), then compacts if
-    /// the budget allows and demands it.
+    /// Appends one record: stages it and commits it alone (one
+    /// `write_all`, so a crash can only tear this record, never an
+    /// earlier one; open truncates a tear back to the last intact
+    /// record), then compacts if the budget allows and demands it. On
+    /// a failed write or sync the record is rolled back off the file
+    /// and the writer stays usable.
     pub fn append(&mut self, record: &StoreRecord) -> Result<AppendInfo, StoreError> {
-        let offset = self.len;
-        self.buf.clear();
-        record.encode_into(&mut self.buf);
-        if self.buf.len() > MAX_PAYLOAD {
+        self.stage(record)?;
+        let commit = self.commit()?;
+        Ok(AppendInfo {
+            bytes: commit.bytes,
+            compacted: commit.compacted?,
+        })
+    }
+
+    /// Bytes staged for the next [`commit`](Self::commit).
+    pub(crate) fn staged_bytes(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Frames one record onto the staged group. Nothing reaches the
+    /// file (or the index, floors and checkpoint epoch) until
+    /// [`commit`](Self::commit). A record over [`MAX_PAYLOAD`] is
+    /// refused and leaves the group as it was. Returns the record's
+    /// framed size.
+    pub(crate) fn stage(&mut self, record: &StoreRecord) -> Result<u64, StoreError> {
+        let start = self.buf.len();
+        let payload_len = frame_into_buf(record, &mut self.buf);
+        if payload_len > MAX_PAYLOAD {
+            self.buf.truncate(start);
             return Err(StoreError::RecordTooLarge {
-                len: self.buf.len(),
+                len: payload_len,
                 max: MAX_PAYLOAD,
             });
         }
-        let mut framed = Vec::with_capacity(RECORD_HEADER + self.buf.len());
-        framed.extend_from_slice(&(self.buf.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&self.buf).to_le_bytes());
-        framed.extend_from_slice(&self.buf);
-        self.file.write_all(&framed)?;
-        if self.opts.fsync {
-            self.file.sync_data()?;
-        }
-        self.len += framed.len() as u64;
+        let offset = self.len + start as u64;
         match record {
             StoreRecord::Delta { batch, .. } => {
-                let f = self.floors.entry(batch.source).or_insert(0);
-                *f = (*f).max(batch.seq);
-                self.index.push(IndexEntry {
+                self.staged_floors.push((batch.source, batch.seq));
+                self.staged.push(IndexEntry {
                     offset,
                     is_checkpoint: false,
                     source: batch.source,
@@ -447,12 +500,10 @@ impl StoreWriter {
                 });
             }
             StoreRecord::Checkpoint(c) => {
-                for cov in &c.covered {
-                    let f = self.floors.entry(cov.source).or_insert(0);
-                    *f = (*f).max(cov.max_seq());
-                }
-                self.newest_checkpoint_epoch = c.epoch;
-                self.index.push(IndexEntry {
+                self.staged_floors
+                    .extend(c.covered.iter().map(|cov| (cov.source, cov.max_seq())));
+                self.staged_checkpoint_epoch = Some(c.epoch);
+                self.staged.push(IndexEntry {
                     offset,
                     is_checkpoint: true,
                     source: c.source,
@@ -460,11 +511,70 @@ impl StoreWriter {
                 });
             }
         }
-        let compacted = self.maybe_compact()?;
-        Ok(AppendInfo {
-            bytes: framed.len() as u64,
-            compacted,
+        Ok((self.buf.len() - start) as u64)
+    }
+
+    /// Writes the staged group with one `write_all`, syncs it if
+    /// [`StoreOptions::fsync`] asks, and only then applies the group's
+    /// index, floor and checkpoint-epoch updates and runs the
+    /// compaction check. On a failed write or sync the whole group is
+    /// dropped and the file is cut back to its committed length with
+    /// the cursor returned there, so a partial write never leaves a
+    /// torn fragment for later records to land behind.
+    pub(crate) fn commit(&mut self) -> Result<Commit, StoreError> {
+        let written = self.write_staged();
+        let bytes = self.buf.len() as u64;
+        self.buf.clear();
+        if let Err(e) = written {
+            self.staged.clear();
+            self.staged_floors.clear();
+            self.staged_checkpoint_epoch = None;
+            self.needs_rollback = self.rollback().is_err();
+            return Err(e);
+        }
+        self.len += bytes;
+        for (source, seq) in self.staged_floors.drain(..) {
+            let f = self.floors.entry(source).or_insert(0);
+            *f = (*f).max(seq);
+        }
+        self.index.append(&mut self.staged);
+        if let Some(epoch) = self.staged_checkpoint_epoch.take() {
+            self.newest_checkpoint_epoch = epoch;
+        }
+        Ok(Commit {
+            bytes,
+            compacted: self.maybe_compact(),
         })
+    }
+
+    fn write_staged(&mut self) -> Result<(), StoreError> {
+        if self.needs_rollback {
+            self.rollback()?;
+            self.needs_rollback = false;
+        }
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all(&self.buf)?;
+        if self.opts.fsync {
+            self.file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Cuts the file back to the committed length and puts the cursor
+    /// there.
+    fn rollback(&mut self) -> Result<(), StoreError> {
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::Start(self.len))?;
+        Ok(())
+    }
+
+    /// Replaces the file handle, returning the old one — lets tests
+    /// make writes fail (a read-only handle) without a full disk.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 
     /// Flushes file data to stable storage.
@@ -482,6 +592,7 @@ impl StoreWriter {
         self.file.sync_data()?;
         self.len = self.data_start;
         self.index.clear();
+        self.needs_rollback = false;
         // Floors survive: they describe what was ever journaled, and a
         // reset only happens once that data reached its destination.
         Ok(())
@@ -590,12 +701,18 @@ impl StoreWriter {
     }
 }
 
-/// Appends `[len][crc][payload]` for one encodable value.
-fn frame_into_buf(value: &impl WireEncode, out: &mut Vec<u8>) {
-    let payload = value.encode();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Appends `[len][crc][payload]` for one encodable value, in place:
+/// reserve the 8-byte header, encode the payload behind it, then fill
+/// in its length and CRC. Returns the payload length.
+fn frame_into_buf(value: &impl WireEncode, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
+    value.encode_into(out);
+    let len = out.len() - start - RECORD_HEADER;
+    let crc = crc32(&out[start + RECORD_HEADER..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
+    len
 }
 
 /// Convenience guard: opens a reader and checks the superblock kind.
@@ -914,6 +1031,99 @@ mod tests {
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.records().len(), 50, "deltas are never silently dropped");
         assert!(!r.is_compacted());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_rolls_back_and_later_records_land_intact() {
+        let path = tmp("failed-commit");
+        let mut w = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Collector, 1, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        w.append(&delta(0, 1, 2)).unwrap();
+        let committed = w.len();
+
+        // Every write through a read-only handle fails, and so does the
+        // rollback's `set_len`: the writer must remember to redo it.
+        let mut rw = w.swap_file(File::open(&path).unwrap());
+        let ckpt = checkpoint(0, 7, vec![CoveredSource::floor_only(0, 9)]);
+        w.stage(&delta(0, 2, 2)).unwrap();
+        w.stage(&ckpt).unwrap();
+        assert!(w.commit().is_err());
+        assert!(w.append(&delta(0, 3, 2)).is_err());
+        // Nothing of the failed group was applied.
+        assert_eq!(w.len(), committed);
+        assert_eq!(w.index.len(), 1);
+        assert_eq!(w.delta_floors().get(&0), Some(&1));
+        assert_eq!(w.newest_checkpoint_epoch(), 0);
+        assert_eq!(w.staged_bytes(), 0);
+
+        // What a partial write (ENOSPC mid-`write_all`) leaves behind:
+        // a torn fragment past the committed length, with the cursor
+        // after it.
+        rw.write_all(&[0xAB; 5]).unwrap();
+        w.swap_file(rw);
+        let info = w.append(&delta(0, 4, 2)).unwrap();
+        assert_eq!(w.len(), committed + info.bytes, "landed on the boundary");
+        assert_eq!(w.delta_floors().get(&0), Some(&4));
+        drop(w);
+
+        let r = StoreReader::open(&path).unwrap();
+        assert_eq!(r.records(), &[delta(0, 1, 2), delta(0, 4, 2)][..]);
+        assert!(r.tail().is_clean(), "{:?}", r.tail());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_tear_inside_the_last_group_keeps_every_intact_record_before_it() {
+        let path = tmp("torn-group");
+        let mut w = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Collector, 1, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        let recs: Vec<StoreRecord> = (1..=6u64).map(|seq| delta(0, seq, 3)).collect();
+        let mut ends = Vec::new(); // end offset of every record
+        for group in recs.chunks(3) {
+            let start = w.len();
+            let mut end = start;
+            for r in group {
+                end += w.stage(r).unwrap();
+                ends.push(end);
+            }
+            assert_eq!(w.commit().unwrap().bytes, end - start);
+            assert_eq!(w.len(), end);
+        }
+        drop(w);
+
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, ends[5]);
+        // Cut at every byte inside the second group.
+        for cut in ends[2] + 1..ends[5] {
+            let intact = ends.iter().filter(|&&e| e <= cut).count();
+            let boundary = ends[intact - 1];
+            let r = StoreReader::from_bytes(&bytes[..cut as usize]).unwrap();
+            assert_eq!(r.records(), &recs[..intact], "cut at {cut}");
+            assert_eq!(r.valid_len(), boundary);
+            // A cut on a record boundary inside the group is no tear
+            // at all: those records made it whole.
+            let tail = match cut - boundary {
+                0 => TailStatus::Clean,
+                n if n < RECORD_HEADER as u64 => TailStatus::Torn {
+                    offset: boundary,
+                    reason: TornReason::TruncatedHeader,
+                },
+                _ => TailStatus::Torn {
+                    offset: boundary,
+                    reason: TornReason::TruncatedPayload,
+                },
+            };
+            assert_eq!(r.tail(), tail, "cut at {cut}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
