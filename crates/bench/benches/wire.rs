@@ -54,7 +54,6 @@ fn build_snapshot(seed: u64) -> CollectorSnapshot {
         flows,
         table_stats: TableStats::default(),
         ingested: FLOWS * SAMPLES_PER_HOP as u64,
-        journal_seq: 0,
     }])
 }
 

@@ -4,19 +4,18 @@
 use crate::config::{CollectorConfig, FlowId, RecorderFactory};
 use crate::error::CollectorError;
 use crate::events::Event;
-use crate::flow_table::TableStats;
 use crate::handle::{shard_of, CollectorHandle};
 use crate::inference::{CollectorSnapshot, FlowSummary, ShardSnapshot};
 use crate::prefilter::Bloom;
 use crate::ring::{self, RingTuning, Waiter};
-use crate::shard::{ShardMsg, ShardQuery, ShardSelect, ShardStats, ShardWorker};
+use crate::shard::{ShardLoad, ShardMsg, ShardQuery, ShardSelect, ShardStats, ShardWorker};
 use pint_obs::{ClockHandle, Counter, Gauge, Histogram, MetricsRegistry};
 use pint_query::{
     QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals, Watermark,
 };
 use pint_store::{Journal, Replayer, StoreReader};
 use pint_wire::store::{CoveredSource, StoreRecord};
-use pint_wire::WireDecode;
+use pint_wire::{WireError, WireReader, WireWriter};
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -28,6 +27,11 @@ use std::time::Duration;
 /// memory cap when a caller registers producers far faster than shards
 /// can adopt them.
 const CTRL_CAPACITY: usize = 64;
+
+/// Leads every collector checkpoint payload: the recorder-image format,
+/// version 1. A payload without it, such as a `Snapshot` frame of
+/// summary rows, cannot rebuild recorders and is refused at restore.
+const CHECKPOINT_MAGIC: [u8; 5] = *b"PCKP\x01";
 
 /// Aggregated live counters across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -163,26 +167,6 @@ pub struct Collector {
     /// The durability journal, once
     /// [`attach_store`](Self::attach_store) installs one.
     journal: Mutex<Option<Journal>>,
-    /// Checkpoint state a compacted-log [`restore`](Self::restore)
-    /// seeded — merged under live shard state on every read.
-    base: Option<BaseOverlay>,
-}
-
-/// The decoded checkpoint a compacted-log restore seeds: replay can no
-/// longer reach the origin, so this state is held as a read-time
-/// overlay (fresh recorders cannot be reconstructed from summaries)
-/// and merged under live rows exactly like a `FleetView` merges two
-/// collectors.
-struct BaseOverlay {
-    /// Checkpoint flows, ascending by ID.
-    flows: Vec<(FlowId, FlowSummary)>,
-    /// Checkpoint-time shard eviction counters.
-    shard_stats: Vec<TableStats>,
-    /// Digests the checkpointed collector had applied.
-    ingested: u64,
-    /// Newest flow timestamp in the checkpoint (folded into
-    /// [`Collector::watermark`]).
-    newest_ts: u64,
 }
 
 /// What [`Collector::restore`] rebuilt.
@@ -191,9 +175,6 @@ pub struct RestoreReport {
     /// The newest consistent epoch the log reached (the restore
     /// target), `None` for an empty log.
     pub epoch: Option<u64>,
-    /// Whether state was seeded from a checkpoint overlay (compacted
-    /// log) instead of replaying the full delta chain.
-    pub from_checkpoint: bool,
     /// Delta batches replayed into the collector.
     pub batches: u64,
     /// Digest reports inside them.
@@ -274,7 +255,6 @@ impl Collector {
             metrics,
             newest_ts,
             journal: Mutex::new(None),
-            base: None,
         }
     }
 
@@ -302,33 +282,32 @@ impl Collector {
 
     /// Journals a full-state checkpoint stamped `epoch` (monotonically
     /// increasing, caller-driven — every N seconds or every N applied
-    /// batches, whatever cadence fits). Each shard reports the seq of
-    /// its last teed delta *in the same reply* as its rows, and that
-    /// explicit list rides the checkpoint as its `covered` coverage —
-    /// so the checkpoint claims exactly the deltas whose data its
-    /// snapshot holds. Deltas shards apply after answering stay
-    /// uncovered even when the journal writes them before the
-    /// checkpoint record dequeues; compaction keeps them and restore
-    /// replays them. `Ok(false)` when no store is attached (or the
-    /// journal already stopped).
+    /// batches, whatever cadence fits). Each shard encodes its own
+    /// section on its own thread — table stats, ingested count and one
+    /// `(flow, last_ts, recorder image)` entry per flow in LRU order —
+    /// and reports the seq of its last teed delta *in the same reply*.
+    /// That explicit list rides the checkpoint as its `covered`
+    /// coverage, so the checkpoint claims exactly the deltas whose data
+    /// it holds: deltas shards apply after answering stay uncovered
+    /// even when the journal writes them first; compaction keeps them
+    /// and restore replays them. `Ok(false)`, without asking the shards
+    /// for anything, when no store is attached.
     pub fn checkpoint(&self, epoch: u64) -> Result<bool, CollectorError> {
-        let shards = self.gather(&Selector::All, None)?;
-        let covered = shards
-            .iter()
-            .filter(|s| s.journal_seq > 0)
-            .map(|s| CoveredSource::floor_only(s.shard as u64, s.journal_seq))
-            .collect();
-        let snapshot = self.overlay(CollectorSnapshot::from_shards(shards));
         let guard = self.journal.lock().expect("journal slot");
         let Some(journal) = guard.as_ref() else {
             return Ok(false);
         };
-        let payload = crate::wire::SnapshotFrame {
-            collector_id: 0,
-            epoch,
-            snapshot,
+        let sections = self.fanout(ShardMsg::Checkpoint)?;
+        let covered = (0u64..)
+            .zip(&sections)
+            .filter(|&(_, &(_, seq))| seq > 0)
+            .map(|(shard, &(_, seq))| CoveredSource::floor_only(shard, seq))
+            .collect();
+        let mut payload = CHECKPOINT_MAGIC.to_vec();
+        WireWriter::new(&mut payload).put_varint(sections.len() as u64);
+        for (section, _) in sections {
+            payload.extend_from_slice(&section);
         }
-        .to_frame_bytes();
         Ok(journal.checkpoint(0, epoch, payload, covered))
     }
 
@@ -340,55 +319,41 @@ impl Collector {
         }
     }
 
-    /// Rebuilds a collector from a persisted store log, replaying to
-    /// the newest consistent epoch the log holds.
+    /// Rebuilds a collector from a persisted store log, up to the
+    /// newest consistent epoch the log holds.
     ///
-    /// * **Deltas rebuild everything** (no checkpoint, or an
-    ///   uncompacted log whose deltas account for every digest its
-    ///   newest checkpoint ingested) — every delta replays (in journal
-    ///   order, deduplicated by the same `SourceDedup` window live
-    ///   receivers run) through fresh recorders: the result answers
-    ///   every query plan byte-identically to a collector that never
-    ///   restarted (pinned by `tests/persistence.rs`).
-    /// * **The checkpoint holds more** — compaction dropped the delta
-    ///   chain's head, or the checkpoint ingested digests no covered
-    ///   delta carries (the journal was attached to a collector already
-    ///   holding state, or dropped a delta on a full queue). The newest
-    ///   checkpoint then decodes into a base overlay, the replay
-    ///   windows are primed with its exact `covered` coverage, and only
-    ///   uncovered deltas replay. Reads merge base under live exactly
-    ///   like a `FleetView` merges two collectors.
+    /// If the log has a checkpoint, the newest one loads first: this
+    /// thread only routes its entries to their shards (by flow ID, so
+    /// the shard count may differ from the checkpointed collector's),
+    /// and each shard decodes its entries and loads them into fresh
+    /// factory recorders on its own thread. The replay windows are then
+    /// primed with the checkpoint's exact `covered` coverage, and every
+    /// delta it does not cover replays — in journal order, deduplicated
+    /// by the same `SourceDedup` window live receivers run — through an
+    /// ordinary producer handle, so per-shard apply order matches
+    /// journal order. Without a checkpoint every delta replays.
     ///
-    /// Replay runs through an ordinary producer handle, so per-shard
-    /// apply order matches journal order; delivered batches count into
+    /// The result is an ordinary collector: it answers every query plan
+    /// byte-identically to a collector that never restarted, whether
+    /// the log is compacted or not (pinned by `tests/persistence.rs`),
+    /// and honours its own caps. Delivered batches count into
     /// `store_restore_replayed_total` in the collector's registry.
     /// Restore does not itself attach a journal — call
-    /// [`attach_store`](Self::attach_store) afterwards (typically on
-    /// the same file, reopened) to resume journaling.
+    /// [`attach_store`](Self::attach_store) afterwards (typically on the
+    /// same file, reopened) to resume journaling.
     pub fn restore(
         config: CollectorConfig,
         factory: RecorderFactory,
         reader: &StoreReader,
     ) -> Result<(Self, RestoreReport), CollectorError> {
-        let mut collector = Self::spawn(config, factory);
+        let collector = Self::spawn(config, factory);
         let mut replayer = Replayer::new(reader).observed(&collector.metrics);
-        let mut report = RestoreReport {
-            epoch: reader.newest_epoch(),
-            from_checkpoint: false,
-            batches: 0,
-            digests: 0,
-            duplicates: 0,
-        };
         if let Some(i) = reader.newest_checkpoint() {
             let StoreRecord::Checkpoint(c) = &reader.records()[i] else {
                 unreachable!("newest_checkpoint indexes a checkpoint record");
             };
-            let base = decode_checkpoint(&c.payload)?;
-            if reader.is_compacted() || base.ingested > covered_digests(reader, &c.covered) {
-                collector.base = Some(base);
-                replayer = replayer.primed(&c.covered);
-                report.from_checkpoint = true;
-            }
+            collector.load_checkpoint(&c.payload)?;
+            replayer = replayer.primed(&c.covered);
         }
         let mut handle = collector.register_producer();
         let mut push_err = None;
@@ -404,10 +369,55 @@ impl Collector {
         }
         handle.flush()?;
         collector.barrier()?;
-        report.batches = stats.batches;
-        report.digests = stats.digests;
-        report.duplicates = stats.duplicates;
+        let report = RestoreReport {
+            epoch: reader.newest_epoch(),
+            batches: stats.batches,
+            digests: stats.digests,
+            duplicates: stats.duplicates,
+        };
         Ok((collector, report))
+    }
+
+    /// Splits a checkpoint payload by shard — reading each entry's
+    /// length and flow ID, nothing more — and has every shard load its
+    /// slice. Section totals go to shard `section % shards`, so sums and
+    /// the newest timestamp survive a change of shard count.
+    fn load_checkpoint(&self, payload: &[u8]) -> Result<(), CollectorError> {
+        let Some(body) = payload.strip_prefix(&CHECKPOINT_MAGIC) else {
+            let reason = "checkpoint is not in the recorder-image format";
+            return Err(CollectorError::RestoreFailed { reason });
+        };
+        let shards = self.shards();
+        let mut loads: Vec<ShardLoad> = (0..shards).map(|_| ShardLoad::default()).collect();
+        let mut r = WireReader::new(body);
+        let mut split = || -> Result<(), WireError> {
+            for section in 0..r.get_count(6)? {
+                let load = &mut loads[section % shards];
+                let [created, lru, ttl, ingested, newest] = [(); 5].map(|_| r.get_varint());
+                load.stats.created = load.stats.created.saturating_add(created?);
+                load.stats.evicted_lru = load.stats.evicted_lru.saturating_add(lru?);
+                load.stats.evicted_ttl = load.stats.evicted_ttl.saturating_add(ttl?);
+                load.ingested = load.ingested.saturating_add(ingested?);
+                load.newest_ts = load.newest_ts.max(newest?);
+                for _ in 0..r.get_count(10)? {
+                    let start = body.len() - r.remaining();
+                    let len = r.get_count(1)?;
+                    let flow = WireReader::new(r.get_bytes(len)?).get_u64()?;
+                    let entry = &body[start..body.len() - r.remaining()];
+                    loads[shard_of(flow, shards)]
+                        .entries
+                        .extend_from_slice(entry);
+                }
+            }
+            r.expect_end()
+        };
+        split().map_err(|_| CollectorError::RestoreFailed {
+            reason: "checkpoint sections failed to decode",
+        })?;
+        // `fanout` asks the shards in order, so each takes its own load.
+        let mut loads = loads.into_iter();
+        let replies = self.fanout(|reply| ShardMsg::Load(loads.next().unwrap_or_default(), reply));
+        replies?.into_iter().collect()
     }
 
     /// The collector's freshness stamp: the newest report timestamp any
@@ -415,12 +425,7 @@ impl Collector {
     /// `newest_seen == newest_applied`), with one source per shard.
     /// Relaxed reads — exact after a [`barrier`](Self::barrier).
     pub fn watermark(&self) -> Watermark {
-        let mut newest = self.newest_ts.iter().map(|g| g.get()).max().unwrap_or(0);
-        if let Some(base) = &self.base {
-            // A restored-from-checkpoint collector is at least as fresh
-            // as the state it restored.
-            newest = newest.max(base.newest_ts);
-        }
+        let newest = self.newest_ts.iter().map(|g| g.get()).max().unwrap_or(0);
         Watermark {
             newest_applied: newest,
             newest_seen: newest,
@@ -464,61 +469,8 @@ impl Collector {
     /// For targeted reads (a flow set, top-K, delta polls), prefer
     /// [`query`](Self::query): it serializes only the selected flows.
     pub fn snapshot(&self) -> Result<CollectorSnapshot, CollectorError> {
-        let live = self
-            .gather(&Selector::All, None)
-            .map(CollectorSnapshot::from_shards)?;
-        Ok(self.overlay(live))
-    }
-
-    /// Folds the restore base (if any) under a live merge: per-flow
-    /// summaries merge base-then-live via the shared
-    /// [`FlowSummary::merge`], shard stats concatenate, ingested
-    /// counts sum — the same associative fold `FleetView::merge` runs,
-    /// so a compacted restore answers like the fleet merge of
-    /// "checkpoint" and "replayed tail".
-    ///
-    /// Creation counters are reconciled: a flow present in both halves
-    /// was created once in the original history but counted by the
-    /// checkpoint *and* by the replay's fresh table, so the overlap is
-    /// subtracted from the concatenated `created` totals. Residual
-    /// drift remains for flows the replay created and then evicted
-    /// before this read (absent from the live rows, so the overlap is
-    /// invisible) — eviction counters likewise track this process's
-    /// history, not the pre-crash twin's, once replay-era evictions
-    /// differ.
-    fn overlay(&self, live: CollectorSnapshot) -> CollectorSnapshot {
-        let Some(base) = &self.base else { return live };
-        let (live_flows, live_stats, live_ingested) = live.into_parts();
-        let mut all = base.flows.clone();
-        all.extend(live_flows);
-        // Stable sort: base rows precede live rows per flow, so the
-        // fold merges base-then-live deterministically.
-        all.sort_by_key(|&(f, _)| f);
-        let mut merged: Vec<(FlowId, FlowSummary)> = Vec::with_capacity(all.len());
-        let mut rejoined = 0u64;
-        for (flow, summary) in all {
-            match merged.last_mut() {
-                Some((last, dst)) if *last == flow => {
-                    dst.merge(summary);
-                    rejoined += 1;
-                }
-                _ => merged.push((flow, summary)),
-            }
-        }
-        let mut stats = base.shard_stats.clone();
-        stats.extend(live_stats);
-        // Spread the double-count correction across the concatenated
-        // entries; only the summed totals are read downstream.
-        let mut excess = rejoined;
-        for s in stats.iter_mut().rev() {
-            let take = s.created.min(excess);
-            s.created -= take;
-            excess -= take;
-            if excess == 0 {
-                break;
-            }
-        }
-        CollectorSnapshot::from_parts(merged, stats, base.ingested.saturating_add(live_ingested))
+        self.gather(&Selector::All, None)
+            .map(CollectorSnapshot::from_shards)
     }
 
     /// Executes a compiled [`QueryPlan`] against live shard state — the
@@ -593,9 +545,6 @@ impl Collector {
     /// ```
     pub fn query(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
         plan.validate()?;
-        if self.base.is_some() {
-            return self.query_overlaid(plan);
-        }
         let shards = self.gather(&plan.selector, plan.options.updated_since)?;
         // Table totals are whole-collector counters; only a full-table
         // selector consults every shard, so only it reports them.
@@ -614,40 +563,6 @@ impl Collector {
         rows.sort_by_key(|&(f, _)| f);
         // Shards only pre-narrowed; the shared refinement owns final
         // ordering and tie-breaking, identically on every backend.
-        let rows = pint_query::refine(rows, plan);
-        Ok(pint_query::project(rows, &plan.projection, table))
-    }
-
-    /// The read path of a compacted restore: shard-side narrowing
-    /// would lose base contributions (a flow's rank or path may only
-    /// complete once its checkpoint half merges in), so plans run
-    /// against the full overlaid snapshot. `refine` is documented
-    /// superset-idempotent, so passing every merged row yields exactly
-    /// the narrow result the selector names.
-    fn query_overlaid(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
-        let snap = self.snapshot()?;
-        let table = matches!(plan.selector, Selector::All).then(|| {
-            let mut t = TableTotals {
-                ingested: snap.ingested,
-                ..TableTotals::default()
-            };
-            for s in &snap.shard_stats {
-                t.created += s.created;
-                t.evicted_lru += s.evicted_lru;
-                t.evicted_ttl += s.evicted_ttl;
-            }
-            t
-        });
-        // The delta cutoff filters *selection*, not history: a merged
-        // row keeps its base half even when only the live half is
-        // fresh, so it is applied here on merged rows, never before
-        // the merge.
-        let since = plan.options.updated_since;
-        let rows: Vec<(FlowId, FlowSummary)> = snap
-            .flows()
-            .filter(|(_, s)| since.is_none_or(|t| s.last_ts > t))
-            .map(|(f, s)| (*f, s.clone()))
-            .collect();
         let rows = pint_query::refine(rows, plan);
         Ok(pint_query::project(rows, &plan.projection, table))
     }
@@ -753,11 +668,11 @@ impl Collector {
         self.fanout(ShardMsg::Barrier).map(|_| ())
     }
 
-    /// Sends a request carrying a reply channel to every shard, then
-    /// collects one reply per shard (in shard order).
+    /// Sends a request carrying a reply channel to every shard (in shard
+    /// order), then collects one reply per shard.
     fn fanout<T>(
         &self,
-        make_msg: impl Fn(Sender<T>) -> ShardMsg,
+        mut make_msg: impl FnMut(Sender<T>) -> ShardMsg,
     ) -> Result<Vec<T>, CollectorError> {
         let mut pending = Vec::with_capacity(self.ctrl.len());
         for (shard, tx) in self.ctrl.iter().enumerate() {
@@ -823,56 +738,6 @@ impl Collector {
     }
 }
 
-/// Decodes a checkpoint payload (a `SnapshotFrame` wire frame, as
-/// [`Collector::checkpoint`] writes) into a restore base overlay.
-/// Digests carried by the log's deltas that `covered` claims — what a
-/// full replay contributes to a checkpoint with that coverage.
-fn covered_digests(reader: &StoreReader, covered: &[CoveredSource]) -> u64 {
-    reader
-        .records()
-        .iter()
-        .filter_map(|r| match r {
-            StoreRecord::Delta { batch, .. }
-                if covered
-                    .iter()
-                    .any(|c| c.source == batch.source && c.covers(batch.seq)) =>
-            {
-                Some(batch.reports.len() as u64)
-            }
-            _ => None,
-        })
-        .sum()
-}
-
-fn decode_checkpoint(payload: &[u8]) -> Result<BaseOverlay, CollectorError> {
-    let (ty, body) =
-        pint_wire::parse_frame(payload).map_err(|_| CollectorError::RestoreFailed {
-            reason: "checkpoint payload is not a wire frame",
-        })?;
-    if ty != pint_wire::FrameType::Snapshot {
-        return Err(CollectorError::RestoreFailed {
-            reason: "checkpoint payload is not a snapshot frame",
-        });
-    }
-    let frame =
-        crate::wire::SnapshotFrame::decode(body).map_err(|_| CollectorError::RestoreFailed {
-            reason: "checkpoint snapshot failed to decode",
-        })?;
-    let newest_ts = frame
-        .snapshot
-        .flows()
-        .map(|(_, s)| s.last_ts)
-        .max()
-        .unwrap_or(0);
-    let (flows, shard_stats, ingested) = frame.snapshot.into_parts();
-    Ok(BaseOverlay {
-        flows,
-        shard_stats,
-        ingested,
-        newest_ts,
-    })
-}
-
 impl Drop for Collector {
     /// Dropping without [`shutdown`](Collector::shutdown) still stops
     /// and joins the workers — outstanding handles cannot keep orphaned
@@ -893,5 +758,35 @@ impl QueryBackend for Collector {
 
     fn watermark(&self) -> Option<Watermark> {
         Some(Collector::watermark(self))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
+    use pint_core::FlowRecorder;
+
+    #[test]
+    fn checkpoint_without_a_store_asks_no_shard() {
+        let agg = DynamicAggregator::new(3, 8, 100.0, 1.0e7);
+        let collector = Collector::spawn(
+            CollectorConfig::with_shards(2),
+            Arc::new(move |_, _: &pint_core::DigestReport| {
+                Box::new(DynamicRecorder::new_sketched(agg.clone(), 2, 64)) as Box<dyn FlowRecorder>
+            }),
+        );
+        // Stop the workers behind the collector's back: from here on
+        // any shard request fails, so a store-less checkpoint must
+        // answer before sending one.
+        for (tx, waiter) in collector.ctrl.iter().zip(&collector.waiters) {
+            tx.send(ShardMsg::Shutdown).unwrap();
+            waiter.wake();
+        }
+        while !collector.workers.iter().all(JoinHandle::is_finished) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(collector.barrier(), Err(CollectorError::Disconnected));
+        assert_eq!(collector.checkpoint(1), Ok(false));
     }
 }

@@ -15,8 +15,12 @@ pub use pint_query::FlowId;
 /// flow, so it can size the recorder by the observed path length. That
 /// first report is authoritative: later digests are absorbed into the
 /// recorder as built, and a mid-flow route change shows up as decoder
-/// inconsistencies (the `PathChanged` rule), not a re-size. It runs on
-/// shard worker threads, hence `Send + Sync`.
+/// inconsistencies (the `PathChanged` rule), not a re-size. On
+/// [`Collector::restore`](crate::Collector::restore) the factory is
+/// called with a header-only report — the checkpointed image's path
+/// length, an empty digest — and must build the same recorder it built
+/// for the flow's first report, since the image carries state, not
+/// configuration. It runs on shard worker threads, hence `Send + Sync`.
 pub type RecorderFactory =
     Arc<dyn Fn(FlowId, &DigestReport) -> Box<dyn FlowRecorder> + Send + Sync>;
 

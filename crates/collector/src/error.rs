@@ -19,10 +19,11 @@ pub enum CollectorError {
     /// digest would require blocking. The digest was *not* queued; retry,
     /// reroute, or drop it.
     WouldBlock,
-    /// A persisted checkpoint could not be decoded during
+    /// A persisted checkpoint could not be loaded during
     /// [`Collector::restore`](crate::Collector::restore) — the store
-    /// file's CRCs were intact but the payload is not a snapshot frame
-    /// this build understands.
+    /// file's CRCs were intact but the payload is not a recorder-image
+    /// checkpoint this build understands, or an image does not fit the
+    /// recorder the factory builds for its flow.
     RestoreFailed {
         /// What failed to decode.
         reason: &'static str,

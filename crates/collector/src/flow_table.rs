@@ -432,6 +432,16 @@ impl FlowTable {
             .filter_map(|s| s.entry.as_ref().map(|e| (&s.flow, e)))
     }
 
+    /// Iterates `(flow, entry)` from least to most recently touched.
+    pub fn iter_lru(&self) -> impl Iterator<Item = (FlowId, &FlowEntry)> {
+        let mut idx = self.lru_head;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(idx as usize)?;
+            idx = slot.next;
+            Some((slot.flow, slot.entry.as_ref()?))
+        })
+    }
+
     /// Shared access without touching LRU recency (snapshot production).
     pub fn get(&self, flow: FlowId) -> Option<&FlowEntry> {
         let idx = *self.map.get(&flow)?;

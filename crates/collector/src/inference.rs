@@ -28,13 +28,6 @@ pub struct ShardSnapshot {
     pub table_stats: TableStats,
     /// Digests the shard has applied.
     pub ingested: u64,
-    /// Seq of the last delta this shard teed to an attached journal
-    /// (0 when none is attached). Reported in the same reply as the
-    /// rows, so a checkpoint built from this snapshot can claim
-    /// *exactly* the deltas whose data the snapshot holds — deltas the
-    /// shard applies after answering stay uncovered even if the journal
-    /// writes them before the checkpoint record.
-    pub journal_seq: u64,
 }
 
 /// A merged, queryable view over all shards at one point in time.
@@ -220,7 +213,6 @@ mod tests {
             flows,
             table_stats: TableStats::default(),
             ingested: 0,
-            journal_seq: 0,
         }
     }
 

@@ -12,16 +12,17 @@
 //! no locks, and the only synchronization is the ring hand-off itself.
 
 use crate::config::{CollectorConfig, FlowId, RecorderFactory};
+use crate::error::CollectorError;
 use crate::events::{Event, EventKind, EventRule};
-use crate::flow_table::FlowTable;
+use crate::flow_table::{FlowTable, TableStats};
 use crate::inference::{FlowSummary, ShardSnapshot};
 use crate::ring::{BackoffController, RingConsumer, RingTuning, Waiter};
-use pint_core::DigestReport;
+use pint_core::{Digest, DigestReport, RecorderImage};
 use pint_obs::{
     ClockHandle, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceStage,
 };
 use pint_store::JournalSender;
-use pint_wire::DigestBatch;
+use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -49,6 +50,14 @@ pub(crate) enum ShardMsg {
     /// Sync point: the worker acknowledges once every batch enqueued
     /// before this message was sent has been applied.
     Barrier(Sender<()>),
+    /// Sync point: the worker answers with its checkpoint section (see
+    /// [`ShardWorker::section`]) and the seq of the last delta it teed.
+    /// Both come from one reply, so the checkpoint covers exactly the
+    /// deltas whose data the section holds.
+    Checkpoint(Sender<(Vec<u8>, u64)>),
+    /// Restore: load a checkpoint's entries for this shard (sent to a
+    /// fresh collector before any producer attaches).
+    Load(ShardLoad, Sender<Result<(), CollectorError>>),
     /// Start teeing applied batches into a durability journal. The
     /// worker numbers its journaled deltas from `start_seq + 1` —
     /// above whatever the journal's file already holds for this shard,
@@ -75,6 +84,18 @@ struct AttachedRing {
 enum SyncKind {
     Query(ShardQuery, Sender<ShardSnapshot>),
     Barrier(Sender<()>),
+    Checkpoint(Sender<(Vec<u8>, u64)>),
+}
+
+/// The part of a checkpoint one shard loads on restore: the section
+/// totals routed to it and its flows' entries, oldest first.
+#[derive(Default)]
+pub(crate) struct ShardLoad {
+    pub(crate) stats: TableStats,
+    pub(crate) ingested: u64,
+    pub(crate) newest_ts: u64,
+    /// Length-prefixed entries, as in the section.
+    pub(crate) entries: Vec<u8>,
 }
 
 /// One in-flight `Query`/`Barrier`: per-ring epoch targets captured at
@@ -440,6 +461,12 @@ impl ShardWorker {
             ShardMsg::Barrier(reply) => {
                 self.enqueue_sync(SyncKind::Barrier(reply), rings, pending);
             }
+            ShardMsg::Checkpoint(reply) => {
+                self.enqueue_sync(SyncKind::Checkpoint(reply), rings, pending);
+            }
+            ShardMsg::Load(load, reply) => {
+                let _ = reply.send(self.load(load));
+            }
             ShardMsg::AttachJournal { sender, start_seq } => {
                 self.journal = Some(sender);
                 self.journal_seq = start_seq;
@@ -514,7 +541,67 @@ impl ShardWorker {
             SyncKind::Barrier(reply) => {
                 let _ = reply.send(());
             }
+            SyncKind::Checkpoint(reply) => {
+                let _ = reply.send((self.section(), self.journal_seq));
+            }
         }
+    }
+
+    /// Encodes this shard's checkpoint section: table stats, ingested
+    /// count, newest timestamp, then one length-prefixed `(flow,
+    /// last_ts, recorder image)` entry per flow, least recently touched
+    /// first. The flow is a fixed 8 bytes, so the restore thread can
+    /// route an entry without decoding it.
+    fn section(&self) -> Vec<u8> {
+        let (t, n) = (self.table.stats, self.stats.ingested.get());
+        let mut out = Vec::new();
+        let mut w = WireWriter::new(&mut out);
+        for v in [t.created, t.evicted_lru, t.evicted_ttl, n, self.clock] {
+            w.put_varint(v);
+        }
+        w.put_varint(self.table.len() as u64);
+        let mut entry = Vec::new();
+        for (flow, e) in self.table.iter_lru() {
+            entry.clear();
+            entry.extend_from_slice(&flow.to_le_bytes());
+            WireWriter::new(&mut entry).put_varint(e.last_ts);
+            e.rec.image().encode_into(&mut entry);
+            WireWriter::new(&mut out).put_varint(entry.len() as u64);
+            out.extend_from_slice(&entry);
+        }
+        out
+    }
+
+    /// Loads checkpoint entries through the ordinary upsert, oldest
+    /// first, which rebuilds the LRU list and enforces this collector's
+    /// caps (evictions count on top of the checkpoint's). Each
+    /// recorder comes from the factory, given a header-only report
+    /// carrying the image's path length, and then takes the image.
+    fn load(&mut self, load: ShardLoad) -> Result<(), CollectorError> {
+        let failed = |reason| CollectorError::RestoreFailed { reason };
+        self.table.stats = load.stats;
+        let mut r = WireReader::new(&load.entries);
+        while r.remaining() > 0 {
+            let (flow, last_ts, image) =
+                decode_entry(&mut r).map_err(|_| failed("checkpoint entry failed to decode"))?;
+            let k = u16::try_from(image.path_len())
+                .map_err(|_| failed("checkpoint image path length exceeds u16"))?;
+            let mut rec = (self.factory)(
+                flow,
+                &DigestReport::new(flow, 0, Digest::new(0), k, last_ts),
+            );
+            rec.load_image(image)
+                .map_err(|_| failed("checkpoint image does not fit the recorder factory"))?;
+            self.batch_stamp += 1;
+            let (idx, _) = self.table.upsert(flow, last_ts, self.batch_stamp, || rec);
+            self.table.refresh_bytes_at(idx, flow);
+        }
+        // The loaded flows were created before the checkpoint.
+        self.table.stats.created = load.stats.created;
+        self.stats.ingested.add(load.ingested);
+        self.clock = self.clock.max(load.newest_ts);
+        self.publish_table();
+        Ok(())
     }
 
     /// Applies every batch queued on any ring *at the moment of the
@@ -780,9 +867,13 @@ impl ShardWorker {
 
     fn publish_stats(&self, batch_digests: u64) {
         self.publish_backoff();
+        self.stats.ingested.add(batch_digests);
+        self.stats.batches.inc();
+        self.publish_table();
+    }
+
+    fn publish_table(&self) {
         let s = &self.stats;
-        s.ingested.add(batch_digests);
-        s.batches.inc();
         s.active_flows.set(self.table.len() as u64);
         s.state_bytes.set(self.table.total_bytes() as u64);
         s.evicted_lru.set(self.table.stats.evicted_lru);
@@ -809,10 +900,6 @@ impl ShardWorker {
             flows,
             table_stats: self.table.stats,
             ingested: self.stats.ingested.get(),
-            // Captured in the same reply as the rows: everything teed
-            // at or below this seq is in this snapshot, nothing above
-            // it is — the exact coverage a checkpoint may claim.
-            journal_seq: self.journal_seq,
         }
     }
 
@@ -882,4 +969,15 @@ impl ShardWorker {
         };
         self.snapshot_with(flows)
     }
+}
+
+/// Reads one length-prefixed checkpoint entry (see
+/// [`ShardWorker::section`]).
+fn decode_entry(r: &mut WireReader<'_>) -> Result<(FlowId, u64, RecorderImage), WireError> {
+    let len = r.get_count(1)?;
+    let mut entry = WireReader::new(r.get_bytes(len)?);
+    let (flow, last_ts) = (entry.get_u64()?, entry.get_varint()?);
+    let image = RecorderImage::decode_from(&mut entry)?;
+    entry.expect_end()?;
+    Ok((flow, last_ts, image))
 }

@@ -168,14 +168,12 @@ mod tests {
                     evicted_ttl: 0,
                 },
                 ingested: 44,
-                journal_seq: 0,
             },
             ShardSnapshot {
                 shard: 1,
                 flows: vec![(5, summary(&(0..200).collect::<Vec<_>>(), 3))],
                 table_stats: TableStats::default(),
                 ingested: 200,
-                journal_seq: 0,
             },
         ])
     }

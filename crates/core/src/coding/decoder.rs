@@ -18,28 +18,20 @@
 
 use super::schemes::{PacketRole, SchemeConfig};
 use crate::hash::HashFamily;
+use crate::image::{ImageError, PathImage};
 use crate::value::Digest;
 
-/// Candidate values for one hop.
-#[derive(Debug, Clone)]
-enum Candidates {
-    /// No constraint observed yet: any value in `V` is possible.
-    All,
-    /// Remaining possible values.
-    Set(Vec<u64>),
-}
-
-/// A stored XOR constraint with ≥ 2 unresolved hops.
-#[derive(Debug, Clone)]
-struct XorConstraint {
+/// A stored XOR constraint (≥ 2 unresolved hops when stored).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct XorConstraint {
     /// Which query instance (hash family / digest lane) produced it.
-    instance: usize,
+    pub instance: usize,
     /// Packet ID, needed to re-evaluate `h(v, pid)`.
-    pid: u64,
+    pub pid: u64,
     /// Digest XOR the hashes of all already-resolved acting hops.
-    residual: u64,
+    pub residual: u64,
     /// Acting hops not yet resolved.
-    unresolved: Vec<usize>,
+    pub unresolved: Vec<usize>,
 }
 
 /// Decoder state for one flow's path: absorbs `(packet id, digest)` pairs
@@ -51,7 +43,9 @@ pub struct HashedDecoder {
     bits: u32,
     value_set: Vec<u64>,
     k: usize,
-    cand: Vec<Candidates>,
+    /// Per hop: the remaining possible values, `None` while no
+    /// constraint has been observed (any value in `V` is possible).
+    cand: Vec<Option<Vec<u64>>>,
     resolved_value: Vec<Option<u64>>,
     resolved_count: usize,
     constraints: Vec<XorConstraint>,
@@ -86,7 +80,7 @@ impl HashedDecoder {
             bits,
             value_set,
             k,
-            cand: vec![Candidates::All; k + 1],
+            cand: vec![None; k + 1],
             resolved_value: vec![None; k + 1],
             resolved_count: 0,
             constraints: Vec::new(),
@@ -154,10 +148,53 @@ impl HashedDecoder {
 
     /// Number of remaining candidates for `hop` (1-based).
     pub fn candidates_left(&self, hop: usize) -> usize {
-        match &self.cand[hop] {
-            Candidates::All => self.value_set.len(),
-            Candidates::Set(s) => s.len(),
+        self.cand[hop]
+            .as_ref()
+            .map_or(self.value_set.len(), Vec::len)
+    }
+
+    /// The decoder's per-flow state (see [`PathImage`]).
+    pub fn image(&self) -> PathImage {
+        let hops = self
+            .cand
+            .iter()
+            .cloned()
+            .zip(self.resolved_value.iter().copied());
+        PathImage {
+            packets: self.packets,
+            inconsistencies: self.inconsistencies,
+            hops: hops.collect(),
+            constraints: self.constraints.clone(),
         }
+    }
+
+    /// Replaces the per-flow state with `image` and rebuilds the watch
+    /// lists: hop `h` watches every constraint still naming it, in
+    /// arrival order — exactly the lists absorbing built.
+    pub fn load_image(&mut self, image: PathImage) -> Result<(), ImageError> {
+        ImageError::check_len(self.k, image.hops.len())?;
+        let k = self.k;
+        let bad_hop = |h: &usize| !(1..=k).contains(h);
+        if image.hops[0].1.is_some()
+            || image
+                .constraints
+                .iter()
+                .any(|c| c.instance >= self.families.len() || c.unresolved.iter().any(bad_hop))
+        {
+            return Err(ImageError::Invalid("path image names an impossible hop"));
+        }
+        self.watching = vec![Vec::new(); k + 1];
+        for (i, c) in image.constraints.iter().enumerate() {
+            for &h in &c.unresolved {
+                self.watching[h].push(i);
+            }
+        }
+        (self.cand, self.resolved_value) = image.hops.into_iter().unzip();
+        self.resolved_count = self.resolved_value.iter().flatten().count();
+        self.constraints = image.constraints;
+        self.packets = image.packets;
+        self.inconsistencies = image.inconsistencies;
+        Ok(())
     }
 
     #[inline]
@@ -222,14 +259,14 @@ impl HashedDecoder {
             }
             return;
         }
-        let set = match std::mem::replace(&mut self.cand[hop], Candidates::All) {
-            Candidates::All => self
+        let set = match self.cand[hop].take() {
+            None => self
                 .value_set
                 .iter()
                 .copied()
                 .filter(|&v| self.digest_of(instance, v, pid) == target)
                 .collect::<Vec<u64>>(),
-            Candidates::Set(mut s) => {
+            Some(mut s) => {
                 s.retain(|&v| self.digest_of(instance, v, pid) == target);
                 s
             }
@@ -238,14 +275,14 @@ impl HashedDecoder {
             0 => {
                 // All candidates eliminated: contradictory evidence.
                 self.inconsistencies += 1;
-                self.cand[hop] = Candidates::All;
+                self.cand[hop] = None;
             }
             1 => {
                 let v = set[0];
-                self.cand[hop] = Candidates::Set(set);
+                self.cand[hop] = Some(set);
                 self.resolve(hop, v);
             }
-            _ => self.cand[hop] = Candidates::Set(set),
+            _ => self.cand[hop] = Some(set),
         }
     }
 
@@ -293,9 +330,9 @@ impl HashedDecoder {
     fn restrict_to_neighbors(&mut self, hop: usize, v: u64) {
         let Some(adj) = &self.adjacency else { return };
         let Some(neigh) = adj.get(&v) else { return };
-        let set = match std::mem::replace(&mut self.cand[hop], Candidates::All) {
-            Candidates::All => neigh.clone(),
-            Candidates::Set(mut s) => {
+        let set = match self.cand[hop].take() {
+            None => neigh.clone(),
+            Some(mut s) => {
                 s.retain(|x| neigh.contains(x));
                 s
             }
@@ -303,14 +340,14 @@ impl HashedDecoder {
         match set.len() {
             0 => {
                 self.inconsistencies += 1;
-                self.cand[hop] = Candidates::All;
+                self.cand[hop] = None;
             }
             1 => {
                 let w = set[0];
-                self.cand[hop] = Candidates::Set(set);
+                self.cand[hop] = Some(set);
                 self.resolve(hop, w);
             }
-            _ => self.cand[hop] = Candidates::Set(set),
+            _ => self.cand[hop] = Some(set),
         }
     }
 }

@@ -165,9 +165,9 @@ impl HopStore {
 #[derive(Debug, Clone)]
 pub struct DynamicRecorder {
     agg: DynamicAggregator,
-    k: usize,
-    hops: Vec<HopStore>,
-    packets: u64,
+    pub(crate) k: usize,
+    pub(crate) hops: Vec<HopStore>,
+    pub(crate) packets: u64,
 }
 
 impl DynamicRecorder {
@@ -274,9 +274,9 @@ impl DynamicRecorder {
 #[derive(Debug, Clone)]
 pub struct FrequentValuesRecorder {
     family: HashFamily,
-    k: usize,
-    hops: Vec<pint_sketches::SpaceSaving>,
-    packets: u64,
+    pub(crate) k: usize,
+    pub(crate) hops: Vec<pint_sketches::SpaceSaving>,
+    pub(crate) packets: u64,
 }
 
 impl FrequentValuesRecorder {

@@ -37,6 +37,7 @@ pub mod approx;
 pub mod coding;
 pub mod dynamic;
 pub mod hash;
+pub mod image;
 pub mod loopdetect;
 pub mod perpacket;
 pub mod query;
@@ -49,6 +50,7 @@ pub use approx::{AdditiveCodec, MultiplicativeCodec};
 pub use coding::{BlockDecoder, FragmentCodec, HashedDecoder, LncDecoder, SchemeConfig};
 pub use dynamic::{DynamicAggregator, DynamicRecorder, FrequentValuesRecorder};
 pub use hash::{GlobalHash, HashFamily};
+pub use image::{HopImage, ImageError, PathImage, RecorderImage};
 pub use loopdetect::{LoopDetector, LoopState, LoopVerdict};
 pub use perpacket::{EventCounter, PerPacketAggregator, PerPacketOp};
 pub use query::{AggregationKind, ExecutionPlan, QueryEngine, QuerySpec};

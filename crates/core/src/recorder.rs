@@ -13,10 +13,11 @@
 //! [`PathDecoder`]: crate::statictrace::PathDecoder
 //! [`FrequentValuesRecorder`]: crate::dynamic::FrequentValuesRecorder
 
-use crate::dynamic::{DynamicRecorder, FrequentValuesRecorder};
+use crate::dynamic::{DynamicRecorder, FrequentValuesRecorder, HopStore};
+use crate::image::{HopImage, ImageError, RecorderImage};
 use crate::statictrace::PathDecoder;
 use crate::value::Digest;
-use pint_sketches::KllSketch;
+use pint_sketches::{ExactQuantiles, KllSketch};
 
 /// Which aggregation a [`FlowRecorder`] implements (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,6 +102,15 @@ pub trait FlowRecorder: Send {
     fn inconsistencies(&self) -> u64 {
         0
     }
+
+    /// The per-flow state as plain data: everything except the
+    /// configuration the recorder factory supplies.
+    fn image(&self) -> RecorderImage;
+
+    /// Replaces the per-flow state with `image`, taken from a recorder
+    /// the same factory built. A kind, path-length or configuration
+    /// mismatch is an error that may leave the recorder partly loaded.
+    fn load_image(&mut self, image: RecorderImage) -> Result<(), ImageError>;
 }
 
 /// Digest lane the single-query recorders read (the workspace convention:
@@ -137,6 +147,42 @@ impl FlowRecorder for DynamicRecorder {
     fn hop_sketches(&self) -> Vec<KllSketch> {
         (0..=self.path_len()).map(|h| self.hop_sketch(h)).collect()
     }
+
+    fn image(&self) -> RecorderImage {
+        let hop = |store: &HopStore| match store {
+            HopStore::Exact(e) => HopImage::Exact(e.values().to_vec()),
+            HopStore::Sketch(s) => HopImage::Sketch(s.clone()),
+            HopStore::Sliding(s) => {
+                let (chunks, head, head_count) = s.parts();
+                HopImage::Sliding(chunks.to_vec(), head, head_count)
+            }
+        };
+        RecorderImage::Latency(self.packets, self.hops.iter().map(hop).collect())
+    }
+
+    fn load_image(&mut self, image: RecorderImage) -> Result<(), ImageError> {
+        let RecorderImage::Latency(packets, hops) = image else {
+            return Err(image.mismatch(RecorderKind::LatencyQuantiles));
+        };
+        ImageError::check_len(self.k, hops.len())?;
+        for (store, hop) in self.hops.iter_mut().zip(hops) {
+            match (store, hop) {
+                (HopStore::Exact(e), HopImage::Exact(values)) => {
+                    *e = ExactQuantiles::new();
+                    values.into_iter().for_each(|v| e.update(v));
+                }
+                (HopStore::Sketch(s), HopImage::Sketch(i)) if i.accuracy_k() == s.accuracy_k() => {
+                    *s = i;
+                }
+                (HopStore::Sliding(s), HopImage::Sliding(chunks, head, n)) => {
+                    s.load_parts(chunks, head, n).map_err(ImageError::Invalid)?;
+                }
+                _ => return Err(ImageError::Invalid("hop store differs from the factory's")),
+            }
+        }
+        self.packets = packets;
+        Ok(())
+    }
 }
 
 impl FlowRecorder for PathDecoder {
@@ -172,6 +218,17 @@ impl FlowRecorder for PathDecoder {
     fn inconsistencies(&self) -> u64 {
         PathDecoder::inconsistencies(self)
     }
+
+    fn image(&self) -> RecorderImage {
+        RecorderImage::Path(self.inner.image())
+    }
+
+    fn load_image(&mut self, image: RecorderImage) -> Result<(), ImageError> {
+        let RecorderImage::Path(path) = image else {
+            return Err(image.mismatch(RecorderKind::PathTracing));
+        };
+        self.inner.load_image(path)
+    }
 }
 
 impl FlowRecorder for FrequentValuesRecorder {
@@ -199,6 +256,23 @@ impl FlowRecorder for FrequentValuesRecorder {
             return Vec::new();
         }
         FrequentValuesRecorder::frequent(self, hop, theta)
+    }
+
+    fn image(&self) -> RecorderImage {
+        let hops = self.hops.iter().map(|h| (h.count(), h.counters()));
+        RecorderImage::Frequent(self.packets, hops.collect())
+    }
+
+    fn load_image(&mut self, image: RecorderImage) -> Result<(), ImageError> {
+        let RecorderImage::Frequent(packets, hops) = image else {
+            return Err(image.mismatch(RecorderKind::FrequentValues));
+        };
+        ImageError::check_len(self.k, hops.len())?;
+        for (summary, (n, counters)) in self.hops.iter_mut().zip(hops) {
+            summary.load(n, counters).map_err(ImageError::Invalid)?;
+        }
+        self.packets = packets;
+        Ok(())
     }
 }
 

@@ -147,7 +147,7 @@ impl PathTracer {
 /// Wraps [`HashedDecoder`] with the path-tracing vocabulary.
 #[derive(Debug, Clone)]
 pub struct PathDecoder {
-    inner: HashedDecoder,
+    pub(crate) inner: HashedDecoder,
 }
 
 impl PathDecoder {

@@ -588,7 +588,6 @@ mod tests {
             )],
             table_stats: TableStats::default(),
             ingested: code_values.len() as u64,
-            journal_seq: 0,
         }])
     }
 
@@ -739,7 +738,6 @@ mod tests {
                 )],
                 table_stats: TableStats::default(),
                 ingested: 10,
-                journal_seq: 0,
             }])
         };
         let mut agg = FleetAggregator::new(FleetConfig {

@@ -314,7 +314,6 @@ mod tests {
                 )],
                 table_stats: TableStats::default(),
                 ingested: 100,
-                journal_seq: 0,
             }]),
         }
     }
@@ -394,7 +393,6 @@ mod tests {
                 flows: rows,
                 table_stats: TableStats::default(),
                 ingested: 64 * flows,
-                journal_seq: 0,
             }]),
         }
     }

@@ -245,7 +245,6 @@ mod tests {
             flows,
             table_stats: TableStats::default(),
             ingested: 0,
-            journal_seq: 0,
         }])
     }
 

@@ -32,10 +32,8 @@ pub struct FlowSummary {
 impl FlowSummary {
     /// Folds `src` (another backend's view of the same flow) into
     /// `self`. This is the one associative flow-level merge every tier
-    /// shares: fleet views fold collector rows with it, and a restored
-    /// collector folds its checkpoint base under live shard rows with
-    /// it — so "merged live" and "restored from checkpoint" are
-    /// byte-identical by construction.
+    /// shares: fleet views fold collector rows with it, so a flow seen
+    /// by several collectors merges the same way in every view.
     ///
     /// Counters saturate instead of wrapping: summaries come off the
     /// wire, and a hostile `u64::MAX` must not panic (overflow checks)

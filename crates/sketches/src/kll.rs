@@ -59,18 +59,18 @@ impl KllSketch {
     }
 
     /// Creates a sketch with an explicit RNG seed (compaction coin flips).
+    /// The first compactor is allocated by the first update, so a
+    /// sketch that never sees an item holds no heap memory.
     pub fn with_seed(k: usize, seed: u64) -> Self {
         assert!(k >= MIN_CAP, "KLL k must be at least {MIN_CAP}");
-        let mut s = Self {
+        Self {
             k,
             compactors: Vec::new(),
             size: 0,
             max_size: 0,
             n: 0,
             coin: seed,
-        };
-        s.grow();
-        s
+        }
     }
 
     /// One compaction coin flip: advance the splitmix64 counter and take
@@ -117,6 +117,9 @@ impl KllSketch {
 
     /// Inserts a value into the sketch.
     pub fn update(&mut self, v: u64) {
+        if self.compactors.is_empty() {
+            self.grow();
+        }
         self.compactors[0].push(v);
         self.size += 1;
         self.n += 1;
@@ -334,13 +337,9 @@ impl KllSketch {
             n,
             coin,
         };
-        if s.compactors.is_empty() {
-            s.grow();
-        } else {
-            // Recompute the capacity sum for the level count as-is; do
-            // NOT compact here — decode must preserve state exactly.
-            s.max_size = (0..s.compactors.len()).map(|h| s.capacity_of(h)).sum();
-        }
+        // Recompute the capacity sum for the level count as-is; do NOT
+        // compact here — decode must preserve state exactly.
+        s.max_size = (0..s.compactors.len()).map(|h| s.capacity_of(h)).sum();
         Ok(s)
     }
 }

@@ -98,6 +98,31 @@ impl SlidingKll {
     pub fn stored_items(&self) -> usize {
         self.chunks.iter().map(|c| c.stored_items()).sum()
     }
+
+    /// The window state apart from the configuration: the chunk
+    /// sketches, the head chunk's index and the items in it.
+    pub fn parts(&self) -> (&[KllSketch], usize, u64) {
+        (&self.chunks, self.head, self.head_count)
+    }
+
+    /// Replaces the window state with [`parts`](Self::parts) taken from
+    /// a sketch of the same configuration; rejects parts it cannot hold.
+    pub fn load_parts(
+        &mut self,
+        chunks: Vec<KllSketch>,
+        head: usize,
+        head_count: u64,
+    ) -> Result<(), &'static str> {
+        if head >= chunks.len()
+            || chunks.len() > self.max_chunks()
+            || head_count > self.chunk_size
+            || chunks.iter().any(|c| c.accuracy_k() != self.k)
+        {
+            return Err("sliding-window state does not fit this configuration");
+        }
+        (self.chunks, self.head, self.head_count) = (chunks, head, head_count);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -57,12 +57,13 @@ impl SpaceSaving {
             self.counters.insert(v, (w, 0));
             return;
         }
-        // Evict the minimum-count entry; the newcomer inherits its count
-        // as overestimation error.
+        // Evict the minimum-count entry, ties to the smallest value so
+        // the choice never depends on the map's iteration order; the
+        // newcomer inherits its count as overestimation error.
         let (&min_v, &(min_c, _)) = self
             .counters
             .iter()
-            .min_by_key(|(_, &(c, _))| c)
+            .min_by_key(|&(&v, &(c, _))| (c, v))
             .expect("capacity > 0");
         self.counters.remove(&min_v);
         self.counters.insert(v, (min_c + w, min_c));
@@ -95,6 +96,37 @@ impl SpaceSaving {
             .collect();
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
+    }
+
+    /// The counters as `(value, count, error)`, ascending by value.
+    pub fn counters(&self) -> Vec<(u64, u64, u64)> {
+        let mut out: Vec<_> = self
+            .counters
+            .iter()
+            .map(|(&v, &(c, e))| (v, c, e))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Replaces the summary's state with a stream length and the
+    /// [`counters`](Self::counters) of a summary of the same capacity.
+    /// Rejects counters that summary could not hold: more than the
+    /// capacity, repeated values, an error above its count, or counts
+    /// not summing to `n`.
+    pub fn load(&mut self, n: u64, counters: Vec<(u64, u64, u64)>) -> Result<(), &'static str> {
+        let sum = counters.iter().try_fold(0u64, |acc, &(_, c, e)| {
+            acc.checked_add(c).filter(|_| e <= c)
+        });
+        if counters.len() > self.capacity
+            || sum != Some(n)
+            || counters.windows(2).any(|w| w[0].0 >= w[1].0)
+        {
+            return Err("Space-Saving counters do not fit this summary");
+        }
+        self.n = n;
+        self.counters = counters.into_iter().map(|(v, c, e)| (v, (c, e))).collect();
+        Ok(())
     }
 
     /// Number of counters currently used.
@@ -183,6 +215,49 @@ mod tests {
         ss.update(9);
         assert_eq!(ss.estimate(9), 101);
         assert_eq!(ss.count(), 101);
+    }
+
+    #[test]
+    fn tied_evictions_do_not_depend_on_map_order() {
+        // 203 distinct values through 8 counters: every eviction is a
+        // tie among the minimum counts. Each instance hashes with its
+        // own random keys, so any order-dependent pick shows up here.
+        let feed = |ss: &mut SpaceSaving| {
+            for v in 0..203u64 {
+                ss.update(v * 7_919 % 1_009);
+            }
+        };
+        let mut first = SpaceSaving::new(8);
+        feed(&mut first);
+        for _ in 0..20 {
+            let mut other = SpaceSaving::new(8);
+            feed(&mut other);
+            assert_eq!(other.heavy_hitters(0.0), first.heavy_hitters(0.0));
+            assert_eq!(other.counters(), first.counters());
+        }
+    }
+
+    #[test]
+    fn load_round_trips_and_rejects_impossible_counters() {
+        let mut ss = SpaceSaving::new(4);
+        for v in [5u64, 5, 9, 1, 7, 7, 7, 3] {
+            ss.update(v);
+        }
+        let mut copy = SpaceSaving::new(4);
+        copy.load(ss.count(), ss.counters()).unwrap();
+        for v in [2u64, 7, 11] {
+            ss.update(v);
+            copy.update(v);
+        }
+        assert_eq!(copy.counters(), ss.counters());
+        let mut bad = SpaceSaving::new(4);
+        assert!(
+            bad.load(3, vec![(1, 2, 0)]).is_err(),
+            "counts must sum to n"
+        );
+        assert!(bad.load(2, vec![(1, 2, 3)]).is_err(), "error above count");
+        assert!(bad.load(2, vec![(1, 1, 0), (1, 1, 0)]).is_err(), "repeats");
+        assert!(bad.load(5, (0..5).map(|v| (v, 1, 0)).collect()).is_err());
     }
 
     #[test]

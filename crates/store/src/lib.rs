@@ -20,8 +20,8 @@
 //!   eviction: past [`StoreOptions::max_bytes`] the writer rewrites
 //!   the file keeping the newest checkpoint per source plus everything
 //!   after the newest checkpoint, and bumps the superblock's
-//!   `compactions` count so restore knows the delta chain no longer
-//!   reaches the origin. A checkpoint-free log is never compacted —
+//!   `compactions` count so readers can tell the delta chain no
+//!   longer reaches the origin. A checkpoint-free log is never compacted —
 //!   deltas are never silently dropped.
 //! * [`Journal`] — the off-hot-path writer: ingest shards tee applied
 //!   batches through a cloneable [`JournalSender`] whose `try_delta`

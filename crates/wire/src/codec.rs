@@ -1,12 +1,16 @@
 //! [`WireEncode`]/[`WireDecode`] impls for the leaf types shared by
 //! every tier: digests, digest reports, KLL sketches, path progress,
-//! recorder kinds. Snapshot-level types live with their owning crate
-//! (`pint-collector`), which composes these primitives.
+//! recorder kinds and recorder images. Snapshot-level types live with
+//! their owning crate (`pint-collector`), which composes these
+//! primitives.
 
 use crate::error::WireError;
 use crate::rw::{WireReader, WireWriter};
 use crate::{WireDecode, WireEncode};
-use pint_core::{Digest, DigestReport, PathProgress, RecorderKind};
+use pint_core::coding::decoder::XorConstraint;
+use pint_core::{
+    Digest, DigestReport, HopImage, PathImage, PathProgress, RecorderImage, RecorderKind,
+};
 use pint_sketches::KllSketch;
 
 impl WireEncode for Digest {
@@ -187,6 +191,167 @@ impl WireDecode for RecorderKind {
             2 => Ok(RecorderKind::FrequentValues),
             _ => Err(WireError::Invalid("unknown recorder kind")),
         }
+    }
+}
+
+/// Appends `values` as varints.
+fn put(out: &mut Vec<u8>, values: impl IntoIterator<Item = u64>) {
+    let mut w = WireWriter::new(out);
+    values.into_iter().for_each(|v| w.put_varint(v));
+}
+
+/// Appends a varint count, then the values as varints.
+fn put_list(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
+    put(out, [values.len() as u64]);
+    put(out, values);
+}
+
+/// Reads a varint count, checked against the remaining input at
+/// `min_bytes` per item, then that many items with `get`. At most 4 096
+/// items are reserved up front; a larger list grows only as its items
+/// decode, so a hostile count cannot drive a large allocation.
+fn get_n<T>(
+    r: &mut WireReader<'_>,
+    min_bytes: usize,
+    mut get: impl FnMut(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.get_count(min_bytes)?;
+    let mut out = Vec::with_capacity(n.min(4_096));
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
+fn varint(r: &mut WireReader<'_>) -> Result<u64, WireError> {
+    r.get_varint()
+}
+
+fn get_usize(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+    usize::try_from(r.get_varint()?).map_err(|_| WireError::Invalid("index exceeds usize"))
+}
+
+/// Reads a presence tag (0 or 1) and, when present, the value.
+fn get_opt<T>(
+    r: &mut WireReader<'_>,
+    get: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    match r.get_varint()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        _ => Err(WireError::Invalid("presence tag must be 0 or 1")),
+    }
+}
+
+impl WireEncode for RecorderImage {
+    /// The [`RecorderKind`] tag, packets, then per-kind state; every
+    /// integer outside the embedded [`KllSketch`] encodings is a varint.
+    /// Latency: per hop a store tag (0 exact, 1 sketch, 2 sliding) and
+    /// its samples, sketch, or head index, head count and chunk
+    /// sketches. Path: inconsistencies, per hop the candidates and the
+    /// resolved value behind presence tags, then the XOR constraints.
+    /// Frequent values: per hop the stream length and `(value, count,
+    /// error)` counters.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.kind().encode_into(out);
+        match self {
+            RecorderImage::Latency(packets, hops) => {
+                put(out, [*packets, hops.len() as u64]);
+                for hop in hops {
+                    match hop {
+                        HopImage::Exact(values) => {
+                            put(out, [0]);
+                            put_list(out, values.iter().copied());
+                        }
+                        HopImage::Sketch(sketch) => {
+                            put(out, [1]);
+                            sketch.encode_into(out);
+                        }
+                        HopImage::Sliding(chunks, head, n) => {
+                            put(out, [2, *head as u64, *n, chunks.len() as u64]);
+                            chunks.iter().for_each(|c| c.encode_into(out));
+                        }
+                    }
+                }
+            }
+            RecorderImage::Path(p) => {
+                put(out, [p.packets, p.inconsistencies, p.hops.len() as u64]);
+                for (cand, resolved) in &p.hops {
+                    put(out, [u64::from(cand.is_some())]);
+                    cand.iter()
+                        .for_each(|set| put_list(out, set.iter().copied()));
+                    let tag = u64::from(resolved.is_some());
+                    put(out, [tag].into_iter().chain(*resolved));
+                }
+                put(out, [p.constraints.len() as u64]);
+                for c in &p.constraints {
+                    put(out, [c.instance as u64, c.pid, c.residual]);
+                    put_list(out, c.unresolved.iter().map(|&h| h as u64));
+                }
+            }
+            RecorderImage::Frequent(packets, hops) => {
+                put(out, [*packets, hops.len() as u64]);
+                for (n, counters) in hops {
+                    put(out, [*n, counters.len() as u64]);
+                    put(out, counters.iter().flat_map(|&(v, c, e)| [v, c, e]));
+                }
+            }
+        }
+    }
+}
+
+impl WireDecode for RecorderImage {
+    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let kind = RecorderKind::decode_from(r)?;
+        let packets = r.get_varint()?;
+        Ok(match kind {
+            RecorderKind::LatencyQuantiles => {
+                let hops = get_n(r, 2, |r| match r.get_varint()? {
+                    0 => get_n(r, 1, varint).map(HopImage::Exact),
+                    1 => KllSketch::decode_from(r).map(HopImage::Sketch),
+                    2 => {
+                        let (head, n) = (get_usize(r)?, r.get_varint()?);
+                        // A KLL encoding takes at least 11 bytes.
+                        let chunks = get_n(r, 11, KllSketch::decode_from)?;
+                        Ok(HopImage::Sliding(chunks, head, n))
+                    }
+                    _ => Err(WireError::Invalid("unknown hop store tag")),
+                })?;
+                RecorderImage::Latency(packets, hops)
+            }
+            RecorderKind::PathTracing => {
+                let inconsistencies = r.get_varint()?;
+                let hops = get_n(r, 2, |r| {
+                    Ok((get_opt(r, |r| get_n(r, 1, varint))?, get_opt(r, varint)?))
+                })?;
+                let constraints = get_n(r, 4, |r| {
+                    let (instance, pid, residual) = (get_usize(r)?, varint(r)?, varint(r)?);
+                    let unresolved = get_n(r, 1, get_usize)?;
+                    Ok(XorConstraint {
+                        instance,
+                        pid,
+                        residual,
+                        unresolved,
+                    })
+                })?;
+                RecorderImage::Path(PathImage {
+                    packets,
+                    inconsistencies,
+                    hops,
+                    constraints,
+                })
+            }
+            RecorderKind::FrequentValues => {
+                let hops = get_n(r, 2, |r| {
+                    let n = r.get_varint()?;
+                    Ok((
+                        n,
+                        get_n(r, 3, |r| Ok((varint(r)?, varint(r)?, varint(r)?)))?,
+                    ))
+                })?;
+                RecorderImage::Frequent(packets, hops)
+            }
+        })
     }
 }
 

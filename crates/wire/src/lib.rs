@@ -69,8 +69,9 @@
 //! the hot path allocates nothing per lane or per item) and
 //! [`WireDecode`] (cursor-based, typed errors). This crate provides the
 //! impls for the leaf types every tier shares — [`Digest`],
-//! [`DigestReport`], [`KllSketch`], [`PathProgress`], [`RecorderKind`]
-//! — while `pint-collector` adds its snapshot types on top.
+//! [`DigestReport`], [`KllSketch`], [`PathProgress`], [`RecorderKind`],
+//! and the [`RecorderImage`]s collector checkpoints store — while
+//! `pint-collector` adds its snapshot types on top.
 //!
 //! ```
 //! use pint_core::{Digest, DigestReport};
@@ -90,6 +91,7 @@
 //! [`KllSketch`]: pint_sketches::KllSketch
 //! [`PathProgress`]: pint_core::PathProgress
 //! [`RecorderKind`]: pint_core::RecorderKind
+//! [`RecorderImage`]: pint_core::RecorderImage
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -32,7 +32,7 @@
 //!   the epoch it was applied under. Replaying deltas through the same
 //!   recorder factory rebuilds recorder state exactly.
 //! * [`StoreRecord::Checkpoint`] — an opaque full-state payload (a
-//!   collector's encoded `CollectorSnapshot`, a fleet tier's encoded
+//!   collector's per-shard recorder images, a fleet tier's encoded
 //!   `SnapshotFrame`) plus the per-source sequence floors it covers,
 //!   so a restore that seeds from the checkpoint can prime its dedup
 //!   state and never double-apply a delta the checkpoint already

@@ -17,10 +17,19 @@
 //! future-version images must never panic — a damaged prefix is a
 //! typed [`StoreError`], and a damaged tail is a torn-tail *verdict*
 //! with every intact leading record still readable.
+//!
+//! Recorder images — the per-flow state a collector checkpoint stores —
+//! obey both: a recorder loaded from `decode(encode(image))` answers
+//! and evolves exactly like the original, and damaged image bytes are
+//! a typed error or a loadable image, never a panic.
 
 use pint::collector::wire::SnapshotFrame;
 use pint::collector::{CollectorSnapshot, FlowSummary, ShardSnapshot};
-use pint::core::{Digest, DigestReport, RecorderKind};
+use pint::core::dynamic::{DynamicAggregator, DynamicRecorder, FrequentValuesRecorder};
+use pint::core::{
+    Digest, DigestReport, FlowRecorder, ImageError, PathTracer, RecorderImage, RecorderKind,
+    TracerConfig,
+};
 use pint::obs::{TraceDump, TraceEvent, TraceStage};
 use pint::sketches::KllSketch;
 use pint::wire::{
@@ -459,7 +468,6 @@ fn snapshot_frame_rejects_future_versions_and_garbage() {
             )],
             table_stats: Default::default(),
             ingested: 4,
-            journal_seq: 0,
         }]),
     };
     let good = frame.to_frame_bytes();
@@ -492,5 +500,186 @@ fn snapshot_frame_rejects_future_versions_and_garbage() {
         if let Ok((_, payload)) = parse_frame(&corrupt) {
             let _ = SnapshotFrame::decode(payload);
         }
+    }
+}
+
+/// Builds a fresh recorder (what a collector's factory returns).
+type MakeRecorder = Box<dyn Fn() -> Box<dyn FlowRecorder>>;
+/// The digest a recorder's switches would emit for packet `pid`.
+type MakeDigest = Box<dyn Fn(u64) -> Digest>;
+
+/// One recorder per kind and hop store, each with its digest source.
+fn image_cases() -> Vec<(&'static str, MakeRecorder, MakeDigest)> {
+    let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
+    let latency = |agg: DynamicAggregator| -> MakeDigest {
+        Box::new(move |pid| {
+            let mut d = Digest::new(1);
+            for hop in 1..=3 {
+                let v = 200.0 * hop as f64 + (pid % 17) as f64 * 40.0;
+                agg.encode_hop(pid, hop, v, &mut d, 0);
+            }
+            d
+        })
+    };
+    let (a1, a2, a3) = (agg.clone(), agg.clone(), agg.clone());
+    let tracer = PathTracer::new(TracerConfig::paper(8, 2, 5));
+    let t1 = tracer.clone();
+    let freq = FrequentValuesRecorder::new(5, 3, 4);
+    vec![
+        (
+            "exact",
+            Box::new(move || Box::new(DynamicRecorder::new_exact(a1.clone(), 3)) as _),
+            latency(agg.clone()),
+        ),
+        (
+            "sketch",
+            Box::new(move || Box::new(DynamicRecorder::new_sketched(a2.clone(), 3, 24)) as _),
+            latency(agg.clone()),
+        ),
+        (
+            "sliding",
+            Box::new(move || Box::new(DynamicRecorder::new_sliding(a3.clone(), 3, 64)) as _),
+            latency(agg),
+        ),
+        (
+            "path",
+            Box::new(move || Box::new(t1.decoder((0..80).collect(), 5)) as _),
+            Box::new(move |pid| tracer.encode_path(pid, &[3, 17, 29, 41, 77])),
+        ),
+        (
+            "frequent",
+            Box::new(|| Box::new(FrequentValuesRecorder::new(5, 3, 4)) as _),
+            Box::new(move |pid| {
+                let mut d = Digest::new(1);
+                for hop in 1..=3 {
+                    freq.encode_hop(pid, hop, pid * 7 % 11, &mut d, 0);
+                }
+                d
+            }),
+        ),
+    ]
+}
+
+/// Every answer the trait gives, in one comparable value.
+fn answers(rec: &mut dyn FlowRecorder) -> String {
+    let mut out = format!(
+        "{:?} {} {} {} {:?} {:?} {:?}",
+        rec.kind(),
+        rec.packets(),
+        rec.state_bytes(),
+        rec.inconsistencies(),
+        rec.hop_sketches(),
+        rec.path_progress(),
+        rec.image().encode(),
+    );
+    for hop in 0..=5 {
+        for phi in [0.0, 0.5, 0.9, 1.0] {
+            out += &format!(" {:?}", rec.quantile(hop, phi));
+        }
+        out += &format!(" {:?}", rec.frequent(hop, 0.1));
+    }
+    out
+}
+
+#[test]
+fn recorder_images_round_trip_exactly() {
+    for (name, make, digest) in image_cases() {
+        let mut original = make();
+        for pid in 0..3 {
+            original.absorb(pid, &digest(pid));
+        }
+        if name == "path" {
+            let progress = original.path_progress().unwrap();
+            assert!(
+                progress.resolved < progress.k,
+                "the image must catch decoding part-way"
+            );
+        } else {
+            for pid in 3..200 {
+                original.absorb(pid, &digest(pid));
+            }
+        }
+        let image = original.image();
+        let decoded = RecorderImage::decode(&image.encode()).unwrap();
+        assert_eq!(decoded, image, "{name}: decode(encode(image)) == image");
+        let mut loaded = make();
+        loaded.load_image(decoded).unwrap();
+        assert_eq!(
+            answers(loaded.as_mut()),
+            answers(original.as_mut()),
+            "{name}"
+        );
+        for pid in 1_000..1_300 {
+            original.absorb(pid, &digest(pid));
+            loaded.absorb(pid, &digest(pid));
+        }
+        assert_eq!(
+            answers(loaded.as_mut()),
+            answers(original.as_mut()),
+            "{name}: a loaded recorder must evolve exactly like the original"
+        );
+    }
+}
+
+#[test]
+fn recorder_images_refuse_other_kinds_and_path_lengths() {
+    let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
+    let latency = DynamicRecorder::new_exact(agg.clone(), 3).image();
+    let tracer = PathTracer::new(TracerConfig::paper(8, 2, 5));
+    assert_eq!(
+        tracer
+            .decoder((0..8).collect(), 3)
+            .load_image(latency.clone()),
+        Err(ImageError::KindMismatch {
+            expected: RecorderKind::PathTracing,
+            found: RecorderKind::LatencyQuantiles,
+        })
+    );
+    assert_eq!(
+        DynamicRecorder::new_exact(agg.clone(), 4).load_image(latency.clone()),
+        Err(ImageError::PathLenMismatch {
+            expected: 4,
+            found: 3,
+        })
+    );
+    // Same kind and k, another hop store: a configuration mismatch.
+    let mut sketched = DynamicRecorder::new_sketched(agg, 3, 64);
+    assert!(matches!(
+        sketched.load_image(latency),
+        Err(ImageError::Invalid(_))
+    ));
+}
+
+#[test]
+fn recorder_image_corruption_never_panics() {
+    for (name, make, digest) in image_cases() {
+        let mut rec = make();
+        for pid in 0..40 {
+            rec.absorb(pid, &digest(pid));
+        }
+        let good = rec.image().encode();
+        for cut in 0..good.len() {
+            let _ = RecorderImage::decode(&good[..cut]);
+        }
+        for i in 0..good.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= mask;
+                let Ok(image) = RecorderImage::decode(&bad) else {
+                    continue;
+                };
+                // A damaged image that still decodes either loads or is
+                // refused; a loaded one answers and absorbs.
+                let mut fresh = make();
+                if fresh.load_image(image).is_ok() {
+                    answers(fresh.as_mut());
+                    fresh.absorb(99, &digest(99));
+                }
+            }
+        }
+        assert!(
+            RecorderImage::decode(&good[..good.len() - 1]).is_err(),
+            "{name}: a cut image must not decode"
+        );
     }
 }
