@@ -9,6 +9,14 @@
 //! long outage the queue sheds its **oldest** batch (counted, never
 //! silent) instead of blocking the edge.
 //!
+//! Two locks keep the producers off the connection threads' lock. The
+//! open batch and the next sequence number sit behind their own
+//! producer-side lock (`Open`), which `push` takes per digest. The
+//! queue, the counters and the link sit behind the state lock
+//! (`Inner`), shared with the two connection threads; a producer
+//! takes it once per seal, after encoding the frame, only to enqueue
+//! it. Lock order: `Open` before `Inner`, never the reverse.
+//!
 //! Two threads serve each connection, and events, not timers, wake
 //! both. The **writer** owns the connection: it connects with
 //! exponential backoff plus seeded jitter, then sleeps on the state
@@ -163,10 +171,75 @@ const FORWARDER_OBS_FIELDS: [&str; 14] = [
     "spill_depth",
 ];
 
-struct Inner {
-    queue: VecDeque<Pending>,
+/// The producer side: the batch being filled and the sequence number
+/// its seal will take. A seal holds this lock until its frame is
+/// queued, so batches enter the queue in sequence order and
+/// [`DigestForwarder::stats`] (which takes both locks, in order) counts
+/// every pushed digest exactly once.
+struct Open {
     batch: Vec<DigestReport>,
     next_seq: u64,
+    /// Stamps each sealed batch's trace-context origin timestamp —
+    /// the metrics registry's clock, so simulations share one
+    /// `VirtualClock` across stamping and recording.
+    clock: ClockHandle,
+    /// Flight recorder for `ForwarderSealed` events, when tracing.
+    recorder: Option<FlightRecorder>,
+}
+
+impl Open {
+    /// Seals the open batch, if any, and queues it on `shared`.
+    fn seal(&mut self, shared: &(Mutex<Inner>, Condvar), config: &ForwarderConfig) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let reports = std::mem::take(&mut self.batch);
+        let digests = reports.len() as u64;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Every batch carries its origin stamp; the trace id is
+        // derived deterministically from (source, seq) so same-seed
+        // runs produce identical ids without a randomness source.
+        let origin_ns = self.clock.now_ns();
+        let trace = TraceContext {
+            origin_ns,
+            trace_id: mix64(config.source ^ mix64(seq)),
+        };
+        if let Some(rec) = &self.recorder {
+            rec.record_at(
+                config.source as u32,
+                TraceStage::ForwarderSealed,
+                config.source,
+                seq,
+                origin_ns,
+            );
+        }
+        let frame = DigestBatch {
+            source: config.source,
+            seq,
+            reports,
+            trace: Some(trace),
+        }
+        .to_frame_bytes()
+        .into();
+        let sealed = Pending {
+            seq,
+            frame,
+            digests,
+            sent_at: None,
+        };
+        let (lock, cvar) = shared;
+        lock.lock()
+            .expect("forwarder state poisoned")
+            .enqueue(sealed, config);
+        cvar.notify_all();
+    }
+}
+
+struct Inner {
+    queue: VecDeque<Pending>,
+    /// `digests` counts sealed digests here; the open batch's join it
+    /// in [`DigestForwarder::stats`].
     stats: ForwarderStats,
     stop: bool,
     /// Something new is due on the wire — a sealed or resumed batch,
@@ -180,12 +253,6 @@ struct Inner {
     link_down: bool,
     source: u64,
     obs: GaugeGroup,
-    /// Stamps each sealed batch's trace-context origin timestamp —
-    /// the metrics registry's clock, so simulations share one
-    /// `VirtualClock` across stamping and recording.
-    clock: ClockHandle,
-    /// Flight recorder for `ForwarderSealed` events, when tracing.
-    recorder: Option<FlightRecorder>,
     /// Durable overflow: batches a full queue would shed go here
     /// instead and resume when the link catches up.
     spill: Option<SpillQueue>,
@@ -198,8 +265,8 @@ impl Inner {
     /// Republishes the whole gauge group from the current stats +
     /// queue depth, under the state mutex — the mid-flight invariant
     /// `delivered + deduped + shed + in_flight == sent` is intact in
-    /// every snapshot. (The `digests` gauge advances at seal/ack
-    /// granularity, not per push.)
+    /// every snapshot. (The `digests` gauge counts sealed digests: it
+    /// advances per seal, not per push.)
     fn publish_obs(&self) {
         let s = &self.stats;
         self.obs.set_all(&[
@@ -238,41 +305,9 @@ impl Inner {
         spill.push(&batch).is_ok()
     }
 
-    /// Seals the current batch onto the queue, shedding the oldest
+    /// Queues a sealed batch, shedding (or spilling) the oldest
     /// pending batch if the queue is full.
-    fn seal(&mut self, config: &ForwarderConfig) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let reports = std::mem::take(&mut self.batch);
-        let digests = reports.len() as u64;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // Every batch carries its origin stamp; the trace id is
-        // derived deterministically from (source, seq) so same-seed
-        // runs produce identical ids without a randomness source.
-        let origin_ns = self.clock.now_ns();
-        let trace = TraceContext {
-            origin_ns,
-            trace_id: mix64(config.source ^ mix64(seq)),
-        };
-        if let Some(rec) = &self.recorder {
-            rec.record_at(
-                config.source as u32,
-                TraceStage::ForwarderSealed,
-                config.source,
-                seq,
-                origin_ns,
-            );
-        }
-        let frame = DigestBatch {
-            source: config.source,
-            seq,
-            reports,
-            trace: Some(trace),
-        }
-        .to_frame_bytes()
-        .into();
+    fn enqueue(&mut self, sealed: Pending, config: &ForwarderConfig) {
         if self.queue.len() >= config.queue_batches {
             if let Some(old) = self.queue.pop_front() {
                 if self.spill_displaced(&old) {
@@ -283,13 +318,9 @@ impl Inner {
                 }
             }
         }
-        self.queue.push_back(Pending {
-            seq,
-            frame,
-            digests,
-            sent_at: None,
-        });
         self.stats.sent += 1;
+        self.stats.digests += sealed.digests;
+        self.queue.push_back(sealed);
         self.due = true;
         self.publish_obs();
     }
@@ -408,6 +439,7 @@ impl Inner {
 /// The edge-side shipping half of the ingest path (see module docs;
 /// a usage example lives on [`DigestServer`](crate::DigestServer)).
 pub struct DigestForwarder {
+    open: Arc<Mutex<Open>>,
     shared: Arc<(Mutex<Inner>, Condvar)>,
     config: ForwarderConfig,
     worker: Option<JoinHandle<()>>,
@@ -507,12 +539,15 @@ impl DigestForwarder {
             .as_ref()
             .map(|s| (s.len() as u64, s.digests()))
             .unwrap_or((0, 0));
-        let next_seq = spill.as_ref().map(|s| s.max_seq() + 1).unwrap_or(1);
+        let open = Arc::new(Mutex::new(Open {
+            batch: Vec::new(),
+            next_seq: spill.as_ref().map(|s| s.max_seq() + 1).unwrap_or(1),
+            clock: metrics.clock(),
+            recorder,
+        }));
         let shared = Arc::new((
             Mutex::new(Inner {
                 queue: VecDeque::new(),
-                batch: Vec::new(),
-                next_seq,
                 stats: ForwarderStats::default(),
                 stop: false,
                 due: false,
@@ -520,8 +555,6 @@ impl DigestForwarder {
                 link_down: false,
                 source: config.source,
                 obs,
-                clock: metrics.clock(),
-                recorder,
                 spill,
                 spill_leftover,
             }),
@@ -533,6 +566,7 @@ impl DigestForwarder {
             .spawn(move || worker_loop(addr, config, faults, worker_shared))
             .expect("spawn digest forwarder thread");
         Self {
+            open,
             shared,
             config,
             worker: Some(worker),
@@ -549,33 +583,38 @@ impl DigestForwarder {
     /// onto the pending queue every
     /// [`batch_digests`](ForwarderConfig::batch_digests) pushes.
     pub fn push(&self, report: DigestReport) {
-        push_into(&self.shared, &self.config, report);
+        push_into(&self.open, &self.shared, &self.config, report);
     }
 
     /// Seals the partial batch, if any, so it ships without waiting to
     /// fill.
     pub fn flush(&self) {
-        let (lock, cvar) = &*self.shared;
-        let mut inner = lock.lock().expect("forwarder state poisoned");
-        inner.seal(&self.config);
-        cvar.notify_all();
+        self.open
+            .lock()
+            .expect("forwarder batch poisoned")
+            .seal(&self.shared, &self.config);
     }
 
     /// A `FnMut(DigestReport)` handle for plumbing this forwarder in
     /// as an edge digest sink without sharing the forwarder itself.
     pub fn digest_sink(&self) -> impl FnMut(DigestReport) + Send + 'static {
+        let open = Arc::clone(&self.open);
         let shared = Arc::clone(&self.shared);
         let config = self.config;
-        move |report| push_into(&shared, &config, report)
+        move |report| push_into(&open, &shared, &config, report)
     }
 
-    /// A copy of the live counters.
+    /// A copy of the live counters; `digests` includes the open batch.
     pub fn stats(&self) -> ForwarderStats {
-        self.shared
+        let open = self.open.lock().expect("forwarder batch poisoned");
+        let mut stats = self
+            .shared
             .0
             .lock()
             .expect("forwarder state poisoned")
-            .stats
+            .stats;
+        stats.digests += open.batch.len() as u64;
+        stats
     }
 
     /// Flushes, waits up to `drain` for the queue (and any attached
@@ -650,14 +689,16 @@ impl Drop for DigestForwarder {
 /// The one body behind [`DigestForwarder::push`] and
 /// [`DigestForwarder::digest_sink`]: buffers `report`, sealing the
 /// batch onto the pending queue when it is full.
-fn push_into(shared: &(Mutex<Inner>, Condvar), config: &ForwarderConfig, report: DigestReport) {
-    let (lock, cvar) = shared;
-    let mut inner = lock.lock().expect("forwarder state poisoned");
-    inner.stats.digests += 1;
-    inner.batch.push(report);
-    if inner.batch.len() >= config.batch_digests {
-        inner.seal(config);
-        cvar.notify_all();
+fn push_into(
+    open: &Mutex<Open>,
+    shared: &(Mutex<Inner>, Condvar),
+    config: &ForwarderConfig,
+    report: DigestReport,
+) {
+    let mut open = open.lock().expect("forwarder batch poisoned");
+    open.batch.push(report);
+    if open.batch.len() >= config.batch_digests {
+        open.seal(shared, config);
     }
 }
 

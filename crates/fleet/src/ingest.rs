@@ -12,10 +12,21 @@
 //! Delivery is at-least-once: batches carry `(source, seq)`, the
 //! server deduplicates per source ([`SourceDedup`]) and acknowledges
 //! every batch with a [`BatchAck`] so the sending
-//! [`DigestForwarder`](crate::DigestForwarder) can retire it. Decoded
-//! batches are handed to a caller-supplied sink — typically a
+//! [`DigestForwarder`](crate::DigestForwarder) can retire it. Fresh
+//! batches are handed to a caller-supplied [`BatchSink`] — typically a
 //! [`CollectorHandle`](pint_collector::CollectorHandle) feeding the
 //! local collector's producer rings.
+//!
+//! The sink is paid per *burst*, not per batch. The frames one
+//! connection delivers in one poll tick (at most 64) form a burst;
+//! each fresh batch in it is decoded straight onto the end of one burst
+//! buffer, and the sink is called once per run of consecutive fresh
+//! batches from one source: at the end of the burst, or early when the
+//! source changes or the buffer would pass [`MAX_BATCH_REPORTS`].
+//! Dedup, acks and tracing stay per batch, and every sink call returns
+//! before the acks of the batches it carries are written, so an
+//! `Applied` ack still means "applied". A lightly loaded link, with one
+//! frame per tick, gets one sink call per batch.
 
 use pint_collector::CollectorHandle;
 use pint_core::DigestReport;
@@ -23,7 +34,7 @@ use pint_obs::{FlightRecorder, GaugeGroup, Histogram, MetricsRegistry, TraceStag
 use pint_wire::server::{MAX_CONNECTIONS, READ_DEADLINE};
 use pint_wire::{
     AckStatus, BatchAck, DigestBatch, FrameHandler, FrameServer, FrameType, ServerConfig,
-    ServerStats, SourceDedup, WireDecode,
+    ServerStats, SourceDedup, MAX_BATCH_REPORTS,
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -87,7 +98,11 @@ pub struct DigestServerStats {
     pub sources_rejected: u64,
 }
 
-/// Where decoded batches go: `(source id, reports)`.
+/// Where fresh batches go: `(source id, reports)`. Called once per run
+/// of consecutive fresh batches from one source within a connection's
+/// burst (see the module docs), with their reports concatenated in
+/// arrival order and at most [`MAX_BATCH_REPORTS`] of them; it returns
+/// before any of those batches' acks is written.
 pub type BatchSink = Box<dyn FnMut(u64, Vec<DigestReport>) + Send>;
 
 /// A fault-tolerant digest-ingest endpoint (see the module docs).
@@ -201,18 +216,8 @@ impl DigestServer {
         metrics: MetricsRegistry,
         recorder: Option<FlightRecorder>,
     ) -> std::io::Result<Self> {
-        let stats = Arc::new(Mutex::new(DigestServerStats::default()));
-        let handler = Ingest {
-            max_sources: config.max_sources,
-            sink,
-            dedup: BTreeMap::new(),
-            stats: DigestServerStats::default(),
-            shared: Arc::clone(&stats),
-            group: metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS),
-            clock: metrics.clock(),
-            e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
-            recorder: recorder.clone(),
-        };
+        let handler = Ingest::new(config.max_sources, sink, &metrics, recorder.clone());
+        let stats = Arc::clone(&handler.shared);
         let core = FrameServer::bind(
             addr,
             "pint-digest-ingest",
@@ -238,8 +243,10 @@ impl DigestServer {
     }
 
     /// Binds with the batch sink feeding a collector producer: each
-    /// applied batch is pushed through `handle`'s per-shard rings and
-    /// flushed, so queries observe it immediately. Undeliverable
+    /// sink call (one per run of fresh batches from one source in a
+    /// connection's burst) is pushed through `handle`'s per-shard rings
+    /// and flushed before the run's acks are written, so queries
+    /// observe an acked batch immediately. Undeliverable
     /// digests (collector shut down mid-batch) are counted by the
     /// collector's dropped-digest counter, never lost silently.
     pub fn bind_collector(
@@ -275,33 +282,44 @@ impl DigestServer {
     }
 }
 
-/// The ingest logic on the poll thread: dedup, sink, acks, tracing.
+/// The ingest logic on the poll thread: dedup, burst buffer, sink,
+/// acks, tracing.
 struct Ingest {
     max_sources: usize,
     sink: BatchSink,
     dedup: BTreeMap<u64, SourceDedup>,
+    /// Reports of the fresh batches not yet handed to the sink, all
+    /// from `burst_source`, in arrival order.
+    burst: Vec<DigestReport>,
+    burst_source: u64,
     stats: DigestServerStats,
     /// Where [`stats`](DigestServer::stats) reads from.
     shared: Arc<Mutex<DigestServerStats>>,
     group: GaugeGroup,
     clock: pint_obs::ClockHandle,
     e2e_latency: Histogram,
+    /// Digests per sink call.
+    burst_digests: Histogram,
     recorder: Option<FlightRecorder>,
 }
 
 impl FrameHandler for Ingest {
     fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>) {
         match ty {
-            FrameType::DigestBatch => match DigestBatch::decode(payload) {
-                Ok(batch) => self.batch(batch, reply),
-                // The envelope was valid, so the stream is still in
-                // sync — count the bad payload, keep the connection.
-                Err(_) => self.stats.payload_errors += 1,
-            },
+            FrameType::DigestBatch => self.batch(payload, reply),
             // Edge processes may announce/leave; nothing to track here.
             FrameType::Hello | FrameType::Bye => {}
             _ => self.stats.unsupported_frames += 1,
         }
+    }
+
+    fn end_burst(&mut self) {
+        self.deliver();
+        // The core writes this burst's acks after this returns, so a
+        // peer holding an ack always finds its batch counted in
+        // `DigestServer::stats` — the poll pass's closing tick can come
+        // after the peer has already acted on the ack.
+        self.publish();
     }
 
     fn tick(&mut self, core: &ServerStats) {
@@ -331,10 +349,45 @@ impl FrameHandler for Ingest {
 }
 
 impl Ingest {
-    /// Deduplicates one decoded batch, feeds a fresh one to the sink,
-    /// and queues its ack.
-    fn batch(&mut self, batch: DigestBatch, reply: &mut Vec<u8>) {
+    fn new(
+        max_sources: usize,
+        sink: BatchSink,
+        metrics: &MetricsRegistry,
+        recorder: Option<FlightRecorder>,
+    ) -> Self {
+        Self {
+            max_sources,
+            sink,
+            dedup: BTreeMap::new(),
+            burst: Vec::new(),
+            burst_source: 0,
+            stats: DigestServerStats::default(),
+            shared: Arc::default(),
+            group: metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS),
+            clock: metrics.clock(),
+            e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
+            burst_digests: metrics.histogram("ingest_burst_digests"),
+            recorder,
+        }
+    }
+
+    /// Decodes one batch onto the burst buffer, deduplicates it (a
+    /// duplicate or rejected batch takes its reports back off), and
+    /// queues its ack. The ack is written after
+    /// [`end_burst`](FrameHandler::end_burst) has handed the batch to
+    /// the sink.
+    fn batch(&mut self, payload: &[u8], reply: &mut Vec<u8>) {
+        let mark = self.burst.len();
+        let Ok(batch) = DigestBatch::decode_append(payload, &mut self.burst) else {
+            // The envelope was valid, so the stream is still in sync —
+            // count the bad payload, keep the connection. The decoder
+            // left no reports behind, and `(source, seq)` stays unseen
+            // so a good retransmission is applied.
+            self.stats.payload_errors += 1;
+            return;
+        };
         if !self.dedup.contains_key(&batch.source) && self.dedup.len() >= self.max_sources {
+            self.burst.truncate(mark);
             self.stats.sources_rejected += 1;
             return; // never acked; the sender will shed it
         }
@@ -344,8 +397,20 @@ impl Ingest {
             .or_default()
             .observe(batch.seq);
         let status = if fresh {
+            let digests = self.burst.len() - mark;
+            // A sink call carries one source and at most
+            // MAX_BATCH_REPORTS reports: hand over the run before this
+            // batch first when the batch would break either.
+            if mark > 0
+                && (batch.source != self.burst_source || self.burst.len() > MAX_BATCH_REPORTS)
+            {
+                let this = self.burst.split_off(mark);
+                self.deliver();
+                self.burst = this;
+            }
+            self.burst_source = batch.source;
             self.stats.batches_applied += 1;
-            self.stats.digests += batch.reports.len() as u64;
+            self.stats.digests += digests as u64;
             let now = self.clock.now_ns();
             if let Some(trace) = &batch.trace {
                 // Edge→regional latency from the sender's origin stamp
@@ -362,9 +427,9 @@ impl Ingest {
                     now,
                 );
             }
-            (self.sink)(batch.source, batch.reports);
             AckStatus::Applied
         } else {
+            self.burst.truncate(mark);
             self.stats.batches_duplicate += 1;
             if let Some(rec) = &self.recorder {
                 rec.record(
@@ -382,11 +447,16 @@ impl Ingest {
         };
         reply.extend_from_slice(&ack.to_frame_bytes());
         self.stats.acks_sent += 1;
-        // Replies are flushed after dispatch returns, so publishing here
-        // means a peer holding this ack always finds its batch counted
-        // in `DigestServer::stats` — the poll pass's closing tick can
-        // come after the peer has already acted on the ack.
-        self.publish();
+    }
+
+    /// Hands the buffered run to the sink, if there is one.
+    fn deliver(&mut self) {
+        if self.burst.is_empty() {
+            return;
+        }
+        let reports = std::mem::take(&mut self.burst);
+        self.burst_digests.record(reports.len() as u64);
+        (self.sink)(self.burst_source, reports);
     }
 
     /// Makes the counters visible to [`DigestServer::stats`].
@@ -401,7 +471,7 @@ mod tests {
     use crate::{FleetConfig, FleetServer};
     use pint_query::remote::{QueryRequest, QueryResponder};
     use pint_query::{QueryBackend, QueryError, QueryPlan, QueryResult, TelemetryQuery};
-    use pint_wire::FrameReader;
+    use pint_wire::{FrameReader, WireDecode, WireEncode};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -535,6 +605,248 @@ mod tests {
             (s.batches_applied, s.batches_duplicate, s.acks_sent),
             (3, 2, 5)
         );
+    }
+
+    /// Sink calls in order, as `(source, reports)`.
+    type Calls = Arc<Mutex<Vec<(u64, Vec<DigestReport>)>>>;
+
+    fn recording_sink() -> (Calls, BatchSink) {
+        let calls = Calls::default();
+        let sink_calls = Arc::clone(&calls);
+        let sink: BatchSink = Box::new(move |source, reports| {
+            sink_calls.lock().unwrap().push((source, reports));
+        });
+        (calls, sink)
+    }
+
+    /// A batch of `n` reports whose pids name `(source, seq, index)`.
+    fn batch_of(source: u64, seq: u64, n: u64) -> DigestBatch {
+        DigestBatch {
+            source,
+            seq,
+            reports: (0..n)
+                .map(|i| {
+                    let pid = (source << 40) | (seq << 20) | i;
+                    DigestReport::new(i % 7, pid, pint_core::Digest::new(1), 3, i)
+                })
+                .collect(),
+            trace: None,
+        }
+    }
+
+    /// The batches' reports concatenated in order — what one sink call
+    /// carrying exactly those batches must hold.
+    fn concat(batches: &[&DigestBatch]) -> Vec<DigestReport> {
+        batches.iter().flat_map(|b| b.reports.clone()).collect()
+    }
+
+    /// Every ack in `bytes`, as `(seq, status)`.
+    fn acks_in(bytes: &[u8]) -> Vec<(u64, AckStatus)> {
+        let mut reader = FrameReader::new(bytes);
+        let mut acks = Vec::new();
+        while let Some((ty, payload)) = reader.read_frame().unwrap() {
+            assert_eq!(ty, FrameType::BatchAck);
+            let ack = BatchAck::decode(&payload).unwrap();
+            acks.push((ack.seq, ack.status));
+        }
+        acks
+    }
+
+    /// The handler without a socket: dispatches `payloads` as one
+    /// burst and returns the replies it queued.
+    fn one_burst(ingest: &mut Ingest, payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut reply = Vec::new();
+        for payload in payloads {
+            ingest.frame(FrameType::DigestBatch, payload, &mut reply);
+        }
+        ingest.end_burst();
+        reply
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// N frames in one write are one burst: one sink call holding the
+    /// N batches' reports in order, N `Applied` acks, and no ack on the
+    /// wire before that sink call has returned.
+    #[test]
+    fn one_write_of_frames_is_one_sink_call_acked_after_it_returns() {
+        let metrics = MetricsRegistry::new();
+        let calls = Calls::default();
+        let returned = Arc::new(Mutex::new(None));
+        let (sink_calls, sink_returned) = (Arc::clone(&calls), Arc::clone(&returned));
+        let server = DigestServer::bind_observed(
+            "127.0.0.1:0",
+            DigestServerConfig::default(),
+            Box::new(move |source, reports| {
+                sink_calls.lock().unwrap().push((source, reports));
+                // A slow apply: acks must still wait for it.
+                std::thread::sleep(Duration::from_millis(100));
+                *sink_returned.lock().unwrap() = Some(std::time::Instant::now());
+            }),
+            metrics.clone(),
+        )
+        .unwrap();
+        let batches: Vec<DigestBatch> = (1..=5).map(|seq| batch_of(7, seq, 10)).collect();
+        let wire: Vec<u8> = batches.iter().flat_map(|b| b.to_frame_bytes()).collect();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        stream.write_all(&wire).unwrap();
+
+        let mut acks = Vec::new();
+        let mut first_ack_at = None;
+        for _ in 0..batches.len() {
+            let (ty, payload) = reader.read_frame().unwrap().unwrap();
+            first_ack_at.get_or_insert_with(std::time::Instant::now);
+            assert_eq!(ty, FrameType::BatchAck);
+            let ack = BatchAck::decode(&payload).unwrap();
+            acks.push((ack.seq, ack.status));
+        }
+        let expected: Vec<_> = (1..=5).map(|seq| (seq, AckStatus::Applied)).collect();
+        assert_eq!(acks, expected);
+        wait_for("the sink never returned", || {
+            returned.lock().unwrap().is_some()
+        });
+        let returned = returned.lock().unwrap().unwrap();
+        assert!(
+            first_ack_at.unwrap() >= returned,
+            "an ack reached the peer before its sink call returned"
+        );
+        let calls = calls.lock().unwrap();
+        assert_eq!(calls.len(), 1, "one burst, one sink call");
+        let all: Vec<&DigestBatch> = batches.iter().collect();
+        assert_eq!(calls[0], (7, concat(&all)));
+        drop(calls);
+        // Burst telemetry: one sample, holding every applied digest.
+        let snap = metrics.snapshot();
+        let burst = snap
+            .histogram("ingest_burst_digests", None)
+            .expect("burst histogram");
+        assert_eq!((burst.count(), burst.sum), (1, 50));
+        let s = server.shutdown();
+        assert_eq!((s.batches_applied, s.digests, s.acks_sent), (5, 50, 5));
+    }
+
+    /// A duplicate mid-burst is acked `Duplicate`; an undecodable
+    /// payload is counted, unacked and leaves nothing in the burst, and
+    /// its good retransmission is applied.
+    #[test]
+    fn bad_frames_mid_burst_leave_the_burst_intact() {
+        let (calls, sink) = recording_sink();
+        let mut ingest = Ingest::new(16, sink, &MetricsRegistry::new(), None);
+        let (b1, b2, b3) = (batch_of(1, 1, 10), batch_of(1, 2, 10), batch_of(1, 3, 10));
+        // Cut into the last report: the header and nine reports decode,
+        // the tenth does not.
+        let mut torn = b2.encode();
+        torn.truncate(torn.len() - 3);
+        let reply = one_burst(
+            &mut ingest,
+            &[b1.encode(), torn, b1.encode(), b3.encode(), b2.encode()],
+        );
+        assert_eq!(
+            acks_in(&reply),
+            vec![
+                (1, AckStatus::Applied),
+                (1, AckStatus::Duplicate),
+                (3, AckStatus::Applied),
+                (2, AckStatus::Applied),
+            ]
+        );
+        assert_eq!(*calls.lock().unwrap(), vec![(1, concat(&[&b1, &b3, &b2]))]);
+        let s = ingest.stats;
+        assert_eq!(
+            (s.payload_errors, s.batches_applied, s.batches_duplicate),
+            (1, 3, 1)
+        );
+        assert_eq!(s.digests, 30);
+    }
+
+    /// Batches from two sources on one connection are two sink calls,
+    /// each with one source's reports only.
+    #[test]
+    fn two_sources_in_one_burst_are_two_sink_calls() {
+        let (calls, sink) = recording_sink();
+        let mut ingest = Ingest::new(16, sink, &MetricsRegistry::new(), None);
+        let (a1, a2) = (batch_of(1, 1, 4), batch_of(1, 2, 4));
+        let (b1, b2) = (batch_of(2, 1, 4), batch_of(2, 2, 4));
+        let reply = one_burst(
+            &mut ingest,
+            &[a1.encode(), a2.encode(), b1.encode(), b2.encode()],
+        );
+        assert_eq!(acks_in(&reply).len(), 4);
+        assert_eq!(
+            *calls.lock().unwrap(),
+            vec![(1, concat(&[&a1, &a2])), (2, concat(&[&b1, &b2]))]
+        );
+    }
+
+    /// A framing error right after valid frames in the same read drops
+    /// the connection, but the frames before it are applied — once.
+    #[test]
+    fn frames_before_a_framing_error_are_applied_exactly_once() {
+        let (calls, sink) = recording_sink();
+        let server =
+            DigestServer::bind("127.0.0.1:0", DigestServerConfig::default(), sink).unwrap();
+        let batches: Vec<DigestBatch> = (1..=3).map(|seq| batch_of(4, seq, 6)).collect();
+        let frames: Vec<u8> = batches.iter().flat_map(|b| b.to_frame_bytes()).collect();
+        let mut poisoned = frames.clone();
+        poisoned.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&poisoned).unwrap();
+        wait_for("the frames before the garbage were never applied", || {
+            !calls.lock().unwrap().is_empty()
+        });
+        expect_closed(&mut stream, Duration::from_secs(10), "garbage peer");
+        let all: Vec<&DigestBatch> = batches.iter().collect();
+        assert_eq!(*calls.lock().unwrap(), vec![(4, concat(&all))]);
+
+        // The acks went down with the connection; the retransmission is
+        // recognized, not applied again.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        stream.write_all(&frames).unwrap();
+        for seq in 1..=3 {
+            let (_, payload) = reader.read_frame().unwrap().unwrap();
+            let ack = BatchAck::decode(&payload).unwrap();
+            assert_eq!((ack.seq, ack.status), (seq, AckStatus::Duplicate));
+        }
+        assert_eq!(calls.lock().unwrap().len(), 1);
+        let s = server.shutdown();
+        assert_eq!(s.framing_errors, 1);
+        assert_eq!((s.batches_applied, s.batches_duplicate), (3, 3));
+    }
+
+    /// A burst whose frames sum past `MAX_BATCH_REPORTS` is split: no
+    /// sink call holds more than that (plus at most one frame), and the
+    /// calls together hold every report in order.
+    #[test]
+    fn bursts_past_max_batch_reports_are_split() {
+        let (calls, sink) = recording_sink();
+        let mut ingest = Ingest::new(16, sink, &MetricsRegistry::new(), None);
+        let per_frame = 20_000u64;
+        let batches: Vec<DigestBatch> = (1..=5).map(|seq| batch_of(3, seq, per_frame)).collect();
+        let payloads: Vec<Vec<u8>> = batches.iter().map(|b| b.encode()).collect();
+        one_burst(&mut ingest, &payloads);
+        let calls = calls.lock().unwrap();
+        assert!(calls.len() > 1, "a 100 000-report burst went in one call");
+        for (source, reports) in calls.iter() {
+            assert_eq!(*source, 3);
+            assert!(reports.len() <= MAX_BATCH_REPORTS + per_frame as usize);
+        }
+        let delivered: Vec<DigestReport> = calls.iter().flat_map(|(_, r)| r.clone()).collect();
+        let all: Vec<&DigestBatch> = batches.iter().collect();
+        assert!(delivered == concat(&all), "reports lost or reordered");
     }
 
     #[test]

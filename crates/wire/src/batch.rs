@@ -77,6 +77,28 @@ impl DigestBatch {
         frame_into(FrameType::DigestBatch, self, &mut out);
         out
     }
+
+    /// Decodes a `DigestBatch` payload, appending its reports to `out`
+    /// instead of a fresh `Vec`, and returns the batch's envelope
+    /// (`source`, `seq`, `trace`) with `reports` left empty. Like
+    /// [`decode`](WireDecode::decode), the payload must be consumed
+    /// exactly. On any error `out` is truncated back to its length at
+    /// entry, so a bad payload never leaves part of itself behind.
+    pub fn decode_append(
+        payload: &[u8],
+        out: &mut Vec<DigestReport>,
+    ) -> Result<DigestBatch, WireError> {
+        let start = out.len();
+        let mut r = WireReader::new(payload);
+        let decoded = decode_appending(&mut r, out).and_then(|batch| {
+            r.expect_end()?;
+            Ok(batch)
+        });
+        if decoded.is_err() {
+            out.truncate(start);
+        }
+        decoded
+    }
 }
 
 impl WireEncode for DigestBatch {
@@ -97,42 +119,54 @@ impl WireEncode for DigestBatch {
     }
 }
 
+/// The one batch decoder: reads the envelope, appends the reports to
+/// `out`, and returns the envelope with empty `reports`. Callers own
+/// rolling `out` back on error.
+fn decode_appending(
+    r: &mut WireReader<'_>,
+    out: &mut Vec<DigestReport>,
+) -> Result<DigestBatch, WireError> {
+    let source = r.get_varint()?;
+    let seq = r.get_varint()?;
+    // A minimal report is 5 bytes (four 1-byte varints + a zero-lane
+    // digest); validate the count against the remaining input before
+    // any allocation.
+    let count = r.get_count(5)?;
+    if count > MAX_BATCH_REPORTS {
+        return Err(WireError::Invalid("too many reports in one batch"));
+    }
+    out.reserve(count);
+    for _ in 0..count {
+        out.push(DigestReport::decode_from(r)?);
+    }
+    // Trailing extension: absent on old-version frames (payload ends
+    // at the last report), present when the sender stamped a trace
+    // context. `decode` enforces exact consumption, so the extension
+    // must be read here, not ignored.
+    let trace = if r.remaining() > 0 {
+        match r.get_u8()? {
+            EXT_TRACE_CONTEXT => Some(TraceContext {
+                origin_ns: r.get_varint()?,
+                trace_id: r.get_varint()?,
+            }),
+            _ => return Err(WireError::Invalid("unknown digest batch extension")),
+        }
+    } else {
+        None
+    };
+    Ok(DigestBatch {
+        source,
+        seq,
+        reports: Vec::new(),
+        trace,
+    })
+}
+
 impl WireDecode for DigestBatch {
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let source = r.get_varint()?;
-        let seq = r.get_varint()?;
-        // A minimal report is 5 bytes (four 1-byte varints + a
-        // zero-lane digest); validate the count against the remaining
-        // input before any allocation.
-        let count = r.get_count(5)?;
-        if count > MAX_BATCH_REPORTS {
-            return Err(WireError::Invalid("too many reports in one batch"));
-        }
-        let mut reports = Vec::with_capacity(count);
-        for _ in 0..count {
-            reports.push(DigestReport::decode_from(r)?);
-        }
-        // Trailing extension: absent on old-version frames (payload
-        // ends at the last report), present when the sender stamped a
-        // trace context. `decode` enforces exact consumption, so the
-        // extension must be read here, not ignored.
-        let trace = if r.remaining() > 0 {
-            match r.get_u8()? {
-                EXT_TRACE_CONTEXT => Some(TraceContext {
-                    origin_ns: r.get_varint()?,
-                    trace_id: r.get_varint()?,
-                }),
-                _ => return Err(WireError::Invalid("unknown digest batch extension")),
-            }
-        } else {
-            None
-        };
-        Ok(DigestBatch {
-            source,
-            seq,
-            reports,
-            trace,
-        })
+        let mut reports = Vec::new();
+        let batch = decode_appending(r, &mut reports)?;
+        Ok(DigestBatch { reports, ..batch })
     }
 }
 
@@ -306,6 +340,35 @@ mod tests {
         let (ty, payload) = parse_frame(&bytes).unwrap();
         assert_eq!(ty, FrameType::DigestBatch);
         assert_eq!(DigestBatch::decode(payload).unwrap(), batch);
+    }
+
+    #[test]
+    fn decode_append_appends_or_leaves_the_buffer_as_it_was() {
+        let mut batch = sample_batch();
+        batch.trace = Some(TraceContext {
+            origin_ns: 5,
+            trace_id: 6,
+        });
+        let payload = batch.encode();
+        let prior = sample_batch().reports;
+        let mut out = prior.clone();
+        let envelope = DigestBatch::decode_append(&payload, &mut out).unwrap();
+        assert_eq!(
+            DigestBatch {
+                reports: out[prior.len()..].to_vec(),
+                ..envelope
+            },
+            batch
+        );
+        assert_eq!(&out[..prior.len()], &prior[..]);
+        // Every proper prefix but the extension-less one fails, and
+        // takes nothing with it.
+        let untraced = sample_batch().encode().len();
+        for cut in (0..payload.len()).filter(|&cut| cut != untraced) {
+            let mut out = prior.clone();
+            assert!(DigestBatch::decode_append(&payload[..cut], &mut out).is_err());
+            assert_eq!(out, prior, "a {cut}-byte prefix left reports behind");
+        }
     }
 
     #[test]

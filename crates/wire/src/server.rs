@@ -15,7 +15,12 @@
 //!   registry and flight recorder.
 //!
 //! Every other well-framed frame goes to the server's [`FrameHandler`],
-//! which may append reply frames. Per-tick work is bounded per
+//! which may append reply frames. The frames one connection delivers in
+//! one tick form a *burst*: the core ends each burst with
+//! [`FrameHandler::end_burst`] before it writes that connection's
+//! replies, so a handler may buffer work across a burst's frames (the
+//! digest server applies a burst's batches with one sink call) and
+//! still finish it before any reply leaves. Per-tick work is bounded per
 //! connection, so one hostile peer (oversized frames, garbage bytes,
 //! slow-loris partial writes, a half-open socket) can be rejected,
 //! stall, or die without delaying any other connection or the accept
@@ -110,13 +115,24 @@ pub trait FrameHandler: Send + 'static {
     /// the core answers them.
     fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>);
 
+    /// Ends a burst: called once after every tick in which a connection
+    /// delivered at least one frame, after the last of those frames was
+    /// dispatched and before any reply queued during the tick is
+    /// written. It is called on every way out of the frame loop — a
+    /// drained socket, the per-tick frame bound, a clean close, a
+    /// framing error or an I/O error — so work a handler defers to the
+    /// end of a burst is never stranded, and replies to a burst's frames
+    /// never reach the peer before that work is done.
+    fn end_burst(&mut self) {}
+
     /// Called after every poll tick in which anything moved, and once
     /// more at shutdown with `active == 0`. A connection is counted in
     /// `active` before its first frame is handled.
     fn tick(&mut self, _stats: &ServerStats) {}
 }
 
-/// A closure is a handler without a [`tick`](FrameHandler::tick).
+/// A closure is a handler without [`end_burst`](FrameHandler::end_burst)
+/// or [`tick`](FrameHandler::tick).
 impl<F> FrameHandler for F
 where
     F: FnMut(FrameType, &[u8], &mut Vec<u8>) + Send + 'static,
@@ -274,9 +290,10 @@ impl Conn {
         (self.reader.buffered() > 0 || self.answered) && self.last_progress.elapsed() < IDLE_SLEEP
     }
 
-    /// Serves one tick: decodes up to [`FRAMES_PER_TICK`] frames,
-    /// flushes pending replies, and polices the progress deadline.
-    /// `Some(moved)` keeps the connection; `None` drops it.
+    /// Serves one tick: decodes up to [`FRAMES_PER_TICK`] frames (one
+    /// burst, ended by [`FrameHandler::end_burst`]), flushes pending
+    /// replies, and polices the progress deadline. `Some(moved)` keeps
+    /// the connection; `None` drops it.
     fn tick(
         &mut self,
         config: &ServerConfig,
@@ -286,6 +303,7 @@ impl Conn {
         let mut progressed = false;
         let buffered_before = self.reader.buffered();
         let mut closed = false;
+        let mut dead = false;
         for _ in 0..FRAMES_PER_TICK {
             match self.reader.poll_frame() {
                 Ok(FramePoll::Frame(ty, payload)) => {
@@ -299,14 +317,23 @@ impl Conn {
                     closed = true;
                     break;
                 }
-                Err(ReadFrameError::Wire(_)) => {
-                    // Framing cannot resynchronize: count and drop.
-                    stats.framing_errors += 1;
-                    return None;
+                Err(e) => {
+                    // Framing cannot resynchronize (counted); a reset or
+                    // mid-frame EOF is a plain disconnect. Either way the
+                    // connection goes once its burst has ended.
+                    if matches!(e, ReadFrameError::Wire(_)) {
+                        stats.framing_errors += 1;
+                    }
+                    dead = true;
+                    break;
                 }
-                // Reset or mid-frame EOF: a plain disconnect.
-                Err(ReadFrameError::Io(_)) => return None,
             }
+        }
+        if progressed {
+            handler.end_burst();
+        }
+        if dead {
+            return None;
         }
         if self.reader.buffered() != buffered_before {
             progressed = true;

@@ -187,6 +187,15 @@ fn main() {
         "server ack identity"
     );
     assert_eq!(snap.gauge("digest_server_digests", None), Some(pushed));
+    // Every applied digest reached the sink in exactly one burst.
+    let bursts = snap
+        .histogram("ingest_burst_digests", None)
+        .expect("burst histogram");
+    assert_eq!(
+        Some(bursts.sum),
+        snap.gauge("digest_server_digests", None),
+        "burst accounting"
+    );
 
     drop(client);
     server.shutdown();
