@@ -56,7 +56,7 @@ fn bench_ingest(c: &mut Criterion) {
     // In-process: the collector handle's push/flush hot path.
     {
         let collector = Collector::spawn(CollectorConfig::with_shards(4), factory(&agg));
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         g.bench_function("in_process", |b| {
             b.iter(|| {
                 for r in &reports {
@@ -77,7 +77,7 @@ fn bench_ingest(c: &mut Criterion) {
         let server = DigestServer::bind_collector(
             "127.0.0.1:0",
             DigestServerConfig::default(),
-            collector.handle(),
+            collector.register_producer(),
         )
         .expect("bind digest server");
         let fwd = DigestForwarder::connect(

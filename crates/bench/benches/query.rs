@@ -38,7 +38,7 @@ fn build_collector() -> (Collector, DynamicAggregator, u64) {
         },
         factory,
     );
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     let mut ts = 0u64;
     for pid in 0..DIGESTS_PER_FLOW {
         for flow in 0..FLOWS {

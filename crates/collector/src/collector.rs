@@ -1,7 +1,7 @@
 //! The collector: worker lifecycle, producer registration, snapshots,
 //! events, stats.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY, PARK_TIMEOUT};
 use crate::error::CollectorError;
 use crate::events::Event;
 use crate::handle::{shard_of, CollectorHandle};
@@ -20,7 +20,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Depth of each shard's control channel. Control traffic is low-rate
 /// (registrations, snapshots, shutdown); the bound only matters as a
@@ -191,7 +190,7 @@ impl Collector {
         let metrics = config.metrics.clone().unwrap_or_default();
         // Bounded: a consumer that never drains costs dropped events
         // (counted), not unbounded memory.
-        let (events_tx, events_rx) = sync_channel(config.event_capacity);
+        let (events_tx, events_rx) = sync_channel(EVENT_CAPACITY);
         let mut ctrl = Vec::with_capacity(config.shards);
         let mut waiters = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -225,7 +224,7 @@ impl Collector {
             ring_capacity: config.ring_capacity,
             tuning: RingTuning {
                 spin_limit: config.spin_limit,
-                park_timeout: Duration::from_micros(config.park_timeout_us.max(1)),
+                park_timeout: PARK_TIMEOUT,
             },
             dropped: metrics.counter("collector_digests_dropped_total"),
             parks: {
@@ -453,12 +452,6 @@ impl Collector {
         self.registry.register()
     }
 
-    /// A new ingestion handle — alias for
-    /// [`register_producer`](Self::register_producer).
-    pub fn handle(&self) -> CollectorHandle {
-        self.register_producer()
-    }
-
     /// Requests a snapshot from every shard and merges the results.
     ///
     /// Each shard drains every producer ring before answering, so the
@@ -505,7 +498,7 @@ impl Collector {
     ///         )) as Box<dyn FlowRecorder>
     ///     }),
     /// );
-    /// let mut handle = collector.handle();
+    /// let mut handle = collector.register_producer();
     /// // Flow f records f + 1 packets, so flows 8 and 9 are heaviest.
     /// for flow in 0..10u64 {
     ///     for pid in 0..=flow {
@@ -784,7 +777,7 @@ mod tests {
             waiter.wake();
         }
         while !collector.workers.iter().all(JoinHandle::is_finished) {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(collector.barrier(), Err(CollectorError::Disconnected));
         assert_eq!(collector.checkpoint(1), Ok(false));

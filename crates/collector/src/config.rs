@@ -4,6 +4,7 @@ use crate::events::EventRule;
 use crate::prefilter::PrefilterConfig;
 use pint_core::{DigestReport, FlowRecorder};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Flow identifier (matches `pint_netsim::FlowId`; defined by the
 /// query tier so every backend shares it).
@@ -23,6 +24,21 @@ pub use pint_query::FlowId;
 /// configuration. It runs on shard worker threads, hence `Send + Sync`.
 pub type RecorderFactory =
     Arc<dyn Fn(FlowId, &DigestReport) -> Box<dyn FlowRecorder> + Send + Sync>;
+
+/// Upper bound on one park of a blocked ring endpoint (a producer on a
+/// full ring, a shard worker with nothing to do). The adaptive
+/// controller starts at 1/16th of this and doubles toward it while a
+/// thread keeps parking without work, so a quiet collector converges to
+/// long sleeps while a busy one wakes quickly. Explicit wakes cover the
+/// common case, so this mostly sets the worst-case wake latency for
+/// lost races. 200 µs.
+pub const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
+/// Bound on undelivered collector events: if the consumer stops
+/// draining, further events are counted as dropped instead of buffering
+/// without limit (the collector's memory stays bounded even with a
+/// negligent consumer). 65 536 events.
+pub const EVENT_CAPACITY: usize = 65_536;
 
 /// Tuning knobs for a [`Collector`](crate::Collector).
 #[derive(Debug, Clone)]
@@ -44,15 +60,10 @@ pub struct CollectorConfig {
     /// its thread. Each ring endpoint adapts its actual spin budget
     /// within `[4, spin_limit]`: sustained occupancy widens spin toward
     /// this bound, sustained idleness decays it so an idle thread stops
-    /// stealing the core the other side needs. The live policy is
-    /// published as `collector_adaptive_spin` gauges.
+    /// stealing the core the other side needs; past the budget it parks
+    /// for at most [`PARK_TIMEOUT`]. The live policy is published as
+    /// `collector_adaptive_spin` gauges.
     pub spin_limit: u32,
-    /// Upper bound, in microseconds, on one park. The adaptive
-    /// controller starts at 1/16th of this and doubles toward it while
-    /// a thread keeps parking without work, so a quiet collector
-    /// converges to long sleeps while a busy one wakes quickly. Explicit
-    /// wakes make the common case much faster than either bound.
-    pub park_timeout_us: u64,
     /// Per-shard cap on tracked flows; least-recently-updated flows are
     /// evicted beyond it.
     pub max_flows_per_shard: usize,
@@ -63,11 +74,6 @@ pub struct CollectorConfig {
     /// timestamps, i.e. the sink's clock — deterministic in simulation).
     /// `None` disables TTL eviction.
     pub flow_ttl: Option<u64>,
-    /// Bound on undelivered events: if the consumer stops draining,
-    /// further events are counted as dropped instead of buffering
-    /// without limit (the collector's memory stays bounded even with a
-    /// negligent consumer).
-    pub event_capacity: usize,
     /// Streaming event-detection rules, evaluated on shard workers as
     /// batches are applied. At most 64 rules.
     pub rules: Vec<EventRule>,
@@ -120,21 +126,15 @@ impl Default for CollectorConfig {
     ///   spinning stops paying, so a generous bound costs CPU only
     ///   while the other side is actively making progress, and it spares
     ///   a park/unpark round trip when it is.
-    /// * `park_timeout_us: 200` — unchanged: explicit wakes cover the
-    ///   common case, and adaptive parking starts at 1/16th of this and
-    ///   doubles, so the bound mostly sets worst-case wake latency for
-    ///   lost races.
     fn default() -> Self {
         Self {
             shards: 4,
             ring_capacity: 64,
             batch_size: 1_024,
             spin_limit: 256,
-            park_timeout_us: 200,
             max_flows_per_shard: 65_536,
             max_bytes_per_shard: 64 << 20,
             flow_ttl: None,
-            event_capacity: 65_536,
             rules: Vec::new(),
             prefilter: None,
             metrics: None,
@@ -157,12 +157,7 @@ impl CollectorConfig {
         assert!(self.shards >= 1, "need at least one shard");
         assert!(self.ring_capacity >= 1, "ring capacity must be positive");
         assert!(self.batch_size >= 1, "batch size must be positive");
-        assert!(
-            self.park_timeout_us >= 1,
-            "park timeout must be positive (it bounds wakeup races)"
-        );
         assert!(self.max_flows_per_shard >= 1, "flow cap must be positive");
-        assert!(self.event_capacity >= 1, "event capacity must be positive");
         assert!(
             self.rules.len() <= 64,
             "at most 64 event rules (per-flow fired-state is a u64 bitmask)"

@@ -25,7 +25,7 @@
 //! The fired set is a bitmask in the flow table, so a flow that is
 //! evicted and later recreated starts re-armed (with no `Cleared`
 //! event — eviction is not a recovery signal). Fired events go to a
-//! bounded queue — see `CollectorConfig::event_capacity`.
+//! bounded queue — see [`EVENT_CAPACITY`](crate::config::EVENT_CAPACITY).
 
 use crate::config::FlowId;
 use pint_core::FlowRecorder;

@@ -147,7 +147,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 128),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         let flows = 200u64;
         let per_flow = 300u64;
         for pid in 0..per_flow {
@@ -243,7 +243,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         for flow in 0..5_000u64 {
             for pid in 0..3u64 {
                 handle
@@ -280,7 +280,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         // Flow 1 active at ts 0..100; flow 2 keeps the clock advancing.
         for pid in 0..100u64 {
             let mut r = encode_latency(&agg, 1, pid, 2, 500.0);
@@ -311,7 +311,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         // Flow f gets f+1 packets: flow 63 is the heaviest.
         for flow in 0..64u64 {
             for pid in 0..=flow {
@@ -391,7 +391,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 256),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         // Flow 7 runs hot (~100µs hop latency); flows 1..=5 stay cool.
         for pid in 0..400u64 {
             for flow in 1..=5u64 {
@@ -438,7 +438,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 512),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         let mut pid = 0u64;
         let mut burst = |handle: &mut CollectorHandle, n: u64, ns: f64| {
             for _ in 0..n {
@@ -477,7 +477,7 @@ mod tests {
             CollectorConfig::with_shards(4),
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         for flow in 0..6u64 {
             handle
                 .push(encode_latency(&agg, flow, flow, 2, 700.0))
@@ -551,7 +551,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 256),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         // A persistently hot flow across 10 cooldown windows: timestamps
         // advance 100 per digest, so each 1_000-tick cooldown spans ~10
         // digests.
@@ -600,7 +600,7 @@ mod tests {
                 )) as Box<dyn FlowRecorder>
             }),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         let paths: Vec<Vec<u64>> = (0..20u64)
             .map(|f| (0..4).map(|h| (f * 7 + h * 13) % 64).collect())
             .collect();
@@ -645,7 +645,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         collector.shutdown();
         let err = handle
             .push(encode_latency(&agg, 1, 1, 2, 500.0))
@@ -670,7 +670,7 @@ mod tests {
             },
             latency_factory(agg.clone(), 64),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         // Stall the only shard with a barrier we never... cannot stall
         // the worker from outside; instead rely on capacity: with a
         // 1-slot ring and batch_size 4, pushing fast enough eventually

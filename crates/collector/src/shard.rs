@@ -11,7 +11,7 @@
 //! shares recorder state with another thread: the ingest hot path takes
 //! no locks, and the only synchronization is the ring hand-off itself.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory, PARK_TIMEOUT};
 use crate::error::CollectorError;
 use crate::events::{Event, EventKind, EventRule};
 use crate::flow_table::{FlowTable, TableStats};
@@ -26,7 +26,6 @@ use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, Wire
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-operation stage timing (flow-table touch, KLL update) samples one
 /// digest in this many: individual `Clock` reads around every digest
@@ -290,7 +289,7 @@ impl ShardWorker {
             waiter,
             backoff: BackoffController::new(RingTuning {
                 spin_limit: config.spin_limit,
-                park_timeout: Duration::from_micros(config.park_timeout_us.max(1)),
+                park_timeout: PARK_TIMEOUT,
             }),
             adaptive_spin: registry.gauge_shard("collector_adaptive_spin", shard as u32),
             adaptive_park_us: registry.gauge_shard("collector_adaptive_park_us", shard as u32),

@@ -18,6 +18,7 @@ use pint_core::dynamic::DynamicAggregator;
 use pint_core::value::Digest;
 use pint_core::DigestReport;
 use pint_netsim::{DigestBatchSink, DigestSink, Packet, Simulator, SwitchView, TelemetryHook};
+use std::io;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -32,15 +33,16 @@ pub fn attach_collector(sim: &mut Simulator, handle: CollectorHandle) {
 /// Spawns a [`ParallelSinkDriver`] with `producers` producer threads and
 /// installs its batch tap on `sim`. Call
 /// [`finish`](ParallelSinkDriver::finish) after `sim.run()` to join the
-/// producers and learn how many digests they delivered.
+/// producers and learn how many digests they delivered. Fails, leaving
+/// `sim` untouched, when a producer thread cannot be spawned.
 pub fn attach_collector_parallel(
     sim: &mut Simulator,
     collector: &Collector,
     producers: usize,
-) -> ParallelSinkDriver {
-    let driver = ParallelSinkDriver::spawn(collector, producers, 256);
+) -> io::Result<ParallelSinkDriver> {
+    let driver = ParallelSinkDriver::spawn(collector, producers, 256)?;
     sim.set_digest_batch_sink(256, driver.digest_batch_sink());
-    driver
+    Ok(driver)
 }
 
 /// Depth, in chunks, of each producer thread's feed queue. Small: the
@@ -78,17 +80,21 @@ pub struct ParallelSinkDriver {
 impl ParallelSinkDriver {
     /// Registers `producers` producers on `collector` and starts their
     /// worker threads; `chunk` is the routing buffer size per producer.
-    pub fn spawn(collector: &Collector, producers: usize, chunk: usize) -> Self {
+    /// If a thread cannot be spawned, the workers already started are
+    /// joined and the error is returned.
+    pub fn spawn(collector: &Collector, producers: usize, chunk: usize) -> io::Result<Self> {
         assert!(producers >= 1, "need at least one producer");
-        let chunk = chunk.max(1);
-        let mut txs = Vec::with_capacity(producers);
-        let mut rets = Vec::with_capacity(producers);
-        let mut workers = Vec::with_capacity(producers);
+        let mut driver = Self {
+            txs: Vec::with_capacity(producers),
+            rets: Vec::with_capacity(producers),
+            workers: Vec::with_capacity(producers),
+            chunk: chunk.max(1),
+        };
         for p in 0..producers {
             let mut handle = collector.register_producer();
             let (tx, rx) = sync_channel::<Vec<DigestReport>>(FEED_DEPTH);
             let (ret_tx, ret_rx) = sync_channel::<Vec<DigestReport>>(FEED_DEPTH);
-            let join = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("pint-sink-{p}"))
                 .spawn(move || {
                     let mut delivered = 0u64;
@@ -106,18 +112,20 @@ impl ParallelSinkDriver {
                     }
                     let _ = handle.flush();
                     delivered
-                })
-                .expect("spawn sink producer");
-            txs.push(tx);
-            rets.push(Arc::new(Mutex::new(ret_rx)));
-            workers.push(join);
+                });
+            match spawned {
+                Ok(join) => {
+                    driver.txs.push(tx);
+                    driver.rets.push(Arc::new(Mutex::new(ret_rx)));
+                    driver.workers.push(join);
+                }
+                Err(e) => {
+                    driver.finish();
+                    return Err(e);
+                }
+            }
         }
-        Self {
-            txs,
-            rets,
-            workers,
-            chunk,
-        }
+        Ok(driver)
     }
 
     /// Producer threads driven by this sink.
@@ -319,7 +327,7 @@ mod tests {
             Box::new(|meta| Box::new(Reno::new(meta))),
             Box::new(LatencyTelemetry::new(agg.clone())),
         );
-        attach_collector(&mut sim, collector.handle());
+        attach_collector(&mut sim, collector.register_producer());
         let hosts = sim.topology().hosts();
         sim.add_flow(hosts[0], hosts[1], 500_000, 0);
         // `run` consumes the simulator; the sink closure (and its
@@ -358,7 +366,7 @@ mod tests {
             Box::new(|meta| Box::new(Reno::new(meta))),
             Box::new(LatencyTelemetry::new(agg.clone())),
         );
-        let driver = attach_collector_parallel(&mut sim, &collector, 3);
+        let driver = attach_collector_parallel(&mut sim, &collector, 3).unwrap();
         assert_eq!(driver.producers(), 3);
         let hosts = sim.topology().hosts();
         for i in 0..6 {

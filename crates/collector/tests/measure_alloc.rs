@@ -29,7 +29,7 @@ fn measured_bytes_track_the_estimate() {
             )) as Box<dyn FlowRecorder>
         }),
     );
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     for flow in 0..512u64 {
         for pid in 0..64u64 {
             let mut d = Digest::new(1);
@@ -82,7 +82,7 @@ fn steady_state_pushes_allocate_no_batches() {
             )) as Box<dyn FlowRecorder>
         }),
     );
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     let mut pkt = 0u64;
     let mut push_cycle = |handle: &mut pint_collector::CollectorHandle| {
         for i in 0..batch as u64 {

@@ -7,7 +7,14 @@
 //! network: it buffers into the current batch and, when the batch
 //! seals, moves it onto a bounded pending queue. Under overload or a
 //! long outage the queue sheds its **oldest** batch (counted, never
-//! silent) instead of blocking the edge.
+//! silent) instead of blocking the edge — or, with a
+//! [`spill`](ForwarderConfig::spill) attached, moves it to disk to
+//! resume once the link catches up.
+//!
+//! [`DigestForwarder::connect`] is the one constructor: a
+//! [`ForwarderConfig`] carries the knobs and, as optional fields, the
+//! metrics registry, flight recorder, spill queue and fault mix, in any
+//! combination.
 //!
 //! Two locks keep the producers off the connection threads' lock. The
 //! open batch and the next sequence number sit behind their own
@@ -40,18 +47,20 @@ use pint_core::DigestReport;
 use pint_obs::{ClockHandle, FlightRecorder, GaugeGroup, MetricsRegistry, TraceStage};
 use pint_store::SpillQueue;
 use pint_wire::{
-    parse_frame, AckStatus, BatchAck, DigestBatch, FaultInjector, FrameReader, FrameType,
-    TraceContext, WireDecode,
+    parse_frame, AckStatus, BatchAck, DigestBatch, FaultConfig, FaultInjector, FrameReader,
+    FrameType, TraceContext, WireDecode,
 };
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a [`DigestForwarder`].
-#[derive(Debug, Clone, Copy)]
+/// How a [`DigestForwarder`] ships: batching and retry knobs, plus the
+/// optional pieces — metrics, tracing, a durable spill and fault
+/// injection — each a field that combines freely with the others.
+#[derive(Debug)]
 pub struct ForwarderConfig {
     /// Identifies this edge process in every batch; the server dedups
     /// per source, so two forwarders must not share an id.
@@ -70,6 +79,29 @@ pub struct ForwarderConfig {
     pub rto: Duration,
     /// Seeds the backoff jitter (deterministic per seed).
     pub seed: u64,
+    /// Registry the `forwarder` gauge group (queue depth, delivery
+    /// accounting) publishes into, sharded by the low 32 bits of
+    /// `source`; its clock stamps each batch's origin. `None` gives a
+    /// private registry (read it via [`DigestForwarder::metrics`]).
+    pub metrics: Option<MetricsRegistry>,
+    /// Flight recorder for a [`TraceStage::ForwarderSealed`] event per
+    /// sealed batch. Drive it from the same clock as `metrics`
+    /// ([`MetricsRegistry::with_clock`]) so event ticks and origin
+    /// stamps share one time base. `None` disables tracing.
+    pub trace: Option<FlightRecorder>,
+    /// Durable overflow: batches a full queue would shed go to this
+    /// on-disk queue instead and resume, oldest first, once the link
+    /// catches up. Batches still spilled at
+    /// [`shutdown`](DigestForwarder::shutdown) count as shed for this
+    /// run but stay on disk; a successor forwarder on the same file
+    /// resumes them (into its own `sent`) and numbers its fresh batches
+    /// above [`SpillQueue::max_seq`]. Receiver dedup absorbs replays.
+    pub spill: Option<SpillQueue>,
+    /// Pass every outgoing frame through a [`FaultInjector`] built from
+    /// this — the test/chaos hook that drops, duplicates, reorders,
+    /// corrupts, truncates and stalls frames. The stream is
+    /// deterministic per [`FaultConfig::seed`].
+    pub faults: Option<FaultConfig>,
 }
 
 impl Default for ForwarderConfig {
@@ -82,6 +114,10 @@ impl Default for ForwarderConfig {
             retry_max: Duration::from_secs(1),
             rto: Duration::from_millis(100),
             seed: 0,
+            metrics: None,
+            trace: None,
+            spill: None,
+            faults: None,
         }
     }
 }
@@ -113,7 +149,7 @@ pub struct ForwarderStats {
     /// Digests inside shed batches.
     pub digests_shed: u64,
     /// Batches displaced from a full queue into the on-disk spill
-    /// instead of being shed ([`DigestForwarder::connect_spilling`]).
+    /// instead of being shed ([`ForwarderConfig::spill`]).
     /// A spilled batch is not yet accounted: it re-enters the queue
     /// (`resumed`) when the link catches up, or is counted as shed at
     /// shutdown if still on disk (where it stays persisted for a
@@ -189,13 +225,13 @@ struct Open {
 
 impl Open {
     /// Seals the open batch, if any, and queues it on `shared`.
-    fn seal(&mut self, shared: &(Mutex<Inner>, Condvar), config: &ForwarderConfig) {
+    fn seal(&mut self, shared: &Shared) {
         if self.batch.is_empty() {
             return;
         }
         let reports = std::mem::take(&mut self.batch);
         let digests = reports.len() as u64;
-        let seq = self.next_seq;
+        let (seq, source) = (self.next_seq, shared.config.source);
         self.next_seq += 1;
         // Every batch carries its origin stamp; the trace id is
         // derived deterministically from (source, seq) so same-seed
@@ -203,19 +239,19 @@ impl Open {
         let origin_ns = self.clock.now_ns();
         let trace = TraceContext {
             origin_ns,
-            trace_id: mix64(config.source ^ mix64(seq)),
+            trace_id: mix64(source ^ mix64(seq)),
         };
         if let Some(rec) = &self.recorder {
             rec.record_at(
-                config.source as u32,
+                source as u32,
                 TraceStage::ForwarderSealed,
-                config.source,
+                source,
                 seq,
                 origin_ns,
             );
         }
         let frame = DigestBatch {
-            source: config.source,
+            source,
             seq,
             reports,
             trace: Some(trace),
@@ -228,11 +264,32 @@ impl Open {
             digests,
             sent_at: None,
         };
-        let (lock, cvar) = shared;
-        lock.lock()
-            .expect("forwarder state poisoned")
-            .enqueue(sealed, config);
-        cvar.notify_all();
+        shared.lock().enqueue(sealed, &shared.config);
+        shared.wake.notify_all();
+    }
+}
+
+/// What the handle and both connection threads share: the state lock,
+/// the condvar that wakes the writer (and a draining `shutdown`), and
+/// the knobs, whose optional pieces `connect` has moved out.
+struct Shared {
+    state: Mutex<Inner>,
+    wake: Condvar,
+    config: ForwarderConfig,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.state.lock().expect("forwarder state poisoned")
+    }
+
+    /// Sleeps on the condvar, for at most `t` when one is given.
+    fn wait<'a>(&self, inner: MutexGuard<'a, Inner>, t: Option<Duration>) -> MutexGuard<'a, Inner> {
+        let poisoned = "forwarder state poisoned";
+        match t {
+            Some(t) => self.wake.wait_timeout(inner, t).expect(poisoned).0,
+            None => self.wake.wait(inner).expect(poisoned),
+        }
     }
 }
 
@@ -439,9 +496,8 @@ impl Inner {
 /// The edge-side shipping half of the ingest path (see module docs;
 /// a usage example lives on [`DigestServer`](crate::DigestServer)).
 pub struct DigestForwarder {
-    open: Arc<Mutex<Open>>,
-    shared: Arc<(Mutex<Inner>, Condvar)>,
-    config: ForwarderConfig,
+    open: Mutex<Open>,
+    shared: Arc<Shared>,
     worker: Option<JoinHandle<()>>,
     metrics: MetricsRegistry,
 }
@@ -449,86 +505,13 @@ pub struct DigestForwarder {
 impl DigestForwarder {
     /// Starts a forwarder shipping to `addr`. The connection is
     /// established (and re-established) in the background; pushes
-    /// before or between connections just queue.
-    pub fn connect(addr: SocketAddr, config: ForwarderConfig) -> Self {
-        Self::spawn(addr, config, None, MetricsRegistry::new(), None, None)
-    }
-
-    /// Like [`connect`](Self::connect), publishing the per-source
-    /// `forwarder` gauge group (queue depth, delivery accounting) into
-    /// a shared registry. The group is sharded by the low 32 bits of
-    /// [`ForwarderConfig::source`], with the full id carried in the
-    /// `forwarder_source` field.
-    pub fn connect_observed(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        Self::spawn(addr, config, None, metrics, None, None)
-    }
-
-    /// Like [`connect_observed`](Self::connect_observed), with a
-    /// durable overflow: batches a full pending queue would shed are
-    /// spilled to `spill`'s on-disk log instead and resume
-    /// (oldest-first) once the link catches up — so an outage longer
-    /// than the in-memory queue becomes persist-and-resume, not loss.
-    /// Batches still spilled at [`shutdown`](Self::shutdown) are
-    /// counted as shed for this run's accounting but stay persisted;
-    /// a successor forwarder opened on the same spill file resumes
-    /// them (counting them into its own `sent` as it does, and
-    /// numbering its fresh batches above [`SpillQueue::max_seq`] so
-    /// generations never collide). Delivery stays at-least-once: the
-    /// receiver's per-source dedup absorbs any replays.
-    pub fn connect_spilling(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        metrics: MetricsRegistry,
-        spill: SpillQueue,
-    ) -> Self {
-        Self::spawn(addr, config, None, metrics, None, Some(spill))
-    }
-
-    /// Like [`connect_observed`](Self::connect_observed), additionally
-    /// recording a [`TraceStage::ForwarderSealed`] event into
-    /// `recorder` for every sealed batch. Pair the recorder's clock
-    /// with the registry's ([`MetricsRegistry::with_clock`]) so event
-    /// ticks and trace-context stamps share one time base.
-    pub fn connect_traced(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        metrics: MetricsRegistry,
-        recorder: FlightRecorder,
-    ) -> Self {
-        Self::spawn(addr, config, None, metrics, Some(recorder), None)
-    }
-
-    /// Like [`connect`](Self::connect), but every outgoing frame
-    /// passes through `faults` — the test/chaos hook that drops,
-    /// duplicates, reorders, corrupts, truncates, and stalls frames
-    /// deterministically.
-    pub fn connect_faulty(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        faults: FaultInjector,
-    ) -> Self {
-        Self::spawn(
-            addr,
-            config,
-            Some(faults),
-            MetricsRegistry::new(),
-            None,
-            None,
-        )
-    }
-
-    fn spawn(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        faults: Option<FaultInjector>,
-        metrics: MetricsRegistry,
-        recorder: Option<FlightRecorder>,
-        spill: Option<SpillQueue>,
-    ) -> Self {
+    /// before or between connections just queue. The optional pieces
+    /// of `config` (metrics, trace, spill, faults) move into the
+    /// forwarder.
+    pub fn connect(addr: SocketAddr, mut config: ForwarderConfig) -> Self {
+        let metrics = config.metrics.take().unwrap_or_default();
+        let spill = config.spill.take();
+        let faults = config.faults.take().map(FaultInjector::new);
         let obs =
             metrics.gauge_group_shard("forwarder", config.source as u32, &FORWARDER_OBS_FIELDS);
         // A reopened spill may hold leftovers from a previous run; they
@@ -537,16 +520,15 @@ impl DigestForwarder {
         // generations never collide at the receiver's dedup window.
         let spill_leftover = spill
             .as_ref()
-            .map(|s| (s.len() as u64, s.digests()))
-            .unwrap_or((0, 0));
-        let open = Arc::new(Mutex::new(Open {
+            .map_or((0, 0), |s| (s.len() as u64, s.digests()));
+        let open = Mutex::new(Open {
             batch: Vec::new(),
-            next_seq: spill.as_ref().map(|s| s.max_seq() + 1).unwrap_or(1),
+            next_seq: spill.as_ref().map_or(1, |s| s.max_seq() + 1),
             clock: metrics.clock(),
-            recorder,
-        }));
-        let shared = Arc::new((
-            Mutex::new(Inner {
+            recorder: config.trace.take(),
+        });
+        let shared = Arc::new(Shared {
+            state: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 stats: ForwarderStats::default(),
                 stop: false,
@@ -558,17 +540,17 @@ impl DigestForwarder {
                 spill,
                 spill_leftover,
             }),
-            Condvar::new(),
-        ));
+            wake: Condvar::new(),
+            config,
+        });
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("pint-digest-forward".into())
-            .spawn(move || worker_loop(addr, config, faults, worker_shared))
+            .spawn(move || worker_loop(addr, faults, worker_shared))
             .expect("spawn digest forwarder thread");
         Self {
             open,
             shared,
-            config,
             worker: Some(worker),
             metrics,
         }
@@ -583,7 +565,11 @@ impl DigestForwarder {
     /// onto the pending queue every
     /// [`batch_digests`](ForwarderConfig::batch_digests) pushes.
     pub fn push(&self, report: DigestReport) {
-        push_into(&self.open, &self.shared, &self.config, report);
+        let mut open = self.open.lock().expect("forwarder batch poisoned");
+        open.batch.push(report);
+        if open.batch.len() >= self.shared.config.batch_digests {
+            open.seal(&self.shared);
+        }
     }
 
     /// Seals the partial batch, if any, so it ships without waiting to
@@ -592,27 +578,13 @@ impl DigestForwarder {
         self.open
             .lock()
             .expect("forwarder batch poisoned")
-            .seal(&self.shared, &self.config);
-    }
-
-    /// A `FnMut(DigestReport)` handle for plumbing this forwarder in
-    /// as an edge digest sink without sharing the forwarder itself.
-    pub fn digest_sink(&self) -> impl FnMut(DigestReport) + Send + 'static {
-        let open = Arc::clone(&self.open);
-        let shared = Arc::clone(&self.shared);
-        let config = self.config;
-        move |report| push_into(&open, &shared, &config, report)
+            .seal(&self.shared);
     }
 
     /// A copy of the live counters; `digests` includes the open batch.
     pub fn stats(&self) -> ForwarderStats {
         let open = self.open.lock().expect("forwarder batch poisoned");
-        let mut stats = self
-            .shared
-            .0
-            .lock()
-            .expect("forwarder state poisoned")
-            .stats;
+        let mut stats = self.shared.lock().stats;
         stats.digests += open.batch.len() as u64;
         stats
     }
@@ -626,17 +598,13 @@ impl DigestForwarder {
     pub fn shutdown(mut self, drain: Duration) -> ForwarderStats {
         self.flush();
         let deadline = Instant::now() + drain;
-        let (lock, cvar) = &*self.shared;
         {
             let draining = |inner: &Inner| {
                 !inner.queue.is_empty() || inner.spill.as_ref().is_some_and(|s| !s.is_empty())
             };
-            let mut inner = lock.lock().expect("forwarder state poisoned");
+            let mut inner = self.shared.lock();
             while draining(&inner) && Instant::now() < deadline {
-                let (guard, _timeout) = cvar
-                    .wait_timeout(inner, Duration::from_millis(10))
-                    .expect("forwarder state poisoned");
-                inner = guard;
+                inner = self.shared.wait(inner, Some(Duration::from_millis(10)));
             }
             while let Some(p) = inner.queue.pop_front() {
                 inner.stats.shed += 1;
@@ -666,13 +634,12 @@ impl DigestForwarder {
     /// blocked on a peer that stopped reading can hold up the join.
     fn stop_worker(&mut self) {
         {
-            let (lock, cvar) = &*self.shared;
-            let mut inner = lock.lock().expect("forwarder state poisoned");
+            let mut inner = self.shared.lock();
             inner.stop = true;
             if let Some(link) = &inner.link {
                 let _ = link.shutdown(Shutdown::Both);
             }
-            cvar.notify_all();
+            self.shared.wake.notify_all();
         }
         if let Some(w) = self.worker.take() {
             let _ = w.join();
@@ -686,39 +653,18 @@ impl Drop for DigestForwarder {
     }
 }
 
-/// The one body behind [`DigestForwarder::push`] and
-/// [`DigestForwarder::digest_sink`]: buffers `report`, sealing the
-/// batch onto the pending queue when it is full.
-fn push_into(
-    open: &Mutex<Open>,
-    shared: &(Mutex<Inner>, Condvar),
-    config: &ForwarderConfig,
-    report: DigestReport,
-) {
-    let mut open = open.lock().expect("forwarder batch poisoned");
-    open.batch.push(report);
-    if open.batch.len() >= config.batch_digests {
-        open.seal(shared, config);
-    }
-}
-
 /// The writer: connects (with backoff), serves each connection until it
 /// drops, and returns once the forwarder stops.
-fn worker_loop(
-    addr: SocketAddr,
-    config: ForwarderConfig,
-    mut faults: Option<FaultInjector>,
-    shared: Arc<(Mutex<Inner>, Condvar)>,
-) {
-    let lock = &shared.0;
+fn worker_loop(addr: SocketAddr, mut faults: Option<FaultInjector>, shared: Arc<Shared>) {
+    let config = &shared.config;
     let mut backoff = config.retry_base;
     let mut jitter_state = config.seed;
     let mut connected_before = false;
     loop {
-        if lock.lock().expect("forwarder state poisoned").stop {
+        if shared.lock().stop {
             return;
         }
-        let Some((mut stream, reader)) = open_link(addr, config, &shared) else {
+        let Some((mut stream, reader)) = open_link(addr, &shared) else {
             // Exponential backoff with deterministic jitter, so a fleet
             // of forwarders does not thunder back in sync.
             jitter_state = jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -729,16 +675,16 @@ fn worker_loop(
         };
         backoff = config.retry_base;
         if connected_before {
-            let mut inner = lock.lock().expect("forwarder state poisoned");
+            let mut inner = shared.lock();
             inner.stats.reconnects += 1;
             inner.publish_obs();
         }
         connected_before = true;
-        write_due(&mut stream, &config, &mut faults, &shared);
+        write_due(&mut stream, &mut faults, &shared);
         // Closing both directions ends the reader's blocked read.
         let _ = stream.shutdown(Shutdown::Both);
         let _ = reader.join();
-        lock.lock().expect("forwarder state poisoned").link = None;
+        shared.lock().link = None;
     }
 }
 
@@ -746,17 +692,13 @@ fn worker_loop(
 /// writer's half of the stream and the reader's handle. `None` — close,
 /// back off, retry — when the connect, a stream clone, or the reader
 /// spawn fails.
-fn open_link(
-    addr: SocketAddr,
-    config: ForwarderConfig,
-    shared: &Arc<(Mutex<Inner>, Condvar)>,
-) -> Option<(TcpStream, JoinHandle<()>)> {
+fn open_link(addr: SocketAddr, shared: &Arc<Shared>) -> Option<(TcpStream, JoinHandle<()>)> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok();
     let read_half = stream.try_clone().ok()?;
     let owner_half = stream.try_clone().ok()?;
     {
-        let mut inner = shared.0.lock().expect("forwarder state poisoned");
+        let mut inner = shared.lock();
         // Everything unacked must be assumed lost with the old
         // connection: the whole queue is due again.
         for p in &mut inner.queue {
@@ -769,11 +711,11 @@ fn open_link(
     let reader_shared = Arc::clone(shared);
     match std::thread::Builder::new()
         .name("pint-digest-acks".into())
-        .spawn(move || read_acks(read_half, config, reader_shared))
+        .spawn(move || read_acks(read_half, reader_shared))
     {
         Ok(reader) => Some((stream, reader)),
         Err(_) => {
-            shared.0.lock().expect("forwarder state poisoned").link = None;
+            shared.lock().link = None;
             None
         }
     }
@@ -783,18 +725,12 @@ fn open_link(
 /// forwarder stops. Sleeps on the condvar in between: a seal, a spill
 /// resume, a dropped link or `stop` wakes it, and so does the earliest
 /// retransmit deadline, as the wait's timeout.
-fn write_due(
-    stream: &mut TcpStream,
-    config: &ForwarderConfig,
-    faults: &mut Option<FaultInjector>,
-    shared: &(Mutex<Inner>, Condvar),
-) {
-    let (lock, cvar) = shared;
+fn write_due(stream: &mut TcpStream, faults: &mut Option<FaultInjector>, shared: &Shared) {
     let mut frames: Vec<Arc<[u8]>> = Vec::new();
     let mut deadline: Option<Instant> = None;
     loop {
         {
-            let mut inner = lock.lock().expect("forwarder state poisoned");
+            let mut inner = shared.lock();
             loop {
                 if inner.stop || inner.link_down {
                     return;
@@ -803,16 +739,9 @@ fn write_due(
                 if inner.due || deadline.is_some_and(|d| now >= d) {
                     break;
                 }
-                inner = match deadline {
-                    Some(d) => {
-                        cvar.wait_timeout(inner, d - now)
-                            .expect("forwarder state poisoned")
-                            .0
-                    }
-                    None => cvar.wait(inner).expect("forwarder state poisoned"),
-                };
+                inner = shared.wait(inner, deadline.map(|d| d - now));
             }
-            deadline = inner.take_due(config, &mut frames);
+            deadline = inner.take_due(&shared.config, &mut frames);
         }
         for frame in frames.drain(..) {
             let sent = match faults {
@@ -829,8 +758,7 @@ fn write_due(
 /// The ack reader: blocks on the socket with no read timeout and
 /// applies each [`BatchAck`] as it arrives. On EOF or an error it marks
 /// the link down and wakes the writer.
-fn read_acks(stream: TcpStream, config: ForwarderConfig, shared: Arc<(Mutex<Inner>, Condvar)>) {
-    let (lock, cvar) = &*shared;
+fn read_acks(stream: TcpStream, shared: Arc<Shared>) {
     let mut reader = FrameReader::new(stream);
     while let Ok(Some((ty, payload))) = reader.read_frame() {
         // Tolerate unrelated frames and undecodable acks.
@@ -840,16 +768,12 @@ fn read_acks(stream: TcpStream, config: ForwarderConfig, shared: Arc<(Mutex<Inne
         let Ok(ack) = BatchAck::decode(&payload) else {
             continue;
         };
-        let wake = lock
-            .lock()
-            .expect("forwarder state poisoned")
-            .apply_ack(&ack, &config);
-        if wake {
-            cvar.notify_all();
+        if shared.lock().apply_ack(&ack, &shared.config) {
+            shared.wake.notify_all();
         }
     }
-    lock.lock().expect("forwarder state poisoned").link_down = true;
-    cvar.notify_all();
+    shared.lock().link_down = true;
+    shared.wake.notify_all();
 }
 
 #[cfg(test)]
@@ -865,18 +789,27 @@ mod tests {
         DigestReport::new(flow, pid, Digest::new(1), 3, pid)
     }
 
-    #[test]
-    fn delivers_exactly_once_over_clean_loopback() {
+    /// A server on `addr` whose sink counts the digests it applies.
+    fn counting_server(addr: impl std::net::ToSocketAddrs) -> (DigestServer, Arc<AtomicU64>) {
         let applied = Arc::new(AtomicU64::new(0));
         let sink_applied = Arc::clone(&applied);
-        let server = DigestServer::bind(
-            "127.0.0.1:0",
-            DigestServerConfig::default(),
-            Box::new(move |_src, reports| {
-                sink_applied.fetch_add(reports.len() as u64, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
+        let sink = Box::new(move |_src, reports: Vec<DigestReport>| {
+            sink_applied.fetch_add(reports.len() as u64, Ordering::Relaxed);
+        });
+        let server = DigestServer::bind(addr, DigestServerConfig::default(), sink).unwrap();
+        (server, applied)
+    }
+
+    /// An address with no listener.
+    fn dead_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+    }
+
+    #[test]
+    fn delivers_exactly_once_over_clean_loopback() {
+        let (server, applied) = counting_server("127.0.0.1:0");
         let fwd = DigestForwarder::connect(
             server.local_addr(),
             ForwarderConfig {
@@ -900,10 +833,7 @@ mod tests {
 
     #[test]
     fn queues_through_an_outage_and_reconnects() {
-        // Reserve an address with no listener yet.
-        let placeholder = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = placeholder.local_addr().unwrap();
-        drop(placeholder);
+        let addr = dead_addr();
 
         let fwd = DigestForwarder::connect(
             addr,
@@ -922,16 +852,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50)); // outage window
 
         // Upstream comes back on the same port.
-        let applied = Arc::new(AtomicU64::new(0));
-        let sink_applied = Arc::clone(&applied);
-        let server = DigestServer::bind(
-            addr,
-            DigestServerConfig::default(),
-            Box::new(move |_src, reports| {
-                sink_applied.fetch_add(reports.len() as u64, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
+        let (server, applied) = counting_server(addr);
         let stats = fwd.shutdown(Duration::from_secs(10));
         assert!(stats.accounted(), "{stats:?}");
         assert_eq!(
@@ -946,9 +867,7 @@ mod tests {
 
     #[test]
     fn sheds_oldest_when_upstream_never_appears() {
-        let placeholder = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = placeholder.local_addr().unwrap();
-        drop(placeholder);
+        let addr = dead_addr();
 
         let fwd = DigestForwarder::connect(
             addr,
@@ -1031,14 +950,14 @@ mod tests {
         // does the writer. Both `shutdown` and `Drop` must still return.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let config = ForwarderConfig {
+        let config = || ForwarderConfig {
             source: 5,
             batch_digests: 256,
             queue_batches: 1024,
             ..ForwarderConfig::default()
         };
         for graceful in [true, false] {
-            let fwd = DigestForwarder::connect(addr, config);
+            let fwd = DigestForwarder::connect(addr, config());
             let (silent, _) = listener.accept().unwrap();
             for pid in 0..128 * 1024 {
                 fwd.push(report(pid % 64, pid));
@@ -1099,16 +1018,7 @@ mod tests {
         drop(conn);
         drop(listener);
 
-        let applied = Arc::new(AtomicU64::new(0));
-        let sink_applied = Arc::clone(&applied);
-        let server = DigestServer::bind(
-            addr,
-            DigestServerConfig::default(),
-            Box::new(move |_src, reports| {
-                sink_applied.fetch_add(reports.len() as u64, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
+        let (server, applied) = counting_server(addr);
         for pid in 40..80 {
             fwd.push(report(2, pid));
         }

@@ -13,9 +13,11 @@
 //! server deduplicates per source ([`SourceDedup`]) and acknowledges
 //! every batch with a [`BatchAck`] so the sending
 //! [`DigestForwarder`](crate::DigestForwarder) can retire it. Fresh
-//! batches are handed to a caller-supplied [`BatchSink`] — typically a
-//! [`CollectorHandle`](pint_collector::CollectorHandle) feeding the
-//! local collector's producer rings.
+//! batches are handed to a caller-supplied [`BatchSink`]
+//! ([`DigestServer::bind`]) or, the usual case, pushed into a local
+//! collector's producer rings ([`DigestServer::bind_collector`]). One
+//! [`DigestServerConfig`] configures either: the guards, plus the
+//! metrics registry and flight recorder as optional fields.
 //!
 //! The sink is paid per *burst*, not per batch. The frames one
 //! connection delivers in one poll tick (at most 64) form a burst;
@@ -41,27 +43,38 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Tuning knobs of a [`DigestServer`].
-#[derive(Debug, Clone, Copy)]
+/// How a [`DigestServer`] runs: guard knobs, plus optional metrics
+/// and tracing. The connection cap is the server core's
+/// [`MAX_CONNECTIONS`].
+#[derive(Debug, Clone)]
 pub struct DigestServerConfig {
     /// Drop a connection stuck mid-frame (or mid-ack-write) with no
     /// progress for this long — the slow-loris guard. Idle connections
     /// at a frame boundary are unaffected.
     pub read_deadline: Duration,
-    /// Connections beyond this are accepted and immediately dropped
-    /// (counted), bounding poll-loop state under a connection flood.
-    pub max_connections: usize,
     /// Distinct edge sources tracked for dedup; batches from sources
     /// beyond this are rejected (never acked), bounding dedup memory.
     pub max_sources: usize,
+    /// Registry the `digest_server` gauge group (refreshed after every
+    /// poll tick that moved) publishes into and `Metrics` request
+    /// frames are answered from; share the collector's registry and one
+    /// fetch reports both tiers. `None` gives the server a private
+    /// registry (read it via [`DigestServer::metrics`]).
+    pub metrics: Option<MetricsRegistry>,
+    /// Flight recorder for pipeline tracing: every applied (or
+    /// deduplicated) batch records a [`TraceStage::ServerApplied`]
+    /// (`ServerDuplicate`) event, and `TraceDump` request frames are
+    /// answered with a snapshot of it. `None` disables tracing.
+    pub trace: Option<FlightRecorder>,
 }
 
 impl Default for DigestServerConfig {
     fn default() -> Self {
         Self {
             read_deadline: READ_DEADLINE,
-            max_connections: MAX_CONNECTIONS,
             max_sources: 4_096,
+            metrics: None,
+            trace: None,
         }
     }
 }
@@ -92,7 +105,7 @@ pub struct DigestServerStats {
     pub stalled_dropped: u64,
     /// Well-formed frames of types this server does not ingest.
     pub unsupported_frames: u64,
-    /// Connections refused over [`DigestServerConfig::max_connections`].
+    /// Connections refused over the core's [`MAX_CONNECTIONS`].
     pub connections_rejected: u64,
     /// Batches refused over [`DigestServerConfig::max_sources`].
     pub sources_rejected: u64,
@@ -168,64 +181,26 @@ const DIGEST_SERVER_OBS_FIELDS: [&str; 12] = [
 impl DigestServer {
     /// Binds and starts the poll thread. Use `"127.0.0.1:0"` to let
     /// the OS pick a port (read it back via
-    /// [`local_addr`](Self::local_addr)).
+    /// [`local_addr`](Self::local_addr)). Batches carrying a trace
+    /// context feed the `ingest_e2e_latency_ns` histogram (receiver
+    /// clock minus origin stamp — honest only when both ends share a
+    /// time base).
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: DigestServerConfig,
         sink: BatchSink,
     ) -> std::io::Result<Self> {
-        Self::bind_observed(addr, config, sink, MetricsRegistry::new())
-    }
-
-    /// [`bind`](Self::bind) publishing self-telemetry into a shared
-    /// registry: the `digest_server` gauge group is refreshed after
-    /// every poll tick that moved, and `Metrics` request frames on any
-    /// connection are answered with a snapshot of `metrics` — share the
-    /// collector's registry and one fetch reports both tiers.
-    pub fn bind_observed(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        sink: BatchSink,
-        metrics: MetricsRegistry,
-    ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, config, sink, metrics, None)
-    }
-
-    /// [`bind_observed`](Self::bind_observed) with pipeline tracing:
-    /// every applied (or deduplicated) batch records a
-    /// [`TraceStage::ServerApplied`] / `ServerDuplicate` event into
-    /// `recorder`, batches carrying a trace context feed the
-    /// `ingest_e2e_latency_ns` histogram (receiver clock minus origin
-    /// stamp — honest only when both ends share a time base), and
-    /// `TraceDump` request frames on any connection are answered with
-    /// a snapshot of `recorder`.
-    pub fn bind_traced(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        sink: BatchSink,
-        metrics: MetricsRegistry,
-        recorder: FlightRecorder,
-    ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, config, sink, metrics, Some(recorder))
-    }
-
-    fn bind_inner(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        sink: BatchSink,
-        metrics: MetricsRegistry,
-        recorder: Option<FlightRecorder>,
-    ) -> std::io::Result<Self> {
-        let handler = Ingest::new(config.max_sources, sink, &metrics, recorder.clone());
+        let metrics = config.metrics.unwrap_or_default();
+        let handler = Ingest::new(config.max_sources, sink, &metrics, config.trace.clone());
         let stats = Arc::clone(&handler.shared);
         let core = FrameServer::bind(
             addr,
             "pint-digest-ingest",
             ServerConfig {
                 read_deadline: config.read_deadline,
-                max_connections: config.max_connections,
+                max_connections: MAX_CONNECTIONS,
                 metrics: metrics.clone(),
-                recorder,
+                recorder: config.trace,
             },
             handler,
         )?;
@@ -234,6 +209,20 @@ impl DigestServer {
             stats,
             metrics,
         })
+    }
+
+    /// [`bind`](Self::bind) with [`DigestServerConfig::metrics`] set to
+    /// `metrics`. Kept only because the benchmark harness (`perfbench/`)
+    /// calls it; it goes when that harness next changes. New code sets
+    /// the config field.
+    pub fn bind_observed(
+        addr: impl ToSocketAddrs,
+        mut config: DigestServerConfig,
+        sink: BatchSink,
+        metrics: MetricsRegistry,
+    ) -> std::io::Result<Self> {
+        config.metrics = Some(metrics);
+        Self::bind(addr, config, sink)
     }
 
     /// The registry this server publishes its `digest_server_*` gauge
@@ -248,7 +237,8 @@ impl DigestServer {
     /// and flushed before the run's acks are written, so queries
     /// observe an acked batch immediately. Undeliverable
     /// digests (collector shut down mid-batch) are counted by the
-    /// collector's dropped-digest counter, never lost silently.
+    /// collector's dropped-digest counter, never lost silently. Metrics
+    /// and tracing come from `config`, as for [`bind`](Self::bind).
     pub fn bind_collector(
         addr: impl ToSocketAddrs,
         config: DigestServerConfig,
@@ -543,14 +533,14 @@ mod tests {
     #[test]
     fn sources_beyond_max_sources_are_rejected_unacked() {
         let metrics = MetricsRegistry::new();
-        let server = DigestServer::bind_observed(
+        let server = DigestServer::bind(
             "127.0.0.1:0",
             DigestServerConfig {
                 max_sources: 2,
+                metrics: Some(metrics.clone()),
                 ..DigestServerConfig::default()
             },
             Box::new(|_src, _reports| {}),
-            metrics.clone(),
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -680,16 +670,18 @@ mod tests {
         let calls = Calls::default();
         let returned = Arc::new(Mutex::new(None));
         let (sink_calls, sink_returned) = (Arc::clone(&calls), Arc::clone(&returned));
-        let server = DigestServer::bind_observed(
+        let server = DigestServer::bind(
             "127.0.0.1:0",
-            DigestServerConfig::default(),
+            DigestServerConfig {
+                metrics: Some(metrics.clone()),
+                ..DigestServerConfig::default()
+            },
             Box::new(move |source, reports| {
                 sink_calls.lock().unwrap().push((source, reports));
                 // A slow apply: acks must still wait for it.
                 std::thread::sleep(Duration::from_millis(100));
                 *sink_returned.lock().unwrap() = Some(std::time::Instant::now());
             }),
-            metrics.clone(),
         )
         .unwrap();
         let batches: Vec<DigestBatch> = (1..=5).map(|seq| batch_of(7, seq, 10)).collect();

@@ -53,7 +53,9 @@
 //!   acknowledges every batch (`BatchAck`), and feeds a local
 //!   collector's producer rings. Delivery is at-least-once
 //!   with exact accounting: after shutdown,
-//!   `delivered + deduped + shed == sent` holds per forwarder.
+//!   `delivered + deduped + shed == sent` holds per forwarder. Each
+//!   side takes one config ([`ForwarderConfig`], [`DigestServerConfig`])
+//!   whose optional fields combine freely.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,6 +51,16 @@ pub struct SpillQueue {
     max_seq: u64,
 }
 
+impl std::fmt::Debug for SpillQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpillQueue")
+            .field("len", &self.entries.len())
+            .field("digests", &self.digests)
+            .field("max_seq", &self.max_seq)
+            .finish_non_exhaustive()
+    }
+}
+
 impl SpillQueue {
     /// Opens (or creates) a spill file for forwarder `source`. An
     /// existing file has survived a crash: every intact delta record

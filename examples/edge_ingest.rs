@@ -22,7 +22,7 @@ use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::query::{QueryResult, TelemetryQuery};
-use pint::wire::{FaultConfig, FaultInjector};
+use pint::wire::FaultConfig;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ fn main() {
             read_deadline: Duration::from_millis(300),
             ..DigestServerConfig::default()
         },
-        collector.handle(),
+        collector.register_producer(),
     )
     .expect("bind digest server");
     let addr = server.local_addr();
@@ -80,7 +80,7 @@ fn main() {
         .map(|edge| {
             let agg = agg.clone();
             std::thread::spawn(move || {
-                let fwd = DigestForwarder::connect_faulty(
+                let fwd = DigestForwarder::connect(
                     addr,
                     ForwarderConfig {
                         source: edge + 1,
@@ -90,8 +90,9 @@ fn main() {
                         retry_max: Duration::from_millis(100),
                         rto: Duration::from_millis(50),
                         seed: 0xED6E ^ edge,
+                        faults: Some(FaultConfig::hostile(0x5EED ^ edge)),
+                        ..ForwarderConfig::default()
                     },
-                    FaultInjector::new(FaultConfig::hostile(0x5EED ^ edge)),
                 );
                 for f in 0..FLOWS_PER_EDGE {
                     let flow = edge * FLOWS_PER_EDGE + f;

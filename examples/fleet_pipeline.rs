@@ -78,7 +78,7 @@ fn main() {
                 )) as Box<dyn FlowRecorder>
             }),
         );
-        let mut handle = collector.handle();
+        let mut handle = collector.register_producer();
         let mut pushed = 0u64;
         for r in reports.iter().filter(|r| r.pid % PODS == pod) {
             handle.push(r.clone()).expect("pod collector alive");

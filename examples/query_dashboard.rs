@@ -46,7 +46,7 @@ fn main() {
         }
     });
     let collector = Collector::spawn(CollectorConfig::with_shards(4), factory);
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
 
     // ---- Ingest: a long-tailed flow population + path flows --------
     let mut pushed = 0u64;

@@ -54,30 +54,28 @@ fn main() {
     );
 
     // ---- DigestServer publishing into the same registry -----------
-    let mut sink_handle = collector.handle();
-    let server = DigestServer::bind_observed(
+    let server = DigestServer::bind_collector(
         "127.0.0.1:0",
-        DigestServerConfig::default(),
-        Box::new(move |_source, reports| {
-            let _ = sink_handle.push_batch(reports);
-            let _ = sink_handle.flush();
-        }),
-        registry.clone(),
+        DigestServerConfig {
+            metrics: Some(registry.clone()),
+            ..DigestServerConfig::default()
+        },
+        collector.register_producer(),
     )
     .expect("bind digest server");
     let addr = server.local_addr();
     println!("digest server listening on {addr}");
 
     // ---- Edge forwarder, same registry again ----------------------
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect(
         addr,
         ForwarderConfig {
             source: SOURCE,
             batch_digests: 32,
             queue_batches: 512, // hold the whole burst; nothing sheds
+            metrics: Some(registry.clone()),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
     );
     println!("shipping {pushed} digests from source {SOURCE}…");
     for flow in 0..FLOWS {

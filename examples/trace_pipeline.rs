@@ -67,32 +67,30 @@ fn main() {
     );
 
     // ---- Traced DigestServer sinking into the collector ------------
-    let mut sink_handle = collector.handle();
-    let server = DigestServer::bind_traced(
+    let server = DigestServer::bind_collector(
         "127.0.0.1:0",
-        DigestServerConfig::default(),
-        Box::new(move |_source, reports| {
-            let _ = sink_handle.push_batch(reports);
-            let _ = sink_handle.flush();
-        }),
-        registry.clone(),
-        recorder.clone(),
+        DigestServerConfig {
+            metrics: Some(registry.clone()),
+            trace: Some(recorder.clone()),
+            ..DigestServerConfig::default()
+        },
+        collector.register_producer(),
     )
     .expect("bind digest server");
     let addr = server.local_addr();
     println!("traced digest server on {addr}");
 
     // ---- Traced edge forwarder -------------------------------------
-    let fwd = DigestForwarder::connect_traced(
+    let fwd = DigestForwarder::connect(
         addr,
         ForwarderConfig {
             source: SOURCE,
             batch_digests: BATCH,
             queue_batches: 512,
+            metrics: Some(registry.clone()),
+            trace: Some(recorder.clone()),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
-        recorder.clone(),
     );
     println!("shipping {pushed} digests from source {SOURCE}…");
     for flow in 0..FLOWS {

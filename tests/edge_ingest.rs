@@ -22,7 +22,7 @@ use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder, RecorderKind};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::query::TelemetryQuery;
-use pint::wire::{FaultConfig, FaultInjector, WireEncode};
+use pint::wire::{FaultConfig, WireEncode};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +83,7 @@ fn remote_ingest_is_equivalent_to_local() {
     let server = DigestServer::bind_collector(
         "127.0.0.1:0",
         DigestServerConfig::default(),
-        remote.handle(),
+        remote.register_producer(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -91,7 +91,7 @@ fn remote_ingest_is_equivalent_to_local() {
     // N concurrent forwarders, disjoint flows each; the same reports go
     // into the local collector on this thread (flows are disjoint, so
     // per-flow order — all that recorder state depends on — matches).
-    let mut local_handle = local.handle();
+    let mut local_handle = local.register_producer();
     let shippers: Vec<_> = (0..FORWARDERS)
         .map(|i| {
             let agg = agg.clone();
@@ -209,7 +209,7 @@ fn hostile_faults_never_break_exact_accounting() {
     let shippers: Vec<_> = (0..FORWARDERS)
         .map(|i| {
             std::thread::spawn(move || {
-                let fwd = DigestForwarder::connect_faulty(
+                let fwd = DigestForwarder::connect(
                     addr,
                     ForwarderConfig {
                         source: 100 + i,
@@ -219,8 +219,9 @@ fn hostile_faults_never_break_exact_accounting() {
                         retry_max: Duration::from_millis(100),
                         rto: Duration::from_millis(50),
                         seed: 0xF00D + i,
+                        faults: Some(FaultConfig::hostile(0xBAD5EED ^ i)),
+                        ..ForwarderConfig::default()
                     },
-                    FaultInjector::new(FaultConfig::hostile(0xBAD5EED ^ i)),
                 );
                 for pid in 0..DIGESTS_EACH {
                     fwd.push(DigestReport::new(i, pid, Digest::new(1), 3, pid));

@@ -60,7 +60,7 @@ fn build_reports(agg: &DynamicAggregator) -> Vec<DigestReport> {
 
 fn collect(reports: impl Iterator<Item = DigestReport>, agg: &DynamicAggregator) -> Collector {
     let collector = Collector::spawn(CollectorConfig::with_shards(2), factory(agg));
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     for r in reports {
         handle.push(r).unwrap();
     }
@@ -253,7 +253,7 @@ fn stale_epochs_are_ignored() {
     assert_eq!(fleet.view().total_packets(), packets_before);
 
     // A newer epoch replaces the old state instead of double counting.
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     handle.push(reports[0].clone()).unwrap();
     handle.flush().unwrap();
     let epoch2 = collector.export_snapshot_frame(9, 2).unwrap();

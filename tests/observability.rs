@@ -18,12 +18,16 @@ use pint::netsim::telemetry::FixedOverhead;
 use pint::netsim::topology::Topology;
 use pint::netsim::transport::reno::Reno;
 use pint::netsim::workload::{FlowSizeCdf, WorkloadConfig};
-use pint::obs::{Clock, MetricsRegistry, MetricsSnapshot, VirtualClock};
+use pint::obs::{
+    Clock, FlightRecorder, MetricsRegistry, MetricsSnapshot, TraceStage, VirtualClock,
+};
 use pint::query::remote::QueryClient;
+use pint::store::SpillQueue;
 use pint::wire::{parse_frame, FrameType, MetricsMsg, MetricsReport, WireDecode, WireEncode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -216,7 +220,7 @@ fn remote_metrics_fetch_equals_local_registry() {
         },
         latency_factory(&agg),
     );
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
     for flow in 0..256u64 {
         for pid in 0..16u64 {
             let mut d = Digest::new(1);
@@ -303,7 +307,7 @@ fn forwarder_invariant_holds_in_every_snapshot() {
     drop(placeholder);
 
     let registry = MetricsRegistry::new();
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect(
         addr,
         ForwarderConfig {
             source: SOURCE,
@@ -311,9 +315,9 @@ fn forwarder_invariant_holds_in_every_snapshot() {
             queue_batches: 8,
             retry_base: Duration::from_millis(5),
             retry_max: Duration::from_millis(20),
+            metrics: Some(registry.clone()),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
     );
 
     let sampler_registry = registry.clone();
@@ -362,22 +366,24 @@ fn forwarder_invariant_holds_in_every_snapshot() {
 #[test]
 fn digest_server_publishes_consistent_counters_and_serves_metrics() {
     let registry = MetricsRegistry::new();
-    let server = DigestServer::bind_observed(
+    let server = DigestServer::bind(
         "127.0.0.1:0",
-        DigestServerConfig::default(),
+        DigestServerConfig {
+            metrics: Some(registry.clone()),
+            ..DigestServerConfig::default()
+        },
         Box::new(|_src, _reports| {}),
-        registry.clone(),
     )
     .unwrap();
 
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect(
         server.local_addr(),
         ForwarderConfig {
             source: 4,
             batch_digests: 8,
+            metrics: Some(registry.clone()),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
     );
     for pid in 0..400u64 {
         fwd.push(DigestReport::new(pid % 5, pid, Digest::new(1), 3, pid));
@@ -497,7 +503,7 @@ fn simulated_trace_bytes(seed: u64) -> Vec<u8> {
     let clock = VirtualClock::default();
     // 8 rings × 4096 slots: the run overflows them (overwrite-oldest,
     // counted in `dropped`) and the retained window still reproduces.
-    let recorder = pint::obs::FlightRecorder::with_clock(8, 4_096, Arc::new(clock.clone()));
+    let recorder = FlightRecorder::with_clock(8, 4_096, Arc::new(clock.clone()));
     let mut sim = Simulator::new(
         Topology::overhead_study(),
         SimConfig {
@@ -540,6 +546,32 @@ fn same_seed_simulations_yield_byte_identical_trace_dumps() {
     assert_ne!(a, c, "different seeds should not collide exactly");
 }
 
+/// A two-shard collector behind a `bind_collector` server on `addr`,
+/// both publishing into `registry` and tracing into `recorder`.
+fn traced_ingest(
+    addr: impl std::net::ToSocketAddrs,
+    registry: &MetricsRegistry,
+    recorder: &FlightRecorder,
+    agg: &DynamicAggregator,
+) -> (Collector, DigestServer) {
+    let collector = Collector::spawn(
+        CollectorConfig {
+            shards: 2,
+            metrics: Some(registry.clone()),
+            trace: Some(recorder.clone()),
+            ..CollectorConfig::default()
+        },
+        latency_factory(agg),
+    );
+    let config = DigestServerConfig {
+        metrics: Some(registry.clone()),
+        trace: Some(recorder.clone()),
+        ..DigestServerConfig::default()
+    };
+    let server = DigestServer::bind_collector(addr, config, collector.register_producer());
+    (collector, server.unwrap())
+}
+
 /// The remote trace exposition adds nothing and loses nothing: a
 /// `TraceDump` fetched over loopback TCP from a traced `DigestServer`
 /// equals the shared recorder's local drain, event for event.
@@ -548,39 +580,19 @@ fn remote_trace_fetch_equals_local_drain() {
     let clock = VirtualClock::default();
     clock.set(5_000);
     let registry = MetricsRegistry::with_clock(Arc::new(clock.clone()));
-    let recorder = pint::obs::FlightRecorder::with_clock(4, 1024, Arc::new(clock.clone()));
+    let recorder = FlightRecorder::with_clock(4, 1024, Arc::new(clock.clone()));
     let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
-    let collector = Collector::spawn(
-        CollectorConfig {
-            shards: 2,
-            metrics: Some(registry.clone()),
-            trace: Some(recorder.clone()),
-            ..CollectorConfig::default()
-        },
-        latency_factory(&agg),
-    );
-    let mut sink = collector.handle();
-    let server = DigestServer::bind_traced(
-        "127.0.0.1:0",
-        DigestServerConfig::default(),
-        Box::new(move |_source, reports| {
-            let _ = sink.push_batch(reports);
-            let _ = sink.flush();
-        }),
-        registry.clone(),
-        recorder.clone(),
-    )
-    .unwrap();
+    let (collector, server) = traced_ingest("127.0.0.1:0", &registry, &recorder, &agg);
 
-    let fwd = DigestForwarder::connect_traced(
+    let fwd = DigestForwarder::connect(
         server.local_addr(),
         ForwarderConfig {
             source: 3,
             batch_digests: 16,
+            metrics: Some(registry.clone()),
+            trace: Some(recorder.clone()),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
-        recorder.clone(),
     );
     for pid in 0..160u64 {
         let mut d = Digest::new(1);
@@ -609,4 +621,80 @@ fn remote_trace_fetch_equals_local_drain() {
     drop(client);
     server.shutdown();
     collector.shutdown();
+}
+
+/// The whole edge pipe configured at once: one forwarder with metrics,
+/// tracing and a spill ships through an outage into a traced
+/// `bind_collector` server, every tier on one registry and one
+/// recorder. Every spilled batch resumes, the books close, each sealed
+/// batch has its full trace chain, and both tiers' gauge groups are in
+/// the one registry.
+#[test]
+fn spilling_traced_forwarder_feeds_a_traced_collector_server() {
+    const SOURCE: u64 = 3; // trace lane 3; the two collector shards use 0 and 1
+    let spill_path = std::env::temp_dir().join(format!("pint-obs-spill-{}", std::process::id()));
+    let _ = std::fs::remove_file(&spill_path);
+    let registry = MetricsRegistry::new();
+    let recorder = FlightRecorder::with_clock(4, 4096, registry.clock());
+    // An address with no listener yet: the forwarder starts in an outage.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap();
+    let fwd = DigestForwarder::connect(
+        addr,
+        ForwarderConfig {
+            source: SOURCE,
+            batch_digests: 4,
+            queue_batches: 4,
+            retry_base: Duration::from_millis(5),
+            retry_max: Duration::from_millis(20),
+            metrics: Some(registry.clone()),
+            trace: Some(recorder.clone()),
+            spill: Some(SpillQueue::open(&spill_path, SOURCE).unwrap()),
+            ..ForwarderConfig::default()
+        },
+    );
+    for pid in 0..160u64 {
+        fwd.push(DigestReport::new(pid % 8, pid, Digest::new(1), 1, pid));
+    }
+    let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
+    let (collector, server) = traced_ingest(addr, &registry, &recorder, &agg);
+    let stats = fwd.shutdown(Duration::from_secs(30));
+    assert!(stats.accounted() && stats.spilled > 0, "{stats:?}");
+    assert_eq!(stats.resumed, stats.spilled, "{stats:?}");
+    assert_eq!((stats.shed, stats.digests_delivered), (0, 160), "{stats:?}");
+    collector.barrier().unwrap();
+
+    // Sealed, then applied once, then a collector shard applied a batch
+    // no earlier (shard events carry no forwarder key).
+    let dump = recorder.snapshot();
+    let ticks = |stage| -> BTreeMap<(u64, u64), u64> {
+        let events = dump.stage(stage);
+        events.map(|ev| ((ev.source, ev.seq), ev.tick_ns)).collect()
+    };
+    let (sealed, applied) = (
+        ticks(TraceStage::ForwarderSealed),
+        ticks(TraceStage::ServerApplied),
+    );
+    let collected = dump.stage(TraceStage::CollectorBatch).map(|ev| ev.tick_ns);
+    let last_collected = collected.max().expect("no collector batch events");
+    assert_eq!(
+        (sealed.len() as u64, applied.len()),
+        (stats.sent, sealed.len())
+    );
+    for (key, &seal_tick) in &sealed {
+        let apply_tick = applied[key];
+        assert!(seal_tick <= apply_tick && apply_tick <= last_collected);
+    }
+
+    let sent = registry
+        .snapshot()
+        .gauge("forwarder_sent", Some(SOURCE as u32));
+    assert_eq!(sent, Some(stats.sent));
+    wait_until("server gauges caught up", || {
+        registry.snapshot().gauge("digest_server_digests", None) == Some(160)
+    });
+    server.shutdown();
+    collector.shutdown();
+    std::fs::remove_file(&spill_path).unwrap();
 }

@@ -700,8 +700,7 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
 
     // Run 1: tiny queue, every push seals a batch; overflow spills to
     // disk instead of shedding.
-    let spill = SpillQueue::open(&spill_path, 9).unwrap();
-    let fwd = DigestForwarder::connect_spilling(
+    let fwd = DigestForwarder::connect(
         addr,
         ForwarderConfig {
             source: 9,
@@ -709,10 +708,9 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
             queue_batches: 2,
             retry_base: Duration::from_millis(5),
             retry_max: Duration::from_millis(20),
+            spill: Some(SpillQueue::open(&spill_path, 9).unwrap()),
             ..ForwarderConfig::default()
         },
-        MetricsRegistry::new(),
-        spill,
     );
     for pid in 0..20 {
         fwd.push(report(pid));
@@ -748,17 +746,15 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
         }),
     )
     .unwrap();
-    let spill = SpillQueue::open(&spill_path, 9).unwrap();
-    let fwd = DigestForwarder::connect_spilling(
+    let fwd = DigestForwarder::connect(
         server.local_addr(),
         ForwarderConfig {
             source: 9,
             batch_digests: 4,
             queue_batches: 8,
+            spill: Some(SpillQueue::open(&spill_path, 9).unwrap()),
             ..ForwarderConfig::default()
         },
-        MetricsRegistry::new(),
-        spill,
     );
     for pid in 100..110 {
         fwd.push(report(pid));

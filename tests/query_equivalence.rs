@@ -73,7 +73,7 @@ fn build_ctx() -> Ctx {
         }
     });
     let collector = Collector::spawn(CollectorConfig::with_shards(4), factory);
-    let mut handle = collector.handle();
+    let mut handle = collector.register_producer();
 
     // Latency flows: flow f absorbs (f % 9) * 10 + 5 digests, with
     // distinct timestamps so delta plans discriminate, and some exact
