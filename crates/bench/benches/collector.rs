@@ -21,14 +21,13 @@
 //! instrumentation budget.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pint_collector::{Collector, CollectorConfig, PrefilterConfig};
-use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint_collector::{sketched_latency_factory, Collector, CollectorConfig, PrefilterConfig};
+use pint_core::dynamic::DynamicAggregator;
 use pint_core::value::Digest;
-use pint_core::{DigestReport, FlowRecorder};
+use pint_core::DigestReport;
 use pint_obs::{FlightRecorder, MetricsRegistry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 const FLOWS: u64 = 5_000;
 const DIGESTS_PER_FLOW: u64 = 40;
@@ -82,7 +81,6 @@ fn run_cell(
 ) {
     let filtered = prefilter.is_some();
     let parts = partition(reports, producers);
-    let rec_agg = agg.clone();
     let collector = Collector::spawn(
         CollectorConfig {
             shards,
@@ -94,13 +92,7 @@ fn run_cell(
             trace,
             ..CollectorConfig::default()
         },
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                rec_agg.clone(),
-                usize::from(report.path_len).max(1),
-                64,
-            )) as Box<dyn FlowRecorder>
-        }),
+        sketched_latency_factory(agg.clone(), 64),
     );
     // Register once per cell: iterations measure ingest, not
     // producer registration/teardown.
@@ -290,7 +282,6 @@ fn bench_sweep(c: &mut Criterion) {
                  ring_capacity: usize,
                  batch_size: usize,
                  spin_limit: u32| {
-        let rec_agg = agg.clone();
         let collector = Collector::spawn(
             CollectorConfig {
                 shards: 2,
@@ -300,13 +291,7 @@ fn bench_sweep(c: &mut Criterion) {
                 max_flows_per_shard: 2_048,
                 ..CollectorConfig::default()
             },
-            Arc::new(move |_flow, report: &DigestReport| {
-                Box::new(DynamicRecorder::new_sketched(
-                    rec_agg.clone(),
-                    usize::from(report.path_len).max(1),
-                    64,
-                )) as Box<dyn FlowRecorder>
-            }),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handles: Vec<_> = parts
             .iter()

@@ -11,27 +11,15 @@
 //! digests per second.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pint_collector::{Collector, CollectorConfig, RecorderFactory};
-use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint_core::{Digest, DigestReport, FlowRecorder};
+use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint_core::dynamic::DynamicAggregator;
+use pint_core::{Digest, DigestReport};
 use pint_fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FLOWS: u64 = 64;
 const DIGESTS_PER_ITER: u64 = 2_048;
 const HOPS: usize = 4;
-
-fn factory(agg: &DynamicAggregator) -> RecorderFactory {
-    let agg = agg.clone();
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            96,
-        )) as Box<dyn FlowRecorder>
-    })
-}
 
 fn workload(agg: &DynamicAggregator) -> Vec<DigestReport> {
     (0..DIGESTS_PER_ITER)
@@ -55,7 +43,10 @@ fn bench_ingest(c: &mut Criterion) {
 
     // In-process: the collector handle's push/flush hot path.
     {
-        let collector = Collector::spawn(CollectorConfig::with_shards(4), factory(&agg));
+        let collector = Collector::spawn(
+            CollectorConfig::with_shards(4),
+            sketched_latency_factory(agg.clone(), 96),
+        );
         let mut handle = collector.register_producer();
         g.bench_function("in_process", |b| {
             b.iter(|| {
@@ -73,7 +64,10 @@ fn bench_ingest(c: &mut Criterion) {
     // server has *applied* what it pushed, so the measured rate is
     // end-to-end, not queue-filling.
     {
-        let collector = Collector::spawn(CollectorConfig::with_shards(4), factory(&agg));
+        let collector = Collector::spawn(
+            CollectorConfig::with_shards(4),
+            sketched_latency_factory(agg.clone(), 96),
+        );
         let server = DigestServer::bind_collector(
             "127.0.0.1:0",
             DigestServerConfig::default(),

@@ -9,11 +9,10 @@
 //! the ≥10× byte saving targeted queries exist for.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pint_collector::{Collector, CollectorConfig, RecorderFactory};
-use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint_core::{Digest, DigestReport, FlowRecorder};
+use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint_core::dynamic::DynamicAggregator;
+use pint_core::{Digest, DigestReport};
 use pint_query::{QueryRequest, QueryResponse, TelemetryQuery};
-use std::sync::Arc;
 
 const FLOWS: u64 = 10_000;
 const DIGESTS_PER_FLOW: u64 = 12;
@@ -22,21 +21,13 @@ const SET: usize = 64;
 
 fn build_collector() -> (Collector, DynamicAggregator, u64) {
     let agg = DynamicAggregator::new(11, 8, 100.0, 1.0e7);
-    let factory_agg = agg.clone();
-    let factory: RecorderFactory = Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            factory_agg.clone(),
-            usize::from(report.path_len).max(1),
-            64,
-        )) as Box<dyn FlowRecorder>
-    });
     let collector = Collector::spawn(
         CollectorConfig {
             shards: 8,
             batch_size: 256,
             ..CollectorConfig::default()
         },
-        factory,
+        sketched_latency_factory(agg.clone(), 64),
     );
     let mut handle = collector.register_producer();
     let mut ts = 0u64;

@@ -20,15 +20,14 @@
 //! cargo bench -p pint-bench --bench store`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pint_collector::{Collector, CollectorConfig, RecorderFactory};
-use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint_core::{Digest, DigestReport, FlowRecorder};
+use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint_core::dynamic::DynamicAggregator;
+use pint_core::{Digest, DigestReport};
 use pint_obs::MetricsRegistry;
 use pint_store::{Journal, JournalConfig, Replayer, StoreOptions, StoreReader, StoreWriter};
 use pint_wire::store::{StoreKind, StoreRecord, Superblock};
 use pint_wire::DigestBatch;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const FLOWS: u64 = 64;
 const DIGESTS_PER_ITER: u64 = 2_048;
@@ -40,17 +39,6 @@ fn temp(tag: &str) -> PathBuf {
     p.push(format!("pint-bench-store-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_file(&p);
     p
-}
-
-fn factory(agg: &DynamicAggregator) -> RecorderFactory {
-    let agg = agg.clone();
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            96,
-        )) as Box<dyn FlowRecorder>
-    })
 }
 
 fn workload(agg: &DynamicAggregator) -> Vec<DigestReport> {
@@ -189,7 +177,7 @@ fn run_ingest(
     let registry = MetricsRegistry::new();
     let mut config = CollectorConfig::with_shards(SHARDS);
     config.metrics = Some(registry.clone());
-    let collector = Collector::spawn(config, factory(agg));
+    let collector = Collector::spawn(config, sketched_latency_factory(agg.clone(), 96));
     if let Some(path) = journal_path {
         let writer = StoreWriter::create(
             path,

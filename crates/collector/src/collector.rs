@@ -9,13 +9,14 @@ use crate::inference::{CollectorSnapshot, FlowSummary, ShardSnapshot};
 use crate::prefilter::Bloom;
 use crate::ring::{self, RingTuning, Waiter};
 use crate::shard::{ShardLoad, ShardMsg, ShardQuery, ShardSelect, ShardStats, ShardWorker};
+use crate::wire::SplicedSnapshot;
 use pint_obs::{ClockHandle, Counter, Gauge, Histogram, MetricsRegistry};
 use pint_query::{
-    QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals, Watermark,
+    Projection, QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals, Watermark,
 };
 use pint_store::{Journal, Replayer, StoreReader};
 use pint_wire::store::{CoveredSource, StoreRecord};
-use pint_wire::{WireError, WireReader, WireWriter};
+use pint_wire::{frame_into, FrameType, WireError, WireReader, WireWriter};
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -462,7 +463,7 @@ impl Collector {
     /// For targeted reads (a flow set, top-K, delta polls), prefer
     /// [`query`](Self::query): it serializes only the selected flows.
     pub fn snapshot(&self) -> Result<CollectorSnapshot, CollectorError> {
-        self.gather(&Selector::All, None)
+        self.gather(&Selector::All, None, true)
             .map(CollectorSnapshot::from_shards)
     }
 
@@ -480,23 +481,15 @@ impl Collector {
     /// the answer covers everything flushed before the call.
     ///
     /// ```
-    /// use pint_collector::{Collector, CollectorConfig};
-    /// use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
-    /// use pint_core::{Digest, DigestReport, FlowRecorder};
+    /// use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
+    /// use pint_core::dynamic::DynamicAggregator;
+    /// use pint_core::{Digest, DigestReport};
     /// use pint_query::{QueryResult, TelemetryQuery};
-    /// use std::sync::Arc;
     ///
     /// let agg = DynamicAggregator::new(1, 8, 100.0, 1.0e7);
-    /// let factory_agg = agg.clone();
     /// let collector = Collector::spawn(
     ///     CollectorConfig::with_shards(2),
-    ///     Arc::new(move |_flow, report: &DigestReport| {
-    ///         Box::new(DynamicRecorder::new_sketched(
-    ///             factory_agg.clone(),
-    ///             usize::from(report.path_len).max(1),
-    ///             64,
-    ///         )) as Box<dyn FlowRecorder>
-    ///     }),
+    ///     sketched_latency_factory(agg.clone(), 64),
     /// );
     /// let mut handle = collector.register_producer();
     /// // Flow f records f + 1 packets, so flows 8 and 9 are heaviest.
@@ -538,7 +531,13 @@ impl Collector {
     /// ```
     pub fn query(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
         plan.validate()?;
-        let shards = self.gather(&plan.selector, plan.options.updated_since)?;
+        // Only these projections read hop sketches; for the others the
+        // shards skip copying them.
+        let sketches = matches!(
+            plan.projection,
+            Projection::Summaries | Projection::HopQuantiles { .. }
+        );
+        let shards = self.gather(&plan.selector, plan.options.updated_since, sketches)?;
         // Table totals are whole-collector counters; only a full-table
         // selector consults every shard, so only it reports them.
         let table = matches!(plan.selector, Selector::All).then(|| {
@@ -566,13 +565,19 @@ impl Collector {
     /// selectors fan out, already narrowed shard-side (per-shard
     /// top-K, path predicate, delta cutoff). This is the routing layer
     /// under both [`query`](Self::query) and the legacy snapshot
-    /// methods.
+    /// methods. `sketches` says whether the rows need their hop
+    /// sketches.
     fn gather(
         &self,
         selector: &Selector,
         since: Option<u64>,
+        sketches: bool,
     ) -> Result<Vec<ShardSnapshot>, CollectorError> {
-        let select_all = |select: ShardSelect| ShardQuery { select, since };
+        let select_all = |select: ShardSelect| ShardQuery {
+            select,
+            since,
+            sketches,
+        };
         match selector {
             Selector::All => self.fanout(|r| ShardMsg::Query(select_all(ShardSelect::All), r)),
             Selector::TopK(k) => {
@@ -608,6 +613,7 @@ impl Collector {
                             ShardQuery {
                                 select: ShardSelect::Flows(wanted),
                                 since,
+                                sketches,
                             },
                             reply_tx,
                         ))
@@ -632,24 +638,37 @@ impl Collector {
         Ok(out)
     }
 
-    /// Takes a full [`snapshot`](Self::snapshot) and encodes it as a
-    /// ready-to-send wire frame (header included) keyed by this
-    /// collector's identity and an `epoch` sequence number — the unit a
-    /// fleet aggregator (`pint-fleet`) ingests. Epochs must increase
-    /// monotonically per collector; the aggregator discards frames whose
-    /// epoch is older than what it already holds for `collector_id`.
+    /// Encodes a full snapshot as a ready-to-send wire frame (header
+    /// included) keyed by this collector's identity and an `epoch`
+    /// sequence number — the unit a fleet aggregator (`pint-fleet`)
+    /// ingests. Epochs must increase monotonically per collector; the
+    /// aggregator discards frames whose epoch is older than what it
+    /// already holds for `collector_id`.
+    ///
+    /// The encoding happens in the shards, at the same sync point as a
+    /// [`snapshot`](Self::snapshot): each shard writes its flows' rows
+    /// straight from the recorders, lending their sketches instead of
+    /// cloning them, and this thread only splices the rows in flow-ID
+    /// order. The bytes are identical to
+    /// `SnapshotFrame { collector_id, epoch, snapshot: self.snapshot()? }.to_frame_bytes()`
+    /// on the same state.
     pub fn export_snapshot_frame(
         &self,
         collector_id: u64,
         epoch: u64,
     ) -> Result<Vec<u8>, CollectorError> {
-        let snapshot = self.snapshot()?;
-        Ok(crate::wire::SnapshotFrame {
-            collector_id,
-            epoch,
-            snapshot,
-        }
-        .to_frame_bytes())
+        let shards = self.fanout(ShardMsg::Export)?;
+        let mut out = Vec::new();
+        frame_into(
+            FrameType::Snapshot,
+            &SplicedSnapshot {
+                collector_id,
+                epoch,
+                shards: &shards,
+            },
+            &mut out,
+        );
+        Ok(out)
     }
 
     /// Blocks until every batch shipped to the shard rings before this

@@ -2,6 +2,7 @@
 
 use crate::events::EventRule;
 use crate::prefilter::PrefilterConfig;
+use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint_core::{DigestReport, FlowRecorder};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,6 +25,20 @@ pub use pint_query::FlowId;
 /// configuration. It runs on shard worker threads, hence `Send + Sync`.
 pub type RecorderFactory =
     Arc<dyn Fn(FlowId, &DigestReport) -> Box<dyn FlowRecorder> + Send + Sync>;
+
+/// The factory for sketched latency flows: every flow gets a
+/// [`DynamicRecorder::new_sketched`] over `agg`, sized to its first
+/// report's path length (at least one hop), with `bytes_per_hop` bytes
+/// per hop sketch.
+pub fn sketched_latency_factory(agg: DynamicAggregator, bytes_per_hop: usize) -> RecorderFactory {
+    Arc::new(move |_flow, report: &DigestReport| {
+        Box::new(DynamicRecorder::new_sketched(
+            agg.clone(),
+            usize::from(report.path_len).max(1),
+            bytes_per_hop,
+        )) as Box<dyn FlowRecorder>
+    })
+}
 
 /// Upper bound on one park of a blocked ring endpoint (a producer on a
 /// full ring, a shard worker with nothing to do). The adaptive

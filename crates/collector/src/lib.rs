@@ -87,7 +87,7 @@ pub mod sink;
 pub mod wire;
 
 pub use collector::{Collector, CollectorStats, RestoreReport};
-pub use config::{CollectorConfig, FlowId, RecorderFactory};
+pub use config::{sketched_latency_factory, CollectorConfig, FlowId, RecorderFactory};
 pub use error::CollectorError;
 pub use events::{Event, EventKind, EventRule, RuleCondition};
 pub use handle::CollectorHandle;
@@ -106,21 +106,11 @@ pub use pint_query::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
+    use pint_core::dynamic::DynamicAggregator;
     use pint_core::statictrace::{PathTracer, TracerConfig};
     use pint_core::value::Digest;
     use pint_core::{DigestReport, FlowRecorder};
     use std::sync::Arc;
-
-    fn latency_factory(agg: DynamicAggregator, sketch_bytes: usize) -> RecorderFactory {
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                agg.clone(),
-                usize::from(report.path_len).max(1),
-                sketch_bytes,
-            )) as Box<dyn FlowRecorder>
-        })
-    }
 
     fn encode_latency(
         agg: &DynamicAggregator,
@@ -145,7 +135,7 @@ mod tests {
                 batch_size: 64,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 128),
+            sketched_latency_factory(agg.clone(), 128),
         );
         let mut handle = collector.register_producer();
         let flows = 200u64;
@@ -189,7 +179,7 @@ mod tests {
                 ring_capacity: 8,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 96),
+            sketched_latency_factory(agg.clone(), 96),
         );
         let producers = 4u64;
         let flows = 64u64;
@@ -241,7 +231,7 @@ mod tests {
                 max_flows_per_shard: 50,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         for flow in 0..5_000u64 {
@@ -278,7 +268,7 @@ mod tests {
                 flow_ttl: Some(1_000),
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         // Flow 1 active at ts 0..100; flow 2 keeps the clock advancing.
@@ -309,7 +299,7 @@ mod tests {
                 batch_size: 16,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         // Flow f gets f+1 packets: flow 63 is the heaviest.
@@ -389,7 +379,7 @@ mod tests {
                 })],
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 256),
+            sketched_latency_factory(agg.clone(), 256),
         );
         let mut handle = collector.register_producer();
         // Flow 7 runs hot (~100µs hop latency); flows 1..=5 stay cool.
@@ -436,7 +426,7 @@ mod tests {
                 })],
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 512),
+            sketched_latency_factory(agg.clone(), 512),
         );
         let mut handle = collector.register_producer();
         let mut pid = 0u64;
@@ -475,7 +465,7 @@ mod tests {
         let agg = DynamicAggregator::new(29, 8, 100.0, 1.0e7);
         let collector = Collector::spawn(
             CollectorConfig::with_shards(4),
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         for flow in 0..6u64 {
@@ -549,7 +539,7 @@ mod tests {
                 .with_cooldown(1_000)],
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 256),
+            sketched_latency_factory(agg.clone(), 256),
         );
         let mut handle = collector.register_producer();
         // A persistently hot flow across 10 cooldown windows: timestamps
@@ -643,7 +633,7 @@ mod tests {
                 batch_size: 1,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         collector.shutdown();
@@ -668,7 +658,7 @@ mod tests {
                 ring_capacity: 1,
                 ..CollectorConfig::default()
             },
-            latency_factory(agg.clone(), 64),
+            sketched_latency_factory(agg.clone(), 64),
         );
         let mut handle = collector.register_producer();
         // Stall the only shard with a barrier we never... cannot stall

@@ -14,15 +14,17 @@
 use crate::config::{CollectorConfig, FlowId, RecorderFactory, PARK_TIMEOUT};
 use crate::error::CollectorError;
 use crate::events::{Event, EventKind, EventRule};
-use crate::flow_table::{FlowTable, TableStats};
+use crate::flow_table::{FlowEntry, FlowTable, TableStats};
 use crate::inference::{FlowSummary, ShardSnapshot};
 use crate::ring::{BackoffController, RingConsumer, RingTuning, Waiter};
 use pint_core::{Digest, DigestReport, RecorderImage};
 use pint_obs::{
     ClockHandle, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceStage,
 };
+use pint_query::SummaryRow;
 use pint_store::JournalSender;
 use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -46,6 +48,11 @@ pub(crate) enum ShardMsg {
     /// predicates, delta polls — is this one message: the shard tier of
     /// a compiled [`QueryPlan`](pint_query::QueryPlan).
     Query(ShardQuery, Sender<ShardSnapshot>),
+    /// Sync point, answered like `Query` with everything selected: the
+    /// worker encodes its flows' snapshot rows itself (see
+    /// [`ShardWorker::export`]), so a fleet export clones no recorder
+    /// state.
+    Export(Sender<ShardExport>),
     /// Sync point: the worker acknowledges once every batch enqueued
     /// before this message was sent has been applied.
     Barrier(Sender<()>),
@@ -82,6 +89,7 @@ struct AttachedRing {
 /// What a satisfied sync point answers with.
 enum SyncKind {
     Query(ShardQuery, Sender<ShardSnapshot>),
+    Export(Sender<ShardExport>),
     Barrier(Sender<()>),
     Checkpoint(Sender<(Vec<u8>, u64)>),
 }
@@ -95,6 +103,19 @@ pub(crate) struct ShardLoad {
     pub(crate) newest_ts: u64,
     /// Length-prefixed entries, as in the section.
     pub(crate) entries: Vec<u8>,
+}
+
+/// One shard's slice of a snapshot frame, already encoded: what
+/// [`Collector::export_snapshot_frame`](crate::Collector::export_snapshot_frame)
+/// splices into one payload.
+pub(crate) struct ShardExport {
+    pub(crate) table_stats: TableStats,
+    pub(crate) ingested: u64,
+    /// `varint(flow)` and the flow's summary row, per flow, ascending
+    /// by flow ID.
+    pub(crate) rows: Vec<u8>,
+    /// `(flow, start, end)`: where each flow's bytes sit in `rows`.
+    pub(crate) index: Vec<(FlowId, usize, usize)>,
 }
 
 /// One in-flight `Query`/`Barrier`: per-ring epoch targets captured at
@@ -122,6 +143,10 @@ pub(crate) struct ShardQuery {
     /// Delta reads: skip flows whose `last_ts` is not strictly greater
     /// (cold flows cost nothing — they are never summarized).
     pub(crate) since: Option<u64>,
+    /// Whether the plan's projection reads hop sketches. When it does
+    /// not, summaries leave `hop_sketches` empty and no sketch is
+    /// copied.
+    pub(crate) sketches: bool,
 }
 
 /// Shard-side selection (the distributable subset of
@@ -457,6 +482,9 @@ impl ShardWorker {
             ShardMsg::Query(query, reply) => {
                 self.enqueue_sync(SyncKind::Query(query, reply), rings, pending);
             }
+            ShardMsg::Export(reply) => {
+                self.enqueue_sync(SyncKind::Export(reply), rings, pending);
+            }
             ShardMsg::Barrier(reply) => {
                 self.enqueue_sync(SyncKind::Barrier(reply), rings, pending);
             }
@@ -536,6 +564,9 @@ impl ShardWorker {
             // The requester may have given up; ignore send errors.
             SyncKind::Query(query, reply) => {
                 let _ = reply.send(self.answer(&query));
+            }
+            SyncKind::Export(reply) => {
+                let _ = reply.send(self.export());
             }
             SyncKind::Barrier(reply) => {
                 let _ = reply.send(());
@@ -880,16 +911,64 @@ impl ShardWorker {
         self.newest_ts.set(self.clock);
     }
 
-    fn summarize(entry: &crate::flow_table::FlowEntry) -> FlowSummary {
+    /// One flow's summary; `hop_sketches` stays empty unless
+    /// `sketches` (the plan's projection reads them).
+    fn summarize(entry: &FlowEntry, sketches: bool) -> FlowSummary {
         let rec = entry.rec.as_ref();
+        let hop_sketches = if sketches {
+            rec.hop_sketches()
+                .into_iter()
+                .map(Cow::into_owned)
+                .collect()
+        } else {
+            Vec::new()
+        };
         FlowSummary {
             kind: rec.kind(),
             packets: rec.packets(),
             state_bytes: rec.state_bytes(),
             last_ts: entry.last_ts,
-            hop_sketches: rec.hop_sketches(),
+            hop_sketches,
             path: rec.path_progress(),
             inconsistencies: rec.inconsistencies(),
+        }
+    }
+
+    /// Encodes every flow's snapshot row in place, ascending by flow
+    /// ID: `varint(flow)` then the [`SummaryRow`] — the bytes a
+    /// snapshot frame carries per flow, written without building a
+    /// [`FlowSummary`] or cloning a sketch.
+    fn export(&self) -> ShardExport {
+        let mut flows: Vec<(FlowId, &FlowEntry)> = self
+            .table
+            .iter()
+            .map(|(&flow, entry)| (flow, entry))
+            .collect();
+        flows.sort_unstable_by_key(|&(flow, _)| flow);
+        let mut rows = Vec::new();
+        let mut index = Vec::with_capacity(flows.len());
+        for (flow, entry) in flows {
+            let start = rows.len();
+            let rec = entry.rec.as_ref();
+            let (hop_sketches, path) = (rec.hop_sketches(), rec.path_progress());
+            WireWriter::new(&mut rows).put_varint(flow);
+            SummaryRow {
+                kind: rec.kind(),
+                packets: rec.packets(),
+                state_bytes: rec.state_bytes(),
+                last_ts: entry.last_ts,
+                inconsistencies: rec.inconsistencies(),
+                hop_sketches: &hop_sketches,
+                path: path.as_ref(),
+            }
+            .encode_into(&mut rows);
+            index.push((flow, start, rows.len()));
+        }
+        ShardExport {
+            table_stats: self.table.stats,
+            ingested: self.stats.ingested.get(),
+            rows,
+            index,
         }
     }
 
@@ -905,18 +984,18 @@ impl ShardWorker {
     /// Resolves one shard query: pick the flows the selection names
     /// (respecting the delta cutoff), summarize *only* those, and wrap
     /// them with this shard's counters. Summarizing clones hop
-    /// sketches, so narrowing here — not after — is what makes
+    /// sketches (when the plan reads them), so narrowing here — not after — is what makes
     /// targeted queries an order of magnitude cheaper than full
     /// snapshots.
     fn answer(&self, query: &ShardQuery) -> ShardSnapshot {
-        let fresh =
-            |entry: &crate::flow_table::FlowEntry| query.since.is_none_or(|t| entry.last_ts > t);
+        let fresh = |entry: &FlowEntry| query.since.is_none_or(|t| entry.last_ts > t);
+        let summarize = |entry| Self::summarize(entry, query.sketches);
         let flows: Vec<(FlowId, FlowSummary)> = match &query.select {
             ShardSelect::All => self
                 .table
                 .iter()
                 .filter(|&(_, entry)| fresh(entry))
-                .map(|(&flow, entry)| (flow, Self::summarize(entry)))
+                .map(|(&flow, entry)| (flow, summarize(entry)))
                 .collect(),
             // The collector pre-routes the list to this shard, so a
             // direct per-ID probe beats scanning the whole table.
@@ -926,7 +1005,7 @@ impl ShardWorker {
                     self.table
                         .get(flow)
                         .filter(|&entry| fresh(entry))
-                        .map(|entry| (flow, Self::summarize(entry)))
+                        .map(|entry| (flow, summarize(entry)))
                 })
                 .collect(),
             ShardSelect::TopK(k) => {
@@ -944,9 +1023,7 @@ impl ShardWorker {
                 ranked
                     .into_iter()
                     .filter_map(|(_, flow)| {
-                        self.table
-                            .get(flow)
-                            .map(|entry| (flow, Self::summarize(entry)))
+                        self.table.get(flow).map(|entry| (flow, summarize(entry)))
                     })
                     .collect()
             }
@@ -963,7 +1040,7 @@ impl ShardWorker {
                         .and_then(|p| p.path)
                         .is_some_and(|p| p.contains(switch))
                 })
-                .map(|(&flow, entry)| (flow, Self::summarize(entry)))
+                .map(|(&flow, entry)| (flow, summarize(entry)))
                 .collect(),
         };
         self.snapshot_with(flows)

@@ -12,6 +12,7 @@
 
 use crate::flow_table::TableStats;
 use crate::inference::{CollectorSnapshot, FlowSummary};
+use crate::shard::ShardExport;
 use pint_wire::{frame_into, FrameType, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 
 impl WireEncode for TableStats {
@@ -102,6 +103,50 @@ impl WireDecode for SnapshotFrame {
             epoch: r.get_varint()?,
             snapshot: CollectorSnapshot::decode_from(r)?,
         })
+    }
+}
+
+/// A [`SnapshotFrame`] payload spliced from rows the shards encoded
+/// themselves (see
+/// [`Collector::export_snapshot_frame`](crate::Collector::export_snapshot_frame)):
+/// the same bytes as encoding the frame of the merged snapshot, since
+/// the counters merge as in [`CollectorSnapshot::from_shards`] and the
+/// rows come out in ascending flow-ID order.
+pub(crate) struct SplicedSnapshot<'a> {
+    pub(crate) collector_id: u64,
+    pub(crate) epoch: u64,
+    /// One export per shard, in shard order.
+    pub(crate) shards: &'a [ShardExport],
+}
+
+impl WireEncode for SplicedSnapshot<'_> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let flows: usize = self.shards.iter().map(|s| s.index.len()).sum();
+        // The rows, plus room for the counters ahead of them.
+        out.reserve(self.shards.iter().map(|s| s.rows.len()).sum::<usize>() + 64);
+        let mut w = WireWriter::new(out);
+        w.put_varint(self.collector_id);
+        w.put_varint(self.epoch);
+        w.put_varint(self.shards.iter().map(|s| s.ingested).sum());
+        w.put_varint(self.shards.len() as u64);
+        for s in self.shards {
+            s.table_stats.encode_into(out);
+        }
+        WireWriter::new(out).put_varint(flows as u64);
+        // Merge the shards' ascending indexes (a flow has one owning
+        // shard, so IDs never tie): take the smallest head each time.
+        let mut next = vec![0usize; self.shards.len()];
+        for _ in 0..flows {
+            let (shard, &(_, start, end)) = self
+                .shards
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.index.get(next[i]).map(|row| (i, row)))
+                .min_by_key(|&(_, &(flow, _, _))| flow)
+                .expect("the shard indexes hold `flows` rows");
+            next[shard] += 1;
+            out.extend_from_slice(&self.shards[shard].rows[start..end]);
+        }
     }
 }
 

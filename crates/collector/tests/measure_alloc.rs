@@ -7,27 +7,19 @@
 #![cfg(feature = "measure-alloc")]
 
 use pint_collector::alloc_track::thread_net_bytes;
-use pint_collector::{Collector, CollectorConfig};
-use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint_core::{Digest, DigestReport, FlowRecorder};
-use std::sync::Arc;
+use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint_core::dynamic::DynamicAggregator;
+use pint_core::{Digest, DigestReport};
 
 #[test]
 fn measured_bytes_track_the_estimate() {
     let agg = DynamicAggregator::new(4, 8, 100.0, 1.0e7);
-    let factory_agg = agg.clone();
     let collector = Collector::spawn(
         CollectorConfig {
             shards: 2,
             ..CollectorConfig::default()
         },
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                factory_agg.clone(),
-                usize::from(report.path_len).max(1),
-                256,
-            )) as Box<dyn FlowRecorder>
-        }),
+        sketched_latency_factory(agg.clone(), 256),
     );
     let mut handle = collector.register_producer();
     for flow in 0..512u64 {
@@ -66,22 +58,12 @@ fn measured_bytes_track_the_estimate() {
 #[test]
 fn steady_state_pushes_allocate_no_batches() {
     let agg = DynamicAggregator::new(4, 8, 100.0, 1.0e7);
-    let factory_agg = agg.clone();
     let config = CollectorConfig {
         shards: 1,
         ..CollectorConfig::default()
     };
     let batch = config.batch_size;
-    let collector = Collector::spawn(
-        config,
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                factory_agg.clone(),
-                usize::from(report.path_len).max(1),
-                64,
-            )) as Box<dyn FlowRecorder>
-        }),
-    );
+    let collector = Collector::spawn(config, sketched_latency_factory(agg.clone(), 64));
     let mut handle = collector.register_producer();
     let mut pkt = 0u64;
     let mut push_cycle = |handle: &mut pint_collector::CollectorHandle| {

@@ -16,6 +16,7 @@ use crate::approx::MultiplicativeCodec;
 use crate::hash::HashFamily;
 use crate::value::Digest;
 use pint_sketches::{ExactQuantiles, KllSketch, SlidingKll};
+use std::borrow::Cow;
 
 /// Switch-side encoder for dynamic per-flow aggregation.
 ///
@@ -130,17 +131,18 @@ impl HopStore {
     /// stores are approximated by a quantile grid over the window (the
     /// window summary does not retain raw items); each grid point is
     /// inserted with weight `covered/m`, so the store contributes its
-    /// true item count to cross-flow merges.
-    fn to_kll(&self) -> KllSketch {
+    /// true item count to cross-flow merges. `Sketch` stores are lent
+    /// as they are, so reading them copies nothing.
+    fn to_kll(&self) -> Cow<'_, KllSketch> {
         match self {
             HopStore::Exact(e) => {
                 let mut sk = KllSketch::with_seed(200, 0x51AB_0001);
                 for &v in e.values() {
                     sk.update(v);
                 }
-                sk
+                Cow::Owned(sk)
             }
-            HopStore::Sketch(s) => s.clone(),
+            HopStore::Sketch(s) => Cow::Borrowed(s),
             HopStore::Sliding(s) => {
                 let mut sk = KllSketch::with_seed(200, 0x51AB_0002);
                 let covered = s.covered_items();
@@ -154,7 +156,7 @@ impl HopStore {
                         sk.update_weighted(v, w);
                     }
                 }
-                sk
+                Cow::Owned(sk)
             }
         }
     }
@@ -257,8 +259,9 @@ impl DynamicRecorder {
     }
 
     /// Hop `hop`'s store as a mergeable *code-space* KLL sketch (decode
-    /// merged quantiles with [`DynamicAggregator::decode`]).
-    pub fn hop_sketch(&self, hop: usize) -> KllSketch {
+    /// merged quantiles with [`DynamicAggregator::decode`]). Borrowed
+    /// for sketched recorders; built for exact and sliding ones.
+    pub fn hop_sketch(&self, hop: usize) -> Cow<'_, KllSketch> {
         self.hops[hop].to_kll()
     }
 }

@@ -18,6 +18,7 @@ use crate::image::{HopImage, ImageError, RecorderImage};
 use crate::statictrace::PathDecoder;
 use crate::value::Digest;
 use pint_sketches::{ExactQuantiles, KllSketch};
+use std::borrow::Cow;
 
 /// Which aggregation a [`FlowRecorder`] implements (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +82,11 @@ pub trait FlowRecorder: Send {
 
     /// Per-hop sketches in *code space* (hop 1-based at index `hop`;
     /// index 0 unused), for cross-flow/cross-shard merging. Empty when
-    /// unsupported.
-    fn hop_sketches(&self) -> Vec<KllSketch> {
+    /// unsupported. Borrowed where the recorder already keeps a KLL
+    /// sketch per hop, so a reader that only encodes or merges them
+    /// clones nothing; owned where one has to be built (exact and
+    /// sliding stores).
+    fn hop_sketches(&self) -> Vec<Cow<'_, KllSketch>> {
         Vec::new()
     }
 
@@ -144,7 +148,7 @@ impl FlowRecorder for DynamicRecorder {
         DynamicRecorder::quantile(self, hop, phi)
     }
 
-    fn hop_sketches(&self) -> Vec<KllSketch> {
+    fn hop_sketches(&self) -> Vec<Cow<'_, KllSketch>> {
         (0..=self.path_len()).map(|h| self.hop_sketch(h)).collect()
     }
 

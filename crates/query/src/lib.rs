@@ -62,6 +62,7 @@ pub use plan::{
 };
 pub use remote::{QueryClient, QueryRequest, QueryResponder, QueryResponse};
 pub use summary::FlowSummary;
+pub use wire::SummaryRow;
 
 /// Flow identifier shared by every tier (matches `pint_netsim::FlowId`).
 pub type FlowId = u64;

@@ -11,8 +11,32 @@ use crate::FlowSummary;
 use pint_core::{PathProgress, RecorderKind};
 use pint_sketches::KllSketch;
 use pint_wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use std::borrow::Borrow;
 
-impl WireEncode for FlowSummary {
+/// One [`FlowSummary`] row with every field borrowed: the single
+/// writer of the row format. [`FlowSummary`] encodes through it, and a
+/// collector shard writes its flows' rows with it straight from the
+/// recorders (sketches lent, never cloned), so both produce the same
+/// bytes by construction.
+#[derive(Debug, Clone, Copy)]
+pub struct SummaryRow<'a, S> {
+    /// See [`FlowSummary::kind`].
+    pub kind: RecorderKind,
+    /// See [`FlowSummary::packets`].
+    pub packets: u64,
+    /// See [`FlowSummary::state_bytes`].
+    pub state_bytes: usize,
+    /// See [`FlowSummary::last_ts`].
+    pub last_ts: u64,
+    /// See [`FlowSummary::inconsistencies`].
+    pub inconsistencies: u64,
+    /// See [`FlowSummary::hop_sketches`]; owned or borrowed sketches.
+    pub hop_sketches: &'a [S],
+    /// See [`FlowSummary::path`].
+    pub path: Option<&'a PathProgress>,
+}
+
+impl<S: Borrow<KllSketch>> WireEncode for SummaryRow<'_, S> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.kind.encode_into(out);
         let mut w = WireWriter::new(out);
@@ -21,17 +45,32 @@ impl WireEncode for FlowSummary {
         w.put_varint(self.last_ts);
         w.put_varint(self.inconsistencies);
         w.put_varint(self.hop_sketches.len() as u64);
-        for sk in &self.hop_sketches {
-            sk.encode_into(out);
+        for sk in self.hop_sketches {
+            sk.borrow().encode_into(out);
         }
         let mut w = WireWriter::new(out);
-        match &self.path {
+        match self.path {
             Some(p) => {
                 w.put_u8(1);
                 p.encode_into(out);
             }
             None => w.put_u8(0),
         }
+    }
+}
+
+impl WireEncode for FlowSummary {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        SummaryRow {
+            kind: self.kind,
+            packets: self.packets,
+            state_bytes: self.state_bytes,
+            last_ts: self.last_ts,
+            inconsistencies: self.inconsistencies,
+            hop_sketches: &self.hop_sketches,
+            path: self.path.as_ref(),
+        }
+        .encode_into(out);
     }
 }
 

@@ -13,15 +13,16 @@
 //!
 //! Run with: `cargo run --release --example collector_pipeline`
 
-use pint::collector::{Collector, CollectorConfig, EventKind, EventRule, RuleCondition};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint::collector::{
+    sketched_latency_factory, Collector, CollectorConfig, EventKind, EventRule, RuleCondition,
+};
+use pint::core::dynamic::DynamicAggregator;
 use pint::core::value::Digest;
-use pint::core::{DigestReport, FlowRecorder};
+use pint::core::DigestReport;
 use pint::query::{QueryResult, TelemetryQuery};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -59,17 +60,7 @@ fn main() {
         .with_cooldown(20_000)], // quiet period ≈ 20 rounds (see `ts` below)
         ..CollectorConfig::default()
     };
-    let rec_agg = agg.clone();
-    let collector = Collector::spawn(
-        config,
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                rec_agg.clone(),
-                usize::from(report.path_len).max(1),
-                64, // bytes per hop sketch
-            )) as Box<dyn FlowRecorder>
-        }),
-    );
+    let collector = Collector::spawn(config, sketched_latency_factory(agg.clone(), 64));
 
     println!(
         "ingesting {} digests from {} flows via {} producers into {} shards…",

@@ -17,15 +17,14 @@
 //!
 //! Run with: `cargo run --release --example edge_ingest`
 
-use pint::collector::{Collector, CollectorConfig};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint::core::dynamic::DynamicAggregator;
+use pint::core::{Digest, DigestReport};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::query::{QueryResult, TelemetryQuery};
 use pint::wire::FaultConfig;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const EDGES: u64 = 8;
@@ -38,16 +37,9 @@ fn main() {
     let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
 
     // ---- Regional side: one collector behind a DigestServer --------
-    let rec_agg = agg.clone();
     let collector = Collector::spawn(
         CollectorConfig::with_shards(4),
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                rec_agg.clone(),
-                usize::from(report.path_len).max(1),
-                96,
-            )) as Box<dyn FlowRecorder>
-        }),
+        sketched_latency_factory(agg.clone(), 96),
     );
     let server = DigestServer::bind_collector(
         "127.0.0.1:0",

@@ -13,10 +13,10 @@
 //!
 //! Run with: `cargo run --release --example fleet_pipeline`
 
-use pint::collector::{Collector, CollectorConfig};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig, SnapshotFrame};
+use pint::core::dynamic::DynamicAggregator;
 use pint::core::value::Digest;
-use pint::core::{DigestReport, FlowRecorder};
+use pint::core::DigestReport;
 use pint::fleet::{
     FleetAggregator, FleetClient, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
     InMemoryTransport,
@@ -24,7 +24,6 @@ use pint::fleet::{
 use pint::query::{QueryResult, TelemetryQuery};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PODS: u64 = 3;
@@ -67,16 +66,9 @@ fn main() {
     let started = Instant::now();
     let mut frames = Vec::new();
     for pod in 0..PODS {
-        let rec_agg = agg.clone();
         let collector = Collector::spawn(
             CollectorConfig::with_shards(2),
-            Arc::new(move |_flow, report: &DigestReport| {
-                Box::new(DynamicRecorder::new_sketched(
-                    rec_agg.clone(),
-                    usize::from(report.path_len).max(1),
-                    128,
-                )) as Box<dyn FlowRecorder>
-            }),
+            sketched_latency_factory(agg.clone(), 128),
         );
         let mut handle = collector.register_producer();
         let mut pushed = 0u64;
@@ -89,6 +81,18 @@ fn main() {
         let frame = collector
             .export_snapshot_frame(pod, 1)
             .expect("export snapshot frame");
+        // The shards encode the frame themselves; it must be the exact
+        // bytes of encoding the merged snapshot.
+        let reference = SnapshotFrame {
+            collector_id: pod,
+            epoch: 1,
+            snapshot: collector.snapshot().expect("pod snapshot"),
+        }
+        .to_frame_bytes();
+        assert!(
+            frame == reference,
+            "pod {pod}: export frame differs from the encoded snapshot"
+        );
         println!(
             "pod {pod}: ingested {pushed} digests, snapshot frame = {} KiB",
             frame.len() / 1024

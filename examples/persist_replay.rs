@@ -22,8 +22,8 @@
 //!
 //! Run with: `cargo run --release --example persist_replay`
 
-use pint::collector::{Collector, CollectorConfig, RecorderFactory};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig, RecorderFactory};
+use pint::core::dynamic::DynamicAggregator;
 use pint::core::{Digest, DigestReport, FlowRecorder, PathTracer, TracerConfig};
 use pint::obs::{Clock, MetricsRegistry};
 use pint::query::TelemetryQuery;
@@ -39,14 +39,7 @@ const FLOWS: u64 = 32;
 const HOPS: usize = 4;
 
 fn factory() -> RecorderFactory {
-    let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            96,
-        )) as Box<dyn FlowRecorder>
-    })
+    sketched_latency_factory(DynamicAggregator::new(7, 8, 100.0, 1.0e7), 96)
 }
 
 fn workload() -> Vec<DigestReport> {

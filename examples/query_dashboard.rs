@@ -10,8 +10,8 @@
 //! Run with `cargo run --release --example query_dashboard`. The
 //! example asserts its invariants and exits non-zero on any mismatch.
 
-use pint::collector::{Collector, CollectorConfig, RecorderFactory};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig, RecorderFactory};
+use pint::core::dynamic::DynamicAggregator;
 use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::query::remote::{QueryClient, QueryResponder};
@@ -31,18 +31,14 @@ fn main() {
     let agg = DynamicAggregator::new(3, 8, 100.0, 1.0e7);
     let tracer = PathTracer::new(TracerConfig::paper(8, 2, 5));
     let universe: Vec<u64> = (0..64).collect();
-    let factory_agg = agg.clone();
+    let latency = sketched_latency_factory(agg.clone(), 96);
     let factory_tracer = tracer.clone();
     let factory: RecorderFactory = Arc::new(move |flow, report: &DigestReport| {
         if flow >= PATH_BASE {
             Box::new(factory_tracer.decoder(universe.clone(), usize::from(report.path_len).max(1)))
                 as Box<dyn FlowRecorder>
         } else {
-            Box::new(DynamicRecorder::new_sketched(
-                factory_agg.clone(),
-                usize::from(report.path_len).max(1),
-                96,
-            )) as Box<dyn FlowRecorder>
+            latency(flow, report)
         }
     });
     let collector = Collector::spawn(CollectorConfig::with_shards(4), factory);

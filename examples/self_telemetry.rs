@@ -14,13 +14,12 @@
 //!
 //! Run with: `cargo run --release --example self_telemetry`
 
-use pint::collector::{Collector, CollectorConfig};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint::core::dynamic::DynamicAggregator;
+use pint::core::{Digest, DigestReport};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::obs::MetricsRegistry;
 use pint::query::remote::QueryClient;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FLOWS: u64 = 64;
@@ -37,20 +36,13 @@ fn main() {
     let agg = DynamicAggregator::new(11, 8, 100.0, 1.0e7);
 
     // ---- Collector, instrumented ----------------------------------
-    let rec_agg = agg.clone();
     let collector = Collector::spawn(
         CollectorConfig {
             shards: 4,
             metrics: Some(registry.clone()),
             ..CollectorConfig::default()
         },
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                rec_agg.clone(),
-                usize::from(report.path_len).max(1),
-                96,
-            )) as Box<dyn FlowRecorder>
-        }),
+        sketched_latency_factory(agg.clone(), 96),
     );
 
     // ---- DigestServer publishing into the same registry -----------

@@ -19,9 +19,9 @@
 //!
 //! Run with: `cargo run --release --example trace_pipeline`
 
-use pint::collector::{Collector, CollectorConfig};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint::core::dynamic::DynamicAggregator;
+use pint::core::{Digest, DigestReport};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::obs::{FlightRecorder, MetricsRegistry, TraceStage, VirtualClock};
 use pint::query::remote::{QueryClient, QueryResponder};
@@ -49,7 +49,6 @@ fn main() {
 
     // ---- Collector, tracing one CollectorBatch event per batch -----
     let agg = DynamicAggregator::new(11, 8, 100.0, 1.0e7);
-    let rec_agg = agg.clone();
     let collector = Collector::spawn(
         CollectorConfig {
             shards: 2,
@@ -57,13 +56,7 @@ fn main() {
             trace: Some(recorder.clone()),
             ..CollectorConfig::default()
         },
-        Arc::new(move |_flow, report: &DigestReport| {
-            Box::new(DynamicRecorder::new_sketched(
-                rec_agg.clone(),
-                usize::from(report.path_len).max(1),
-                96,
-            )) as Box<dyn FlowRecorder>
-        }),
+        sketched_latency_factory(agg.clone(), 96),
     );
 
     // ---- Traced DigestServer sinking into the collector ------------

@@ -17,9 +17,9 @@
 //!    stalls, and per-forwarder accounting is **exact**:
 //!    `delivered + deduped + shed == sent`.
 
-use pint::collector::{Collector, CollectorConfig, RecorderFactory};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint::core::{Digest, DigestReport, FlowRecorder, RecorderKind};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint::core::dynamic::DynamicAggregator;
+use pint::core::{Digest, DigestReport, RecorderKind};
 use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
 use pint::query::TelemetryQuery;
 use pint::wire::{FaultConfig, WireEncode};
@@ -30,17 +30,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const HOPS: usize = 4;
-
-fn latency_factory(agg: &DynamicAggregator) -> RecorderFactory {
-    let agg = agg.clone();
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            96,
-        )) as Box<dyn FlowRecorder>
-    })
-}
 
 /// The deterministic workload: `digests_per_flow` reports for `flow`,
 /// same bytes no matter which path (local push or wire) carries them.
@@ -77,8 +66,14 @@ fn remote_ingest_is_equivalent_to_local() {
     const DIGESTS_PER_FLOW: u64 = 50;
 
     let agg = DynamicAggregator::new(7, 8, 100.0, 1.0e7);
-    let remote = Collector::spawn(CollectorConfig::with_shards(4), latency_factory(&agg));
-    let local = Collector::spawn(CollectorConfig::with_shards(4), latency_factory(&agg));
+    let remote = Collector::spawn(
+        CollectorConfig::with_shards(4),
+        sketched_latency_factory(agg.clone(), 96),
+    );
+    let local = Collector::spawn(
+        CollectorConfig::with_shards(4),
+        sketched_latency_factory(agg.clone(), 96),
+    );
 
     let server = DigestServer::bind_collector(
         "127.0.0.1:0",

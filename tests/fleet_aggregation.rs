@@ -7,15 +7,22 @@
 //! per-flow sketches must combine across collectors, not just
 //! concatenate. The reference answer is a fourth collector ingesting
 //! the combined stream.
+//!
+//! A collector's export frame is pinned byte for byte to the encoding
+//! of its merged snapshot, for every recorder kind and shard count.
 
-use pint::collector::{Collector, CollectorConfig, RecorderFactory};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
+use pint::collector::{
+    sketched_latency_factory, Collector, CollectorConfig, RecorderFactory, SnapshotFrame,
+};
+use pint::core::dynamic::{DynamicAggregator, DynamicRecorder, FrequentValuesRecorder};
+use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
     FleetAggregator, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
     InMemoryTransport,
 };
 use pint::query::{QueryResult, TelemetryQuery};
+use pint::wire::WireEncode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,17 +32,6 @@ const PER_FLOW: u64 = 90;
 const HOPS: usize = 4;
 const HOT_FLOWS: u64 = 3;
 const HOT_NS: f64 = 200_000.0;
-
-fn factory(agg: &DynamicAggregator) -> RecorderFactory {
-    let agg = agg.clone();
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            256,
-        )) as Box<dyn FlowRecorder>
-    })
-}
 
 /// The full digest stream, identical for every ingestion strategy.
 fn build_reports(agg: &DynamicAggregator) -> Vec<DigestReport> {
@@ -59,7 +55,10 @@ fn build_reports(agg: &DynamicAggregator) -> Vec<DigestReport> {
 }
 
 fn collect(reports: impl Iterator<Item = DigestReport>, agg: &DynamicAggregator) -> Collector {
-    let collector = Collector::spawn(CollectorConfig::with_shards(2), factory(agg));
+    let collector = Collector::spawn(
+        CollectorConfig::with_shards(2),
+        sketched_latency_factory(agg.clone(), 256),
+    );
     let mut handle = collector.register_producer();
     for r in reports {
         handle.push(r).unwrap();
@@ -265,4 +264,138 @@ fn stale_epochs_are_ignored() {
     );
     assert_eq!(fleet.collector_epochs(), vec![(9, 2)]);
     collector.shutdown();
+}
+
+/// How the latency flows of [`mixed_collector`] store their samples.
+#[derive(Debug, Clone, Copy)]
+enum LatencyStore {
+    Sketched,
+    Exact,
+    Sliding,
+}
+
+/// A collector whose flows cycle through latency (`flow % 3 == 0`,
+/// kept in `store`), path-tracing and frequent-values recorders, fed
+/// `per_flow` digests for each of `flows` flows and flushed.
+fn mixed_collector(
+    config: CollectorConfig,
+    store: LatencyStore,
+    flows: u64,
+    per_flow: u64,
+) -> Collector {
+    let agg = DynamicAggregator::new(47, 8, 100.0, 1.0e7);
+    let tracer = PathTracer::new(TracerConfig::paper(8, 2, 5));
+    let frequent = FrequentValuesRecorder::new(13, HOPS, 8);
+    let universe: Vec<u64> = (0..64).collect();
+    let (rec_agg, rec_tracer) = (agg.clone(), tracer.clone());
+    let factory: RecorderFactory = Arc::new(move |flow, report: &DigestReport| {
+        let k = usize::from(report.path_len).max(1);
+        match flow % 3 {
+            0 => Box::new(match store {
+                LatencyStore::Sketched => DynamicRecorder::new_sketched(rec_agg.clone(), k, 64),
+                LatencyStore::Exact => DynamicRecorder::new_exact(rec_agg.clone(), k),
+                LatencyStore::Sliding => DynamicRecorder::new_sliding(rec_agg.clone(), k, 32),
+            }) as Box<dyn FlowRecorder>,
+            1 => Box::new(rec_tracer.decoder(universe.clone(), k)),
+            _ => Box::new(FrequentValuesRecorder::new(13, k, 8)),
+        }
+    });
+    let collector = Collector::spawn(config, factory);
+    let mut handle = collector.register_producer();
+    for pid in 0..per_flow {
+        // Descending: flows take table slots out of flow-ID order.
+        for flow in (0..flows).rev() {
+            let packet = flow * 1_000 + pid;
+            let digest = match flow % 3 {
+                0 => {
+                    let mut d = Digest::new(1);
+                    for hop in 1..=HOPS {
+                        let ns = 1_000.0 * (hop as u64 + packet % 17) as f64;
+                        agg.encode_hop(packet, hop, ns, &mut d, 0);
+                    }
+                    d
+                }
+                1 => tracer.encode_path(packet, &[flow % 64, 7, (flow + 3) % 64, 40]),
+                _ => {
+                    let mut d = Digest::new(1);
+                    for hop in 1..=HOPS {
+                        frequent.encode_hop(packet, hop, (flow + packet % 3) % 5, &mut d, 0);
+                    }
+                    d
+                }
+            };
+            handle
+                .push(DigestReport::new(flow, packet, digest, HOPS as u16, pid))
+                .unwrap();
+        }
+    }
+    handle.flush().unwrap();
+    collector
+}
+
+/// The shard-encoded export frame equals encoding `snapshot()` into a
+/// `SnapshotFrame`, and the fleet view decoded from it answers a top-K
+/// and a stats plan exactly as the collector does.
+fn assert_export_matches_snapshot(collector: &Collector, case: &str) {
+    let frame = collector.export_snapshot_frame(7, 3).unwrap();
+    let reference = SnapshotFrame {
+        collector_id: 7,
+        epoch: 3,
+        snapshot: collector.snapshot().unwrap(),
+    }
+    .to_frame_bytes();
+    assert!(
+        frame == reference,
+        "{case}: export frame differs from the encoded snapshot"
+    );
+    let mut fleet = FleetAggregator::new(FleetConfig::default());
+    fleet.ingest_frame(&frame).unwrap();
+    let view = fleet.view();
+    for plan in [
+        TelemetryQuery::new().top_k(5).plan().unwrap(),
+        TelemetryQuery::new().stats().plan().unwrap(),
+    ] {
+        assert_eq!(
+            view.execute(&plan).unwrap().encode(),
+            collector.query(&plan).unwrap().encode(),
+            "{case}: fleet answer differs for {plan:?}"
+        );
+    }
+}
+
+#[test]
+fn export_frames_equal_the_encoded_snapshot() {
+    for shards in [1, 2, 4] {
+        for store in [
+            LatencyStore::Sketched,
+            LatencyStore::Exact,
+            LatencyStore::Sliding,
+        ] {
+            let collector = mixed_collector(CollectorConfig::with_shards(shards), store, 30, 40);
+            assert_eq!(collector.snapshot().unwrap().num_flows(), 30);
+            assert_export_matches_snapshot(&collector, &format!("{shards} shards, {store:?}"));
+            collector.shutdown();
+        }
+    }
+
+    let empty = Collector::spawn(
+        CollectorConfig::with_shards(2),
+        sketched_latency_factory(DynamicAggregator::new(47, 8, 100.0, 1.0e7), 64),
+    );
+    assert_export_matches_snapshot(&empty, "empty collector");
+    empty.shutdown();
+
+    let evicting = mixed_collector(
+        CollectorConfig {
+            max_flows_per_shard: 6,
+            ..CollectorConfig::with_shards(2)
+        },
+        LatencyStore::Sketched,
+        60,
+        20,
+    );
+    let evicted = evicting.snapshot().unwrap().evicted_flows();
+    assert!(evicted > 0, "the table must have evicted");
+    assert_export_matches_snapshot(&evicting, "LRU-evicted table");
+    evicting.shutdown();
 }

@@ -7,9 +7,9 @@
 //! snapshot, and same-seed simulations produce identical snapshots
 //! under the virtual clock.
 
-use pint::collector::{Collector, CollectorConfig};
-use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
-use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::collector::{sketched_latency_factory, Collector, CollectorConfig};
+use pint::core::dynamic::DynamicAggregator;
+use pint::core::{Digest, DigestReport};
 use pint::fleet::{
     DigestForwarder, DigestServer, DigestServerConfig, FleetConfig, FleetServer, ForwarderConfig,
 };
@@ -30,17 +30,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn latency_factory(agg: &DynamicAggregator) -> pint::collector::RecorderFactory {
-    let agg = agg.clone();
-    Arc::new(move |_flow, report: &DigestReport| {
-        Box::new(DynamicRecorder::new_sketched(
-            agg.clone(),
-            usize::from(report.path_len).max(1),
-            256,
-        )) as Box<dyn FlowRecorder>
-    })
-}
 
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -218,7 +207,7 @@ fn remote_metrics_fetch_equals_local_registry() {
             metrics: Some(registry.clone()),
             ..CollectorConfig::default()
         },
-        latency_factory(&agg),
+        sketched_latency_factory(agg.clone(), 256),
     );
     let mut handle = collector.register_producer();
     for flow in 0..256u64 {
@@ -561,7 +550,7 @@ fn traced_ingest(
             trace: Some(recorder.clone()),
             ..CollectorConfig::default()
         },
-        latency_factory(agg),
+        sketched_latency_factory(agg.clone(), 256),
     );
     let config = DigestServerConfig {
         metrics: Some(registry.clone()),
