@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks: Recording-Module sketches.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pint_sketches::{KllSketch, MorrisCounter, ReservoirSampler, SpaceSaving};
+use pint_sketches::{KllSketch, MorrisCounter, SpaceSaving};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,15 +27,6 @@ fn bench_sketches(c: &mut Criterion) {
         let mut ss = SpaceSaving::new(100);
         let mut rng = SmallRng::seed_from_u64(1);
         b.iter(|| ss.update(black_box(rng.gen_range(0..10_000))))
-    });
-    g.bench_function("reservoir_observe", |b| {
-        let mut r = ReservoirSampler::new(100);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut x = 0u64;
-        b.iter(|| {
-            x += 1;
-            r.observe(black_box(x), &mut rng)
-        })
     });
     g.bench_function("morris_increment", |b| {
         let mut m = MorrisCounter::new(16.0);

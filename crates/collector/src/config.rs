@@ -7,7 +7,7 @@ use pint_core::{DigestReport, FlowRecorder};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Flow identifier (matches `pint_netsim::FlowId`; defined by the
+/// Flow identifier (the `flow` of a [`DigestReport`]; defined by the
 /// query tier so every backend shares it).
 pub use pint_query::FlowId;
 

@@ -230,22 +230,6 @@ impl CollectorHandle {
             }
         }
     }
-
-    /// Adapts the handle into a `pint-netsim` digest sink: install with
-    /// `Simulator::set_digest_sink(handle.into_digest_sink())`. Digests
-    /// still ship in batches; the handle's `Drop` flushes the tail.
-    ///
-    /// The collector disappearing mid-simulation is a shutdown race, not
-    /// a data-path error, so the sink keeps running — but nothing is
-    /// lost *silently*: every undeliverable digest is counted in
-    /// [`dropped_digests`](Self::dropped_digests) /
-    /// [`CollectorStats::digests_dropped`](crate::CollectorStats).
-    pub fn into_digest_sink(mut self) -> Box<dyn FnMut(DigestReport)> {
-        Box::new(move |report| {
-            // Delivery failures are counted inside `ship`.
-            let _ = self.push(report);
-        })
-    }
 }
 
 impl Clone for CollectorHandle {

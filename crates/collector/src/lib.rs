@@ -7,7 +7,7 @@
 //! an explicitly multi-producer, lock-free ingest pipeline.
 //!
 //! ```text
-//!  producers (PINT sinks, netsim drivers)      shard workers (threads)
+//!  producers (PINT sinks, DigestServer)        shard workers (threads)
 //!  ┌──────────────────┐   SPSC rings           ┌────────────────────────┐
 //!  │ CollectorHandle  │══════════════════════▶ │ shard 0: FlowTable     │
 //!  │  (one ring per   │══╗                     │  flow → FlowRecorder   │
@@ -83,7 +83,6 @@ pub mod inference;
 pub mod prefilter;
 mod ring;
 mod shard;
-pub mod sink;
 pub mod wire;
 
 pub use collector::{Collector, CollectorStats, RestoreReport};
@@ -94,7 +93,6 @@ pub use handle::CollectorHandle;
 pub use inference::{CollectorSnapshot, FlowSummary, ShardSnapshot};
 pub use prefilter::PrefilterConfig;
 pub use shard::ShardStats;
-pub use sink::{attach_collector, attach_collector_parallel, LatencyTelemetry, ParallelSinkDriver};
 pub use wire::SnapshotFrame;
 // The query tier this collector is a backend of, re-exported so
 // callers can build plans without naming `pint-query` separately.

@@ -108,12 +108,6 @@ impl GlobalHash {
         // avalanche there.
         self.hash2(a, b) >> (64 - bits)
     }
-
-    /// The switch-side participation test `g(p, i) < p_threshold`.
-    #[inline]
-    pub fn below2(&self, a: u64, b: u64, p: f64) -> bool {
-        self.unit2(a, b) < p
-    }
 }
 
 /// The named hash family used by one PINT query instance.

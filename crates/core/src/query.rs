@@ -1,7 +1,10 @@
 //! The PINT query language and Query Engine (paper §3.3–3.4).
 //!
-//! A query is the tuple ⟨value, aggregation, bit-budget, optional:
-//! space-budget, flow definition, frequency⟩. The operator registers
+//! The paper's query is the tuple ⟨value, aggregation, bit-budget,
+//! optional: space-budget, flow definition, frequency⟩. [`QuerySpec`]
+//! carries the four that shape the plan; flows are keyed by each
+//! digest report's `flow`, and a recorder's constructor sets its
+//! per-flow space. The operator registers
 //! multiple queries plus a *global* bit budget; the Query Engine compiles
 //! them into an **execution plan** — a probability distribution over query
 //! *sets*, each set's cumulative bit budget fitting the global budget
@@ -25,20 +28,6 @@ pub enum AggregationKind {
     DynamicPerFlow,
 }
 
-/// How flows are keyed for per-flow queries (§3.3 "flow definition").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FlowDefinition {
-    /// The classic 5-tuple.
-    #[default]
-    FiveTuple,
-    /// Source IP only.
-    SourceIp,
-    /// Destination IP only.
-    DestinationIp,
-    /// Source/destination pair.
-    IpPair,
-}
-
 /// One telemetry query (§3.3).
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
@@ -52,16 +41,12 @@ pub struct QuerySpec {
     pub aggregation: AggregationKind,
     /// Per-packet bits this query consumes when selected.
     pub bit_budget: u32,
-    /// Optional per-flow storage budget in bytes (Recording Module).
-    pub space_budget: Option<usize>,
-    /// Flow definition for per-flow queries.
-    pub flow: FlowDefinition,
     /// Desired fraction of packets carrying this query (0, 1].
     pub frequency: f64,
 }
 
 impl QuerySpec {
-    /// Convenience constructor with 5-tuple flows and frequency 1.
+    /// Convenience constructor with frequency 1.
     pub fn new(
         id: u32,
         name: &str,
@@ -75,8 +60,6 @@ impl QuerySpec {
             value,
             aggregation,
             bit_budget,
-            space_budget: None,
-            flow: FlowDefinition::FiveTuple,
             frequency: 1.0,
         }
     }
@@ -85,12 +68,6 @@ impl QuerySpec {
     pub fn with_frequency(mut self, f: f64) -> Self {
         assert!(f > 0.0 && f <= 1.0, "frequency must be in (0,1]");
         self.frequency = f;
-        self
-    }
-
-    /// Sets the per-flow space budget.
-    pub fn with_space_budget(mut self, bytes: usize) -> Self {
-        self.space_budget = Some(bytes);
         self
     }
 }

@@ -40,7 +40,7 @@ pub mod workload;
 pub use metrics::{FlowRecord, Report};
 pub use packet::{AckView, IntRecord, Packet, PacketKind};
 pub use routing::Routing;
-pub use sim::{DigestBatchSink, DigestSink, SimConfig, Simulator};
+pub use sim::{DigestSink, SimConfig, Simulator};
 pub use telemetry::{SwitchView, TelemetryHook};
 pub use topology::{NodeId, NodeKind, Topology};
 pub use transport::{Action, Transport, TransportFactory};

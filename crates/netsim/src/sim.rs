@@ -25,17 +25,11 @@ use pint_core::value::Digest;
 use pint_core::DigestReport;
 
 /// Sink-side digest tap: invoked once per data packet arriving at its
-/// destination host, with everything a Recording Module needs. This is
-/// the seam between the simulator and an external collector
-/// (`pint-collector`): the hook typically forwards into a collector
-/// handle, which batches and shards the stream across worker threads.
+/// destination host, with everything a Recording Module needs (the
+/// PINT sink of the paper's Fig. 3). The closure owns whatever consumes
+/// the stream, a recorder or a collector handle, and is dropped when
+/// [`Simulator::run`] returns.
 pub type DigestSink = Box<dyn FnMut(DigestReport)>;
-
-/// Batched sink-side digest tap: like [`DigestSink`], but invoked with
-/// chunks of reports, amortizing the closure dispatch (and whatever
-/// routing the hook does) over many packets. The simulator buffers up to
-/// the configured chunk size and flushes the tail when `run` ends.
-pub type DigestBatchSink = Box<dyn FnMut(Vec<DigestReport>)>;
 
 /// Engine parameters.
 #[derive(Debug, Clone)]
@@ -159,32 +153,8 @@ pub struct Simulator {
     report: Report,
     fault_rng: SmallRng,
     digest_sink: Option<DigestSink>,
-    batch_sink: Option<BatchTap>,
     sim_clock: Option<pint_obs::VirtualClock>,
     trace: Option<pint_obs::FlightRecorder>,
-}
-
-/// A [`DigestBatchSink`] plus its accumulation buffer.
-struct BatchTap {
-    buf: Vec<DigestReport>,
-    chunk: usize,
-    sink: DigestBatchSink,
-}
-
-impl BatchTap {
-    fn push(&mut self, report: DigestReport) {
-        self.buf.push(report);
-        if self.buf.len() >= self.chunk {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            let chunk = std::mem::replace(&mut self.buf, Vec::with_capacity(self.chunk));
-            (self.sink)(chunk);
-        }
-    }
 }
 
 impl Simulator {
@@ -215,7 +185,6 @@ impl Simulator {
             report: Report::default(),
             fault_rng,
             digest_sink: None,
-            batch_sink: None,
             sim_clock: None,
             trace: None,
         }
@@ -248,20 +217,6 @@ impl Simulator {
     /// previously installed sink.
     pub fn set_digest_sink(&mut self, sink: DigestSink) {
         self.digest_sink = Some(sink);
-    }
-
-    /// Installs a *batched* sink-side digest tap (see
-    /// [`DigestBatchSink`]): digests accumulate in chunks of `chunk`
-    /// before the hook runs, and the tail chunk flushes when
-    /// [`run`](Self::run) finishes. Replaces any previously installed
-    /// batch sink; independent of [`set_digest_sink`](Self::set_digest_sink)
-    /// (both fire if both are set).
-    pub fn set_digest_batch_sink(&mut self, chunk: usize, sink: DigestBatchSink) {
-        self.batch_sink = Some(BatchTap {
-            buf: Vec::with_capacity(chunk.max(1)),
-            chunk: chunk.max(1),
-            sink,
-        });
     }
 
     /// The topology.
@@ -593,26 +548,14 @@ impl Simulator {
                 self.now,
             );
         }
-        if self.digest_sink.is_some() || self.batch_sink.is_some() {
-            let report = DigestReport::new(
+        if let Some(sink) = self.digest_sink.as_mut() {
+            sink(DigestReport::new(
                 pkt.flow,
                 pkt.id,
                 pkt.digest.clone(),
                 u16::from(pkt.hop),
                 self.now,
-            );
-            if let Some(tap) = self.batch_sink.as_mut() {
-                match self.digest_sink.as_mut() {
-                    // Both taps installed: the per-digest sink gets a copy.
-                    Some(sink) => {
-                        sink(report.clone());
-                        tap.push(report);
-                    }
-                    None => tap.push(report),
-                }
-            } else if let Some(sink) = self.digest_sink.as_mut() {
-                sink(report);
-            }
+            ));
         }
         // Cumulative ACK with telemetry echo.
         let echo = Echo {
@@ -712,9 +655,6 @@ impl Simulator {
                     self.apply_actions(flow, actions);
                 }
             }
-        }
-        if let Some(tap) = self.batch_sink.as_mut() {
-            tap.flush();
         }
         self.report.elapsed_ns = self.now;
         self.report

@@ -64,5 +64,6 @@ pub use remote::{QueryClient, QueryRequest, QueryResponder, QueryResponse};
 pub use summary::FlowSummary;
 pub use wire::SummaryRow;
 
-/// Flow identifier shared by every tier (matches `pint_netsim::FlowId`).
+/// Flow identifier shared by every tier (the `flow` of a
+/// [`DigestReport`](pint_core::DigestReport)).
 pub type FlowId = u64;

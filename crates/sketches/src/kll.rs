@@ -210,11 +210,6 @@ impl KllSketch {
         self.size
     }
 
-    /// Approximate memory footprint assuming `item_bytes` bytes per item.
-    pub fn size_in_bytes(&self, item_bytes: usize) -> usize {
-        self.size * item_bytes
-    }
-
     /// Returns all (value, weight) pairs currently held.
     fn weighted_items(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(self.size);

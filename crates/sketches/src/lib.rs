@@ -9,8 +9,6 @@
 //! * [`SpaceSaving`] — the Space-Saving heavy-hitters algorithm of Metwally
 //!   et al. (ICDT 2005), used for the "frequent values" dynamic aggregation
 //!   (Theorem 2 / Appendix A.1).
-//! * [`ReservoirSampler`] — classic reservoir sampling (Vitter 1985), the
-//!   conceptual basis of PINT's distributed hash-based sampling (§4.1).
 //! * [`MorrisCounter`] — Morris' randomized counter (CACM 1978), the
 //!   "randomized counting" value-approximation of §4.3.
 //! * [`SlidingKll`] — a sliding-window quantile estimator built from chunked
@@ -18,6 +16,10 @@
 //!   sliding-window sketch to reflect only the most recent measurements".
 //! * [`ExactQuantiles`] — an exact (store-everything) baseline used by tests
 //!   and by the evaluation harness to compute ground-truth quantiles.
+//!
+//! PINT's distributed reservoir sampling (§4.1) is a hash rule applied on
+//! the switches, not a stored sample, so it lives beside the other global
+//! hashes in `pint_core::hash` (`HashFamily::reservoir_winner`).
 //!
 //! All structures are deterministic given an explicit seed, which the
 //! reproduction harness relies on.
@@ -28,13 +30,11 @@
 pub mod exact;
 pub mod kll;
 pub mod morris;
-pub mod reservoir;
 pub mod sliding;
 pub mod spacesaving;
 
 pub use exact::ExactQuantiles;
 pub use kll::KllSketch;
 pub use morris::MorrisCounter;
-pub use reservoir::{ReservoirSampler, SingleReservoir};
 pub use sliding::SlidingKll;
 pub use spacesaving::SpaceSaving;

@@ -4,7 +4,7 @@
 //! examples and integration tests can use a single dependency:
 //!
 //! * `core` — queries, distributed coding, encoders/decoders.
-//! * `sketches` — KLL, Space-Saving, reservoir, Morris.
+//! * `sketches` — KLL, Space-Saving, Morris.
 //! * `dataplane` — switch pipeline + fixed-point math.
 //! * `netsim` — packet-level network simulator.
 //! * `hpcc` — HPCC congestion control (INT & PINT modes).
