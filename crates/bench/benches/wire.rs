@@ -42,7 +42,7 @@ fn build_snapshot(seed: u64) -> CollectorSnapshot {
                     packets: SAMPLES_PER_HOP as u64,
                     state_bytes: 1_024,
                     last_ts: seed,
-                    hop_sketches: sketches,
+                    hop_sketches: sketches.into(),
                     path: None,
                     inconsistencies: 0,
                 },

@@ -480,6 +480,12 @@ impl Collector {
     /// Like snapshots, each consulted shard drains its rings first, so
     /// the answer covers everything flushed before the call.
     ///
+    /// Rows share hop sketches with the shards: a flow's sketches are
+    /// copied once, by the first read after the flow changed, into a
+    /// block the flow keeps; later reads of the unchanged flow clone
+    /// the block's `Arc`. Holding a result therefore pins those blocks,
+    /// never the live recorders — the shards keep ingesting.
+    ///
     /// ```
     /// use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
     /// use pint_core::dynamic::DynamicAggregator;

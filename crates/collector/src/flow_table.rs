@@ -21,8 +21,11 @@
 
 use crate::config::FlowId;
 use pint_core::FlowRecorder;
+use pint_sketches::KllSketch;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: u32 = u32::MAX;
@@ -100,10 +103,25 @@ impl std::hash::BuildHasher for Mix64Build {
     }
 }
 
+/// Hop-sketch blocks taken out of their entries since the last
+/// [`FlowTable::free_retired`]: blocks dropped by
+/// [`FlowEntry::rec_mut`] or evicted with their flow.
+pub type Retired = Vec<Arc<[KllSketch]>>;
+
 /// Per-flow bookkeeping around the boxed recorder.
+///
+/// Besides the recorder, an entry keeps the hop-sketch block it last
+/// published to readers ([`hop_block`](Self::hop_block)), until the
+/// recorder changes. The block is reader memory, not recorder state:
+/// it is left out of the `state_bytes` estimate and so out of byte-cap
+/// eviction, and evicting the flow retires it.
 pub struct FlowEntry {
-    /// The flow's Recording + Inference module.
-    pub rec: Box<dyn FlowRecorder>,
+    /// The flow's Recording + Inference module. Mutable only through
+    /// [`rec_mut`](Self::rec_mut), which drops the published block.
+    rec: Box<dyn FlowRecorder>,
+    /// The hop sketches as of the last read that needed them, shared
+    /// with every result that read them; `None` once `rec` changed.
+    published: Option<Arc<[KllSketch]>>,
     /// Latest sink timestamp observed for this flow.
     pub last_ts: u64,
     /// Bitmask of event rules currently fired (armed again on cooldown).
@@ -121,6 +139,37 @@ pub struct FlowEntry {
     packets_at_refresh: u64,
     /// Batch stamp of the last touch (dedups touches within a batch).
     seen: u64,
+}
+
+impl FlowEntry {
+    /// The flow's recorder, read-only.
+    pub fn rec(&self) -> &dyn FlowRecorder {
+        self.rec.as_ref()
+    }
+
+    /// The flow's recorder, mutably: the only way to change it, so the
+    /// published block goes first, into `retired`. A later read then
+    /// publishes a fresh block instead of a stale one.
+    pub fn rec_mut<'a>(&'a mut self, retired: &mut Retired) -> &'a mut dyn FlowRecorder {
+        if let Some(block) = self.published.take() {
+            retired.push(block);
+        }
+        self.rec.as_mut()
+    }
+
+    /// The flow's hop sketches as one shared block. The first call
+    /// after the recorder changed copies the sketches and publishes the
+    /// copy; every later call until the next change returns that same
+    /// block.
+    pub fn hop_block(&mut self) -> Arc<[KllSketch]> {
+        let rec = &self.rec;
+        Arc::clone(self.published.get_or_insert_with(|| {
+            rec.hop_sketches()
+                .into_iter()
+                .map(Cow::into_owned)
+                .collect()
+        }))
+    }
 }
 
 /// One slab slot: a flow entry plus its LRU links. `entry == None` marks
@@ -163,6 +212,9 @@ pub struct FlowTable {
     last_sweep: u64,
     /// Stamp source for the compatibility wrapper [`entry_mut`](Self::entry_mut).
     auto_stamp: u64,
+    /// Published blocks taken out of entries, awaiting
+    /// [`free_retired`](Self::free_retired).
+    retired: Retired,
     /// Counters exposed to the shard worker.
     pub stats: TableStats,
 }
@@ -182,6 +234,7 @@ impl FlowTable {
             ttl,
             last_sweep: 0,
             auto_stamp: 0,
+            retired: Vec::new(),
             stats: TableStats::default(),
         }
     }
@@ -279,6 +332,7 @@ impl FlowTable {
         self.stats.created += 1;
         let entry = FlowEntry {
             rec,
+            published: None,
             last_ts: ts,
             fired_rules: 0,
             fired_ts: Vec::new(),
@@ -317,32 +371,40 @@ impl FlowTable {
         flow: FlowId,
         ts: u64,
         make: impl FnOnce() -> Box<dyn FlowRecorder>,
-    ) -> &mut FlowEntry {
+    ) -> (&mut FlowEntry, &mut Retired) {
         self.auto_stamp += 1;
         let stamp = self.auto_stamp;
         let (idx, _) = self.upsert(flow, ts, stamp, make);
-        self.slots[idx as usize]
-            .entry
-            .as_mut()
-            .expect("just upserted")
+        self.entry_if(idx, flow).expect("just upserted")
     }
 
     /// Direct slot access, validated against the expected flow: `None`
     /// if the slot was evicted (and possibly reused) since the index was
-    /// obtained.
-    pub fn entry_if(&mut self, idx: u32, flow: FlowId) -> Option<&mut FlowEntry> {
+    /// obtained. Comes with the table's retired list, for
+    /// [`FlowEntry::rec_mut`].
+    pub fn entry_if(&mut self, idx: u32, flow: FlowId) -> Option<(&mut FlowEntry, &mut Retired)> {
         let slot = self.slots.get_mut(idx as usize)?;
         if slot.flow != flow {
             return None;
         }
-        slot.entry.as_mut()
+        Some((slot.entry.as_mut()?, &mut self.retired))
+    }
+
+    /// Frees the blocks retired since the last call. The shard worker
+    /// calls it off the apply path — before it parks and before it
+    /// publishes new blocks for a read — so ingest never pays for
+    /// freeing reader memory, the `measure-alloc` window never counts
+    /// those frees as recorder state given back, and retired and
+    /// published blocks together stay within one block per flow.
+    pub fn free_retired(&mut self) {
+        self.retired.clear();
     }
 
     /// Re-reads `state_bytes` for the flow in slot `idx` if it absorbed
     /// at least `REFRESH_STRIDE` (16) packets since the last estimate, then
     /// evicts LRU flows until the byte cap holds again.
     pub fn refresh_bytes_at(&mut self, idx: u32, flow: FlowId) {
-        if let Some(entry) = self.entry_if(idx, flow) {
+        if let Some((entry, _)) = self.entry_if(idx, flow) {
             let packets = entry.rec.packets();
             if packets.wrapping_sub(entry.packets_at_refresh) >= REFRESH_STRIDE {
                 entry.packets_at_refresh = packets;
@@ -409,7 +471,8 @@ impl FlowTable {
 
     fn remove_slot(&mut self, idx: u32) {
         let flow = self.slots[idx as usize].flow;
-        if let Some(entry) = self.slots[idx as usize].entry.take() {
+        if let Some(mut entry) = self.slots[idx as usize].entry.take() {
+            self.retired.extend(entry.published.take());
             self.total_bytes -= entry.bytes;
             self.unlink(idx);
             self.map.remove(&flow);
@@ -432,6 +495,14 @@ impl FlowTable {
             .filter_map(|s| s.entry.as_ref().map(|e| (&s.flow, e)))
     }
 
+    /// [`iter`](Self::iter) with mutable entries, for reads that
+    /// publish hop blocks ([`FlowEntry::hop_block`]).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut FlowEntry)> {
+        self.slots
+            .iter_mut()
+            .filter_map(|s| s.entry.as_mut().map(|e| (s.flow, e)))
+    }
+
     /// Iterates `(flow, entry)` from least to most recently touched.
     pub fn iter_lru(&self) -> impl Iterator<Item = (FlowId, &FlowEntry)> {
         let mut idx = self.lru_head;
@@ -448,7 +519,8 @@ impl FlowTable {
         self.slots[idx as usize].entry.as_ref()
     }
 
-    /// Mutable access without touching LRU recency (event evaluation).
+    /// Mutable access without touching LRU recency (reads that publish
+    /// hop blocks).
     pub fn get_mut(&mut self, flow: FlowId) -> Option<&mut FlowEntry> {
         let idx = *self.map.get(&flow)?;
         self.slots[idx as usize].entry.as_mut()
@@ -512,14 +584,14 @@ mod tests {
         let mut t = FlowTable::new(usize::MAX, 4_000, None);
         let agg = DynamicAggregator::new(1, 8, 100.0, 1.0e7);
         for f in 0..20u64 {
-            let e = t.entry_mut(f, f, recorder);
+            let (e, retired) = t.entry_mut(f, f, recorder);
             // Grow the recorder's state with real samples.
             for pid in 0..200u64 {
                 let mut d = Digest::new(1);
                 for hop in 1..=3 {
                     agg.encode_hop(pid, hop, 1_000.0, &mut d, 0);
                 }
-                e.rec.absorb(pid, &d);
+                e.rec_mut(retired).absorb(pid, &d);
             }
             t.refresh_bytes(f);
         }

@@ -201,7 +201,7 @@ mod tests {
             packets: values.len() as u64,
             state_bytes: values.len() * 8,
             last_ts: 0,
-            hop_sketches: vec![KllSketch::with_seed(64, 1), sk],
+            hop_sketches: vec![KllSketch::with_seed(64, 1), sk].into(),
             path: None,
             inconsistencies: 0,
         }
@@ -270,7 +270,7 @@ mod tests {
             packets: 10,
             state_bytes: 100,
             last_ts: 0,
-            hop_sketches: Vec::new(),
+            hop_sketches: Vec::new().into(),
             path: Some(progress(resolved, k)),
             inconsistencies: 0,
         };

@@ -22,9 +22,9 @@ use pint_obs::{
     ClockHandle, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceStage,
 };
 use pint_query::SummaryRow;
+use pint_sketches::KllSketch;
 use pint_store::JournalSender;
 use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, WireWriter};
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -144,8 +144,8 @@ pub(crate) struct ShardQuery {
     /// (cold flows cost nothing — they are never summarized).
     pub(crate) since: Option<u64>,
     /// Whether the plan's projection reads hop sketches. When it does
-    /// not, summaries leave `hop_sketches` empty and no sketch is
-    /// copied.
+    /// not, summaries leave `hop_sketches` empty and no block is
+    /// published.
     pub(crate) sketches: bool,
 }
 
@@ -269,6 +269,9 @@ pub(crate) struct ShardWorker {
     journal: Option<JournalSender>,
     /// Seq stamp of the last journaled delta (source = shard index).
     journal_seq: u64,
+    /// The empty `hop_sketches` of rows whose plan reads no sketches:
+    /// one per shard, so those rows share no refcount across threads.
+    no_sketches: Arc<[KllSketch]>,
     /// Cumulative allocator-measured net bytes this shard thread holds.
     #[cfg(feature = "measure-alloc")]
     measured_net: i64,
@@ -325,6 +328,7 @@ impl ShardWorker {
             clock: 0,
             journal: None,
             journal_seq: 0,
+            no_sketches: Arc::from([]),
         }
     }
 
@@ -415,6 +419,8 @@ impl ShardWorker {
                 std::hint::spin_loop();
                 continue;
             }
+            // Idle: free the hop blocks applies retired, off their path.
+            self.table.free_retired();
             // Park until a producer pushes or the collector sends
             // control traffic (both wake this waiter). `prepare` orders
             // the announce before the re-checks; both inputs must be
@@ -595,7 +601,7 @@ impl ShardWorker {
             entry.clear();
             entry.extend_from_slice(&flow.to_le_bytes());
             WireWriter::new(&mut entry).put_varint(e.last_ts);
-            e.rec.image().encode_into(&mut entry);
+            e.rec().image().encode_into(&mut entry);
             WireWriter::new(&mut out).put_varint(entry.len() as u64);
             out.extend_from_slice(&entry);
         }
@@ -687,11 +693,8 @@ impl ShardWorker {
             } else {
                 0
             };
-            self.table
-                .entry_if(idx, flow)
-                .expect("slot just upserted")
-                .rec
-                .absorb(report.pid, &report.digest);
+            let (entry, retired) = self.table.entry_if(idx, flow).expect("slot just upserted");
+            entry.rec_mut(retired).absorb(report.pid, &report.digest);
             if sampled {
                 self.stage_kll
                     .record(self.obs_clock.now_ns().saturating_sub(t1));
@@ -804,10 +807,10 @@ impl ShardWorker {
         let mut fired = 0u64;
         for i in 0..self.touched.len() {
             let (idx, flow) = self.touched[i];
-            let Some(entry) = self.table.entry_if(idx, flow) else {
+            let Some((entry, retired)) = self.table.entry_if(idx, flow) else {
                 continue;
             };
-            let packets = entry.rec.packets();
+            let packets = entry.rec().packets();
             if packets >= EVAL_EAGER && packets < entry.last_eval_packets + EVAL_STRIDE {
                 continue;
             }
@@ -828,7 +831,7 @@ impl ShardWorker {
                     // Fired, no cooldown: keep evaluating at the stride
                     // so the falling edge is observed and reported.
                 }
-                match rule.condition.evaluate(entry.rec.as_mut()) {
+                match rule.condition.evaluate(entry.rec_mut(retired)) {
                     Some(kind) => {
                         // Rising edge, or a cooldown re-fire; a fired
                         // non-cooldown rule whose condition still holds
@@ -911,18 +914,16 @@ impl ShardWorker {
         self.newest_ts.set(self.clock);
     }
 
-    /// One flow's summary; `hop_sketches` stays empty unless
-    /// `sketches` (the plan's projection reads them).
-    fn summarize(entry: &FlowEntry, sketches: bool) -> FlowSummary {
-        let rec = entry.rec.as_ref();
+    /// One flow's summary. `hop_sketches` is the flow's shared block
+    /// (see [`FlowEntry::hop_block`]) when `sketches` (the plan's
+    /// projection reads them), else `empty`.
+    fn summarize(entry: &mut FlowEntry, sketches: bool, empty: &Arc<[KllSketch]>) -> FlowSummary {
         let hop_sketches = if sketches {
-            rec.hop_sketches()
-                .into_iter()
-                .map(Cow::into_owned)
-                .collect()
+            entry.hop_block()
         } else {
-            Vec::new()
+            Arc::clone(empty)
         };
+        let rec = entry.rec();
         FlowSummary {
             kind: rec.kind(),
             packets: rec.packets(),
@@ -949,7 +950,7 @@ impl ShardWorker {
         let mut index = Vec::with_capacity(flows.len());
         for (flow, entry) in flows {
             let start = rows.len();
-            let rec = entry.rec.as_ref();
+            let rec = entry.rec();
             let (hop_sketches, path) = (rec.hop_sketches(), rec.path_progress());
             WireWriter::new(&mut rows).put_varint(flow);
             SummaryRow {
@@ -983,37 +984,38 @@ impl ShardWorker {
 
     /// Resolves one shard query: pick the flows the selection names
     /// (respecting the delta cutoff), summarize *only* those, and wrap
-    /// them with this shard's counters. Summarizing clones hop
-    /// sketches (when the plan reads them), so narrowing here — not after — is what makes
-    /// targeted queries an order of magnitude cheaper than full
-    /// snapshots.
-    fn answer(&self, query: &ShardQuery) -> ShardSnapshot {
+    /// them with this shard's counters. A summary shares its flow's hop
+    /// block, so a repeated read copies no sketch; only the first read
+    /// after a flow changed copies it once. Narrowing here — not after
+    /// — keeps even that copy to the selected flows.
+    fn answer(&mut self, query: &ShardQuery) -> ShardSnapshot {
+        self.table.free_retired();
         let fresh = |entry: &FlowEntry| query.since.is_none_or(|t| entry.last_ts > t);
-        let summarize = |entry| Self::summarize(entry, query.sketches);
+        let empty = &self.no_sketches;
+        let summarize = |entry: &mut FlowEntry| Self::summarize(entry, query.sketches, empty);
+        let table = &mut self.table;
         let flows: Vec<(FlowId, FlowSummary)> = match &query.select {
-            ShardSelect::All => self
-                .table
-                .iter()
-                .filter(|&(_, entry)| fresh(entry))
-                .map(|(&flow, entry)| (flow, summarize(entry)))
+            ShardSelect::All => table
+                .iter_mut()
+                .filter(|(_, entry)| fresh(entry))
+                .map(|(flow, entry)| (flow, summarize(entry)))
                 .collect(),
             // The collector pre-routes the list to this shard, so a
             // direct per-ID probe beats scanning the whole table.
             ShardSelect::Flows(wanted) => wanted
                 .iter()
                 .filter_map(|&flow| {
-                    self.table
-                        .get(flow)
-                        .filter(|&entry| fresh(entry))
+                    table
+                        .get_mut(flow)
+                        .filter(|entry| fresh(entry))
                         .map(|entry| (flow, summarize(entry)))
                 })
                 .collect(),
             ShardSelect::TopK(k) => {
-                let mut ranked: Vec<(u64, FlowId)> = self
-                    .table
+                let mut ranked: Vec<(u64, FlowId)> = table
                     .iter()
                     .filter(|&(_, entry)| fresh(entry))
-                    .map(|(&flow, entry)| (entry.rec.packets(), flow))
+                    .map(|(&flow, entry)| (entry.rec().packets(), flow))
                     .collect();
                 // The shared top-K order (most packets first, ties by
                 // ascending flow ID): local truncation must agree with
@@ -1023,24 +1025,23 @@ impl ShardWorker {
                 ranked
                     .into_iter()
                     .filter_map(|(_, flow)| {
-                        self.table.get(flow).map(|entry| (flow, summarize(entry)))
+                        table.get_mut(flow).map(|entry| (flow, summarize(entry)))
                     })
                     .collect()
             }
             // Probe path progress first (cheap) and summarize — hop
             // sketches and all — only the matching flows.
-            ShardSelect::PathThrough(switch) => self
-                .table
-                .iter()
-                .filter(|&(_, entry)| fresh(entry))
+            ShardSelect::PathThrough(switch) => table
+                .iter_mut()
+                .filter(|(_, entry)| fresh(entry))
                 .filter(|(_, entry)| {
                     entry
-                        .rec
+                        .rec()
                         .path_progress()
                         .and_then(|p| p.path)
                         .is_some_and(|p| p.contains(switch))
                 })
-                .map(|(&flow, entry)| (flow, summarize(entry)))
+                .map(|(flow, entry)| (flow, summarize(entry)))
                 .collect(),
         };
         self.snapshot_with(flows)

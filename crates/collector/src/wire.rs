@@ -182,7 +182,7 @@ mod tests {
             packets: values.len() as u64,
             state_bytes: values.len() * 8,
             last_ts: 77,
-            hop_sketches: sketches,
+            hop_sketches: sketches.into(),
             path: None,
             inconsistencies: 1,
         }
@@ -194,7 +194,7 @@ mod tests {
             packets: 40,
             state_bytes: 320,
             last_ts: 99,
-            hop_sketches: Vec::new(),
+            hop_sketches: Vec::new().into(),
             path: Some(PathProgress {
                 resolved: 3,
                 k: 3,

@@ -10,6 +10,7 @@ use pint_collector::alloc_track::thread_net_bytes;
 use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
 use pint_core::dynamic::DynamicAggregator;
 use pint_core::{Digest, DigestReport};
+use pint_query::TelemetryQuery;
 
 #[test]
 fn measured_bytes_track_the_estimate() {
@@ -45,6 +46,62 @@ fn measured_bytes_track_the_estimate() {
     assert!(
         measured >= estimate / 8 && measured <= estimate * 16,
         "estimate {estimate} vs measured {measured} diverged"
+    );
+    collector.shutdown();
+}
+
+/// Reads publish hop-sketch blocks on the shard threads, outside the
+/// measured window, and the next applies retire them. Freeing those
+/// blocks inside the window would count them as recorder state given
+/// back, and every read/apply round would push the measured footprint
+/// further below the estimate.
+#[test]
+fn reads_between_applies_leave_the_measured_footprint_alone() {
+    let agg = DynamicAggregator::new(6, 8, 100.0, 1.0e7);
+    let collector = Collector::spawn(
+        CollectorConfig {
+            shards: 2,
+            ..CollectorConfig::default()
+        },
+        sketched_latency_factory(agg.clone(), 256),
+    );
+    let mut handle = collector.register_producer();
+    let push_round = |handle: &mut pint_collector::CollectorHandle, round: u64| {
+        for flow in 0..512u64 {
+            let pid = round * 1_000_000 + flow;
+            let mut d = Digest::new(1);
+            agg.encode_hop(pid, 1, 1_000.0, &mut d, 0);
+            handle
+                .push(DigestReport::new(flow, pid, d, 4, pid))
+                .unwrap();
+        }
+        handle.flush().unwrap();
+        collector.barrier().unwrap();
+    };
+    for round in 0..64 {
+        push_round(&mut handle, round);
+    }
+    let measured = |c: &Collector| {
+        let snap = c.metrics().snapshot();
+        (
+            snap.gauge_total("collector_state_bytes"),
+            snap.gauge_total("collector_state_bytes_measured"),
+        )
+    };
+    let (_, before) = measured(&collector);
+    let scan = TelemetryQuery::new().plan().unwrap();
+    for round in 64..96 {
+        drop(collector.query(&scan).unwrap());
+        push_round(&mut handle, round);
+    }
+    let (estimate, after) = measured(&collector);
+    assert!(
+        after >= before / 2,
+        "measured footprint fell from {before} to {after} across read/apply rounds"
+    );
+    assert!(
+        after >= estimate / 8 && after <= estimate * 16,
+        "estimate {estimate} vs measured {after} diverged"
     );
     collector.shutdown();
 }

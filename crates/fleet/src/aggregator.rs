@@ -127,6 +127,11 @@ pub struct FleetAggregator {
     /// Durable journal ([`attach_store`](Self::attach_store)): applied
     /// snapshots become checkpoint records.
     journal: Option<Journal>,
+    /// The snapshot the last apply (or `Bye`) replaced, not yet freed.
+    /// A serving transport takes it with
+    /// [`take_released`](Self::take_released) and frees it after its
+    /// reply is flushed; otherwise the next apply frees it.
+    released: Option<CollectorSnapshot>,
 }
 
 /// `set_all` field order of the `fleet` gauge group (mirrors
@@ -160,6 +165,7 @@ impl FleetAggregator {
             newest_seen_epoch: 0,
             freshness_gauges: BTreeMap::new(),
             journal: None,
+            released: None,
         }
     }
 
@@ -302,7 +308,8 @@ impl FleetAggregator {
                 let mut r = WireReader::new(payload);
                 match r.get_varint() {
                     Ok(collector_id) => {
-                        if self.collectors.remove(&collector_id).is_some() {
+                        if let Some(gone) = self.collectors.remove(&collector_id) {
+                            self.released = Some(gone.snapshot);
                             self.stats.collectors = self.collectors.len();
                             self.evaluate_rules();
                         }
@@ -366,13 +373,14 @@ impl FleetAggregator {
                 Vec::new(),
             );
         }
-        self.collectors.insert(
+        let replaced = self.collectors.insert(
             frame.collector_id,
             CollectorState {
                 epoch: frame.epoch,
                 snapshot: frame.snapshot,
             },
         );
+        self.released = replaced.map(|old| old.snapshot);
         self.stats.snapshots_applied += 1;
         self.stats.collectors = self.collectors.len();
         self.evaluate_rules();
@@ -416,15 +424,23 @@ impl FleetAggregator {
     }
 
     /// Clones `(collector id, latest snapshot)` pairs — the raw inputs
-    /// of a fleet view. Transports serving queries copy state out
-    /// under their aggregator lock with this (a plain clone) and run
-    /// the expensive [`FleetView::merge`] *outside* it, so a slow
-    /// query stalls only its own connection, never ingestion.
+    /// of a fleet view. The rows share their hop sketches with the held
+    /// snapshots, so the clone costs a refcount increment per flow, not
+    /// a sketch copy. Transports serving queries take state out under
+    /// their aggregator lock with this and run the
+    /// [`FleetView::merge`] *outside* it, so a slow query stalls only
+    /// its own connection, never ingestion.
     pub fn collector_snapshots(&self) -> Vec<(u64, CollectorSnapshot)> {
         self.collectors
             .iter()
             .map(|(&id, state)| (id, state.snapshot.clone()))
             .collect()
+    }
+
+    /// Takes the snapshot the last apply or `Bye` replaced, so the
+    /// caller can free it outside the aggregator lock.
+    pub(crate) fn take_released(&mut self) -> Option<CollectorSnapshot> {
+        self.released.take()
     }
 
     /// `(collector id, epoch)` of every contributing collector,
@@ -581,7 +597,7 @@ mod tests {
                     packets: code_values.len() as u64,
                     state_bytes: 100,
                     last_ts: 0,
-                    hop_sketches: vec![KllSketch::with_seed(64, 9), sk],
+                    hop_sketches: vec![KllSketch::with_seed(64, 9), sk].into(),
                     path: None,
                     inconsistencies: 0,
                 },
@@ -726,7 +742,7 @@ mod tests {
                         packets: 10,
                         state_bytes: 64,
                         last_ts: 0,
-                        hop_sketches: Vec::new(),
+                        hop_sketches: Vec::new().into(),
                         path: Some(PathProgress {
                             resolved: path.len(),
                             k: path.len(),

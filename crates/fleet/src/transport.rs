@@ -127,6 +127,7 @@ impl FleetServer {
             connections: metrics.gauge("fleet_connections"),
             framing_errors: 0,
             retired: None,
+            released: Vec::new(),
         };
         let core = FrameServer::bind(
             addr,
@@ -183,6 +184,9 @@ struct FleetHandler {
     /// has flushed the reply, so the client does not wait while a large
     /// view is freed.
     retired: Option<crate::view::FleetView>,
+    /// Snapshots replaced by applies since the last `tick`, freed there
+    /// for the same reason and outside the aggregator lock.
+    released: Vec<pint_collector::CollectorSnapshot>,
 }
 
 impl FleetHandler {
@@ -195,11 +199,11 @@ impl FrameHandler for FleetHandler {
     fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>) {
         match ty {
             FrameType::Query => {
-                // Snapshot clones leave the lock quickly; the expensive
-                // fleet merge and the plan itself run outside it. The
-                // watermark is read under the same lock hold, so the
-                // stamp is consistent with the snapshots the answer was
-                // computed from.
+                // Snapshot clones (refcounts, not sketch copies) leave
+                // the lock quickly; the fleet merge and the plan run
+                // outside it. The watermark is read under the same lock
+                // hold, so the stamp is consistent with the snapshots
+                // the answer was computed from.
                 let (pods, watermark) = {
                     let agg = self.lock();
                     (agg.collector_snapshots(), agg.watermark())
@@ -216,13 +220,19 @@ impl FrameHandler for FleetHandler {
             // stray metrics or trace reports included) are counted by
             // the aggregator; the stream itself is still in sync.
             _ => {
-                let _ = self.lock().ingest_payload(ty, payload);
+                let released = {
+                    let mut agg = self.lock();
+                    let _ = agg.ingest_payload(ty, payload);
+                    agg.take_released()
+                };
+                self.released.extend(released);
             }
         }
     }
 
     fn tick(&mut self, stats: &ServerStats) {
         self.retired = None;
+        self.released.clear();
         self.connections.set(stats.active as u64);
         if stats.framing_errors > self.framing_errors {
             self.lock()
@@ -307,7 +317,7 @@ mod tests {
                         packets: 100,
                         state_bytes: 800,
                         last_ts: epoch,
-                        hop_sketches: vec![KllSketch::with_seed(32, 0), sk],
+                        hop_sketches: vec![KllSketch::with_seed(32, 0), sk].into(),
                         path: None,
                         inconsistencies: 0,
                     },
@@ -378,7 +388,7 @@ mod tests {
                     packets: 64,
                     state_bytes: 800,
                     last_ts: 1,
-                    hop_sketches: vec![KllSketch::with_seed(32, 0), sk],
+                    hop_sketches: vec![KllSketch::with_seed(32, 0), sk].into(),
                     path: None,
                     inconsistencies: 0,
                 };

@@ -233,7 +233,7 @@ mod tests {
             packets: values.len() as u64,
             state_bytes: values.len() * 8,
             last_ts: seed,
-            hop_sketches: vec![KllSketch::with_seed(64, seed), sk],
+            hop_sketches: vec![KllSketch::with_seed(64, seed), sk].into(),
             path: None,
             inconsistencies: 1,
         }
@@ -350,7 +350,7 @@ mod tests {
             packets: 5,
             state_bytes: 64,
             last_ts: 1,
-            hop_sketches: Vec::new(),
+            hop_sketches: Vec::new().into(),
             path: Some(pint_core::PathProgress {
                 resolved: 1,
                 k: 3,

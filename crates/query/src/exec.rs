@@ -358,7 +358,7 @@ mod tests {
                 packets,
                 state_bytes: 8,
                 last_ts,
-                hop_sketches: Vec::new(),
+                hop_sketches: Vec::new().into(),
                 path: None,
                 inconsistencies: flow % 3,
             },
@@ -374,7 +374,7 @@ mod tests {
                 packets: 1,
                 state_bytes: 8,
                 last_ts: 0,
-                hop_sketches: Vec::new(),
+                hop_sketches: Vec::new().into(),
                 path: Some(PathProgress {
                     resolved: path.as_ref().map_or(1, Vec::len),
                     k,

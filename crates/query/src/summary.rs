@@ -8,6 +8,7 @@
 
 use pint_core::{PathProgress, RecorderKind};
 use pint_sketches::KllSketch;
+use std::sync::Arc;
 
 /// One flow's recorded state, as exported by a shard snapshot and
 /// merged up through collector and fleet views.
@@ -22,7 +23,12 @@ pub struct FlowSummary {
     /// Latest sink timestamp for the flow (drives delta queries).
     pub last_ts: u64,
     /// Per-hop code-space sketches (latency flows; index = hop, 0 unused).
-    pub hop_sketches: Vec<KllSketch>,
+    ///
+    /// Shared, not owned: a collector shard hands out the block its
+    /// flow last published, so cloning a row (or a whole snapshot)
+    /// costs one refcount increment per flow. Writers copy on write —
+    /// [`merge`](Self::merge) never changes a block another row holds.
+    pub hop_sketches: Arc<[KllSketch]>,
     /// Path-reconstruction progress (path-tracing flows).
     pub path: Option<PathProgress>,
     /// Digests contradicting the flow's inference.
@@ -43,17 +49,7 @@ impl FlowSummary {
         self.state_bytes = self.state_bytes.saturating_add(src.state_bytes);
         self.last_ts = self.last_ts.max(src.last_ts);
         self.inconsistencies = self.inconsistencies.saturating_add(src.inconsistencies);
-        for (hop, sk) in src.hop_sketches.into_iter().enumerate() {
-            if hop >= self.hop_sketches.len() {
-                self.hop_sketches.push(sk);
-            } else if !sk.is_empty() {
-                if self.hop_sketches[hop].is_empty() {
-                    self.hop_sketches[hop] = sk;
-                } else {
-                    self.hop_sketches[hop].merge(&sk);
-                }
-            }
-        }
+        merge_hops(&mut self.hop_sketches, &src.hop_sketches);
         self.path = match (self.path.take(), src.path) {
             (Some(a), Some(b)) => {
                 // Keep the further-along reconstruction; inconsistency
@@ -65,5 +61,35 @@ impl FlowSummary {
             }
             (a, b) => a.or(b),
         };
+    }
+}
+
+/// Folds `src`'s per-hop sketches into `dst`, hop by hop: a hop `dst`
+/// lacks is taken from `src`, an empty one is replaced, and two
+/// non-empty ones merge. `dst` is copied before the first write if
+/// anything else holds it, and not at all when `src` adds nothing.
+fn merge_hops(dst: &mut Arc<[KllSketch]>, src: &Arc<[KllSketch]>) {
+    if dst.is_empty() {
+        *dst = Arc::clone(src);
+        return;
+    }
+    let shared = dst.len().min(src.len());
+    if src.len() > dst.len() {
+        let mut grown = dst.to_vec();
+        grown.extend_from_slice(&src[shared..]);
+        *dst = grown.into();
+    }
+    if src[..shared].iter().all(KllSketch::is_empty) {
+        return;
+    }
+    for (d, s) in Arc::make_mut(dst).iter_mut().zip(&src[..shared]) {
+        if s.is_empty() {
+            continue;
+        }
+        if d.is_empty() {
+            d.clone_from(s);
+        } else {
+            d.merge(s);
+        }
     }
 }

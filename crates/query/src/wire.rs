@@ -12,6 +12,7 @@ use pint_core::{PathProgress, RecorderKind};
 use pint_sketches::KllSketch;
 use pint_wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// One [`FlowSummary`] row with every field borrowed: the single
 /// writer of the row format. [`FlowSummary`] encodes through it, and a
@@ -89,9 +90,25 @@ impl WireDecode for FlowSummary {
         if sketches > usize::from(u16::MAX) + 1 {
             return Err(WireError::Invalid("hop sketch count exceeds path bound"));
         }
-        let mut hop_sketches = Vec::with_capacity(sketches);
-        for _ in 0..sketches {
-            hop_sketches.push(KllSketch::decode_from(r)?);
+        // Decode straight into the shared block: an exact-length
+        // iterator lets `Arc<[_]>` allocate once, where a `Vec` would
+        // cost a second allocation and a copy per row. After an error
+        // the remaining slots take empty sketches (`new` allocates
+        // nothing) and the block is dropped.
+        let mut failed = None;
+        let hop_sketches: Arc<[KllSketch]> = (0..sketches)
+            .map(|_| {
+                if failed.is_none() {
+                    match KllSketch::decode_from(r) {
+                        Ok(sk) => return sk,
+                        Err(e) => failed = Some(e),
+                    }
+                }
+                KllSketch::new(2)
+            })
+            .collect();
+        if let Some(e) = failed {
+            return Err(e);
         }
         let path = match r.get_u8()? {
             0 => None,
@@ -639,7 +656,7 @@ mod tests {
             packets: 1,
             state_bytes: 80,
             last_ts: 0,
-            hop_sketches: Vec::new(),
+            hop_sketches: Vec::new().into(),
             path: None,
             inconsistencies: 0,
         };

@@ -18,10 +18,10 @@ use pint::core::dynamic::{DynamicAggregator, DynamicRecorder, FrequentValuesReco
 use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
-    FleetAggregator, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
+    FleetAggregator, FleetClient, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
     InMemoryTransport,
 };
-use pint::query::{QueryResult, TelemetryQuery};
+use pint::query::{QueryPlan, QueryResult, TelemetryQuery};
 use pint::wire::WireEncode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,7 +123,7 @@ fn fleet_view_matches_single_collector_over_both_transports() {
     let mut joins = Vec::new();
     for f in frames.clone() {
         joins.push(std::thread::spawn(move || {
-            let mut client = pint::fleet::FleetClient::connect(addr).unwrap();
+            let mut client = FleetClient::connect(addr).unwrap();
             client.send(&f).unwrap();
         }));
     }
@@ -398,4 +398,102 @@ fn export_frames_equal_the_encoded_snapshot() {
     assert!(evicted > 0, "the table must have evicted");
     assert_export_matches_snapshot(&evicting, "LRU-evicted table");
     evicting.shutdown();
+}
+
+/// One plan per selector × projection shape the fleet serves.
+fn every_plan() -> Vec<QueryPlan> {
+    let q = TelemetryQuery::new;
+    [
+        q(),
+        q().hop_quantiles(3, [0.5, 0.9, 0.99]),
+        q().top_k(5),
+        q().top_k(5).hop_quantiles(1, [0.5]),
+        q().flows([0, 1, 2, 50, 9_999]),
+        q().flows([0, 1, 2]).hop_quantiles(3, [0.9]),
+        q().watch([7, 0, 3]),
+        q().through_switch(3),
+        q().stats(),
+        q().path_completion(),
+        q().decoded_paths(),
+    ]
+    .into_iter()
+    .map(|t| t.plan().unwrap())
+    .collect()
+}
+
+/// Every snapshot the aggregator holds still encodes to the frame it
+/// received: no read wrote through a shared sketch block.
+fn assert_stored_frames(fleet: &FleetAggregator, frames: &[Vec<u8>], case: &str) {
+    let snapshots = fleet.collector_snapshots();
+    assert_eq!(snapshots.len(), frames.len());
+    for ((id, snapshot), (_, epoch)) in snapshots.into_iter().zip(fleet.collector_epochs()) {
+        let bytes = SnapshotFrame {
+            collector_id: id,
+            epoch,
+            snapshot,
+        }
+        .to_frame_bytes();
+        assert!(
+            bytes == frames[id as usize],
+            "{case}: collector {id}'s stored snapshot changed"
+        );
+    }
+}
+
+#[test]
+fn fleet_reads_never_write_through_shared_sketch_blocks() {
+    let agg = DynamicAggregator::new(53, 8, 100.0, 1.0e7);
+    let reports = build_reports(&agg);
+    // Two pods split by packet, so every flow's sketches merge.
+    let frames: Vec<Vec<u8>> = (0..2u64)
+        .map(|pod| {
+            let c = collect(reports.iter().filter(|r| r.pid % 2 == pod).cloned(), &agg);
+            let frame = c.export_snapshot_frame(pod, 1).unwrap();
+            c.shutdown();
+            frame
+        })
+        .collect();
+    // The scoped rule merges its flows on every apply; the unscoped one
+    // merges the whole fleet.
+    let mut config = fleet_config(&agg);
+    config
+        .rules
+        .push(FleetRule::new(FleetCondition::QuantileAbove {
+            hop: 3,
+            phi: 0.99,
+            threshold: 100_000.0,
+            min_samples: 30,
+        }));
+    let plans = every_plan();
+
+    let mut fleet = FleetAggregator::new(config.clone());
+    for f in &frames {
+        fleet.ingest_frame(f).unwrap();
+    }
+    let answer = |fleet: &FleetAggregator| -> Vec<Vec<u8>> {
+        plans
+            .iter()
+            .map(|p| fleet.query(p).unwrap().encode())
+            .collect()
+    };
+    let direct = answer(&fleet);
+    assert_eq!(answer(&fleet), direct, "aggregator answers repeat");
+    assert_stored_frames(&fleet, &frames, "aggregator");
+
+    let server = FleetServer::bind("127.0.0.1:0", config).unwrap();
+    let mut client = FleetClient::connect(server.local_addr()).unwrap();
+    for f in &frames {
+        client.send(f).unwrap();
+    }
+    // Answered in order after the snapshots, so both are applied.
+    client.fetch_metrics().unwrap();
+    for round in 0..2 {
+        let remote: Vec<Vec<u8>> = plans
+            .iter()
+            .map(|p| client.query(p).unwrap().encode())
+            .collect();
+        assert_eq!(remote, direct, "server round {round} ≡ aggregator");
+    }
+    server.with_aggregator(|a| assert_stored_frames(a, &frames, "server"));
+    drop(server.shutdown());
 }

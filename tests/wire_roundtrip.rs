@@ -461,7 +461,7 @@ fn snapshot_frame_rejects_future_versions_and_garbage() {
                     packets: 4,
                     state_bytes: 32,
                     last_ts: 0,
-                    hop_sketches: vec![random_sketch(16, 1, 4, 100)],
+                    hop_sketches: vec![random_sketch(16, 1, 4, 100)].into(),
                     path: None,
                     inconsistencies: 0,
                 },
