@@ -5,14 +5,14 @@ use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY, PA
 use crate::error::CollectorError;
 use crate::events::Event;
 use crate::handle::{shard_of, CollectorHandle};
-use crate::inference::{CollectorSnapshot, FlowSummary, ShardSnapshot};
+use crate::inference::{CollectorSnapshot, ShardSnapshot};
 use crate::prefilter::Bloom;
 use crate::ring::{self, RingTuning, Waiter};
-use crate::shard::{ShardLoad, ShardMsg, ShardQuery, ShardSelect, ShardStats, ShardWorker};
+use crate::shard::{ShardLoad, ShardMsg, ShardQuery, ShardStats, ShardWorker};
 use crate::wire::SplicedSnapshot;
 use pint_obs::{ClockHandle, Counter, Gauge, Histogram, MetricsRegistry};
 use pint_query::{
-    Projection, QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals, Watermark,
+    Projection, QueryBackend, QueryError, QueryPlan, QueryResult, Selector, Watermark,
 };
 use pint_store::{Journal, Replayer, StoreReader};
 use pint_wire::store::{CoveredSource, StoreRecord};
@@ -544,92 +544,56 @@ impl Collector {
             Projection::Summaries | Projection::HopQuantiles { .. }
         );
         let shards = self.gather(&plan.selector, plan.options.updated_since, sketches)?;
-        // Table totals are whole-collector counters; only a full-table
-        // selector consults every shard, so only it reports them.
-        let table = matches!(plan.selector, Selector::All).then(|| {
-            let mut t = TableTotals::default();
-            for s in &shards {
-                t.created += s.table_stats.created;
-                t.evicted_lru += s.table_stats.evicted_lru;
-                t.evicted_ttl += s.table_stats.evicted_ttl;
-                t.ingested += s.ingested;
-            }
-            t
-        });
-        let mut rows: Vec<(FlowId, FlowSummary)> =
-            shards.into_iter().flat_map(|s| s.flows).collect();
-        rows.sort_by_key(|&(f, _)| f);
-        // Shards only pre-narrowed; the shared refinement owns final
-        // ordering and tie-breaking, identically on every backend.
-        let rows = pint_query::refine(rows, plan);
-        Ok(pint_query::project(rows, &plan.projection, table))
+        // Shards only pre-narrowed; the snapshot's shared refinement
+        // owns final ordering and tie-breaking, identically on every
+        // backend.
+        Ok(CollectorSnapshot::from_shards(shards).answer(plan))
     }
 
     /// Routes one selector to the shards that can answer it and
     /// collects their replies: flow sets and watch lists go only to
-    /// the owning shards (with each shard's slice of the IDs); other
-    /// selectors fan out, already narrowed shard-side (per-shard
-    /// top-K, path predicate, delta cutoff). This is the routing layer
-    /// under both [`query`](Self::query) and the legacy snapshot
-    /// methods. `sketches` says whether the rows need their hop
-    /// sketches.
+    /// the owning shards, each as a flow set of its slice of the IDs;
+    /// other selectors fan out as they are, and each shard narrows to
+    /// them (per-shard top-K, path predicate, recorder kind, delta
+    /// cutoff) before it summarizes anything. This is the routing
+    /// layer under both [`query`](Self::query) and
+    /// [`snapshot`](Self::snapshot). `sketches` says whether the rows
+    /// need their hop sketches.
     fn gather(
         &self,
         selector: &Selector,
         since: Option<u64>,
         sketches: bool,
     ) -> Result<Vec<ShardSnapshot>, CollectorError> {
-        let select_all = |select: ShardSelect| ShardQuery {
+        let query = |select: Selector| ShardQuery {
             select,
             since,
             sketches,
         };
-        match selector {
-            Selector::All => self.fanout(|r| ShardMsg::Query(select_all(ShardSelect::All), r)),
-            Selector::TopK(k) => {
-                self.fanout(|r| ShardMsg::Query(select_all(ShardSelect::TopK(*k)), r))
-            }
-            Selector::PathThroughSwitch(s) => {
-                self.fanout(|r| ShardMsg::Query(select_all(ShardSelect::PathThrough(*s)), r))
-            }
-            // Kind membership is per-flow state every shard holds; fan
-            // out unfiltered and let the shared refinement drop
-            // non-matching rows (no serialization happens in-process,
-            // so there is nothing to narrow ahead of).
-            Selector::OfKind(_) => {
-                self.fanout(|r| ShardMsg::Query(select_all(ShardSelect::All), r))
-            }
-            Selector::FlowSet(ids) | Selector::WatchList(ids) => {
-                let shards = self.shards();
-                let mut sorted = ids.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                let mut per_shard: Vec<Vec<FlowId>> = vec![Vec::new(); shards];
-                for flow in sorted {
-                    per_shard[shard_of(flow, shards)].push(flow);
-                }
-                let mut pending = Vec::new();
-                for (shard, wanted) in per_shard.into_iter().enumerate() {
-                    if wanted.is_empty() {
-                        continue;
-                    }
-                    let (reply_tx, reply_rx) = channel();
-                    self.ctrl[shard]
-                        .send(ShardMsg::Query(
-                            ShardQuery {
-                                select: ShardSelect::Flows(wanted),
-                                since,
-                                sketches,
-                            },
-                            reply_tx,
-                        ))
-                        .map_err(|_| CollectorError::Disconnected)?;
-                    self.waiters[shard].wake();
-                    pending.push((shard, reply_rx));
-                }
-                Self::collect(pending)
-            }
+        let (Selector::FlowSet(ids) | Selector::WatchList(ids)) = selector else {
+            return self.fanout(|r| ShardMsg::Query(query(selector.clone()), r));
+        };
+        let shards = self.shards();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut per_shard: Vec<Vec<FlowId>> = vec![Vec::new(); shards];
+        for flow in sorted {
+            per_shard[shard_of(flow, shards)].push(flow);
         }
+        let mut pending = Vec::new();
+        for (shard, wanted) in per_shard.into_iter().enumerate() {
+            if wanted.is_empty() {
+                continue;
+            }
+            let (reply_tx, reply_rx) = channel();
+            self.ctrl[shard]
+                .send(ShardMsg::Query(query(Selector::FlowSet(wanted)), reply_tx))
+                .map_err(|_| CollectorError::Disconnected)?;
+            self.waiters[shard].wake();
+            pending.push((shard, reply_rx));
+        }
+        Self::collect(pending)
     }
 
     /// Collects one reply per pending shard request (in request order).

@@ -14,11 +14,6 @@ pub enum CollectorError {
         /// The shard that failed to answer.
         shard: usize,
     },
-    /// A non-blocking push found the destination shard's ring full and
-    /// the handle's buffer for it already at one batch: accepting the
-    /// digest would require blocking. The digest was *not* queued; retry,
-    /// reroute, or drop it.
-    WouldBlock,
     /// A persisted checkpoint could not be loaded during
     /// [`Collector::restore`](crate::Collector::restore) — the store
     /// file's CRCs were intact but the payload is not a recorder-image
@@ -38,9 +33,6 @@ impl fmt::Display for CollectorError {
             }
             CollectorError::SnapshotFailed { shard } => {
                 write!(f, "shard {shard} did not answer the snapshot request")
-            }
-            CollectorError::WouldBlock => {
-                write!(f, "shard ring full; digest not queued (backpressure)")
             }
             CollectorError::RestoreFailed { reason } => {
                 write!(f, "restore failed: {reason}")

@@ -18,7 +18,7 @@
 use crate::collector::ProducerRegistry;
 use crate::config::FlowId;
 use crate::error::CollectorError;
-use crate::ring::{PushError, RingProducer};
+use crate::ring::RingProducer;
 use pint_core::DigestReport;
 use std::sync::Arc;
 
@@ -99,31 +99,6 @@ impl CollectorHandle {
         }
     }
 
-    /// Non-blocking [`push`](Self::push): if the destination shard's
-    /// ring is full *and* the handle's buffer for it already holds a
-    /// full batch, returns [`CollectorError::WouldBlock`] without
-    /// accepting the digest — the caller chooses whether to retry,
-    /// reroute, or drop. Buffering stays bounded at one batch per shard.
-    pub fn try_push(&mut self, report: DigestReport) -> Result<(), CollectorError> {
-        if self.prefiltered(&report) {
-            return Ok(());
-        }
-        let shard = shard_of(report.flow, self.producers.len());
-        if self.bufs[shard].len() >= self.batch_size {
-            self.try_ship(shard)?;
-        }
-        self.bufs[shard].push(report);
-        if self.bufs[shard].len() >= self.batch_size {
-            // Opportunistic: a full ring is fine, the digest is buffered.
-            match self.try_ship(shard) {
-                Err(CollectorError::WouldBlock) => Ok(()),
-                other => other,
-            }
-        } else {
-            Ok(())
-        }
-    }
-
     /// Queues a pre-assembled batch (e.g. from an upstream aggregator).
     pub fn push_batch(
         &mut self,
@@ -200,31 +175,11 @@ impl CollectorHandle {
                 self.bufs[shard] = self.fresh_buf(shard);
                 Ok(())
             }
-            Err(PushError::Closed(lost)) => {
+            Err(lost) => {
                 // The batch cannot be delivered anywhere; account for
                 // every digest of it before reporting the disconnect.
                 // The buffer stays empty — further pushes to a dead
                 // shard are error-path, not worth pool traffic.
-                self.registry.dropped.add(lost.len() as u64);
-                Err(CollectorError::Disconnected)
-            }
-            Err(PushError::Full(_)) => unreachable!("blocking push never reports Full"),
-        }
-    }
-
-    fn try_ship(&mut self, shard: usize) -> Result<(), CollectorError> {
-        let batch = std::mem::take(&mut self.bufs[shard]);
-        match self.producers[shard].try_push(batch) {
-            Ok(()) => {
-                self.publish_backoff(shard);
-                self.bufs[shard] = self.fresh_buf(shard);
-                Ok(())
-            }
-            Err(PushError::Full(batch)) => {
-                self.bufs[shard] = batch;
-                Err(CollectorError::WouldBlock)
-            }
-            Err(PushError::Closed(lost)) => {
                 self.registry.dropped.add(lost.len() as u64);
                 Err(CollectorError::Disconnected)
             }

@@ -10,8 +10,7 @@
 
 use crate::config::FlowId;
 use crate::flow_table::TableStats;
-use pint_core::dynamic::DynamicAggregator;
-use pint_sketches::KllSketch;
+use pint_query::{QueryError, QueryPlan, QueryResult, Selector, TableTotals};
 
 /// One flow's state, as exported by a shard snapshot. Defined by the
 /// query tier (`pint-query`), which every read backend shares.
@@ -110,79 +109,54 @@ impl CollectorSnapshot {
             .map(|i| &self.flows[i].1)
     }
 
-    /// Digests recorded across all tracked flows. Saturating: snapshots
-    /// may have been decoded from the wire, where per-flow counts are
-    /// untrusted.
-    pub fn total_packets(&self) -> u64 {
-        self.flows
-            .iter()
-            .fold(0u64, |acc, (_, s)| acc.saturating_add(s.packets))
+    /// Executes a compiled [`QueryPlan`] against this snapshot — the
+    /// one answer path for held state: a fleet view delegates here, and
+    /// [`Collector::query`](crate::Collector::query) runs the same
+    /// refinement over the rows its shards return. Selection runs over
+    /// references; only the rows the plan keeps are cloned, and a
+    /// clone shares its hop sketches.
+    pub fn execute(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
+        plan.validate()?;
+        let rows = self.flows.iter().map(|(f, s)| (*f, s)).collect();
+        let kept = pint_query::refine(rows, plan)
+            .into_iter()
+            .map(|(f, s)| (f, s.clone()))
+            .collect();
+        Ok(pint_query::project(
+            kept,
+            &plan.projection,
+            self.table_totals(plan),
+        ))
     }
 
-    /// Merges hop `hop`'s code-space sketches across every latency flow
-    /// (ascending flow ID — deterministic). `None` if no flow has data
-    /// for that hop. Delegates to the query tier's shared
-    /// [`merge_hop_sketches`](pint_query::merge_hop_sketches), so local
-    /// snapshots and query backends produce identical merges.
-    pub fn merged_hop_sketch(&self, hop: usize) -> Option<KllSketch> {
-        pint_query::merge_hop_sketches(&self.flows, hop)
+    /// [`execute`](Self::execute) for an already validated plan,
+    /// consuming the snapshot so its rows move into the answer.
+    pub(crate) fn answer(self, plan: &QueryPlan) -> QueryResult {
+        let table = self.table_totals(plan);
+        pint_query::project(
+            pint_query::refine(self.flows, plan),
+            &plan.projection,
+            table,
+        )
     }
 
-    /// Fleet-wide ϕ-quantile of hop `hop`'s value stream, decompressed
-    /// through `agg`'s codec (all latency flows must share the codec —
-    /// they do when one [`RecorderFactory`](crate::RecorderFactory)
-    /// built them).
-    pub fn latency_quantile(&self, hop: usize, phi: f64, agg: &DynamicAggregator) -> Option<f64> {
-        let code = self.merged_hop_sketch(hop)?.quantile(phi)?;
-        Some(agg.decode(code))
-    }
-
-    /// `(complete, total)` path-tracing flows.
-    pub fn path_counts(&self) -> (usize, usize) {
-        let mut complete = 0;
-        let mut total = 0;
-        for (_, s) in &self.flows {
-            if let Some(p) = &s.path {
-                total += 1;
-                if p.is_complete() {
-                    complete += 1;
-                }
+    /// Table counters summed over the snapshot's shards. Only a
+    /// full-table selector reports them: a narrower one may not have
+    /// consulted every table. Saturating, since a snapshot decoded
+    /// from the wire carries untrusted counters.
+    fn table_totals(&self, plan: &QueryPlan) -> Option<TableTotals> {
+        matches!(plan.selector, Selector::All).then(|| {
+            let mut t = TableTotals {
+                ingested: self.ingested,
+                ..TableTotals::default()
+            };
+            for s in &self.shard_stats {
+                t.created = t.created.saturating_add(s.created);
+                t.evicted_lru = t.evicted_lru.saturating_add(s.evicted_lru);
+                t.evicted_ttl = t.evicted_ttl.saturating_add(s.evicted_ttl);
             }
-        }
-        (complete, total)
-    }
-
-    /// Fraction of path-tracing flows whose route is fully reconstructed;
-    /// `None` when no path flows are tracked.
-    pub fn path_completion(&self) -> Option<f64> {
-        let (complete, total) = self.path_counts();
-        (total > 0).then(|| complete as f64 / total as f64)
-    }
-
-    /// Decoded paths, ascending by flow ID.
-    pub fn decoded_paths(&self) -> impl Iterator<Item = (FlowId, &[u64])> {
-        self.flows.iter().filter_map(|(f, s)| {
-            s.path
-                .as_ref()
-                .and_then(|p| p.path.as_deref())
-                .map(|path| (*f, path))
+            t
         })
-    }
-
-    /// Sum of per-flow state-byte estimates (saturating — see
-    /// [`total_packets`](Self::total_packets)).
-    pub fn state_bytes(&self) -> usize {
-        self.flows
-            .iter()
-            .fold(0usize, |acc, (_, s)| acc.saturating_add(s.state_bytes))
-    }
-
-    /// Total flows evicted (LRU + TTL) across shards.
-    pub fn evicted_flows(&self) -> u64 {
-        self.shard_stats
-            .iter()
-            .map(|t| t.evicted_lru + t.evicted_ttl)
-            .sum()
     }
 }
 
@@ -190,6 +164,8 @@ impl CollectorSnapshot {
 mod tests {
     use super::*;
     use pint_core::{PathProgress, RecorderKind};
+    use pint_query::TelemetryQuery;
+    use pint_sketches::KllSketch;
 
     fn latency_summary(values: &[u64]) -> FlowSummary {
         let mut sk = KllSketch::with_seed(64, 1);
@@ -216,6 +192,10 @@ mod tests {
         }
     }
 
+    fn run(snap: &CollectorSnapshot, query: TelemetryQuery) -> QueryResult {
+        snap.execute(&query.plan().unwrap()).unwrap()
+    }
+
     #[test]
     fn merge_is_shard_count_invariant() {
         let a = latency_summary(&(0..500).collect::<Vec<_>>());
@@ -233,15 +213,14 @@ mod tests {
             shard(1, vec![(1, a)]),
         ]);
 
-        for phi in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(
-                one.merged_hop_sketch(1).unwrap().quantile(phi),
-                three.merged_hop_sketch(1).unwrap().quantile(phi),
-                "phi={phi}"
-            );
+        let quantiles = || TelemetryQuery::new().hop_quantiles(1, [0.1, 0.5, 0.9, 0.99]);
+        assert_eq!(run(&one, quantiles()), run(&three, quantiles()));
+        for snap in [&one, &three] {
+            match run(snap, TelemetryQuery::new().stats()) {
+                QueryResult::Stats(s) => assert_eq!(s.packets, 1500),
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        assert_eq!(one.total_packets(), 1500);
-        assert_eq!(three.total_packets(), 1500);
     }
 
     #[test]
@@ -253,8 +232,13 @@ mod tests {
             })
             .collect();
         let snap = CollectorSnapshot::from_shards(vec![shard(0, flows)]);
-        let med = snap.merged_hop_sketch(1).unwrap().quantile(0.5).unwrap();
-        assert!((med as i64 - 5_000).abs() < 400, "median {med}");
+        match run(&snap, TelemetryQuery::new().hop_quantiles(1, [0.5])) {
+            QueryResult::HopQuantiles { quantiles, .. } => {
+                let med = quantiles[0].1;
+                assert!((med as i64 - 5_000).abs() < 400, "median {med}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -278,9 +262,14 @@ mod tests {
             shard(0, vec![(5, path_summary(5, 5)), (7, path_summary(2, 5))]),
             shard(1, vec![(6, path_summary(5, 5))]),
         ]);
-        assert_eq!(snap.path_counts(), (2, 3));
-        assert_eq!(snap.path_completion(), Some(2.0 / 3.0));
-        assert_eq!(snap.decoded_paths().count(), 2);
+        assert_eq!(
+            run(&snap, TelemetryQuery::new().path_completion()),
+            QueryResult::PathCompletion {
+                complete: 2,
+                total: 3
+            }
+        );
+        assert_eq!(run(&snap, TelemetryQuery::new().decoded_paths()).len(), 2);
         assert!(snap.flow(7).is_some());
         assert!(snap.flow(99).is_none());
         assert_eq!(snap.num_flows(), 3);

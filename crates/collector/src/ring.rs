@@ -271,15 +271,6 @@ pub(crate) fn ring(
     )
 }
 
-/// Why a push did not complete.
-pub(crate) enum PushError {
-    /// The ring is full right now (only returned by `try_push`); the
-    /// batch is handed back untouched.
-    Full(Batch),
-    /// The consumer endpoint is gone; the batch is handed back.
-    Closed(Batch),
-}
-
 /// The producing endpoint (exactly one per ring; `!Clone`).
 pub(crate) struct RingProducer {
     ring: Arc<Ring>,
@@ -330,14 +321,14 @@ impl RingProducer {
     }
 
     /// Enqueues `batch`, parking under backpressure until the consumer
-    /// frees a slot. Fails only when the consumer endpoint is gone.
-    /// Contended pushes adapt the spin/park policy (see
-    /// [`BackoffController`]).
-    pub(crate) fn push(&mut self, batch: Batch) -> Result<(), PushError> {
+    /// frees a slot. Fails only when the consumer endpoint is gone, and
+    /// then hands the batch back. Contended pushes adapt the spin/park
+    /// policy (see [`BackoffController`]).
+    pub(crate) fn push(&mut self, batch: Batch) -> Result<(), Batch> {
         let mut spins = 0u32;
         loop {
             if !self.ring.consumer_open.load(Ordering::Acquire) {
-                return Err(PushError::Closed(batch));
+                return Err(batch);
             }
             if self.has_room() {
                 if spins > 0 {
@@ -408,20 +399,6 @@ impl RingProducer {
     /// The live adaptive park timeout in µs (for policy gauges).
     pub(crate) fn adaptive_park_us(&self) -> u64 {
         self.backoff.park_timeout().as_micros() as u64
-    }
-
-    /// Non-blocking enqueue: `Full` hands the batch back immediately
-    /// instead of parking.
-    pub(crate) fn try_push(&mut self, batch: Batch) -> Result<(), PushError> {
-        if !self.ring.consumer_open.load(Ordering::Acquire) {
-            return Err(PushError::Closed(batch));
-        }
-        if self.has_room() {
-            self.commit(batch);
-            Ok(())
-        } else {
-            Err(PushError::Full(batch))
-        }
     }
 }
 
@@ -552,6 +529,30 @@ impl Drop for RingConsumer {
 mod tests {
     use super::*;
 
+    /// Why a non-blocking push did not complete.
+    enum PushError {
+        /// The ring is full right now; the batch is handed back untouched.
+        Full(Batch),
+        /// The consumer endpoint is gone; the batch is handed back.
+        Closed(Batch),
+    }
+
+    impl RingProducer {
+        /// Non-blocking enqueue: `Full` hands the batch back immediately
+        /// instead of parking, so a test can fill a ring to the brim.
+        fn try_push(&mut self, batch: Batch) -> Result<(), PushError> {
+            if !self.ring.consumer_open.load(Ordering::Acquire) {
+                return Err(PushError::Closed(batch));
+            }
+            if self.has_room() {
+                self.commit(batch);
+                Ok(())
+            } else {
+                Err(PushError::Full(batch))
+            }
+        }
+    }
+
     fn test_pair(cap: usize) -> (RingProducer, RingConsumer) {
         ring(
             cap,
@@ -606,7 +607,7 @@ mod tests {
         // Many laps over a 4-slot ring, interleaving pushes and pops.
         let mut next_pop = 0u64;
         for i in 0..1000u64 {
-            p.push(batch(i)).ok().expect("consumer open");
+            p.push(batch(i)).expect("consumer open");
             if i % 3 == 0 {
                 while let Some(b) = c.pop() {
                     assert_eq!(b[0].flow, next_pop, "FIFO across wrap");
@@ -626,11 +627,11 @@ mod tests {
         let (mut p, c) = test_pair(4);
         drop(c);
         match p.push(batch(7)) {
-            Err(PushError::Closed(b)) => assert_eq!(b[0].flow, 7),
+            Err(b) => assert_eq!(b[0].flow, 7),
             _ => panic!("push into consumer-less ring must fail Closed"),
         }
         match p.try_push(batch(8)) {
-            Err(PushError::Closed(_)) => {}
+            Err(PushError::Closed(b)) => assert_eq!(b[0].flow, 8),
             _ => panic!("try_push must also fail Closed"),
         }
     }
@@ -638,7 +639,7 @@ mod tests {
     #[test]
     fn closed_producer_finishes_after_drain() {
         let (mut p, mut c) = test_pair(4);
-        p.push(batch(1)).ok().expect("open");
+        p.push(batch(1)).expect("open");
         drop(p);
         assert!(!c.is_finished(), "still has a queued batch");
         assert_eq!(c.pop().expect("queued")[0].flow, 1);
@@ -654,7 +655,7 @@ mod tests {
         let (mut p, mut c) = test_pair(2);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                p.push(batch(i)).ok().expect("consumer open");
+                p.push(batch(i)).expect("consumer open");
             }
             // `p` drops here, closing the ring.
         });
@@ -702,7 +703,7 @@ mod tests {
         let (mut p, mut c) = test_pair(2);
         let mut returned = 0u64;
         for i in 0..1_000u64 {
-            p.push(batch(i)).ok().expect("consumer open");
+            p.push(batch(i)).expect("consumer open");
             let b = c.pop().expect("queued");
             c.recycle(b);
             while p.take_recycled().is_some() {
@@ -718,7 +719,7 @@ mod tests {
         // Feed 5 batches through; never take from the lane, so only the
         // lane capacity (2) can be held — the rest are dropped.
         for i in 0..5u64 {
-            p.push(batch(i)).ok().expect("room");
+            p.push(batch(i)).expect("room");
             let b = c.pop().expect("queued");
             c.recycle(b);
         }
@@ -767,7 +768,7 @@ mod tests {
                     }
                     None => batch(i),
                 };
-                p.push(buf).ok().expect("consumer open");
+                p.push(buf).expect("consumer open");
             }
             reused
         });
@@ -835,10 +836,10 @@ mod tests {
     fn parked_producer_wakes_when_consumer_frees_a_slot() {
         let (mut p, mut c) = test_pair(1);
         let parks = Arc::clone(&p.ring.parks);
-        p.push(batch(0)).ok().expect("room");
+        p.push(batch(0)).expect("room");
         let producer = std::thread::spawn(move || {
             // Full ring: this blocks (parks) until the main thread pops.
-            p.push(batch(1)).ok().expect("consumer open");
+            p.push(batch(1)).expect("consumer open");
         });
         // Give the producer time to reach the parked state.
         std::thread::sleep(Duration::from_millis(20));

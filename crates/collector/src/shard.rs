@@ -21,7 +21,7 @@ use pint_core::{Digest, DigestReport, RecorderImage};
 use pint_obs::{
     ClockHandle, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceStage,
 };
-use pint_query::SummaryRow;
+use pint_query::{Selector, SummaryRow};
 use pint_sketches::KllSketch;
 use pint_store::JournalSender;
 use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, WireWriter};
@@ -134,12 +134,13 @@ struct PendingSync {
 }
 
 /// The shard-level slice of a query plan: which of this shard's flows
-/// to summarize. The collector pre-routes (a flow set is split to
-/// owning shards) and post-refines (per-shard top-K lists are trimmed
-/// globally); the shard only narrows what it serializes.
+/// to summarize. The collector pre-routes (a flow set or watch list
+/// reaches each owning shard as a [`Selector::FlowSet`] of its slice)
+/// and post-refines (per-shard top-K lists are trimmed globally); the
+/// shard only narrows what it summarizes.
 pub(crate) struct ShardQuery {
     /// Which flows to summarize.
-    pub(crate) select: ShardSelect,
+    pub(crate) select: Selector,
     /// Delta reads: skip flows whose `last_ts` is not strictly greater
     /// (cold flows cost nothing — they are never summarized).
     pub(crate) since: Option<u64>,
@@ -147,21 +148,6 @@ pub(crate) struct ShardQuery {
     /// not, summaries leave `hop_sketches` empty and no block is
     /// published.
     pub(crate) sketches: bool,
-}
-
-/// Shard-side selection (the distributable subset of
-/// [`Selector`](pint_query::Selector) — watch lists and flow sets both
-/// arrive as the owning shard's `Flows` slice).
-pub(crate) enum ShardSelect {
-    /// Every tracked flow.
-    All,
-    /// Exactly these flows (already routed to this shard's partition).
-    Flows(Vec<FlowId>),
-    /// This shard's `k` heaviest flows by packets (ties broken by
-    /// ascending flow ID — the k-list trims globally later).
-    TopK(usize),
-    /// Flows whose fully decoded path contains the switch.
-    PathThrough(u64),
 }
 
 /// Live counters one shard publishes (read from any thread).
@@ -995,14 +981,14 @@ impl ShardWorker {
         let summarize = |entry: &mut FlowEntry| Self::summarize(entry, query.sketches, empty);
         let table = &mut self.table;
         let flows: Vec<(FlowId, FlowSummary)> = match &query.select {
-            ShardSelect::All => table
+            Selector::All => table
                 .iter_mut()
                 .filter(|(_, entry)| fresh(entry))
                 .map(|(flow, entry)| (flow, summarize(entry)))
                 .collect(),
             // The collector pre-routes the list to this shard, so a
             // direct per-ID probe beats scanning the whole table.
-            ShardSelect::Flows(wanted) => wanted
+            Selector::FlowSet(wanted) | Selector::WatchList(wanted) => wanted
                 .iter()
                 .filter_map(|&flow| {
                     table
@@ -1011,7 +997,7 @@ impl ShardWorker {
                         .map(|entry| (flow, summarize(entry)))
                 })
                 .collect(),
-            ShardSelect::TopK(k) => {
+            Selector::TopK(k) => {
                 let mut ranked: Vec<(u64, FlowId)> = table
                     .iter()
                     .filter(|&(_, entry)| fresh(entry))
@@ -1031,7 +1017,7 @@ impl ShardWorker {
             }
             // Probe path progress first (cheap) and summarize — hop
             // sketches and all — only the matching flows.
-            ShardSelect::PathThrough(switch) => table
+            Selector::PathThroughSwitch(switch) => table
                 .iter_mut()
                 .filter(|(_, entry)| fresh(entry))
                 .filter(|(_, entry)| {
@@ -1041,6 +1027,11 @@ impl ShardWorker {
                         .and_then(|p| p.path)
                         .is_some_and(|p| p.contains(switch))
                 })
+                .map(|(flow, entry)| (flow, summarize(entry)))
+                .collect(),
+            Selector::OfKind(kind) => table
+                .iter_mut()
+                .filter(|(_, entry)| fresh(entry) && entry.rec().kind() == *kind)
                 .map(|(flow, entry)| (flow, summarize(entry)))
                 .collect(),
         };

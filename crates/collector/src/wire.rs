@@ -228,19 +228,19 @@ mod tests {
         let snap = sample_snapshot();
         let decoded = CollectorSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(decoded.num_flows(), snap.num_flows());
-        assert_eq!(decoded.total_packets(), snap.total_packets());
         assert_eq!(decoded.ingested, snap.ingested);
-        assert_eq!(decoded.state_bytes(), snap.state_bytes());
-        assert_eq!(decoded.evicted_flows(), snap.evicted_flows());
-        assert_eq!(decoded.path_counts(), snap.path_counts());
-        for phi in [0.1, 0.5, 0.99] {
-            for hop in 1..=3 {
-                assert_eq!(
-                    decoded.merged_hop_sketch(hop).and_then(|s| s.quantile(phi)),
-                    snap.merged_hop_sketch(hop).and_then(|s| s.quantile(phi)),
-                    "hop {hop} phi {phi}"
-                );
-            }
+        let q = pint_query::TelemetryQuery::new;
+        let mut plans = vec![q().stats(), q().path_completion(), q().decoded_paths()];
+        for hop in 1..=3 {
+            plans.push(q().hop_quantiles(hop, [0.1, 0.5, 0.99]));
+        }
+        for plan in plans {
+            let plan = plan.plan().unwrap();
+            assert_eq!(
+                decoded.execute(&plan).unwrap(),
+                snap.execute(&plan).unwrap(),
+                "{plan:?}"
+            );
         }
         assert_eq!(
             decoded.flow(2).unwrap().path,

@@ -11,10 +11,9 @@ use crate::error::FleetError;
 use crate::rules::{FleetEdge, FleetEvent, FleetRule};
 use crate::view::FleetView;
 use pint_collector::wire::SnapshotFrame;
-use pint_collector::{CollectorSnapshot, FlowId};
-use pint_core::dynamic::DynamicAggregator;
+use pint_collector::CollectorSnapshot;
 use pint_obs::{FlightRecorder, Gauge, GaugeGroup, MetricsRegistry, TraceStage};
-use pint_query::{QueryError, QueryPlan, QueryResult, Selector, Watermark};
+use pint_query::{QueryError, QueryPlan, QueryResult, Watermark};
 use pint_store::{Journal, StoreReader};
 use pint_wire::store::StoreRecord;
 use pint_wire::{parse_frame, FrameType, WireDecode, WireReader};
@@ -29,13 +28,9 @@ const EVENT_CAPACITY: usize = 4_096;
 #[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Fleet-level rules, evaluated on the merged view after every
-    /// applied snapshot.
+    /// applied snapshot. Each rule's [`plan`](FleetRule::plan) must be
+    /// valid: [`FleetAggregator::new`] rejects the config otherwise.
     pub rules: Vec<FleetRule>,
-    /// The value codec shared by the fleet's latency queries —
-    /// quantile rules decompress code-space sketches through it. The
-    /// deployment's `RecorderFactory` and this codec must agree (one
-    /// query plan fleet-wide).
-    pub codec: Option<DynamicAggregator>,
     /// Metrics registry the aggregator publishes its counters into (as
     /// the `fleet_*` gauge group). Share one registry process-wide so a
     /// single `Metrics` wire frame reports every tier; `None` gives the
@@ -45,6 +40,19 @@ pub struct FleetConfig {
     /// stamped as [`TraceStage::AggregatorApplied`] events. `None` disables
     /// tracing (the hot path pays nothing).
     pub trace: Option<FlightRecorder>,
+}
+
+impl FleetConfig {
+    /// Validates invariants: every rule's plan passes
+    /// [`QueryPlan::validate`] (hop ≥ 1, ϕ in `[0, 1]`, a usable decode
+    /// spec), so a rule can never fail to evaluate.
+    fn validate(&self) {
+        for (i, rule) in self.rules.iter().enumerate() {
+            if let Err(e) = rule.plan().validate() {
+                panic!("fleet rule {i} is invalid: {e}");
+            }
+        }
+    }
 }
 
 /// Live counters of one aggregator.
@@ -149,7 +157,12 @@ const FLEET_OBS_FIELDS: [&str; 8] = [
 
 impl FleetAggregator {
     /// An empty aggregator with the given config.
+    ///
+    /// # Panics
+    ///
+    /// If a rule's plan is invalid (see [`FleetConfig::rules`]).
     pub fn new(config: FleetConfig) -> Self {
+        config.validate();
         let rules = config.rules.len();
         let metrics = config.metrics.clone().unwrap_or_default();
         let obs_group = metrics.gauge_group("fleet", &FLEET_OBS_FIELDS);
@@ -480,61 +493,23 @@ impl FleetAggregator {
         self.stats
     }
 
-    /// The union of all rule scopes' explicit flow IDs, or `None` if
-    /// any rule is unscoped or uses a structural selector (top-K, path
-    /// predicate) — those need the full view to resolve membership.
-    fn scope_union(&self) -> Option<Vec<FlowId>> {
-        let mut union = Vec::new();
-        for rule in &self.config.rules {
-            match rule.scope.as_ref()? {
-                Selector::FlowSet(ids) | Selector::WatchList(ids) => {
-                    union.extend_from_slice(ids);
-                }
-                Selector::All
-                | Selector::TopK(_)
-                | Selector::PathThroughSwitch(_)
-                | Selector::OfKind(_) => return None,
-            }
-        }
-        union.sort_unstable();
-        union.dedup();
-        Some(union)
-    }
-
-    /// A fleet view merged over only `flows` — what scoped-only rule
-    /// evaluation needs, at watch-list cost instead of a full-fleet
-    /// merge.
-    fn view_of(&self, flows: &[FlowId]) -> FleetView {
-        FleetView::merge(self.collectors.iter().map(|(&id, state)| {
-            let kept: Vec<_> = flows
-                .iter()
-                .filter_map(|&f| state.snapshot.flow(f).map(|s| (f, s.clone())))
-                .collect();
-            (id, CollectorSnapshot::from_parts(kept, Vec::new(), 0))
-        }))
-    }
-
     /// Re-runs every rule on the current merged view, emitting
     /// fired/cleared edges into the bounded event queue.
     ///
-    /// Runs after every applied snapshot. When *every* rule is scoped
-    /// to explicit flow sets, only those flows are merged (cheap); an
-    /// unscoped rule — or a structural scope like a top-K or
-    /// path-predicate selector, whose membership needs the whole view
-    /// — forces a full-fleet merge per evaluation, which the bench
-    /// (`BENCH_fleet.json`, `wire/fleet_merge`) prices. Prefer
-    /// flow-set scopes on large fleets.
+    /// Runs after every applied snapshot and every `Bye`. One view is
+    /// merged per run, and each rule's plan executes on it exactly as
+    /// the same fleet query would.
     fn evaluate_rules(&mut self) {
         if self.config.rules.is_empty() {
             return;
         }
-        let view = match self.scope_union() {
-            Some(union) => self.view_of(&union),
-            None => self.view(),
-        };
+        let view = self.view();
         let collectors = view.collectors().len();
         for (i, rule) in self.config.rules.iter().enumerate() {
-            let observed = rule.evaluate(&view, self.config.codec.as_ref());
+            let observed = view
+                .execute(&rule.plan())
+                .ok()
+                .and_then(|answer| rule.observe(&answer));
             let event = match (self.fired[i], observed) {
                 (false, Some(value)) => {
                     self.fired[i] = true;
@@ -579,7 +554,7 @@ mod tests {
     use super::*;
     use crate::rules::FleetCondition;
     use pint_collector::flow_table::TableStats;
-    use pint_collector::{FlowSummary, ShardSnapshot};
+    use pint_collector::{FlowId, FlowSummary, ShardSnapshot};
     use pint_core::RecorderKind;
     use pint_sketches::KllSketch;
 
@@ -805,5 +780,28 @@ mod tests {
         assert_eq!(cleared.len(), 1);
         assert_eq!(cleared[0].edge, FleetEdge::Cleared);
         assert_eq!(cleared[0].observed, 11.0, "last-seen observation");
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet rule 1 is invalid")]
+    fn an_invalid_rule_is_rejected_when_the_aggregator_is_built() {
+        let quantile = |hop| {
+            FleetRule::new(FleetCondition::QuantileAbove {
+                hop,
+                phi: 0.9,
+                threshold: 1.0,
+                min_samples: 1,
+                decode: pint_query::ValueDecodeSpec {
+                    bits: 8,
+                    v_min: 100.0,
+                    v_max: 1.0e7,
+                },
+            })
+        };
+        // Hop 0 is unused: the rule's plan fails validation.
+        FleetAggregator::new(FleetConfig {
+            rules: vec![quantile(1), quantile(0)],
+            ..FleetConfig::default()
+        });
     }
 }

@@ -33,16 +33,18 @@
 //!   collectors have their per-hop KLL sketches merged in collector-id
 //!   order, so the answer is independent of frame arrival order.
 //! * **Queries** — [`FleetView::execute`] runs any `pint-query`
-//!   [`QueryPlan`] (selectors × projections ×
-//!   delta options) against the merged view, with selection *before*
-//!   merging costs; the same plan answers over TCP via
+//!   [`QueryPlan`] (selectors × projections × delta options) against
+//!   the merged view, selecting over references and cloning only the
+//!   rows it keeps; the same plan answers over TCP via
 //!   [`FleetClient::query`] ↔ [`FleetServer`] `Query`/`QueryResponse`
 //!   frames, byte-identical to local execution on the same state.
-//! * **Rules** — [`FleetRule`]s run on the merged view after every
-//!   applied snapshot, with explicit [`FleetEvent`] fired/cleared
-//!   edges (hysteresis, like the collector's per-flow rules). Scopes
-//!   are query selectors, so "alarm on every flow through switch S"
-//!   is `rule.scoped_by(Selector::PathThroughSwitch(s))`.
+//! * **Rules** — a [`FleetRule`] is a query plan plus a threshold.
+//!   After every applied snapshot each rule's plan runs on the merged
+//!   view, and [`FleetEvent`] fired/cleared edges report when the
+//!   answer crosses the threshold (hysteresis, like the collector's
+//!   per-flow rules). A rule's scope is its plan's selector, so "alarm
+//!   on every flow through switch S" is
+//!   `rule.scoped_by(Selector::PathThroughSwitch(s))`.
 //! * **Edge ingestion** — raw digests ship upstream too:
 //!   [`DigestForwarder`] tails an edge process's digest stream and
 //!   sends sequence-numbered `DigestBatch` frames with bounded

@@ -4,26 +4,26 @@
 //! The collector's per-flow `EventRule`s catch a hot flow inside one
 //! process; fleet rules catch conditions no single collector can see —
 //! a hop whose tail latency is fine in every pod but hot in aggregate,
-//! or path-reconstruction stalling across the fleet. Rules are
-//! re-evaluated after every applied snapshot and report both edges:
-//! [`FleetEdge::Fired`] when a condition starts holding,
-//! [`FleetEdge::Cleared`] when it stops (hysteresis — same contract as
-//! the collector tier's `EventKind::Cleared`).
+//! or path-reconstruction stalling across the fleet. A fleet rule is a
+//! [`QueryPlan`] plus a threshold: after every applied snapshot the
+//! aggregator runs each rule's plan on the merged view and compares the
+//! answer. Rules report both edges: [`FleetEdge::Fired`] when a
+//! condition starts holding, [`FleetEdge::Cleared`] when it stops
+//! (hysteresis — same contract as the collector tier's
+//! `EventKind::Cleared`).
 
-use crate::view::FleetView;
 use pint_collector::FlowId;
-use pint_core::dynamic::DynamicAggregator;
-use pint_query::Selector;
+use pint_query::{Projection, QueryPlan, QueryResult, Selector, ValueDecodeSpec};
 
-/// The observable predicate of a fleet rule.
+/// The observable predicate of a fleet rule. Each condition reads one
+/// projection of the rule's selection.
 #[derive(Debug, Clone)]
 pub enum FleetCondition {
-    /// Holds when the fleet-wide ϕ-quantile of hop `hop`'s value stream
-    /// — merged across every latency flow in scope — exceeds
-    /// `threshold` (value space), with at least `min_samples` packets
-    /// backing it. Needs the fleet's value codec
-    /// ([`FleetConfig::codec`](crate::FleetConfig)) to decompress; with
-    /// no codec configured the rule never holds.
+    /// Holds when the ϕ-quantile of hop `hop`'s value stream — merged
+    /// across every latency flow in scope, decoded through `decode` —
+    /// exceeds `threshold` (value space), with at least `min_samples`
+    /// packets backing it. Reads a decoded
+    /// [`Projection::HopQuantiles`].
     QuantileAbove {
         /// 1-based hop index.
         hop: usize,
@@ -33,11 +33,14 @@ pub enum FleetCondition {
         threshold: f64,
         /// Minimum in-scope packets before the rule may fire.
         min_samples: u64,
+        /// The deployment's value codec, which maps the merged sketch's
+        /// code back to a value.
+        decode: ValueDecodeSpec,
     },
     /// Holds when the fraction of in-scope path-tracing flows with a
     /// fully reconstructed route drops below `min_fraction` (with at
     /// least `min_flows` such flows tracked) — fleet-wide inference is
-    /// stalling.
+    /// stalling. Reads [`Projection::PathCompletion`].
     PathCompletionBelow {
         /// Completion fraction in `[0, 1]` below which the rule holds.
         min_fraction: f64,
@@ -46,7 +49,7 @@ pub enum FleetCondition {
     },
     /// Holds when total routing-inconsistency signals across in-scope
     /// flows reach `min_total` (the paper's §7 routing-change signal,
-    /// summed fleet-wide).
+    /// summed fleet-wide). Reads [`Projection::Stats`].
     InconsistenciesAbove {
         /// Total contradictory digests required.
         min_total: u64,
@@ -55,10 +58,20 @@ pub enum FleetCondition {
 
 /// A fleet rule: a condition plus an optional flow scope.
 ///
-/// Scopes are query-tier [`Selector`]s, so a rule can watch an explicit
+/// The rule is one [`QueryPlan`] and a threshold: its selector is the
+/// scope (or [`Selector::All`]) and its projection is the one its
+/// condition reads. A rule therefore fires exactly when the answer to
+/// [`plan`](Self::plan), run as a fleet query, crosses the threshold,
+/// and [`FleetEvent::observed`] is the value that query returns.
+///
+/// Scopes are query-tier selectors, so a rule can watch an explicit
 /// flow set *or* a structural predicate — e.g.
 /// `Selector::PathThroughSwitch(s)` alarms on "every flow routed
 /// through switch S" without the operator maintaining a flow list.
+/// A quantile rule merges its flows' sketches in the selector's row
+/// order, as the query does: ascending flow ID, except heaviest first
+/// under [`Selector::TopK`] and request order under
+/// [`Selector::WatchList`].
 #[derive(Debug, Clone)]
 pub struct FleetRule {
     /// The predicate.
@@ -90,58 +103,62 @@ impl FleetRule {
         self
     }
 
-    /// Evaluates the rule against a view: `Some(observed)` when the
-    /// condition holds now (the value that crossed the threshold),
-    /// `None` otherwise.
-    pub(crate) fn evaluate(
-        &self,
-        view: &FleetView,
-        codec: Option<&DynamicAggregator>,
-    ) -> Option<f64> {
-        let scoped;
-        let view = match &self.scope {
-            None => view,
-            Some(selector) => {
-                scoped = view.scoped_view(selector);
-                &scoped
-            }
-        };
-        match self.condition {
+    /// The fleet query whose answer this rule compares against its
+    /// threshold.
+    pub fn plan(&self) -> QueryPlan {
+        let projection = match self.condition {
             FleetCondition::QuantileAbove {
+                hop, phi, decode, ..
+            } => Projection::HopQuantiles {
                 hop,
-                phi,
-                threshold,
-                min_samples,
-            } => {
-                let codec = codec?;
-                let sketch = view.snapshot().merged_hop_sketch(hop)?;
-                if sketch.count() < min_samples {
-                    return None;
-                }
-                let value = codec.decode(sketch.quantile(phi)?);
-                (value > threshold).then_some(value)
+                phis: vec![phi],
+                decode: Some(decode),
+            },
+            FleetCondition::PathCompletionBelow { .. } => Projection::PathCompletion,
+            FleetCondition::InconsistenciesAbove { .. } => Projection::Stats,
+        };
+        QueryPlan {
+            selector: self.scope.clone().unwrap_or(Selector::All),
+            projection,
+            options: Default::default(),
+        }
+    }
+
+    /// Compares the answer to [`plan`](Self::plan) against the
+    /// threshold: `Some(observed)` when the condition holds (the value
+    /// that crossed it), `None` otherwise.
+    pub(crate) fn observe(&self, answer: &QueryResult) -> Option<f64> {
+        match (&self.condition, answer) {
+            (
+                &FleetCondition::QuantileAbove {
+                    threshold,
+                    min_samples,
+                    ..
+                },
+                QueryResult::HopQuantilesDecoded {
+                    samples, quantiles, ..
+                },
+            ) => {
+                let &(_, value) = quantiles.first()?;
+                (*samples >= min_samples && value > threshold).then_some(value)
             }
-            FleetCondition::PathCompletionBelow {
-                min_fraction,
-                min_flows,
-            } => {
-                let (_, total) = view.snapshot().path_counts();
-                if total < min_flows {
+            (
+                &FleetCondition::PathCompletionBelow {
+                    min_fraction,
+                    min_flows,
+                },
+                &QueryResult::PathCompletion { complete, total },
+            ) => {
+                if total == 0 || total < min_flows as u64 {
                     return None;
                 }
-                let fraction = view.snapshot().path_completion()?;
+                let fraction = complete as f64 / total as f64;
                 (fraction < min_fraction).then_some(fraction)
             }
-            FleetCondition::InconsistenciesAbove { min_total } => {
-                // Saturating: per-flow counts come off the wire and may
-                // be hostile; an overflow panic here would poison the
-                // server's aggregator mutex.
-                let total: u64 = view
-                    .snapshot()
-                    .flows()
-                    .fold(0u64, |acc, (_, s)| acc.saturating_add(s.inconsistencies));
-                (total >= min_total).then_some(total as f64)
+            (&FleetCondition::InconsistenciesAbove { min_total }, QueryResult::Stats(s)) => {
+                (s.inconsistencies >= min_total).then_some(s.inconsistencies as f64)
             }
+            _ => None,
         }
     }
 }

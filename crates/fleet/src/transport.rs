@@ -115,6 +115,10 @@ pub struct FleetServer {
 impl FleetServer {
     /// Binds and starts accepting. Use `"127.0.0.1:0"` to let the OS
     /// pick a port (read it back via [`local_addr`](Self::local_addr)).
+    ///
+    /// # Panics
+    ///
+    /// If a rule's plan is invalid, as [`FleetAggregator::new`] does.
     pub fn bind(addr: impl ToSocketAddrs, config: FleetConfig) -> std::io::Result<Self> {
         let aggregator = FleetAggregator::new(config);
         let metrics = aggregator.metrics().clone();

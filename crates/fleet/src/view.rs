@@ -11,8 +11,7 @@
 //! result independent of frame arrival order.
 
 use pint_collector::{CollectorSnapshot, FlowId, FlowSummary};
-use pint_core::dynamic::DynamicAggregator;
-use pint_query::{QueryBackend, QueryError, QueryPlan, QueryResult, Selector, TableTotals};
+use pint_query::{QueryBackend, QueryError, QueryPlan, QueryResult};
 
 /// A point-in-time, queryable merge of every collector's latest
 /// snapshot.
@@ -56,8 +55,8 @@ impl FleetView {
         }
     }
 
-    /// The merged snapshot — every `CollectorSnapshot` query (per-flow
-    /// lookup, merged hop sketches, path completion, …) works on it.
+    /// The merged snapshot: per-flow lookup and plan execution work on
+    /// it as on any collector's snapshot.
     pub fn snapshot(&self) -> &CollectorSnapshot {
         &self.merged
     }
@@ -72,122 +71,15 @@ impl FleetView {
         self.merged.num_flows()
     }
 
-    /// Digests recorded across the fleet's tracked flows.
-    pub fn total_packets(&self) -> u64 {
-        self.merged.total_packets()
-    }
-
-    /// Fleet-wide ϕ-quantile of hop `hop` (see
-    /// [`CollectorSnapshot::latency_quantile`]).
-    pub fn latency_quantile(&self, hop: usize, phi: f64, agg: &DynamicAggregator) -> Option<f64> {
-        self.merged.latency_quantile(hop, phi, agg)
-    }
-
     /// Executes a compiled [`QueryPlan`] against the merged view — the
     /// fleet backend of the workspace-wide query API. The same plan
     /// runs unchanged on a local `Collector` or over TCP, with
-    /// identical results on identical state: this method only
-    /// *pre-narrows* (clones just candidate rows) and delegates final
-    /// ordering/projection to `pint-query`'s shared refinement.
+    /// identical results on identical state: the merged snapshot's
+    /// [`execute`](CollectorSnapshot::execute) refines references,
+    /// clones only the rows it keeps, and shares `pint-query`'s
+    /// ordering and projection with every other backend.
     pub fn execute(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
-        plan.validate()?;
-        let rows = pint_query::refine(self.candidate_rows(plan), plan);
-        let table = matches!(plan.selector, Selector::All).then(|| self.table_totals());
-        Ok(pint_query::project(rows, &plan.projection, table))
-    }
-
-    /// Clones only the rows a plan could select: flow sets and watch
-    /// lists probe per ID, top-K ranks by reference before cloning the
-    /// winners, path predicates filter by reference — merge restricted
-    /// to selected flows, not the whole fleet.
-    fn candidate_rows(&self, plan: &QueryPlan) -> Vec<(FlowId, FlowSummary)> {
-        let since = plan.options.updated_since;
-        let live = |s: &FlowSummary| since.is_none_or(|t| s.last_ts > t);
-        match &plan.selector {
-            Selector::FlowSet(ids) | Selector::WatchList(ids) => {
-                let mut wanted = ids.clone();
-                wanted.sort_unstable();
-                wanted.dedup();
-                wanted
-                    .into_iter()
-                    .filter_map(|f| self.merged.flow(f).map(|s| (f, s.clone())))
-                    .filter(|(_, s)| live(s))
-                    .collect()
-            }
-            Selector::TopK(k) => {
-                let mut ranked: Vec<(FlowId, &FlowSummary)> = self
-                    .merged
-                    .flows()
-                    .filter(|(_, s)| live(s))
-                    .map(|(f, s)| (*f, s))
-                    .collect();
-                ranked.sort_by(|a, b| {
-                    pint_query::top_k_order((a.1.packets, a.0), (b.1.packets, b.0))
-                });
-                ranked.truncate(*k);
-                // Back to ascending-ID order: refine() owns the final
-                // rank ordering and expects sorted candidates.
-                ranked.sort_by_key(|&(f, _)| f);
-                ranked.into_iter().map(|(f, s)| (f, s.clone())).collect()
-            }
-            Selector::PathThroughSwitch(switch) => self
-                .merged
-                .flows()
-                .filter(|(_, s)| live(s))
-                .filter(|(_, s)| {
-                    s.path
-                        .as_ref()
-                        .and_then(|p| p.path.as_deref())
-                        .is_some_and(|p| p.contains(switch))
-                })
-                .map(|(f, s)| (*f, s.clone()))
-                .collect(),
-            Selector::OfKind(kind) => self
-                .merged
-                .flows()
-                .filter(|(_, s)| live(s))
-                .filter(|(_, s)| s.kind == *kind)
-                .map(|(f, s)| (*f, s.clone()))
-                .collect(),
-            Selector::All => self
-                .merged
-                .flows()
-                .filter(|(_, s)| live(s))
-                .map(|(f, s)| (*f, s.clone()))
-                .collect(),
-        }
-    }
-
-    /// Table counters summed over every contributing collector's
-    /// shards (the `Stats` projection's whole-backend totals).
-    fn table_totals(&self) -> TableTotals {
-        let mut t = TableTotals {
-            ingested: self.merged.ingested,
-            ..TableTotals::default()
-        };
-        for s in &self.merged.shard_stats {
-            t.created += s.created;
-            t.evicted_lru += s.evicted_lru;
-            t.evicted_ttl += s.evicted_ttl;
-        }
-        t
-    }
-
-    /// A sub-view over the flows a selector names — how scoped fleet
-    /// rules evaluate, at selection cost instead of a full-fleet
-    /// merge. The selector's ordering is irrelevant here (the snapshot
-    /// re-sorts by ID); only membership matters.
-    pub(crate) fn scoped_view(&self, selector: &Selector) -> FleetView {
-        let plan = QueryPlan {
-            selector: selector.clone(),
-            projection: pint_query::Projection::Summaries,
-            options: Default::default(),
-        };
-        let kept = pint_query::refine(self.candidate_rows(&plan), &plan);
-        FleetView {
-            merged: CollectorSnapshot::from_parts(kept, Vec::new(), 0),
-            collectors: self.collectors.clone(),
-        }
+        self.merged.execute(plan)
     }
 }
 
@@ -263,7 +155,10 @@ mod tests {
         let ba = FleetView::merge(vec![(20, b), (10, a)]);
 
         assert_eq!(ab.num_flows(), 3, "duplicate flow 5 merged");
-        assert_eq!(ab.total_packets(), 400);
+        match ab.execute(&pint_query::TelemetryQuery::new().stats().plan().unwrap()) {
+            Ok(QueryResult::Stats(s)) => assert_eq!(s.packets, 400),
+            other => panic!("unexpected {other:?}"),
+        }
         assert_eq!(ab.snapshot().flow(5).unwrap().packets, 200);
         assert_eq!(ab.collectors(), &[10, 20]);
         // Arrival order cannot change any answer.
@@ -274,10 +169,12 @@ mod tests {
                 "phi={phi}"
             );
         }
-        assert_eq!(
-            ab.snapshot().merged_hop_sketch(1).unwrap().quantile(0.5),
-            ba.snapshot().merged_hop_sketch(1).unwrap().quantile(0.5),
-        );
+        let median = pint_query::TelemetryQuery::new()
+            .hop_quantiles(1, [0.5])
+            .plan()
+            .unwrap();
+        assert_eq!(ab.execute(&median).unwrap().len(), 1, "hop 1 has data");
+        assert_eq!(ab.execute(&median).unwrap(), ba.execute(&median).unwrap());
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! backend delegates to.
 //!
 //! Backends *pre-narrow* for performance (a collector routes a flow-set
-//! plan only to owning shards; a fleet view clones only candidate
-//! rows) and then call [`refine`] + [`project`], so ordering,
-//! tie-breaking, and projection arithmetic are defined in exactly one
-//! place — the reason identical state yields byte-identical
-//! [`QueryResult`]s on every tier.
+//! plan only to owning shards; a snapshot refines references and clones
+//! only the rows it keeps) and then call [`refine`] + [`project`], so
+//! ordering, tie-breaking, and projection arithmetic are defined in
+//! exactly one place — the reason identical state yields
+//! byte-identical [`QueryResult`]s on every tier.
 
 use crate::plan::{Projection, QueryError, QueryPlan, Selector};
 use crate::{FlowId, FlowSummary};
 use pint_core::dynamic::DynamicAggregator;
 use pint_sketches::KllSketch;
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// How fresh a backend's state is — the as-of stamp every
@@ -171,13 +172,15 @@ pub struct TableTotals {
 /// `rows` must be ascending by flow ID with unique IDs (the natural
 /// shape of a merged snapshot); backends may pass any superset of the
 /// flows the plan selects — refinement is idempotent, so shard- or
-/// view-level pre-narrowing never changes the answer.
-pub fn refine(
-    mut rows: Vec<(FlowId, FlowSummary)>,
+/// view-level pre-narrowing never changes the answer. Rows may be owned
+/// summaries or references: a backend holding its rows refines
+/// `&FlowSummary`s and clones only the ones kept.
+pub fn refine<R: Borrow<FlowSummary> + Clone>(
+    mut rows: Vec<(FlowId, R)>,
     plan: &QueryPlan,
-) -> Vec<(FlowId, FlowSummary)> {
+) -> Vec<(FlowId, R)> {
     if let Some(since) = plan.options.updated_since {
-        rows.retain(|(_, s)| s.last_ts > since);
+        rows.retain(|(_, s)| s.borrow().last_ts > since);
     }
     rows = match &plan.selector {
         Selector::All => rows,
@@ -195,20 +198,23 @@ pub fn refine(
                 if !seen.insert(id) {
                     continue;
                 }
-                if let Ok(i) = rows.binary_search_by_key(&id, |&(f, _)| f) {
+                if let Ok(i) = rows.binary_search_by_key(&id, |(f, _)| *f) {
                     out.push(rows[i].clone());
                 }
             }
             out
         }
         Selector::TopK(k) => {
-            rows.sort_by(|a, b| top_k_order((a.1.packets, a.0), (b.1.packets, b.0)));
+            rows.sort_by(|a, b| {
+                top_k_order((a.1.borrow().packets, a.0), (b.1.borrow().packets, b.0))
+            });
             rows.truncate(*k);
             rows
         }
         Selector::PathThroughSwitch(switch) => {
             rows.retain(|(_, s)| {
-                s.path
+                s.borrow()
+                    .path
                     .as_ref()
                     .and_then(|p| p.path.as_deref())
                     .is_some_and(|p| p.contains(switch))
@@ -216,7 +222,7 @@ pub fn refine(
             rows
         }
         Selector::OfKind(kind) => {
-            rows.retain(|(_, s)| s.kind == *kind);
+            rows.retain(|(_, s)| s.borrow().kind == *kind);
             rows
         }
     };
@@ -229,8 +235,8 @@ pub fn refine(
 /// The query tier's one top-K ordering, over `(packets, flow)` pairs:
 /// most packets first, equal packet counts by ascending flow ID.
 ///
-/// Every backend's pre-narrowing (a shard's local top-K, a fleet
-/// view's reference ranking) must truncate with exactly this order —
+/// Every backend's pre-narrowing (a shard's local top-K) must
+/// truncate with exactly this order —
 /// a drifted copy would change which tied flows survive local
 /// truncation before [`refine`] re-ranks, silently diverging
 /// backends. Hence one shared comparator instead of five hand-written
@@ -243,7 +249,7 @@ pub fn top_k_order(a: (u64, FlowId), b: (u64, FlowId)) -> std::cmp::Ordering {
 /// `None` if no row has data at that hop. The fixed-seed base sketch
 /// makes the merge reproducible for identical inputs — the property
 /// the cross-backend equivalence tests rely on.
-pub fn merge_hop_sketches(rows: &[(FlowId, FlowSummary)], hop: usize) -> Option<KllSketch> {
+fn merge_hop_sketches(rows: &[(FlowId, FlowSummary)], hop: usize) -> Option<KllSketch> {
     let mut merged: Option<KllSketch> = None;
     for (_, s) in rows {
         let Some(sk) = s.hop_sketches.get(hop) else {

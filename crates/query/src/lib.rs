@@ -54,8 +54,7 @@ mod summary;
 mod wire;
 
 pub use exec::{
-    merge_hop_sketches, project, refine, top_k_order, QueryBackend, QueryResult, SelectionStats,
-    TableTotals, Watermark,
+    project, refine, top_k_order, QueryBackend, QueryResult, SelectionStats, TableTotals, Watermark,
 };
 pub use plan::{
     Projection, QueryError, QueryOptions, QueryPlan, Selector, TelemetryQuery, ValueDecodeSpec,

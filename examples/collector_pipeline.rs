@@ -191,13 +191,16 @@ fn main() {
     println!("\nfleet-wide hop latency (merged across shards):");
     println!("{:>4} {:>12} {:>12}", "hop", "p50", "p99");
     for hop in 1..=k {
-        let p50 = snap.latency_quantile(hop, 0.5, &agg);
-        let p99 = snap.latency_quantile(hop, 0.99, &agg);
-        println!(
-            "{hop:>4} {:>10.0}ns {:>10.0}ns",
-            p50.unwrap_or(f64::NAN),
-            p99.unwrap_or(f64::NAN)
-        );
+        let plan = TelemetryQuery::new()
+            .hop_quantiles(hop, [0.5, 0.99])
+            .plan()
+            .expect("valid plan");
+        let q = snap
+            .execute(&plan)
+            .expect("hop quantiles")
+            .decode_quantiles(&agg);
+        let at = |i: usize| q.get(i).map_or(f64::NAN, |&(_, v)| v);
+        println!("{hop:>4} {:>10.0}ns {:>10.0}ns", at(0), at(1));
     }
 
     // Dashboard-style cheap polls through the unified query tier: the

@@ -21,7 +21,7 @@ use pint::fleet::{
     FleetAggregator, FleetClient, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
     InMemoryTransport,
 };
-use pint::query::{QueryResult, TelemetryQuery};
+use pint::query::{QueryPlan, QueryResult, TelemetryQuery, ValueDecodeSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -35,6 +35,13 @@ const HOT_FLOWS: u64 = 4; // flows crossing the congested switch at hop 3
 fn main() {
     // One query plan fleet-wide: an 8-bit budget over [100ns, 10ms].
     let agg = DynamicAggregator::new(71, 8, 100.0, 1.0e7);
+    // The same codec as a plan's decode spec: fleet answers and rules
+    // decode quantiles to nanoseconds with it.
+    let spec = ValueDecodeSpec {
+        bits: 8,
+        v_min: 100.0,
+        v_max: 1.0e7,
+    };
 
     // The combined digest stream, generated once; pod c's sinks see the
     // packets with pid % PODS == c, so every flow spans all pods.
@@ -114,9 +121,9 @@ fn main() {
             phi: 0.9,
             threshold: 100_000.0,
             min_samples: 50,
+            decode: spec,
         })
         .scoped((0..HOT_FLOWS).collect())],
-        codec: Some(agg.clone()),
         metrics: None,
         trace: None,
     };
@@ -154,25 +161,36 @@ fn main() {
 
     // ---- Fleet-wide answers ----------------------------------------
     let view = mem_fleet.view();
+    let stats_plan = TelemetryQuery::new().stats().plan().expect("valid plan");
+    let totals = view.execute(&stats_plan).expect("stats query");
+    let QueryResult::Stats(totals) = totals else {
+        unreachable!("a stats plan answers stats")
+    };
     println!(
         "\nfleet view: {} collectors, {} flows, {} digests",
         view.collectors().len(),
         view.num_flows(),
-        view.total_packets()
+        totals.packets
     );
     assert_eq!(view.num_flows(), FLOWS as usize, "every flow merged");
-    assert_eq!(view.total_packets(), FLOWS * PER_FLOW, "no packet lost");
+    assert_eq!(totals.packets, FLOWS * PER_FLOW, "no packet lost");
 
+    // Fleet-wide p50/p99 per hop, decoded server-side through `spec`.
+    let hop_plan = |hop| -> QueryPlan {
+        TelemetryQuery::new()
+            .hop_quantiles_decoded(hop, [0.5, 0.99], spec)
+            .plan()
+            .expect("valid plan")
+    };
     println!("\nfleet-wide hop latency (merged across pods):");
     println!("{:>4} {:>12} {:>12}", "hop", "p50", "p99");
     for hop in 1..=HOPS {
-        let p50 = view.latency_quantile(hop, 0.5, &agg);
-        let p99 = view.latency_quantile(hop, 0.99, &agg);
-        println!(
-            "{hop:>4} {:>10.0}ns {:>10.0}ns",
-            p50.unwrap_or(f64::NAN),
-            p99.unwrap_or(f64::NAN)
-        );
+        let q = view
+            .execute(&hop_plan(hop))
+            .expect("hop quantiles")
+            .decode_quantiles(&agg);
+        let at = |i: usize| q.get(i).map_or(f64::NAN, |&(_, v)| v);
+        println!("{hop:>4} {:>10.0}ns {:>10.0}ns", at(0), at(1));
     }
 
     println!("\ntop-5 flows by packets (fleet-wide top-K query):");
@@ -208,11 +226,14 @@ fn main() {
     // Both transports carried identical bytes into identical state.
     let tcp_view = tcp_fleet.view();
     assert_eq!(tcp_view.num_flows(), view.num_flows());
-    assert_eq!(tcp_view.total_packets(), view.total_packets());
+    assert_eq!(
+        tcp_view.execute(&stats_plan).expect("stats query"),
+        QueryResult::Stats(totals)
+    );
     for hop in 1..=HOPS {
         assert_eq!(
-            tcp_view.latency_quantile(hop, 0.99, &agg),
-            view.latency_quantile(hop, 0.99, &agg),
+            tcp_view.execute(&hop_plan(hop)).expect("hop quantiles"),
+            view.execute(&hop_plan(hop)).expect("hop quantiles"),
             "TCP ≡ in-memory at hop {hop}"
         );
     }

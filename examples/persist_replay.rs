@@ -26,7 +26,7 @@ use pint::collector::{sketched_latency_factory, Collector, CollectorConfig, Reco
 use pint::core::dynamic::DynamicAggregator;
 use pint::core::{Digest, DigestReport, FlowRecorder, PathTracer, TracerConfig};
 use pint::obs::{Clock, MetricsRegistry};
-use pint::query::TelemetryQuery;
+use pint::query::{QueryResult, TelemetryQuery};
 use pint::wire::store::{StoreKind, Superblock};
 use pint::wire::WireEncode;
 use pint::{
@@ -255,7 +255,17 @@ fn main() {
     let (restored, report) =
         Collector::restore(config(), mixed_factory(), &reader).expect("restore");
     assert_eq!(report.digests, second.len() as u64, "only the tail replays");
-    let (complete, paths) = twin.snapshot().expect("snapshot").path_counts();
+    let completion = TelemetryQuery::new()
+        .path_completion()
+        .plan()
+        .expect("plan");
+    let QueryResult::PathCompletion {
+        complete,
+        total: paths,
+    } = twin.query(&completion).expect("twin query")
+    else {
+        unreachable!("a path-completion plan answers path completion")
+    };
     for plan in plans() {
         let a = restored.query(&plan).expect("restored query").encode();
         let b = twin.query(&plan).expect("twin query").encode();

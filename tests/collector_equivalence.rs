@@ -23,6 +23,7 @@ use pint::collector::{Collector, CollectorConfig, PrefilterConfig};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::query::{QueryResult, TelemetryQuery};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -171,7 +172,7 @@ proptest! {
         let phis = [0.25, 0.5, 0.9, 0.99];
         // Merged (cross-shard) quantile codes per hop, per (P, S) combo —
         // must be identical across all combinations.
-        let mut merged_by_combo: Vec<((u64, usize), Vec<Vec<Option<u64>>>)> = Vec::new();
+        let mut merged_by_combo: Vec<((u64, usize), Vec<QueryResult>)> = Vec::new();
 
         for producers in PRODUCER_COUNTS {
             for shards in SHARD_COUNTS {
@@ -207,12 +208,10 @@ proptest! {
                     }
                 }
 
-                let merged: Vec<Vec<Option<u64>>> = (1..=k)
+                let merged: Vec<QueryResult> = (1..=k)
                     .map(|hop| {
-                        let sk = snap.merged_hop_sketch(hop);
-                        phis.iter()
-                            .map(|&phi| sk.as_ref().and_then(|s| s.quantile(phi)))
-                            .collect()
+                        let plan = TelemetryQuery::new().hop_quantiles(hop, phis).plan();
+                        snap.execute(&plan.expect("valid plan")).expect("hop quantiles")
                     })
                     .collect();
                 merged_by_combo.push(((producers, shards), merged));

@@ -19,9 +19,9 @@ use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
     FleetAggregator, FleetClient, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
-    InMemoryTransport,
+    InMemoryTransport, Selector,
 };
-use pint::query::{QueryPlan, QueryResult, TelemetryQuery};
+use pint::query::{QueryPlan, QueryResult, TelemetryQuery, ValueDecodeSpec};
 use pint::wire::WireEncode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,6 +32,42 @@ const PER_FLOW: u64 = 90;
 const HOPS: usize = 4;
 const HOT_FLOWS: u64 = 3;
 const HOT_NS: f64 = 200_000.0;
+/// The value codec every test collector encodes with
+/// (`DynamicAggregator::new(_, 8, 100.0, 1.0e7)`), as a plan's decode
+/// spec.
+const SPEC: ValueDecodeSpec = ValueDecodeSpec {
+    bits: 8,
+    v_min: 100.0,
+    v_max: 1.0e7,
+};
+
+/// Digests recorded across every flow a backend holds (a `Stats` plan).
+fn total_packets(answer: QueryResult) -> u64 {
+    match answer {
+        QueryResult::Stats(s) => s.packets,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+fn stats_plan() -> QueryPlan {
+    TelemetryQuery::new().stats().plan().unwrap()
+}
+
+/// The value a decoded single-quantile answer carries.
+fn decoded_quantile(answer: QueryResult) -> f64 {
+    match answer {
+        QueryResult::HopQuantilesDecoded { quantiles, .. } => quantiles[0].1,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Hop `hop`'s ϕ-quantile over every flow, decoded to nanoseconds.
+fn quantile_plan(hop: usize, phi: f64) -> QueryPlan {
+    TelemetryQuery::new()
+        .hop_quantiles_decoded(hop, [phi], SPEC)
+        .plan()
+        .unwrap()
+}
 
 /// The full digest stream, identical for every ingestion strategy.
 fn build_reports(agg: &DynamicAggregator) -> Vec<DigestReport> {
@@ -67,7 +103,7 @@ fn collect(reports: impl Iterator<Item = DigestReport>, agg: &DynamicAggregator)
     collector
 }
 
-fn fleet_config(agg: &DynamicAggregator) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     FleetConfig {
         rules: vec![
             // "p90 across all flows through the congested switch": the
@@ -78,10 +114,10 @@ fn fleet_config(agg: &DynamicAggregator) -> FleetConfig {
                 phi: 0.9,
                 threshold: 100_000.0,
                 min_samples: 30,
+                decode: SPEC,
             })
             .scoped((0..HOT_FLOWS).collect()),
         ],
-        codec: Some(agg.clone()),
         metrics: None,
         trace: None,
     }
@@ -113,12 +149,12 @@ fn fleet_view_matches_single_collector_over_both_transports() {
     for f in &frames {
         sender.send(f.clone()).unwrap();
     }
-    let mut mem_agg = FleetAggregator::new(fleet_config(&agg));
+    let mut mem_agg = FleetAggregator::new(fleet_config());
     assert_eq!(transport.pump_into(&mut mem_agg).unwrap(), PODS as usize);
     let mem_view = mem_agg.view();
 
     // ---- Real loopback TCP ----------------------------------------
-    let server = FleetServer::bind("127.0.0.1:0", fleet_config(&agg)).unwrap();
+    let server = FleetServer::bind("127.0.0.1:0", fleet_config()).unwrap();
     let addr = server.local_addr();
     let mut joins = Vec::new();
     for f in frames.clone() {
@@ -141,7 +177,10 @@ fn fleet_view_matches_single_collector_over_both_transports() {
 
     // ---- The fleet view answers like the combined collector -------
     assert_eq!(mem_view.num_flows(), FLOWS as usize);
-    assert_eq!(mem_view.total_packets(), FLOWS * PER_FLOW);
+    assert_eq!(
+        total_packets(mem_view.execute(&stats_plan()).unwrap()),
+        FLOWS * PER_FLOW
+    );
     assert_eq!(mem_view.collectors(), &[0, 1, 2]);
     for flow in [0u64, 1, 7, 33, 88] {
         let fleet_summary = mem_view.snapshot().flow(flow).unwrap();
@@ -170,8 +209,9 @@ fn fleet_view_matches_single_collector_over_both_transports() {
     }
     // Fleet-wide merged quantiles track the combined run too.
     for hop in 1..=HOPS {
-        let fleet_q = mem_view.latency_quantile(hop, 0.5, &agg).unwrap();
-        let combined_q = combined_snap.latency_quantile(hop, 0.5, &agg).unwrap();
+        let plan = quantile_plan(hop, 0.5);
+        let fleet_q = decoded_quantile(mem_view.execute(&plan).unwrap());
+        let combined_q = decoded_quantile(combined_snap.execute(&plan).unwrap());
         assert!(
             (fleet_q / combined_q - 1.0).abs() < 0.25,
             "hop {hop} fleet-wide p50: {fleet_q} vs {combined_q}"
@@ -180,7 +220,10 @@ fn fleet_view_matches_single_collector_over_both_transports() {
 
     // ---- TCP produced the same fleet state as in-memory -----------
     assert_eq!(tcp_view.num_flows(), mem_view.num_flows());
-    assert_eq!(tcp_view.total_packets(), mem_view.total_packets());
+    assert_eq!(
+        tcp_view.execute(&stats_plan()).unwrap(),
+        mem_view.execute(&stats_plan()).unwrap()
+    );
     for flow in 0..FLOWS {
         let a = tcp_view.snapshot().flow(flow).unwrap();
         let b = mem_view.snapshot().flow(flow).unwrap();
@@ -243,13 +286,16 @@ fn stale_epochs_are_ignored() {
     let epoch1 = collector.export_snapshot_frame(9, 1).unwrap();
     let mut fleet = FleetAggregator::new(FleetConfig::default());
     fleet.ingest_frame(&epoch1).unwrap();
-    let packets_before = fleet.view().total_packets();
+    let packets_before = total_packets(fleet.query(&stats_plan()).unwrap());
 
     // Re-delivering the same epoch (duplicate frame, out-of-order
     // replay) changes nothing.
     fleet.ingest_frame(&epoch1).unwrap();
     assert_eq!(fleet.stats().snapshots_stale, 1);
-    assert_eq!(fleet.view().total_packets(), packets_before);
+    assert_eq!(
+        total_packets(fleet.query(&stats_plan()).unwrap()),
+        packets_before
+    );
 
     // A newer epoch replaces the old state instead of double counting.
     let mut handle = collector.register_producer();
@@ -258,7 +304,7 @@ fn stale_epochs_are_ignored() {
     let epoch2 = collector.export_snapshot_frame(9, 2).unwrap();
     fleet.ingest_frame(&epoch2).unwrap();
     assert_eq!(
-        fleet.view().total_packets(),
+        total_packets(fleet.query(&stats_plan()).unwrap()),
         packets_before + 1,
         "replacement, not accumulation"
     );
@@ -394,7 +440,11 @@ fn export_frames_equal_the_encoded_snapshot() {
         60,
         20,
     );
-    let evicted = evicting.snapshot().unwrap().evicted_flows();
+    let table = match evicting.query(&stats_plan()).unwrap() {
+        QueryResult::Stats(s) => s.table.unwrap(),
+        other => panic!("unexpected {other:?}"),
+    };
+    let evicted = table.evicted_lru + table.evicted_ttl;
     assert!(evicted > 0, "the table must have evicted");
     assert_export_matches_snapshot(&evicting, "LRU-evicted table");
     evicting.shutdown();
@@ -453,9 +503,9 @@ fn fleet_reads_never_write_through_shared_sketch_blocks() {
             frame
         })
         .collect();
-    // The scoped rule merges its flows on every apply; the unscoped one
-    // merges the whole fleet.
-    let mut config = fleet_config(&agg);
+    // Both rules, the scoped and the unscoped one, run their plans on
+    // the view merged once per apply.
+    let mut config = fleet_config();
     config
         .rules
         .push(FleetRule::new(FleetCondition::QuantileAbove {
@@ -463,6 +513,7 @@ fn fleet_reads_never_write_through_shared_sketch_blocks() {
             phi: 0.99,
             threshold: 100_000.0,
             min_samples: 30,
+            decode: SPEC,
         }));
     let plans = every_plan();
 
@@ -495,5 +546,248 @@ fn fleet_reads_never_write_through_shared_sketch_blocks() {
         assert_eq!(remote, direct, "server round {round} ≡ aggregator");
     }
     server.with_aggregator(|a| assert_stored_frames(a, &frames, "server"));
+    drop(server.shutdown());
+}
+
+/// Switch on the first route of every other path flow of
+/// [`rule_pod_frames`].
+const RULE_SWITCH: u64 = 19;
+
+/// Two pods' snapshot frames over one mixed workload, split by packet
+/// (`pid % 2`) so every flow is shared and merges. Of flows `0..30`:
+/// - `flow % 3 == 0`: latency flows, the heaviest (≥ 400 digests);
+/// - `flow % 3 == 1`: path flows of 300 digests whose route changes
+///   after 200, so decoded flows report inconsistencies; every other
+///   one's first route crosses [`RULE_SWITCH`];
+/// - `flow % 3 == 2`: path flows of 6 digests, too few to decode.
+fn rule_pod_frames() -> Vec<Vec<u8>> {
+    let agg = DynamicAggregator::new(59, 8, 100.0, 1.0e7);
+    let tracer = PathTracer::new(TracerConfig::paper(8, 2, 5));
+    let universe: Vec<u64> = (0..64).collect();
+    let (rec_agg, rec_tracer) = (agg.clone(), tracer.clone());
+    let factory: RecorderFactory = Arc::new(move |flow, report: &DigestReport| {
+        let k = usize::from(report.path_len).max(1);
+        if flow % 3 == 0 {
+            Box::new(DynamicRecorder::new_sketched(rec_agg.clone(), k, 64)) as Box<dyn FlowRecorder>
+        } else {
+            Box::new(rec_tracer.decoder(universe.clone(), k))
+        }
+    });
+    let mut reports = Vec::new();
+    for flow in 0..30u64 {
+        let (packets, routes) = match flow % 3 {
+            0 => (400 + flow * 3, Vec::new()),
+            1 => {
+                let hop2 = if flow % 2 == 1 {
+                    RULE_SWITCH
+                } else {
+                    30 + flow
+                };
+                (
+                    300,
+                    vec![vec![flow % 16, hop2, 40, 41], vec![flow % 16, 50, 51, 41]],
+                )
+            }
+            _ => (6, vec![vec![flow % 16, 7, 8, 9]]),
+        };
+        for pid in 0..packets {
+            let digest = if routes.is_empty() {
+                let mut d = Digest::new(1);
+                for hop in 1..=HOPS {
+                    let ns = 1_000.0 * hop as f64 + ((flow * 37 + pid) % 50) as f64 * 100.0;
+                    agg.encode_hop(pid, hop, ns, &mut d, 0);
+                }
+                d
+            } else {
+                tracer.encode_path(pid, &routes[usize::from(pid >= 200) % routes.len()])
+            };
+            reports.push(DigestReport::new(flow, pid, digest, HOPS as u16, pid));
+        }
+    }
+    (0..2u64)
+        .map(|pod| {
+            let collector = Collector::spawn(CollectorConfig::with_shards(2), factory.clone());
+            let mut handle = collector.register_producer();
+            for r in reports.iter().filter(|r| r.pid % 2 == pod) {
+                handle.push(r.clone()).unwrap();
+            }
+            handle.flush().unwrap();
+            let frame = collector.export_snapshot_frame(pod, 1).unwrap();
+            collector.shutdown();
+            frame
+        })
+        .collect()
+}
+
+/// The value a rule's condition compares, read from the answer to the
+/// rule's query: `Some` when it crosses the rule's threshold.
+fn crossing(condition: &FleetCondition, answer: &QueryResult) -> Option<f64> {
+    match (condition, answer) {
+        (
+            FleetCondition::QuantileAbove {
+                threshold,
+                min_samples,
+                ..
+            },
+            QueryResult::HopQuantilesDecoded {
+                samples, quantiles, ..
+            },
+        ) => quantiles
+            .first()
+            .map(|&(_, value)| value)
+            .filter(|value| samples >= min_samples && value > threshold),
+        (
+            FleetCondition::PathCompletionBelow {
+                min_fraction,
+                min_flows,
+            },
+            &QueryResult::PathCompletion { complete, total },
+        ) => (total > 0 && total >= *min_flows as u64)
+            .then(|| complete as f64 / total as f64)
+            .filter(|fraction| fraction < min_fraction),
+        (FleetCondition::InconsistenciesAbove { min_total }, QueryResult::Stats(s)) => {
+            (s.inconsistencies >= *min_total).then_some(s.inconsistencies as f64)
+        }
+        other => panic!("condition and answer disagree: {other:?}"),
+    }
+}
+
+/// One rule per condition under an `All`, a `FlowSet`, a
+/// `PathThroughSwitch` and a `TopK` scope, each with the plan its query
+/// is written as. Thresholds come from the merged answers: a quantile
+/// rule needs every in-scope sample of both pods, and an inconsistency
+/// rule the merged total, so those fire only on the merged view.
+fn rules_and_plans(frames: &[Vec<u8>]) -> Vec<(FleetRule, QueryPlan)> {
+    let mut merged = FleetAggregator::new(FleetConfig::default());
+    for f in frames {
+        merged.ingest_frame(f).unwrap();
+    }
+    let scopes: [(Option<Selector>, TelemetryQuery); 4] = [
+        (None, TelemetryQuery::new().all_flows()),
+        (
+            Some(Selector::FlowSet(vec![0, 1, 2, 3, 4, 5, 7, 999])),
+            TelemetryQuery::new().flows([0, 1, 2, 3, 4, 5, 7, 999]),
+        ),
+        (
+            Some(Selector::PathThroughSwitch(RULE_SWITCH)),
+            TelemetryQuery::new().through_switch(RULE_SWITCH),
+        ),
+        (Some(Selector::TopK(12)), TelemetryQuery::new().top_k(12)),
+    ];
+    let mut out = Vec::new();
+    for (scope, query) in scopes {
+        let quantile = query
+            .clone()
+            .hop_quantiles_decoded(3, [0.9], SPEC)
+            .plan()
+            .unwrap();
+        let samples = match merged.query(&quantile).unwrap() {
+            QueryResult::HopQuantilesDecoded { samples, .. } => samples,
+            other => panic!("unexpected {other:?}"),
+        };
+        let stats = query.clone().stats().plan().unwrap();
+        let inconsistencies = match merged.query(&stats).unwrap() {
+            QueryResult::Stats(s) => s.inconsistencies,
+            other => panic!("unexpected {other:?}"),
+        };
+        let conditions = [
+            (
+                FleetCondition::QuantileAbove {
+                    hop: 3,
+                    phi: 0.9,
+                    threshold: 0.0,
+                    min_samples: samples.max(1),
+                    decode: SPEC,
+                },
+                quantile,
+            ),
+            (
+                FleetCondition::PathCompletionBelow {
+                    min_fraction: 1.0,
+                    min_flows: 1,
+                },
+                query.clone().path_completion().plan().unwrap(),
+            ),
+            (
+                FleetCondition::InconsistenciesAbove {
+                    min_total: inconsistencies.max(1),
+                },
+                stats,
+            ),
+        ];
+        for (condition, plan) in conditions {
+            let rule = match &scope {
+                None => FleetRule::new(condition),
+                Some(selector) => FleetRule::new(condition).scoped_by(selector.clone()),
+            };
+            assert_eq!(
+                rule.plan(),
+                plan,
+                "the rule runs the query it is written as"
+            );
+            out.push((rule, plan));
+        }
+    }
+    out
+}
+
+#[test]
+fn a_rule_observes_what_its_query_answers() {
+    let frames = rule_pod_frames();
+    let cases = rules_and_plans(&frames);
+    let config = FleetConfig {
+        rules: cases.iter().map(|(rule, _)| rule.clone()).collect(),
+        ..FleetConfig::default()
+    };
+    let server = FleetServer::bind("127.0.0.1:0", config.clone()).unwrap();
+    let mut client = FleetClient::connect(server.local_addr()).unwrap();
+    let mut fleet = FleetAggregator::new(config);
+
+    // Fired events per rule, and the step (pods applied) that fired it.
+    let mut fired: Vec<Vec<usize>> = vec![Vec::new(); cases.len()];
+    for (step, frame) in frames.iter().enumerate() {
+        fleet.ingest_frame(frame).unwrap();
+        client.send(frame).unwrap();
+        // Answered in order after the snapshot, so it has applied.
+        client.fetch_metrics().unwrap();
+        let local = fleet.drain_events();
+        let remote = server.with_aggregator(|a| a.drain_events());
+        assert_eq!(local, remote, "step {step}: server ≡ aggregator");
+        for event in local {
+            assert_eq!(event.edge, FleetEdge::Fired, "step {step}: {event:?}");
+            assert_eq!(event.collectors, step + 1);
+            let (rule, plan) = &cases[event.rule];
+            let answer = fleet.query(plan).unwrap();
+            assert_eq!(
+                client.query(plan).unwrap().encode(),
+                answer.encode(),
+                "step {step}: TCP ≡ aggregator for {plan:?}"
+            );
+            assert_eq!(
+                Some(event.observed),
+                crossing(&rule.condition, &answer),
+                "step {step}: rule {} observed what {plan:?} answers",
+                event.rule
+            );
+            fired[event.rule].push(step);
+        }
+    }
+    // Every rule whose merged answer crosses fired exactly once, and
+    // no other rule did.
+    for (i, (rule, plan)) in cases.iter().enumerate() {
+        let crosses = crossing(&rule.condition, &fleet.query(plan).unwrap()).is_some();
+        assert_eq!(fired[i].len(), usize::from(crosses), "rule {i}: {plan:?}");
+    }
+    // Not vacuous. Rules go three per scope (quantile, completion,
+    // inconsistencies) in the order all, flow set, through switch,
+    // top-K. The quantile rules with latency flows in scope and every
+    // inconsistency rule fired on the merged view; the completion
+    // rules whose scope holds undecoded flows fired on the first pod.
+    for i in [0, 3, 9, 2, 5, 8, 11] {
+        assert_eq!(fired[i], vec![1], "rule {i} fires on the merged view");
+    }
+    for i in [1, 4] {
+        assert_eq!(fired[i], vec![0], "rule {i} fires on the first pod");
+    }
     drop(server.shutdown());
 }

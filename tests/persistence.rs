@@ -25,7 +25,7 @@ use pint::fleet::{
     ForwarderConfig,
 };
 use pint::obs::MetricsRegistry;
-use pint::query::TelemetryQuery;
+use pint::query::{QueryResult, TelemetryQuery};
 use pint::wire::store::{CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock};
 use pint::wire::{DigestBatch, WireEncode};
 use pint::{Journal, JournalConfig, SpillQueue, StoreOptions, StoreReader, StoreWriter};
@@ -331,7 +331,14 @@ fn checkpoint_only_log_restores_the_populated_collector() {
     let live = Collector::spawn(config(), factory());
     ingest(&live, &workload(0, 12));
     checkpoint_only_log(&path, &live);
-    let (complete, paths) = live.snapshot().unwrap().path_counts();
+    let completion = TelemetryQuery::new().path_completion().plan().unwrap();
+    let QueryResult::PathCompletion {
+        complete,
+        total: paths,
+    } = live.query(&completion).unwrap()
+    else {
+        panic!("a path-completion plan answers path completion")
+    };
     assert!(
         0 < complete && complete < paths,
         "{complete} of {paths} decoded"
@@ -553,9 +560,12 @@ fn checkpoints_under_live_ingest_never_lose_digests() {
     );
     let (restored, _) = Collector::restore(config(), factory(), &reader).unwrap();
     let snap = restored.snapshot().unwrap();
+    let stats = snap.execute(&TelemetryQuery::new().stats().plan().unwrap());
+    let Ok(QueryResult::Stats(stats)) = stats else {
+        panic!("a stats plan answers stats: {stats:?}")
+    };
     assert_eq!(
-        snap.total_packets(),
-        total,
+        stats.packets, total,
         "every digest pushed must survive checkpoint+compaction+restore"
     );
     assert_eq!(snap.ingested, total);

@@ -2,25 +2,27 @@
 //! backends, identical results on identical state** — byte-for-byte.
 //!
 //! A collector ingests a mixed latency + path-tracing workload once;
-//! its state is then read three ways:
+//! its state is then read four ways:
 //!
 //! 1. locally (`Collector::query`, plan routed to owning shards),
 //! 2. remotely (loopback-TCP `Query`/`QueryResponse` frames against a
 //!    `QueryResponder` serving the same collector),
 //! 3. through the fleet tier (a `FleetView` built from the collector's
-//!    exported snapshot frame — i.e. after a full wire round-trip).
+//!    exported snapshot frame — i.e. after a full wire round-trip),
+//! 4. from a held `CollectorSnapshot` of the quiescent collector
+//!    (`CollectorSnapshot::execute`).
 //!
 //! The proptest drives arbitrary selector × projection × option
-//! combinations through all three and compares the *encoded* results,
+//! combinations through all four and compares the *encoded* results,
 //! so any divergence in ordering, tie-breaking, or arithmetic fails
 //! loudly. The dual property: hostile `Query` frames (garbage,
 //! truncations, corrupted payloads) never panic a serving endpoint,
 //! which keeps answering real queries afterwards.
 
-use pint::collector::{Collector, CollectorConfig, RecorderFactory};
+use pint::collector::{Collector, CollectorConfig, CollectorSnapshot, RecorderFactory};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::statictrace::{PathTracer, TracerConfig};
-use pint::core::{Digest, DigestReport, FlowRecorder};
+use pint::core::{Digest, DigestReport, FlowRecorder, RecorderKind};
 use pint::fleet::{FleetAggregator, FleetConfig, FleetView};
 use pint::query::remote::{QueryClient, QueryResponder};
 use pint::query::{QueryPlan, QueryResult, TelemetryQuery};
@@ -41,6 +43,7 @@ const HOT_SWITCH: u64 = 19;
 
 struct Ctx {
     collector: Arc<Collector>,
+    snapshot: CollectorSnapshot,
     fleet: FleetView,
     client: Mutex<QueryClient>,
     addr: SocketAddr,
@@ -132,6 +135,7 @@ fn build_ctx() -> Ctx {
     collector.barrier().unwrap();
 
     let collector = Arc::new(collector);
+    let snapshot = collector.snapshot().unwrap();
     // Fleet backend: the identical state after a full wire round-trip.
     let frame = collector.export_snapshot_frame(1, 1).unwrap();
     let mut fleet_agg = FleetAggregator::new(FleetConfig::default());
@@ -144,6 +148,7 @@ fn build_ctx() -> Ctx {
     let client = Mutex::new(QueryClient::connect(addr).unwrap());
     Ctx {
         collector,
+        snapshot,
         fleet,
         client,
         addr,
@@ -162,15 +167,20 @@ fn build_plan(sel: u8, proj: u8, seed: u64, k: usize, hop: usize, flags: u8) -> 
         .map(|i| splitmix(seed ^ i) % 140) // known latency/path IDs and unknowns
         .collect();
     let q = TelemetryQuery::new();
-    let q = match sel % 5 {
+    let q = match sel % 6 {
         0 => q.all_flows(),
         1 => q.flows(ids),
         2 => q.top_k(k),
         3 => q.watch(ids),
-        _ => q.through_switch(if seed.is_multiple_of(3) {
+        4 => q.through_switch(if seed.is_multiple_of(3) {
             HOT_SWITCH
         } else {
             seed % 64
+        }),
+        _ => q.of_kind(match seed % 3 {
+            0 => RecorderKind::LatencyQuantiles,
+            1 => RecorderKind::PathTracing,
+            _ => RecorderKind::FrequentValues,
         }),
     };
     let q = match proj % 6 {
@@ -209,10 +219,11 @@ fn build_plan(sel: u8, proj: u8, seed: u64, k: usize, hop: usize, flags: u8) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Local ≡ loopback-TCP ≡ fleet-view execution, byte-for-byte.
+    /// Local ≡ loopback-TCP ≡ fleet-view ≡ held-snapshot execution,
+    /// byte-for-byte.
     #[test]
     fn any_plan_executes_identically_on_all_three_backends(
-        sel in 0u8..5,
+        sel in 0u8..6,
         proj in 0u8..6,
         seed in any::<u64>(),
         k in 0usize..70,
@@ -245,6 +256,14 @@ proptest! {
             local.encode(),
             fleet.encode(),
             "local vs fleet mismatch for {:?}",
+            plan
+        );
+
+        let held = ctx.snapshot.execute(&plan).expect("snapshot execute");
+        prop_assert_eq!(
+            local.encode(),
+            held.encode(),
+            "local vs snapshot mismatch for {:?}",
             plan
         );
     }

@@ -13,7 +13,9 @@ use pint::netsim::telemetry::{SwitchView, TelemetryHook};
 use pint::netsim::topology::Topology;
 use pint::netsim::transport::reno::Reno;
 use pint::netsim::NodeKind;
-use pint::{Collector, CollectorConfig, Digest, DigestReport, FlowRecorder};
+use pint::{
+    Collector, CollectorConfig, Digest, DigestReport, FlowRecorder, QueryResult, TelemetryQuery,
+};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -92,10 +94,17 @@ fn simulator_digests_flow_into_collector_end_to_end() {
 
     let snap = collector.snapshot().expect("snapshot");
     assert_eq!(snap.num_flows(), 1, "one flow tracked");
-    assert_eq!(snap.total_packets(), pushed);
+    let run = |query: TelemetryQuery| snap.execute(&query.plan().unwrap()).unwrap();
+    match run(TelemetryQuery::new().stats()) {
+        QueryResult::Stats(s) => assert_eq!(s.packets, pushed),
+        other => panic!("unexpected {other:?}"),
+    }
     // Hop 1 has latency samples; the merged quantile decodes sanely.
-    let q = snap.latency_quantile(1, 0.5, &agg);
-    assert!(q.is_some_and(|q| q >= 1.0), "median hop latency: {q:?}");
+    let q = run(TelemetryQuery::new().hop_quantiles(1, [0.5])).decode_quantiles(&agg);
+    assert!(
+        q.first().is_some_and(|&(_, q)| q >= 1.0),
+        "median hop latency: {q:?}"
+    );
 
     let stats = collector.shutdown();
     assert_eq!(stats.ingested, pushed, "every pushed digest ingested");
