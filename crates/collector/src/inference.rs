@@ -117,7 +117,27 @@ impl CollectorSnapshot {
     /// clone shares its hop sketches.
     pub fn execute(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
         plan.validate()?;
-        let rows = self.flows.iter().map(|(f, s)| (*f, s)).collect();
+        let rows = match &plan.selector {
+            // Named flows are found by binary search, so a point plan
+            // costs O(ids · log flows), not O(flows). Every row of a
+            // named ID goes to `refine`, duplicates included, so it
+            // keeps exactly what it would keep from all rows.
+            Selector::FlowSet(ids) | Selector::WatchList(ids) => {
+                let mut wanted = ids.clone();
+                wanted.sort_unstable();
+                wanted.dedup();
+                wanted
+                    .into_iter()
+                    .flat_map(|id| {
+                        let start = self.flows.partition_point(|&(f, _)| f < id);
+                        let end = start + self.flows[start..].partition_point(|&(f, _)| f == id);
+                        self.flows[start..end].iter()
+                    })
+                    .map(|(f, s)| (*f, s))
+                    .collect()
+            }
+            _ => self.flows.iter().map(|(f, s)| (*f, s)).collect(),
+        };
         let kept = pint_query::refine(rows, plan)
             .into_iter()
             .map(|(f, s)| (f, s.clone()))
@@ -238,6 +258,45 @@ mod tests {
                 assert!((med as i64 - 5_000).abs() < 400, "median {med}");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn named_flows_answer_as_from_every_row_duplicates_included() {
+        // `from_parts` keeps duplicate IDs (a hostile frame may carry
+        // them); each duplicate differs, so any other pick shows.
+        let row = |packets: u64, last_ts: u64| {
+            let mut s = latency_summary(&(0..packets).collect::<Vec<_>>());
+            s.last_ts = last_ts;
+            s
+        };
+        let snap = CollectorSnapshot::from_parts(
+            vec![
+                (1, row(3, 1)),
+                (4, row(5, 1)),
+                (4, row(7, 9)),
+                (4, row(9, 9)),
+                (9, row(11, 9)),
+            ],
+            Vec::new(),
+            0,
+        );
+        let q = TelemetryQuery::new;
+        for query in [
+            q().flows([4, 9, 4, 2]),
+            q().watch([9, 4, 4, 1]),
+            q().flows([4]).stats(),
+            q().watch([4, 1]).since(5),
+            q().watch([4]).hop_quantiles(1, [0.5]),
+        ] {
+            let plan = query.plan().unwrap();
+            let every_row = snap.flows.iter().map(|(f, s)| (*f, s)).collect();
+            let kept = pint_query::refine(every_row, &plan)
+                .into_iter()
+                .map(|(f, s)| (f, s.clone()))
+                .collect();
+            let expected = pint_query::project(kept, &plan.projection, None);
+            assert_eq!(snap.execute(&plan).unwrap(), expected, "{plan:?}");
         }
     }
 

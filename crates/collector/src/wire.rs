@@ -13,7 +13,9 @@
 use crate::flow_table::TableStats;
 use crate::inference::{CollectorSnapshot, FlowSummary};
 use crate::shard::ShardExport;
-use pint_wire::{frame_into, FrameType, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use pint_wire::{
+    frame_into, FrameType, WireDecode, WireEncode, WireError, WireReader, WireWalk, WireWriter,
+};
 
 impl WireEncode for TableStats {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -33,6 +35,11 @@ impl WireDecode for TableStats {
         })
     }
 }
+
+/// The fewest bytes a flow row takes: a 1-byte flow ID and the minimal
+/// summary (kind, four 1-byte counters, a zero sketch count, the
+/// path-absent tag), what a sketchless recorder's row encodes to.
+const MIN_ROW_BYTES: usize = 8;
 
 impl WireEncode for CollectorSnapshot {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -62,14 +69,27 @@ impl WireDecode for CollectorSnapshot {
         for _ in 0..shards {
             shard_stats.push(TableStats::decode_from(r)?);
         }
-        // Each flow entry is ≥ 19 bytes (id + minimal summary).
-        let n = r.get_count(19)?;
+        let n = r.get_count(MIN_ROW_BYTES)?;
         let mut flows = Vec::with_capacity(n.min(4_096));
         for _ in 0..n {
             let flow = r.get_varint()?;
             flows.push((flow, FlowSummary::decode_from(r)?));
         }
         Ok(CollectorSnapshot::from_parts(flows, shard_stats, ingested))
+    }
+}
+
+impl WireWalk for CollectorSnapshot {
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
+        r.skip_varints(1)?;
+        for _ in 0..r.get_count(3)? {
+            TableStats::decode_from(r)?;
+        }
+        for _ in 0..r.get_count(MIN_ROW_BYTES)? {
+            r.skip_varints(1)?;
+            FlowSummary::walk_from(r)?;
+        }
+        Ok(())
     }
 }
 
@@ -157,6 +177,19 @@ impl SnapshotFrame {
         let mut out = Vec::new();
         frame_into(FrameType::Snapshot, self, &mut out);
         out
+    }
+
+    /// Walks a `Snapshot` payload without decoding it (see
+    /// [`WireWalk`]): `Ok((collector_id, epoch))` exactly when
+    /// [`decode`](WireDecode::decode) would accept `payload`, at a
+    /// fraction of its cost and with no allocation.
+    pub fn walk(payload: &[u8]) -> Result<(u64, u64), WireError> {
+        let mut r = WireReader::new(payload);
+        let collector_id = r.get_varint()?;
+        let epoch = r.get_varint()?;
+        CollectorSnapshot::walk_from(&mut r)?;
+        r.expect_end()?;
+        Ok((collector_id, epoch))
     }
 }
 
@@ -266,6 +299,33 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_of_minimal_rows_round_trips() {
+        // A sketchless, pathless row with small counters is 8 bytes,
+        // flow ID included. The flow-count guard must accept a
+        // snapshot made only of them.
+        let row = FlowSummary {
+            kind: RecorderKind::FrequentValues,
+            packets: 3,
+            state_bytes: 80,
+            last_ts: 5,
+            hop_sketches: Vec::new().into(),
+            path: None,
+            inconsistencies: 0,
+        };
+        let snap = CollectorSnapshot::from_parts(
+            (0..100).map(|flow| (flow, row.clone())).collect(),
+            vec![TableStats::default()],
+            300,
+        );
+        let bytes = snap.encode();
+        assert!(bytes.len() < 100 * 19, "{} bytes", bytes.len());
+        assert_eq!(CollectorSnapshot::decode(&bytes).unwrap().num_flows(), 100);
+        let mut r = WireReader::new(&bytes);
+        CollectorSnapshot::walk_from(&mut r).unwrap();
+        r.expect_end().unwrap();
+    }
+
+    #[test]
     fn corrupted_snapshot_bytes_error_not_panic() {
         let bytes = sample_snapshot().encode();
         for cut in 0..bytes.len() {
@@ -274,13 +334,19 @@ mod tests {
                 "truncation at {cut}"
             );
         }
-        // Flip each byte in the prefix region; decode must never panic
-        // (it may still succeed when the flip lands in a don't-care
-        // bit, e.g. a coin state).
-        for i in 0..bytes.len().min(64) {
+        // Flip each byte; decode must never panic (it may still succeed
+        // when the flip lands in a don't-care bit, e.g. a coin state),
+        // and the walk accepts exactly what it accepts.
+        for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x55;
-            let _ = CollectorSnapshot::decode(&bad);
+            let mut r = WireReader::new(&bad);
+            let walked = CollectorSnapshot::walk_from(&mut r).and_then(|()| r.expect_end());
+            assert_eq!(
+                walked.is_ok(),
+                CollectorSnapshot::decode(&bad).is_ok(),
+                "byte {i}"
+            );
         }
     }
 }

@@ -16,9 +16,12 @@ use pint_obs::{FlightRecorder, Gauge, GaugeGroup, MetricsRegistry, TraceStage};
 use pint_query::{QueryError, QueryPlan, QueryResult, Watermark};
 use pint_store::{Journal, StoreReader};
 use pint_wire::store::StoreRecord;
-use pint_wire::{parse_frame, FrameType, WireDecode, WireReader};
+use pint_wire::{
+    frame_into, parse_frame, FrameType, WireDecode, WireEncode, WireError, WireReader,
+};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Bound on undrained fleet events; older events are discarded (and
 /// counted) beyond it, so a negligent consumer cannot grow memory.
@@ -80,11 +83,120 @@ pub struct FleetStats {
     pub collectors: usize,
 }
 
-/// Latest state held for one collector.
+/// One collector's latest snapshot, as the aggregator holds it.
 #[derive(Debug, Clone)]
+pub(crate) enum Held {
+    /// A `Snapshot` payload the walk accepted, not decoded yet.
+    Frame(Arc<[u8]>),
+    /// The decoded snapshot: a read needed it, or it was applied
+    /// decoded ([`FleetAggregator::apply_snapshot`]).
+    Decoded(Arc<CollectorSnapshot>),
+}
+
+impl Held {
+    /// The decoded snapshot. A frame passed the walk, so its decode
+    /// cannot fail; if it ever does, the error is typed, not a panic.
+    fn decode(&self) -> Result<Arc<CollectorSnapshot>, QueryError> {
+        match self {
+            Held::Frame(payload) => Ok(Arc::new(SnapshotFrame::decode(payload)?.snapshot)),
+            Held::Decoded(snapshot) => Ok(Arc::clone(snapshot)),
+        }
+    }
+}
+
+/// Latest state held for one collector. Reads take `&self`, so the
+/// swap of a frame for its decoded snapshot goes through the mutex
+/// (uncontended: the aggregator is single-threaded or behind a lock).
+#[derive(Debug)]
 struct CollectorState {
     epoch: u64,
-    snapshot: pint_collector::CollectorSnapshot,
+    held: Mutex<Held>,
+}
+
+impl CollectorState {
+    /// Decodes a held frame and keeps the snapshot instead of it.
+    fn decoded(&self) -> Result<Arc<CollectorSnapshot>, QueryError> {
+        let mut held = lock(&self.held);
+        let snapshot = held.decode()?;
+        *held = Held::Decoded(Arc::clone(&snapshot));
+        Ok(snapshot)
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The merged view of the `(collector, epoch)` vector `key`.
+#[derive(Debug)]
+struct Memo {
+    key: Vec<(u64, u64)>,
+    view: Arc<FleetView>,
+}
+
+/// What an apply or `Bye` replaced, not yet freed: the collector's
+/// previous state and the memoised view.
+#[derive(Debug, Default)]
+pub(crate) struct Released {
+    _held: Option<Held>,
+    _view: Option<Arc<FleetView>>,
+}
+
+/// The inputs of one fleet read, taken under the aggregator lock by
+/// [`FleetAggregator::read`]: the memoised view if it is current, or
+/// each collector's `(id, epoch, held state)` to build it from.
+pub(crate) enum ViewRead {
+    Memo(Arc<FleetView>),
+    Build(Vec<(u64, u64, Held)>),
+}
+
+/// A view [`ViewRead::build`] returned.
+pub(crate) struct Built {
+    view: Arc<FleetView>,
+    /// What [`FleetAggregator::keep`] stores back: the view's key and
+    /// the snapshots decoded for it. `None` for the memoised view.
+    fresh: Option<(Vec<(u64, u64)>, Vec<(u64, u64, Arc<CollectorSnapshot>)>)>,
+}
+
+impl ViewRead {
+    /// Decodes the frames still held and merges — the part a serving
+    /// transport runs outside its aggregator lock.
+    pub(crate) fn build(self) -> Result<Built, QueryError> {
+        let parts = match self {
+            ViewRead::Memo(view) => return Ok(Built { view, fresh: None }),
+            ViewRead::Build(parts) => parts,
+        };
+        let key = parts.iter().map(|&(id, epoch, _)| (id, epoch)).collect();
+        let mut decoded = Vec::new();
+        let mut snapshots = Vec::with_capacity(parts.len());
+        for (id, epoch, held) in parts {
+            let snapshot = held.decode()?;
+            if let Held::Frame(_) = held {
+                decoded.push((id, epoch, Arc::clone(&snapshot)));
+            }
+            snapshots.push((id, snapshot));
+        }
+        // The aggregator keeps each snapshot, so the merge takes row
+        // clones: refcounts on the hop-sketch blocks.
+        let view = FleetView::merge(
+            snapshots
+                .into_iter()
+                .map(|(id, snapshot)| (id, Arc::unwrap_or_clone(snapshot))),
+        );
+        Ok(Built {
+            view: Arc::new(view),
+            fresh: Some((key, decoded)),
+        })
+    }
+}
+
+/// A raw, already-encoded payload (re-framing received bytes).
+struct Raw<'a>(&'a [u8]);
+
+impl WireEncode for Raw<'_> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0);
+    }
 }
 
 /// What [`FleetAggregator::restore`] recovered from a persisted log.
@@ -111,6 +223,12 @@ pub struct FleetRestoreReport {
 /// [`InMemoryTransport`](crate::InMemoryTransport), or
 /// [`FleetServer`](crate::FleetServer)'s poll thread, which shares the
 /// aggregator with its owner behind a mutex.
+///
+/// A snapshot frame is checked at apply by a walk that builds nothing,
+/// and held as its bytes; the first read that needs it decodes it, and
+/// from then on the aggregator holds the decoded snapshot instead. The
+/// merged view is memoised on the `(collector, epoch)` vector and
+/// shared by queries and rules until an apply or `Bye` changes it.
 pub struct FleetAggregator {
     config: FleetConfig,
     collectors: BTreeMap<u64, CollectorState>,
@@ -135,11 +253,14 @@ pub struct FleetAggregator {
     /// Durable journal ([`attach_store`](Self::attach_store)): applied
     /// snapshots become checkpoint records.
     journal: Option<Journal>,
-    /// The snapshot the last apply (or `Bye`) replaced, not yet freed.
-    /// A serving transport takes it with
+    /// The merged view of the last read, for the `(collector, epoch)`
+    /// vector it was built from. An apply or `Bye` drops it.
+    memo: Mutex<Option<Memo>>,
+    /// What the last apply (or `Bye`) replaced, not yet freed. A
+    /// serving transport takes it with
     /// [`take_released`](Self::take_released) and frees it after its
     /// reply is flushed; otherwise the next apply frees it.
-    released: Option<CollectorSnapshot>,
+    released: Released,
 }
 
 /// `set_all` field order of the `fleet` gauge group (mirrors
@@ -178,7 +299,8 @@ impl FleetAggregator {
             newest_seen_epoch: 0,
             freshness_gauges: BTreeMap::new(),
             journal: None,
-            released: None,
+            memo: Mutex::new(None),
+            released: Released::default(),
         }
     }
 
@@ -187,6 +309,9 @@ impl FleetAggregator {
     /// From here on, every *applied* snapshot is persisted as a
     /// checkpoint record keyed by `(collector_id, epoch)` with an empty
     /// `covered` list — the log holds no deltas for it to subsume.
+    /// A snapshot that arrived as a frame is journaled as the bytes
+    /// received, never decoded and re-encoded; one given to
+    /// [`apply_snapshot`](Self::apply_snapshot) is encoded once.
     /// Stale snapshots are never journaled. Checkpoint writes block
     /// briefly (snapshots are periodic, not hot-path).
     pub fn attach_store(&mut self, journal: Journal) {
@@ -202,9 +327,10 @@ impl FleetAggregator {
     }
 
     /// Rebuilds an aggregator from a persisted fleet log: every
-    /// checkpoint record's snapshot frame is re-applied through the
-    /// same epoch gate as live ingestion (newest epoch per collector
-    /// wins, stale records counted). `Delta` records — which logs
+    /// checkpoint record's snapshot frame is walked and re-applied
+    /// through the same epoch gate as live ingestion (newest epoch per
+    /// collector wins, stale records counted), and held undecoded until
+    /// a read needs it. `Delta` records — which logs
     /// written by aggregators that still took digest batches may hold
     /// — are skipped; to replay their digests into a collector, run a
     /// [`pint_store::Replayer`] over the same log.
@@ -222,8 +348,7 @@ impl FleetAggregator {
                     if ty != FrameType::Snapshot {
                         return Err(FleetError::UnsupportedFrame(ty));
                     }
-                    let frame = SnapshotFrame::decode(payload)?;
-                    if agg.apply_snapshot(frame) {
+                    if agg.apply_payload(payload)? {
                         report.checkpoints_applied += 1;
                     } else {
                         report.checkpoints_stale += 1;
@@ -283,7 +408,8 @@ impl FleetAggregator {
 
     /// Ingests an already-framed payload (e.g. from
     /// [`FrameReader`](pint_wire::FrameReader)), dispatching on its
-    /// type: `Snapshot` updates fleet state and re-evaluates rules,
+    /// type: `Snapshot` is walked (checked without being decoded),
+    /// passes the epoch gate, is kept as bytes and re-evaluates rules,
     /// `Bye` removes the collector, `Hello` is acknowledged.
     /// `Query`/`QueryResponse` (answered by the serving transport, not
     /// the aggregator), `DigestBatch` (taken only by a
@@ -308,21 +434,18 @@ impl FleetAggregator {
         payload: &[u8],
     ) -> Result<FrameType, FleetError> {
         match ty {
-            FrameType::Snapshot => match SnapshotFrame::decode(payload) {
-                Ok(frame) => {
-                    self.apply_snapshot(frame);
-                }
-                Err(e) => {
+            FrameType::Snapshot => {
+                if let Err(e) = self.apply_payload(payload) {
                     self.stats.decode_errors += 1;
                     return Err(e.into());
                 }
-            },
+            }
             FrameType::Bye => {
                 let mut r = WireReader::new(payload);
                 match r.get_varint() {
                     Ok(collector_id) => {
                         if let Some(gone) = self.collectors.remove(&collector_id) {
-                            self.released = Some(gone.snapshot);
+                            self.release(Some(gone));
                             self.stats.collectors = self.collectors.len();
                             self.evaluate_rules();
                         }
@@ -354,14 +477,44 @@ impl FleetAggregator {
     /// Applies one decoded snapshot, keyed by `(collector_id, epoch)`:
     /// an epoch not newer than what is already held for that collector
     /// is discarded as stale (returns `false`). On application, fleet
-    /// rules are re-evaluated against the new merged view.
+    /// rules are re-evaluated against the new merged view. The
+    /// aggregator keeps `frame.snapshot` as given.
     pub fn apply_snapshot(&mut self, frame: SnapshotFrame) -> bool {
+        let (id, epoch) = (frame.collector_id, frame.epoch);
+        if !self.admit(id, epoch) {
+            return false;
+        }
+        self.journal_checkpoint(id, epoch, || frame.to_frame_bytes());
+        self.hold(id, epoch, Held::Decoded(Arc::new(frame.snapshot)));
+        true
+    }
+
+    /// Applies one `Snapshot` payload: one walk checks it without
+    /// decoding, the epoch gate runs, and the aggregator keeps (and
+    /// journals) the bytes as received. `Ok(false)` is a stale epoch.
+    fn apply_payload(&mut self, payload: &[u8]) -> Result<bool, WireError> {
+        let (id, epoch) = SnapshotFrame::walk(payload)?;
+        if !self.admit(id, epoch) {
+            return Ok(false);
+        }
+        self.journal_checkpoint(id, epoch, || {
+            let mut frame = Vec::with_capacity(pint_wire::HEADER_LEN + payload.len());
+            frame_into(FrameType::Snapshot, &Raw(payload), &mut frame);
+            frame
+        });
+        self.hold(id, epoch, Held::Frame(payload.into()));
+        Ok(true)
+    }
+
+    /// The epoch gate: `false` (counted as stale) unless `epoch` is
+    /// newer than what is held for `collector_id`.
+    fn admit(&mut self, collector_id: u64, epoch: u64) -> bool {
         // Even a stale arrival advances `newest_seen`: a watermark's
         // lag measures "how far behind the freshest evidence" the
         // applied state is, and discarded evidence still counts.
-        self.newest_seen_epoch = self.newest_seen_epoch.max(frame.epoch);
-        if let Some(existing) = self.collectors.get(&frame.collector_id) {
-            if frame.epoch <= existing.epoch {
+        self.newest_seen_epoch = self.newest_seen_epoch.max(epoch);
+        if let Some(existing) = self.collectors.get(&collector_id) {
+            if epoch <= existing.epoch {
                 self.stats.snapshots_stale += 1;
                 self.publish_freshness();
                 self.publish_obs();
@@ -370,36 +523,46 @@ impl FleetAggregator {
         }
         if let Some(rec) = &self.config.trace {
             rec.record(
-                frame.collector_id as u32,
+                collector_id as u32,
                 TraceStage::AggregatorApplied,
-                frame.collector_id,
-                frame.epoch,
+                collector_id,
+                epoch,
             );
         }
-        // Persist the applied snapshot (re-framed — only paid with a
-        // store attached, and only for frames that pass the epoch gate).
+        true
+    }
+
+    /// Persists an admitted snapshot — only with a store attached.
+    fn journal_checkpoint(&self, collector_id: u64, epoch: u64, frame: impl FnOnce() -> Vec<u8>) {
         if let Some(journal) = &self.journal {
-            journal.checkpoint(
-                frame.collector_id,
-                frame.epoch,
-                frame.to_frame_bytes(),
-                Vec::new(),
-            );
+            journal.checkpoint(collector_id, epoch, frame(), Vec::new());
         }
-        let replaced = self.collectors.insert(
-            frame.collector_id,
-            CollectorState {
-                epoch: frame.epoch,
-                snapshot: frame.snapshot,
-            },
-        );
-        self.released = replaced.map(|old| old.snapshot);
+    }
+
+    /// Holds an admitted snapshot in place of the collector's previous
+    /// one and re-evaluates the rules.
+    fn hold(&mut self, collector_id: u64, epoch: u64, held: Held) {
+        let state = CollectorState {
+            epoch,
+            held: Mutex::new(held),
+        };
+        let replaced = self.collectors.insert(collector_id, state);
+        self.release(replaced);
         self.stats.snapshots_applied += 1;
         self.stats.collectors = self.collectors.len();
         self.evaluate_rules();
         self.publish_freshness();
         self.publish_obs();
-        true
+    }
+
+    /// Hands what an apply or `Bye` replaced — the collector's previous
+    /// state, if any, and the memoised view, now stale — to
+    /// [`take_released`](Self::take_released).
+    fn release(&mut self, replaced: Option<CollectorState>) {
+        self.released = Released {
+            _held: replaced.map(|s| s.held.into_inner().unwrap_or_else(PoisonError::into_inner)),
+            _view: lock(&self.memo).take().map(|memo| memo.view),
+        };
     }
 
     /// The aggregator's freshness stamp: the newest epoch *applied*
@@ -431,29 +594,85 @@ impl FleetAggregator {
         }
     }
 
-    /// The merged fleet view over every collector's latest snapshot.
+    /// The merged fleet view over every collector's latest snapshot:
+    /// a copy of the memoised view ([`query`](Self::query) shares it
+    /// without copying). Empty if a held frame fails to decode, which
+    /// the walk at apply rules out; `query` reports that as an error.
     pub fn view(&self) -> FleetView {
-        FleetView::merge(self.collector_snapshots())
+        self.shared_view()
+            .map(|view| FleetView::clone(&view))
+            .unwrap_or_else(|_| FleetView::merge(Vec::new()))
+    }
+
+    /// The memoised merged view, built (and kept) if an apply or `Bye`
+    /// changed the `(collector, epoch)` vector since the last read.
+    fn shared_view(&self) -> Result<Arc<FleetView>, QueryError> {
+        self.read().build().map(|built| self.keep(built))
+    }
+
+    /// The inputs of a read — the lock-held half of
+    /// [`shared_view`](Self::shared_view), which a serving transport
+    /// splits around its lock: `read` under it, [`ViewRead::build`]
+    /// outside, [`keep`](Self::keep) under it again.
+    pub(crate) fn read(&self) -> ViewRead {
+        let key = self.collector_epochs();
+        if let Some(memo) = lock(&self.memo).as_ref().filter(|memo| memo.key == key) {
+            return ViewRead::Memo(Arc::clone(&memo.view));
+        }
+        ViewRead::Build(
+            self.collectors
+                .iter()
+                .map(|(&id, state)| (id, state.epoch, lock(&state.held).clone()))
+                .collect(),
+        )
+    }
+
+    /// Stores back what [`ViewRead::build`] made, where the state it was
+    /// built from is still current: each decoded snapshot replaces its
+    /// frame, and the view becomes the memo. Returns the view.
+    pub(crate) fn keep(&self, built: Built) -> Arc<FleetView> {
+        let Some((key, decoded)) = built.fresh else {
+            return built.view;
+        };
+        for (id, epoch, snapshot) in decoded {
+            if let Some(state) = self.collectors.get(&id).filter(|s| s.epoch == epoch) {
+                let mut held = lock(&state.held);
+                if let Held::Frame(_) = *held {
+                    *held = Held::Decoded(snapshot);
+                }
+            }
+        }
+        if key == self.collector_epochs() {
+            *lock(&self.memo) = Some(Memo {
+                key,
+                view: Arc::clone(&built.view),
+            });
+        }
+        built.view
     }
 
     /// Clones `(collector id, latest snapshot)` pairs — the raw inputs
-    /// of a fleet view. The rows share their hop sketches with the held
-    /// snapshots, so the clone costs a refcount increment per flow, not
-    /// a sketch copy. Transports serving queries take state out under
-    /// their aggregator lock with this and run the
-    /// [`FleetView::merge`] *outside* it, so a slow query stalls only
-    /// its own connection, never ingestion.
+    /// of a fleet view. A collector still held as a frame is decoded
+    /// first (once per epoch; the aggregator keeps the snapshot instead
+    /// of the bytes), under whatever lock the caller holds. The rows
+    /// share their hop sketches with the held snapshots, so the clone
+    /// costs a refcount increment per flow, not a sketch copy. A frame
+    /// that fails to decode (the walk at apply rules it out) is left
+    /// out.
     pub fn collector_snapshots(&self) -> Vec<(u64, CollectorSnapshot)> {
         self.collectors
             .iter()
-            .map(|(&id, state)| (id, state.snapshot.clone()))
+            .filter_map(|(&id, state)| {
+                let snapshot = state.decoded().ok()?;
+                Some((id, CollectorSnapshot::clone(&snapshot)))
+            })
             .collect()
     }
 
-    /// Takes the snapshot the last apply or `Bye` replaced, so the
-    /// caller can free it outside the aggregator lock.
-    pub(crate) fn take_released(&mut self) -> Option<CollectorSnapshot> {
-        self.released.take()
+    /// Takes what the last apply or `Bye` replaced, so the caller can
+    /// free it outside the aggregator lock.
+    pub(crate) fn take_released(&mut self) -> Released {
+        std::mem::take(&mut self.released)
     }
 
     /// `(collector id, epoch)` of every contributing collector,
@@ -465,13 +684,14 @@ impl FleetAggregator {
             .collect()
     }
 
-    /// Executes a compiled [`QueryPlan`] against a fresh merged view —
-    /// the fleet tier of the unified query API. (Merges the
-    /// contributing snapshots first; dashboards polling many plans at
-    /// high rate should hold a [`view`](Self::view) and
-    /// [`execute`](FleetView::execute) against it.)
+    /// Executes a compiled [`QueryPlan`] against the merged view — the
+    /// fleet tier of the unified query API. The view is memoised on the
+    /// `(collector, epoch)` vector and shared with rule evaluation: the
+    /// first read after an apply or `Bye` decodes the collectors still
+    /// held as frames and merges, later reads only execute. A held
+    /// frame that fails to decode is a typed error, never a panic.
     pub fn query(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
-        self.view().execute(plan)
+        self.shared_view()?.execute(plan)
     }
 
     /// Counts `n` transport-level framing failures (connections whose
@@ -496,14 +716,18 @@ impl FleetAggregator {
     /// Re-runs every rule on the current merged view, emitting
     /// fired/cleared edges into the bounded event queue.
     ///
-    /// Runs after every applied snapshot and every `Bye`. One view is
-    /// merged per run, and each rule's plan executes on it exactly as
-    /// the same fleet query would.
+    /// Runs after every applied snapshot and every `Bye`. Each rule's
+    /// plan executes on the memoised merged view, exactly as the same
+    /// fleet query would, and the next query reuses that view. If a
+    /// held frame fails to decode (the walk at apply rules it out), no
+    /// rule changes state.
     fn evaluate_rules(&mut self) {
         if self.config.rules.is_empty() {
             return;
         }
-        let view = self.view();
+        let Ok(view) = self.shared_view() else {
+            return;
+        };
         let collectors = view.collectors().len();
         for (i, rule) in self.config.rules.iter().enumerate() {
             let observed = view
@@ -612,6 +836,24 @@ mod tests {
         assert_eq!(agg.collector_epochs(), vec![(1, 6), (2, 1)]);
         // The view reflects the newest epoch only: flow 10 has 2 packets.
         assert_eq!(agg.view().snapshot().flow(10).unwrap().packets, 2);
+    }
+
+    #[test]
+    fn a_held_frame_that_fails_to_decode_is_a_typed_error() {
+        // The walk at apply rules this out; the read path must still
+        // never panic on it.
+        let mut agg = FleetAggregator::new(FleetConfig::default());
+        agg.apply_snapshot(frame(1, 1, latency_snapshot(10, &[1])));
+        agg.hold(2, 1, Held::Frame(Arc::from(&b"not a snapshot"[..])));
+        let plan = pint_query::TelemetryQuery::new().plan().unwrap();
+        assert!(matches!(agg.query(&plan), Err(QueryError::Wire(_))));
+        assert_eq!(agg.view().num_flows(), 0);
+        let held: Vec<u64> = agg
+            .collector_snapshots()
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(held, vec![1], "the undecodable collector is left out");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   feed the same [`FleetAggregator`].
 //! * **Keying** — frames carry `(collector_id, epoch)`; the aggregator
 //!   keeps the newest epoch per collector and counts stale frames
-//!   instead of applying them out of order.
+//!   instead of applying them out of order. An applied frame is checked
+//!   by a walk that builds nothing and held (and journaled) as the
+//!   bytes received; it is decoded the first time a read needs it.
 //! * **Merging** — the fleet view lifts the collector's deterministic,
 //!   associative snapshot merge one level: flows tracked by several
 //!   collectors have their per-hop KLL sketches merged in collector-id
@@ -35,7 +37,9 @@
 //! * **Queries** — [`FleetView::execute`] runs any `pint-query`
 //!   [`QueryPlan`] (selectors × projections × delta options) against
 //!   the merged view, selecting over references and cloning only the
-//!   rows it keeps; the same plan answers over TCP via
+//!   rows it keeps. The aggregator memoises that view per
+//!   `(collector, epoch)` vector, so repeat queries and rules skip the
+//!   merge; the same plan answers over TCP via
 //!   [`FleetClient::query`] ↔ [`FleetServer`] `Query`/`QueryResponse`
 //!   frames, byte-identical to local execution on the same state.
 //! * **Rules** — a [`FleetRule`] is a query plan plus a threshold.

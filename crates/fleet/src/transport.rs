@@ -9,11 +9,12 @@
 //! [`FleetStats::unsupported_frames`](crate::FleetStats), never acked)
 //! — digest streams belong to a [`DigestServer`](crate::DigestServer).
 
-use crate::aggregator::{FleetAggregator, FleetConfig};
+use crate::aggregator::{FleetAggregator, FleetConfig, Released};
 use crate::error::FleetError;
+use crate::view::FleetView;
 use pint_collector::wire::SnapshotFrame;
 use pint_obs::{Gauge, MetricsRegistry};
-use pint_query::{QueryClient, QueryError, QueryPlan, QueryResult};
+use pint_query::{QueryBackend, QueryClient, QueryError, QueryPlan, QueryResult};
 use pint_wire::{
     FrameHandler, FrameServer, FrameType, MetricsReport, ServerConfig, ServerStats, TraceReport,
 };
@@ -89,8 +90,14 @@ impl InMemorySender {
 /// ([`pint_wire::server`]): one thread serves every connection, with
 /// the same connection cap and slow-loris deadline as
 /// [`DigestServer`](crate::DigestServer)'s defaults. Snapshot frames
-/// apply under the aggregator mutex; `Query` frames clone the
-/// contributing snapshots under it and merge and execute outside it.
+/// are walked (checked without being decoded) and kept as bytes under
+/// the aggregator mutex, so a sync costs the walk, not a decode. A
+/// `Query` frame takes the memoised merged view under it; if an apply
+/// or `Bye` changed the fleet since, it takes the held states instead,
+/// decodes the frames and merges outside the lock, and stores the
+/// decoded snapshots and the view back under it. The first query after
+/// a sync therefore pays that collector's decode; later ones only
+/// execute.
 /// `DigestBatch` frames are not taken here: they are counted in
 /// [`FleetStats::unsupported_frames`](crate::FleetStats) and never
 /// acked, so a forwarder pointed at a fleet server sheds rather than
@@ -101,7 +108,7 @@ impl InMemorySender {
 /// [`FleetStats::decode_errors`](crate::FleetStats).
 ///
 /// The cost of the one thread is head-of-line blocking: a `Query`'s
-/// merge and plan run on the poll thread, so while one runs no other
+/// decode, merge and plan run on the poll thread, so while one runs no other
 /// connection is served — snapshot syncs from every other collector
 /// wait until the answer is built. The
 /// `a_sync_behind_a_running_fleet_query_completes` test measures the
@@ -187,10 +194,10 @@ struct FleetHandler {
     /// The last query's merged view, dropped in `tick` — after the core
     /// has flushed the reply, so the client does not wait while a large
     /// view is freed.
-    retired: Option<crate::view::FleetView>,
-    /// Snapshots replaced by applies since the last `tick`, freed there
-    /// for the same reason and outside the aggregator lock.
-    released: Vec<pint_collector::CollectorSnapshot>,
+    retired: Option<Arc<FleetView>>,
+    /// State replaced by applies since the last `tick`, freed there for
+    /// the same reason and outside the aggregator lock.
+    released: Vec<Released>,
 }
 
 impl FleetHandler {
@@ -203,22 +210,22 @@ impl FrameHandler for FleetHandler {
     fn frame(&mut self, ty: FrameType, payload: &[u8], reply: &mut Vec<u8>) {
         match ty {
             FrameType::Query => {
-                // Snapshot clones (refcounts, not sketch copies) leave
-                // the lock quickly; the fleet merge and the plan run
+                // The memo, or the held states (refcounts), leave the
+                // lock quickly; decoding, merging and the plan run
                 // outside it. The watermark is read under the same lock
-                // hold, so the stamp is consistent with the snapshots
-                // the answer was computed from.
-                let (pods, watermark) = {
+                // hold, so the stamp is consistent with the state the
+                // answer was computed from.
+                let (read, watermark) = {
                     let agg = self.lock();
-                    (agg.collector_snapshots(), agg.watermark())
+                    (agg.read(), agg.watermark())
                 };
-                let view = crate::view::FleetView::merge(pods);
+                let view = read.build().map(|built| self.lock().keep(built));
                 reply.extend_from_slice(&pint_query::remote::respond_with(
-                    &view,
+                    &FleetRead(&view),
                     payload,
                     Some(watermark),
                 ));
-                self.retired = Some(view);
+                self.retired = view.ok();
             }
             // Decode errors and unsupported types (digest batches and
             // stray metrics or trace reports included) are counted by
@@ -229,7 +236,7 @@ impl FrameHandler for FleetHandler {
                     let _ = agg.ingest_payload(ty, payload);
                     agg.take_released()
                 };
-                self.released.extend(released);
+                self.released.push(released);
             }
         }
     }
@@ -242,6 +249,19 @@ impl FrameHandler for FleetHandler {
             self.lock()
                 .record_decode_errors(stats.framing_errors - self.framing_errors);
             self.framing_errors = stats.framing_errors;
+        }
+    }
+}
+
+/// A fleet read's outcome as a query backend: the merged view, or the
+/// error that kept it from being built.
+struct FleetRead<'a>(&'a Result<Arc<FleetView>, QueryError>);
+
+impl QueryBackend for FleetRead<'_> {
+    fn query(&self, plan: &QueryPlan) -> Result<QueryResult, QueryError> {
+        match self.0 {
+            Ok(view) => view.execute(plan),
+            Err(e) => Err(QueryError::Backend(e.to_string())),
         }
     }
 }

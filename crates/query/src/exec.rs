@@ -198,7 +198,10 @@ pub fn refine<R: Borrow<FlowSummary> + Clone>(
                 if !seen.insert(id) {
                     continue;
                 }
-                if let Ok(i) = rows.binary_search_by_key(&id, |(f, _)| *f) {
+                // The first row of the ID's run: the same row whichever
+                // superset of it a backend passed.
+                let i = rows.partition_point(|(f, _)| *f < id);
+                if rows.get(i).is_some_and(|(f, _)| *f == id) {
                     out.push(rows[i].clone());
                 }
             }

@@ -10,7 +10,7 @@ use crate::plan::{
 use crate::FlowSummary;
 use pint_core::{PathProgress, RecorderKind};
 use pint_sketches::KllSketch;
-use pint_wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use pint_wire::{WireDecode, WireEncode, WireError, WireReader, WireWalk, WireWriter};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -124,6 +124,26 @@ impl WireDecode for FlowSummary {
             path,
             inconsistencies,
         })
+    }
+}
+
+impl WireWalk for FlowSummary {
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
+        RecorderKind::decode_from(r)?;
+        // packets, state_bytes, last_ts, inconsistencies
+        r.skip_varints(4)?;
+        let sketches = r.get_count(11)?;
+        if sketches > usize::from(u16::MAX) + 1 {
+            return Err(WireError::Invalid("hop sketch count exceeds path bound"));
+        }
+        for _ in 0..sketches {
+            KllSketch::walk_from(r)?;
+        }
+        match r.get_u8()? {
+            0 => Ok(()),
+            1 => PathProgress::walk_from(r),
+            _ => Err(WireError::Invalid("path presence tag must be 0 or 1")),
+        }
     }
 }
 

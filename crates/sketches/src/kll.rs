@@ -303,27 +303,7 @@ impl KllSketch {
         n: u64,
         levels: Vec<Vec<u64>>,
     ) -> Result<Self, &'static str> {
-        if k < MIN_CAP {
-            return Err("KLL accuracy parameter below minimum");
-        }
-        if levels.len() > MAX_LEVELS {
-            return Err("too many KLL compactor levels");
-        }
-        let mut total_weight = 0u64;
-        let mut size = 0usize;
-        for (h, level) in levels.iter().enumerate() {
-            let per_item = 1u64 << h;
-            let level_weight = per_item
-                .checked_mul(level.len() as u64)
-                .ok_or("KLL level weight overflows u64")?;
-            total_weight = total_weight
-                .checked_add(level_weight)
-                .ok_or("KLL total weight overflows u64")?;
-            size += level.len();
-        }
-        if (n == 0) != (size == 0) {
-            return Err("KLL stream length inconsistent with stored items");
-        }
+        let size = Self::check_parts(k, n, levels.iter().map(Vec::len))?;
         let mut s = Self {
             k,
             compactors: levels,
@@ -336,6 +316,38 @@ impl KllSketch {
         // compact here — decode must preserve state exactly.
         s.max_size = (0..s.compactors.len()).map(|h| s.capacity_of(h)).sum();
         Ok(s)
+    }
+
+    /// The checks [`from_parts`](Self::from_parts) makes, from the item
+    /// count of each level alone, so a wire walk can vet an encoded
+    /// sketch without building it. Returns the stored-item total.
+    pub fn check_parts(
+        k: usize,
+        n: u64,
+        level_lens: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<usize, &'static str> {
+        if k < MIN_CAP {
+            return Err("KLL accuracy parameter below minimum");
+        }
+        if level_lens.len() > MAX_LEVELS {
+            return Err("too many KLL compactor levels");
+        }
+        let mut total_weight = 0u64;
+        let mut size = 0usize;
+        for (h, len) in level_lens.enumerate() {
+            let per_item = 1u64 << h;
+            let level_weight = per_item
+                .checked_mul(len as u64)
+                .ok_or("KLL level weight overflows u64")?;
+            total_weight = total_weight
+                .checked_add(level_weight)
+                .ok_or("KLL total weight overflows u64")?;
+            size += len;
+        }
+        if (n == 0) != (size == 0) {
+            return Err("KLL stream length inconsistent with stored items");
+        }
+        Ok(size)
     }
 }
 

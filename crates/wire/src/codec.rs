@@ -6,7 +6,7 @@
 
 use crate::error::WireError;
 use crate::rw::{WireReader, WireWriter};
-use crate::{WireDecode, WireEncode};
+use crate::{WireDecode, WireEncode, WireWalk};
 use pint_core::coding::decoder::XorConstraint;
 use pint_core::{
     Digest, DigestReport, HopImage, PathImage, PathProgress, RecorderImage, RecorderKind,
@@ -117,6 +117,31 @@ impl WireDecode for KllSketch {
     }
 }
 
+impl WireWalk for KllSketch {
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
+        let k = r.get_varint()?;
+        if k > u32::MAX as u64 {
+            return Err(WireError::Invalid(
+                "KLL accuracy parameter implausibly large",
+            ));
+        }
+        r.get_u64()?;
+        let n = r.get_varint()?;
+        let num_levels = r.get_count(1)?;
+        if num_levels > 64 {
+            return Err(WireError::Invalid("too many KLL compactor levels"));
+        }
+        let mut lens = [0usize; 64];
+        for len in &mut lens[..num_levels] {
+            *len = r.get_count(1)?;
+            r.skip_varints(*len)?;
+        }
+        KllSketch::check_parts(k as usize, n, lens[..num_levels].iter().copied())
+            .map(drop)
+            .map_err(WireError::Invalid)
+    }
+}
+
 impl WireEncode for PathProgress {
     fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = WireWriter::new(out);
@@ -169,6 +194,32 @@ impl WireDecode for PathProgress {
             path,
             inconsistencies,
         })
+    }
+}
+
+impl WireWalk for PathProgress {
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
+        let resolved = r.get_varint()?;
+        let k = r.get_varint()?;
+        if k > u64::from(u16::MAX) {
+            return Err(WireError::Invalid("path length exceeds u16"));
+        }
+        if resolved > k {
+            return Err(WireError::Invalid("resolved hops exceed path length"));
+        }
+        let present = match r.get_u8()? {
+            0 => false,
+            1 => {
+                r.check_count(k, 1)?;
+                r.skip_varints(k as usize)?;
+                true
+            }
+            _ => return Err(WireError::Invalid("path presence tag must be 0 or 1")),
+        };
+        if present && resolved != k {
+            return Err(WireError::Invalid("complete path with unresolved hops"));
+        }
+        r.skip_varints(1)
     }
 }
 

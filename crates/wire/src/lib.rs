@@ -67,7 +67,10 @@
 //!
 //! Types implement [`WireEncode`] (append to a caller-owned `Vec<u8>` —
 //! the hot path allocates nothing per lane or per item) and
-//! [`WireDecode`] (cursor-based, typed errors). This crate provides the
+//! [`WireDecode`] (cursor-based, typed errors); a type a receiver keeps
+//! as bytes also implements [`WireWalk`], which checks an encoding
+//! without building it (the KLL sketch and path progress here, the
+//! snapshot rows upstream). This crate provides the
 //! impls for the leaf types every tier shares — [`Digest`],
 //! [`DigestReport`], [`KllSketch`], [`PathProgress`], [`RecorderKind`],
 //! and the [`RecorderImage`]s collector checkpoints store — while
@@ -154,4 +157,14 @@ pub trait WireDecode: Sized {
         r.expect_end()?;
         Ok(v)
     }
+}
+
+/// Checks that bytes decode as `Self` without building the value: the
+/// same reads and checks as [`WireDecode`], in the same order, with no
+/// allocation. A walk accepts exactly the input `decode_from` accepts,
+/// so a receiver can vet untrusted bytes once, keep them, and decode
+/// them later knowing the decode cannot fail.
+pub trait WireWalk: WireDecode {
+    /// Walks one value at the reader's cursor, advancing it past it.
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError>;
 }

@@ -157,6 +157,34 @@ impl<'a> WireReader<'a> {
         Err(WireError::VarintOverflow)
     }
 
+    /// Skips `n` varints without assembling their values, rejecting
+    /// exactly what [`get_varint`](Self::get_varint) rejects — the
+    /// inner loop of a [`WireWalk`](crate::WireWalk).
+    #[inline]
+    pub fn skip_varints(&mut self, n: usize) -> Result<(), WireError> {
+        if n == 0 {
+            return Ok(());
+        }
+        // Counts terminating bytes (no continuation bit) without a
+        // branch on each byte's value: varints of mixed 1- and 2-byte
+        // lengths would mispredict it.
+        let (mut left, mut continued) = (n, 0u32);
+        for (i, &b) in self.buf[self.pos..].iter().enumerate() {
+            let ends = b < 0x80;
+            // Byte 9 must end the varint and carry at most one bit.
+            if continued == 9 && (!ends || b > 1) {
+                return Err(WireError::VarintOverflow);
+            }
+            continued = if ends { 0 } else { continued + 1 };
+            left -= usize::from(ends);
+            if left == 0 {
+                self.pos += i + 1;
+                return Ok(());
+            }
+        }
+        Err(WireError::Truncated { needed: 1, have: 0 })
+    }
+
     /// Reads raw bytes verbatim.
     #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {

@@ -10,6 +10,11 @@
 //!
 //! A collector's export frame is pinned byte for byte to the encoding
 //! of its merged snapshot, for every recorder kind and shard count.
+//!
+//! A fleet keeps each snapshot frame undecoded until a read needs it,
+//! and memoises the merged view per `(collector, epoch)` vector: every
+//! answer, across newer epochs, stale epochs and departures, equals
+//! `FleetView::merge` of the newest decoded snapshots.
 
 use pint::collector::{
     sketched_latency_factory, Collector, CollectorConfig, RecorderFactory, SnapshotFrame,
@@ -19,10 +24,11 @@ use pint::core::statictrace::{PathTracer, TracerConfig};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
     FleetAggregator, FleetClient, FleetCondition, FleetConfig, FleetEdge, FleetRule, FleetServer,
-    InMemoryTransport, Selector,
+    FleetView, InMemoryTransport, Selector,
 };
 use pint::query::{QueryPlan, QueryResult, TelemetryQuery, ValueDecodeSpec};
-use pint::wire::WireEncode;
+use pint::wire::{frame_into, parse_frame, FrameType, WireDecode, WireEncode, WireWriter};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -790,4 +796,117 @@ fn a_rule_observes_what_its_query_answers() {
         assert_eq!(fired[i], vec![0], "rule {i} fires on the first pod");
     }
     drop(server.shutdown());
+}
+
+/// A `Bye` frame: `collector` leaves the fleet.
+fn bye(collector: u64) -> Vec<u8> {
+    struct Id(u64);
+    impl WireEncode for Id {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            WireWriter::new(out).put_varint(self.0);
+        }
+    }
+    let mut frame = Vec::new();
+    frame_into(FrameType::Bye, &Id(collector), &mut frame);
+    frame
+}
+
+/// One collector replaces its snapshot five times beside a static one,
+/// then re-sends a stale epoch and leaves. After every frame, the
+/// aggregator and a `FleetServer` — each with and without a rule, which
+/// builds the memoised view at apply instead of at the first query —
+/// answer every plan, twice, exactly as `FleetView::merge` of the
+/// newest decoded snapshots does, and hold one state per collector.
+#[test]
+fn replaced_snapshots_never_answer_again() {
+    let agg = DynamicAggregator::new(59, 8, 100.0, 1.0e7);
+    let reports = build_reports(&agg);
+    let fixed = collect(reports.iter().filter(|r| r.pid % 2 == 0).cloned(), &agg);
+    let mut frames = vec![fixed.export_snapshot_frame(0, 1).unwrap()];
+    fixed.shutdown();
+    // Collector 1's epochs 1..=5, each over a longer prefix of the
+    // odd packets, so every epoch answers differently.
+    let live = Collector::spawn(
+        CollectorConfig::with_shards(2),
+        sketched_latency_factory(agg.clone(), 256),
+    );
+    let odd: Vec<DigestReport> = reports.iter().filter(|r| r.pid % 2 == 1).cloned().collect();
+    let mut handle = live.register_producer();
+    for (epoch, chunk) in (1..=5).zip(odd.chunks(odd.len().div_ceil(5))) {
+        for r in chunk {
+            handle.push(r.clone()).unwrap();
+        }
+        handle.flush().unwrap();
+        frames.push(live.export_snapshot_frame(1, epoch).unwrap());
+    }
+    drop(handle);
+    live.shutdown();
+    frames.push(frames[3].clone()); // epoch 3 again: stale
+    frames.push(bye(1));
+
+    // What each step must answer: the newest decoded snapshot per
+    // collector, merged.
+    let mut newest = BTreeMap::new();
+    let expected: Vec<Vec<Vec<u8>>> = frames
+        .iter()
+        .map(|bytes| {
+            let (ty, payload) = parse_frame(bytes).unwrap();
+            if ty == FrameType::Bye {
+                newest.remove(&1);
+            } else {
+                let frame = SnapshotFrame::decode(payload).unwrap();
+                let held = newest.get(&frame.collector_id).map(|&(epoch, _)| epoch);
+                if held < Some(frame.epoch) {
+                    newest.insert(frame.collector_id, (frame.epoch, frame.snapshot));
+                }
+            }
+            let view = FleetView::merge(newest.iter().map(|(&id, (_, s))| (id, s.clone())));
+            every_plan()
+                .iter()
+                .map(|p| view.execute(p).unwrap().encode())
+                .collect()
+        })
+        .collect();
+    // Not vacuous: each new epoch changes the answers, the stale one
+    // does not, and the departure leaves the static collector alone.
+    assert!(expected[..6].windows(2).all(|w| w[0] != w[1]));
+    assert!(expected[6] == expected[5] && expected[7] == expected[0]);
+    let epochs = |step: usize| -> Vec<(u64, u64)> {
+        match step {
+            0 => vec![(0, 1)],
+            1..=5 => vec![(0, 1), (1, step as u64)],
+            6 => vec![(0, 1), (1, 5)],
+            _ => vec![(0, 1)],
+        }
+    };
+
+    for config in [FleetConfig::default(), fleet_config()] {
+        let rules = config.rules.len();
+        let mut fleet = FleetAggregator::new(config.clone());
+        let server = FleetServer::bind("127.0.0.1:0", config).unwrap();
+        let mut client = FleetClient::connect(server.local_addr()).unwrap();
+        for (step, (frame, expected)) in frames.iter().zip(&expected).enumerate() {
+            let case = format!("{rules} rules, step {step}");
+            fleet.ingest_frame(frame).unwrap();
+            client.send(frame).unwrap();
+            for round in 0..2 {
+                let local: Vec<Vec<u8>> = every_plan()
+                    .iter()
+                    .map(|p| fleet.query(p).unwrap().encode())
+                    .collect();
+                let remote: Vec<Vec<u8>> = every_plan()
+                    .iter()
+                    .map(|p| client.query(p).unwrap().encode())
+                    .collect();
+                assert!(&local == expected, "{case}, round {round}: aggregator");
+                assert!(&remote == expected, "{case}, round {round}: server");
+            }
+            assert_eq!(fleet.collector_epochs(), epochs(step), "{case}");
+            assert_eq!(fleet.stats().collectors, epochs(step).len(), "{case}");
+            let held = server.with_aggregator(|a| a.collector_epochs());
+            assert_eq!(held, epochs(step), "{case}: server");
+        }
+        assert_eq!(fleet.stats().snapshots_stale, 1);
+        drop(server.shutdown());
+    }
 }

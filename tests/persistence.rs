@@ -27,7 +27,9 @@ use pint::fleet::{
 use pint::obs::MetricsRegistry;
 use pint::query::{QueryResult, TelemetryQuery};
 use pint::wire::store::{CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock};
-use pint::wire::{DigestBatch, WireEncode};
+use pint::wire::{
+    frame_into, parse_frame, DigestBatch, FrameType, WireDecode, WireEncode, WireReader, WireWriter,
+};
 use pint::{Journal, JournalConfig, SpillQueue, StoreOptions, StoreReader, StoreWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -679,6 +681,97 @@ fn fleet_log_with_delta_records_still_restores() {
     assert_eq!(restored.collector_epochs(), vec![(1, 5), (2, 3)]);
     assert_same_fleet_answers(&restored, &[(&c1, 1, 5), (&c2, 2, 3)]);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A fleet journals each applied snapshot as the bytes it received:
+/// every checkpoint payload is byte-equal to its frame, whether the
+/// frame arrived as bytes (kept undecoded; one with a padded varint, so
+/// a decode and re-encode would show) or as a decoded `SnapshotFrame`,
+/// and an aggregator restored from the log answers every plan exactly
+/// as the live one does.
+#[test]
+fn fleet_journal_holds_each_frame_as_received() {
+    let path = unique_path("fleet-frames");
+    let c1 = Collector::spawn(config(), factory());
+    ingest(&c1, &workload(0, 8));
+    let c2 = Collector::spawn(config(), factory());
+    ingest(&c2, &workload(1, 6));
+    let received = [
+        c1.export_snapshot_frame(1, 5).unwrap(),
+        padded_epoch(&c2.export_snapshot_frame(2, 3).unwrap()),
+        c1.export_snapshot_frame(1, 6).unwrap(),
+    ];
+    let decoded = c2.export_snapshot_frame(2, 4).unwrap();
+    let stale = c2.export_snapshot_frame(2, 2).unwrap();
+
+    let writer = StoreWriter::create(
+        &path,
+        Superblock::new(StoreKind::Fleet, 0, 0),
+        StoreOptions::default(),
+    )
+    .unwrap();
+    let mut live = FleetAggregator::new(FleetConfig::default());
+    live.attach_store(Journal::spawn(
+        writer,
+        JournalConfig::default(),
+        &MetricsRegistry::new(),
+    ));
+    for frame in &received {
+        live.ingest_frame(frame).unwrap();
+    }
+    let (_, payload) = parse_frame(&decoded).unwrap();
+    assert!(live.apply_snapshot(SnapshotFrame::decode(payload).unwrap()));
+    live.ingest_frame(&stale).unwrap();
+    assert_eq!(live.stats().snapshots_stale, 1);
+    live.flush_store();
+
+    let reader = StoreReader::open(&path).unwrap();
+    let journaled: Vec<&[u8]> = reader
+        .records()
+        .iter()
+        .map(|r| match r {
+            StoreRecord::Checkpoint(c) => &c.payload[..],
+            other => panic!("fleet logs are checkpoint-only: {other:?}"),
+        })
+        .collect();
+    let mut applied: Vec<&[u8]> = received.iter().map(|f| &f[..]).collect();
+    applied.push(&decoded);
+    assert!(journaled == applied, "every checkpoint is its frame");
+
+    let (restored, report) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
+    assert_eq!(report.checkpoints_applied, 4);
+    assert_eq!(restored.collector_epochs(), live.collector_epochs());
+    for plan in plans() {
+        assert_eq!(
+            restored.query(&plan).unwrap().encode(),
+            live.query(&plan).unwrap().encode(),
+            "{plan:?}"
+        );
+    }
+    drop(live);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `frame` with its epoch varint padded to two bytes: a frame that
+/// decodes, but that decoding and re-encoding would not reproduce.
+fn padded_epoch(frame: &[u8]) -> Vec<u8> {
+    struct Raw(Vec<u8>);
+    impl WireEncode for Raw {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+    }
+    let (_, payload) = parse_frame(frame).unwrap();
+    let mut r = WireReader::new(payload);
+    let (id, epoch) = (r.get_varint().unwrap(), r.get_varint().unwrap());
+    assert!(epoch < 0x80, "a one-byte epoch");
+    let mut padded = Vec::new();
+    WireWriter::new(&mut padded).put_varint(id);
+    padded.extend([epoch as u8 | 0x80, 0]);
+    padded.extend_from_slice(&payload[payload.len() - r.remaining()..]);
+    let mut out = Vec::new();
+    frame_into(FrameType::Snapshot, &Raw(padded), &mut out);
+    out
 }
 
 /// Asserts `restored` answers every plan byte-identically to a

@@ -22,20 +22,29 @@
 //! obey both: a recorder loaded from `decode(encode(image))` answers
 //! and evolves exactly like the original, and damaged image bytes are
 //! a typed error or a loadable image, never a panic.
+//!
+//! A fleet aggregator checks a snapshot frame with a walk that builds
+//! nothing and decodes it only when a read needs it. The walk must
+//! accept exactly the frames the decoder accepts, with the same error,
+//! and a fleet holding an accepted frame undecoded must answer as the
+//! eagerly decoded snapshot does — over truncated, bit-flipped,
+//! reordered, duplicated and hostile-count input alike.
 
 use pint::collector::wire::SnapshotFrame;
 use pint::collector::{CollectorSnapshot, FlowSummary, ShardSnapshot};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder, FrequentValuesRecorder};
 use pint::core::{
-    Digest, DigestReport, FlowRecorder, ImageError, PathTracer, RecorderImage, RecorderKind,
-    TracerConfig,
+    Digest, DigestReport, FlowRecorder, ImageError, PathProgress, PathTracer, RecorderImage,
+    RecorderKind, TracerConfig,
 };
+use pint::fleet::{FleetAggregator, FleetConfig, FleetView};
 use pint::obs::{TraceDump, TraceEvent, TraceStage};
 use pint::sketches::KllSketch;
 use pint::wire::{
-    parse_frame, AckStatus, BatchAck, DigestBatch, TraceContext, TraceMsg, TraceReport,
-    TraceRequest, WireDecode, WireEncode, WireError, VERSION,
+    parse_frame, AckStatus, BatchAck, DigestBatch, FrameType, TraceContext, TraceMsg, TraceReport,
+    TraceRequest, WireDecode, WireEncode, WireError, WireWriter, HEADER_LEN, VERSION,
 };
+use pint::{QueryPlan, TelemetryQuery};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -682,4 +691,289 @@ fn recorder_image_corruption_never_panics() {
             "{name}: a cut image must not decode"
         );
     }
+}
+
+/// One flow's row as a shard writes it: the flow ID, then the summary.
+fn snapshot_row(flow: u64, summary: &FlowSummary) -> Vec<u8> {
+    let mut out = Vec::new();
+    WireWriter::new(&mut out).put_varint(flow);
+    summary.encode_into(&mut out);
+    out
+}
+
+/// Collector id, epoch, ingested, the shard count and one shard's
+/// table stats: the fields ahead of a snapshot's rows.
+const SNAPSHOT_HEAD: [u64; 7] = [4, 9, 1_000, 1, 30, 2, 1];
+
+/// A `Snapshot` payload over `rows` in the order given, which need not
+/// be ascending or unique: the decoder sorts and keeps duplicates.
+fn snapshot_payload(rows: &[Vec<u8>]) -> Vec<u8> {
+    snapshot_payload_with(SNAPSHOT_HEAD, rows.len() as u64, rows)
+}
+
+fn snapshot_payload_with(head: [u64; 7], flows: u64, rows: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut w = WireWriter::new(&mut out);
+    head.into_iter().for_each(|v| w.put_varint(v));
+    w.put_varint(flows);
+    for row in rows {
+        out.extend_from_slice(row);
+    }
+    out
+}
+
+/// Rows of every recorder shape: multi-level latency sketches, a
+/// complete and a partial path, and a sketchless frequent-values flow.
+fn varied_rows() -> Vec<Vec<u8>> {
+    let latency = |seed: u64, items: usize| FlowSummary {
+        kind: RecorderKind::LatencyQuantiles,
+        packets: items as u64,
+        state_bytes: 8 * items,
+        last_ts: seed,
+        hop_sketches: vec![
+            KllSketch::with_seed(8, 0),
+            random_sketch(8, seed, items, 300),
+            random_sketch(8, seed + 1, items / 2, 150),
+        ]
+        .into(),
+        path: None,
+        inconsistencies: seed % 2,
+    };
+    let path = |resolved: usize, k: usize, hops: Option<Vec<u64>>| FlowSummary {
+        kind: RecorderKind::PathTracing,
+        packets: 12,
+        state_bytes: 96,
+        last_ts: 5,
+        hop_sketches: Vec::new().into(),
+        path: Some(PathProgress {
+            resolved,
+            k,
+            path: hops,
+            inconsistencies: 1,
+        }),
+        inconsistencies: 1,
+    };
+    let frequent = FlowSummary {
+        kind: RecorderKind::FrequentValues,
+        packets: 3,
+        state_bytes: 40,
+        last_ts: 2,
+        hop_sketches: Vec::new().into(),
+        path: None,
+        inconsistencies: 0,
+    };
+    vec![
+        snapshot_row(1, &latency(1, 40)),
+        snapshot_row(3, &path(3, 3, Some(vec![4, 19, 7]))),
+        snapshot_row(7, &latency(7, 9)),
+        snapshot_row(150, &path(1, 4, None)),
+        snapshot_row(151, &frequent),
+    ]
+}
+
+fn differential_plans() -> Vec<QueryPlan> {
+    let q = TelemetryQuery::new;
+    [
+        q(),
+        q().stats(),
+        q().top_k(2),
+        q().flows([151, 1, 7, 1, 99]),
+        q().watch([7, 3, 7, 150]).stats(),
+        q().through_switch(19).decoded_paths(),
+        q().path_completion(),
+        q().hop_quantiles(1, [0.1, 0.5, 0.99]),
+        q().flows([1, 7]).hop_quantiles(2, [0.5]),
+        q().of_kind(RecorderKind::FrequentValues),
+    ]
+    .into_iter()
+    .map(|tq| tq.plan().unwrap())
+    .collect()
+}
+
+/// The walk accepts `payload` exactly when `SnapshotFrame::decode`
+/// does, with the same error, and a fleet counts one decode error for
+/// each rejection. When accepted, a fleet holding the payload answers
+/// every plan as the eagerly decoded snapshot does. Returns whether the
+/// payload was accepted.
+fn walk_agrees_with_decode(payload: &[u8], case: &str) -> bool {
+    let walked = SnapshotFrame::walk(payload);
+    let decoded = SnapshotFrame::decode(payload);
+    let mut fleet = FleetAggregator::new(FleetConfig::default());
+    let ingested = fleet.ingest_payload(FrameType::Snapshot, payload);
+    assert_eq!(ingested.is_ok(), decoded.is_ok(), "{case}");
+    assert_eq!(
+        fleet.stats().decode_errors,
+        u64::from(decoded.is_err()),
+        "{case}"
+    );
+    let frame = match decoded {
+        Ok(frame) => frame,
+        Err(e) => {
+            assert_eq!(walked, Err(e), "{case}");
+            return false;
+        }
+    };
+    assert_eq!(walked, Ok((frame.collector_id, frame.epoch)), "{case}");
+    let eager = FleetView::merge([(frame.collector_id, frame.snapshot)]);
+    for plan in differential_plans() {
+        let answer =
+            |r: Result<pint::QueryResult, _>| r.map(|r| r.encode()).map_err(|e| format!("{e}"));
+        assert_eq!(
+            answer(fleet.query(&plan)),
+            answer(eager.execute(&plan)),
+            "{case}: {plan:?}"
+        );
+    }
+    true
+}
+
+#[test]
+fn snapshot_walk_accepts_exactly_what_decode_accepts() {
+    let rows = varied_rows();
+    let good = snapshot_payload(&rows);
+    assert!(walk_agrees_with_decode(&good, "intact"));
+
+    for cut in 0..good.len() {
+        assert!(!walk_agrees_with_decode(
+            &good[..cut],
+            &format!("cut at {cut}")
+        ));
+    }
+    // Flip every byte of the whole frame, header included: what still
+    // parses as a `Snapshot` frame goes to the walk and the decoder.
+    let frame = SnapshotFrame::decode(&good).unwrap().to_frame_bytes();
+    assert_eq!(
+        frame[HEADER_LEN..],
+        good[..],
+        "sorted unique rows re-encode"
+    );
+    let mut accepted = 0;
+    for i in 0..frame.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut flipped = frame.clone();
+            flipped[i] ^= mask;
+            if let Ok((FrameType::Snapshot, payload)) = parse_frame(&flipped) {
+                accepted += usize::from(walk_agrees_with_decode(
+                    payload,
+                    &format!("byte {i} ^ {mask:#04x}"),
+                ));
+            }
+        }
+    }
+    assert!(accepted > 0, "some flips land in don't-care bits");
+
+    // Rows out of order, and a flow twice: once verbatim and once with
+    // another flow's summary under its ID.
+    let reordered: Vec<Vec<u8>> = rows.iter().rev().cloned().collect();
+    assert!(walk_agrees_with_decode(
+        &snapshot_payload(&reordered),
+        "reordered"
+    ));
+    let mut duplicated = rows.clone();
+    duplicated.insert(2, rows[2].clone());
+    let mut other = rows[0].clone();
+    other[0] = 7; // flow 1's summary, as flow 7
+    duplicated.push(other);
+    assert!(walk_agrees_with_decode(
+        &snapshot_payload(&duplicated),
+        "duplicated"
+    ));
+
+    for (case, payload) in hostile_count_payloads(&rows) {
+        assert!(
+            !walk_agrees_with_decode(&payload, case),
+            "{case} is rejected"
+        );
+    }
+}
+
+/// Payloads whose counts or bounds are hostile, each rejected.
+fn hostile_count_payloads(rows: &[Vec<u8>]) -> Vec<(&'static str, Vec<u8>)> {
+    let varints = |values: &[u64]| {
+        let mut out = Vec::new();
+        let mut w = WireWriter::new(&mut out);
+        values.iter().for_each(|&v| w.put_varint(v));
+        out
+    };
+    // A latency row up to its sketch count: kind, packets, state
+    // bytes, last_ts, inconsistencies.
+    let head = |sketches: u64| varints(&[5, 0, 1, 8, 0, 0, sketches]);
+    // One sketch: k, the coin state, n, then the level count.
+    let sketch = |k: u64, n: u64, levels: u64| {
+        let mut out = varints(&[k]);
+        out.extend_from_slice(&7u64.to_le_bytes());
+        out.extend(varints(&[n, levels]));
+        out
+    };
+    let with_row = |row: Vec<u8>| {
+        let mut all = rows.to_vec();
+        all.push(row);
+        snapshot_payload(&all)
+    };
+    let mut too_many_sketches = head(u64::from(u16::MAX) + 2);
+    for _ in 0..u32::from(u16::MAX) + 2 {
+        too_many_sketches.extend(sketch(2, 0, 0));
+    }
+    let mut too_many_levels = head(1);
+    too_many_levels.extend(sketch(8, 65, 65));
+    too_many_levels.extend(std::iter::repeat_n(1, 65 * 2));
+    let mut small_k = head(1);
+    small_k.extend(sketch(1, 0, 0));
+    let mut huge_k = head(1);
+    huge_k.extend(sketch(u64::from(u32::MAX) + 1, 0, 0));
+    let mut items_without_stream = head(1);
+    items_without_stream.extend(sketch(8, 0, 1));
+    items_without_stream.extend(varints(&[1, 3]));
+    let mut huge_level = head(1);
+    huge_level.extend(sketch(8, 5, 1));
+    huge_level.extend(varints(&[u64::MAX]));
+    let mut long_path = head(0);
+    long_path.extend(varints(&[1, 0, u64::from(u16::MAX) + 1, 0, 0]));
+    let mut over_resolved = head(0);
+    over_resolved.extend(varints(&[1, 5, 4, 0, 0]));
+    let mut short_path = head(0);
+    short_path.extend(varints(&[1, 2, 3, 1, 4, 5, 6, 0]));
+    let mut bad_tag = head(0);
+    bad_tag.push(2);
+    let mut bad_kind = head(0);
+    bad_kind[1] = 9;
+    let mut overlong_varint = head(0);
+    overlong_varint.push(0);
+    overlong_varint.splice(2..2, [0xFF; 10]);
+    let mut shards_past = SNAPSHOT_HEAD;
+    shards_past[3] = u64::MAX;
+    let flows = rows.len() as u64;
+    vec![
+        (
+            "a flow count past the payload",
+            snapshot_payload_with(SNAPSHOT_HEAD, u64::MAX, rows),
+        ),
+        (
+            "a shard count past the payload",
+            snapshot_payload_with(shards_past, flows, rows),
+        ),
+        (
+            "one flow too many",
+            snapshot_payload_with(SNAPSHOT_HEAD, flows + 1, rows),
+        ),
+        (
+            "one flow too few",
+            snapshot_payload_with(SNAPSHOT_HEAD, flows - 1, rows),
+        ),
+        ("more sketches than path hops", with_row(too_many_sketches)),
+        ("65 KLL levels", with_row(too_many_levels)),
+        ("a KLL k below the minimum", with_row(small_k)),
+        ("a KLL k past u32", with_row(huge_k)),
+        ("KLL items without a stream", with_row(items_without_stream)),
+        ("a KLL level past the payload", with_row(huge_level)),
+        ("a path past u16 hops", with_row(long_path)),
+        (
+            "more hops resolved than the path has",
+            with_row(over_resolved),
+        ),
+        ("a complete path with unresolved hops", with_row(short_path)),
+        ("a path tag of 2", with_row(bad_tag)),
+        ("an unknown recorder kind", with_row(bad_kind)),
+        ("an 11-byte varint", with_row(overlong_varint)),
+    ]
 }
