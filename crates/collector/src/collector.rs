@@ -1,13 +1,13 @@
 //! The collector: worker lifecycle, producer registration, snapshots,
 //! events, stats.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY, PARK_TIMEOUT};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY};
 use crate::error::CollectorError;
 use crate::events::Event;
 use crate::handle::{shard_of, CollectorHandle};
 use crate::inference::{CollectorSnapshot, ShardSnapshot};
 use crate::prefilter::Bloom;
-use crate::ring::{self, RingTuning, Waiter};
+use crate::ring::{self, Waiter};
 use crate::shard::{ShardLoad, ShardMsg, ShardQuery, ShardStats, ShardWorker};
 use crate::wire::SplicedSnapshot;
 use pint_obs::{ClockHandle, Counter, Gauge, Histogram, MetricsRegistry};
@@ -76,7 +76,6 @@ pub(crate) struct ProducerRegistry {
     waiters: Vec<Arc<Waiter>>,
     batch_size: usize,
     ring_capacity: usize,
-    tuning: RingTuning,
     /// Digests lost in undeliverable batches (see `CollectorStats`);
     /// exposed as `collector_digests_dropped_total`.
     pub(crate) dropped: Counter,
@@ -123,7 +122,6 @@ impl ProducerRegistry {
         for (shard, ctrl) in self.ctrl.iter().enumerate() {
             let (tx, mut rx) = ring::ring(
                 self.ring_capacity,
-                self.tuning,
                 Arc::clone(&self.waiters[shard]),
                 Arc::clone(&self.parks),
             );
@@ -223,10 +221,6 @@ impl Collector {
             waiters: waiters.clone(),
             batch_size: config.batch_size,
             ring_capacity: config.ring_capacity,
-            tuning: RingTuning {
-                spin_limit: config.spin_limit,
-                park_timeout: PARK_TIMEOUT,
-            },
             dropped: metrics.counter("collector_digests_dropped_total"),
             parks: {
                 let cell = Arc::new(AtomicU64::new(0));
@@ -476,7 +470,7 @@ impl Collector {
     /// consults only the shards owning those flows, and every selector
     /// narrows *before* summaries are serialized, so a targeted query
     /// on a large table costs a small fraction of a full
-    /// [`snapshot`](Self::snapshot) (priced in `BENCH_query.json`).
+    /// [`snapshot`](Self::snapshot).
     /// Like snapshots, each consulted shard drains its rings first, so
     /// the answer covers everything flushed before the call.
     ///

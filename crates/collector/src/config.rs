@@ -49,6 +49,19 @@ pub fn sketched_latency_factory(agg: DynamicAggregator, bytes_per_hop: usize) ->
 /// lost races. 200 µs.
 pub const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
+/// Upper bound on busy-poll iterations before a blocked ring endpoint
+/// (a producer on a full ring, a shard worker with nothing to do) parks
+/// its thread. Each endpoint adapts its live spin budget within
+/// `[4, SPIN_LIMIT]`: sustained occupancy widens it toward this bound,
+/// sustained idleness decays it so an idle thread stops stealing the
+/// core the other side needs; past the budget it parks for at most
+/// [`PARK_TIMEOUT`]. The live policy is published as
+/// `collector_adaptive_spin` gauges. A generous bound costs CPU only
+/// while the other side is making progress, and then it spares a
+/// park/unpark round trip; 16, 64 and 256 measured alike under flow
+/// churn. 256.
+pub const SPIN_LIMIT: u32 = 256;
+
 /// Bound on undelivered collector events: if the consumer stops
 /// draining, further events are counted as dropped instead of buffering
 /// without limit (the collector's memory stays bounded even with a
@@ -70,15 +83,6 @@ pub struct CollectorConfig {
     pub ring_capacity: usize,
     /// Digests a handle buffers per shard before shipping a batch.
     pub batch_size: usize,
-    /// Upper bound on busy-poll iterations before a blocked side
-    /// (producer on a full ring, shard worker with nothing to do) parks
-    /// its thread. Each ring endpoint adapts its actual spin budget
-    /// within `[4, spin_limit]`: sustained occupancy widens spin toward
-    /// this bound, sustained idleness decays it so an idle thread stops
-    /// stealing the core the other side needs; past the budget it parks
-    /// for at most [`PARK_TIMEOUT`]. The live policy is published as
-    /// `collector_adaptive_spin` gauges.
-    pub spin_limit: u32,
     /// Per-shard cap on tracked flows; least-recently-updated flows are
     /// evicted beyond it.
     pub max_flows_per_shard: usize,
@@ -116,11 +120,9 @@ pub struct CollectorConfig {
 }
 
 impl Default for CollectorConfig {
-    /// Defaults tuned from the `collector_ingest_sweep` bench matrix
-    /// (ring capacity × batch size, then spin limit at the winning
-    /// geometry — recorded alongside `BENCH_ingest.json`; the sweep runs
-    /// the contended 2-producer × 2-shard cell under flow-cap eviction
-    /// churn, the geometry most sensitive to these knobs):
+    /// Ring geometry defaults, tuned on the contended 2-producer ×
+    /// 2-shard cell under flow-cap eviction churn, the geometry most
+    /// sensitive to them:
     ///
     /// * `batch_size: 1024` — batch size dominated the sweep; 1024 ran
     ///   at or ahead of 256 (typically 15–30% ahead) and far ahead of 64
@@ -135,18 +137,11 @@ impl Default for CollectorConfig {
     ///   decouple longer, but at 4× the buffering and pool ceiling.
     ///   64 is the balance; raise it when memory is cheap and producers
     ///   are bursty.
-    /// * `spin_limit: 256` — the spin column (16/64/256 at r64/b1024)
-    ///   stayed within the churn cell's run-to-run noise: this is an
-    ///   *upper bound* on an adaptive budget that decays toward 4 when
-    ///   spinning stops paying, so a generous bound costs CPU only
-    ///   while the other side is actively making progress, and it spares
-    ///   a park/unpark round trip when it is.
     fn default() -> Self {
         Self {
             shards: 4,
             ring_capacity: 64,
             batch_size: 1_024,
-            spin_limit: 256,
             max_flows_per_shard: 65_536,
             max_bytes_per_shard: 64 << 20,
             flow_ttl: None,

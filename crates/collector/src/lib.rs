@@ -32,7 +32,7 @@
 //! * **Batched, park-based backpressure** — handles buffer `batch_size`
 //!   digests per shard and ship batch-granular ring slots; a producer
 //!   that outruns a shard fills its ring, spins briefly
-//!   ([`spin_limit`](CollectorConfig::spin_limit)), and parks until the
+//!   ([`SPIN_LIMIT`](config::SPIN_LIMIT)), and parks until the
 //!   shard frees a slot — bounded memory, no burned cores.
 //! * **Ordering** — a flow maps to one shard, and one producer's pushes
 //!   for it stay in order: per-flow-per-producer ordering is exact, and

@@ -37,6 +37,7 @@
 
 #![allow(unsafe_code)]
 
+use crate::config::{PARK_TIMEOUT, SPIN_LIMIT};
 use pint_core::DigestReport;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -144,17 +145,6 @@ struct Ring {
 unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
 
-/// Spin/park tuning shared by both endpoints. These are *upper bounds*:
-/// each endpoint runs a [`BackoffController`] that adapts its live spin
-/// budget and park timeout inside them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RingTuning {
-    /// Upper bound on polls before parking.
-    pub spin_limit: u32,
-    /// Upper bound on one park (safety net against wakeup races).
-    pub park_timeout: Duration,
-}
-
 /// Smallest spin budget the controller decays to: enough to catch an
 /// in-flight hand-off without holding the core when the other side is
 /// clearly idle.
@@ -166,32 +156,25 @@ const SPIN_MIN: u32 = 4;
 /// arrived before a park — sustained occupancy, the other side is
 /// actively moving) and shrinks it toward [`SPIN_MIN`] whenever a park
 /// was unavoidable (idle — get off the core early). Park timeouts start
-/// at 1/16th of the configured bound and only ever lengthen toward it
+/// at 1/16th of [`PARK_TIMEOUT`] and only ever lengthen toward it
 /// (per consecutive park): the timeout is purely a safety net against
 /// wakeup races, because hot-path parks are ended by the other side's
 /// explicit wakes — a timer that fired *during* sustained traffic would
 /// preempt the very thread being waited on, which measurably collapses
 /// throughput when both endpoints share a core. Both stay inside the
-/// [`RingTuning`] bounds.
+/// [`SPIN_LIMIT`] and [`PARK_TIMEOUT`] bounds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BackoffController {
     spin: u32,
     park: Duration,
-    spin_max: u32,
-    park_max: Duration,
 }
 
 impl BackoffController {
-    pub(crate) fn new(tuning: RingTuning) -> Self {
-        let spin_max = tuning.spin_limit.max(SPIN_MIN);
-        let park_max = tuning.park_timeout.max(Duration::from_micros(1));
-        let park_min = (park_max / 16).max(Duration::from_micros(1));
+    pub(crate) fn new() -> Self {
         Self {
             // Optimistic start: full spin budget, shortest park.
-            spin: spin_max,
-            park: park_min,
-            spin_max,
-            park_max,
+            spin: SPIN_LIMIT,
+            park: PARK_TIMEOUT / 16,
         }
     }
 
@@ -212,14 +195,14 @@ impl BackoffController {
     /// thread being waited on (measurably brutal when endpoints share a
     /// core).
     pub(crate) fn on_spin_win(&mut self) {
-        self.spin = self.spin.saturating_mul(2).clamp(SPIN_MIN, self.spin_max);
+        self.spin = self.spin.saturating_mul(2).clamp(SPIN_MIN, SPIN_LIMIT);
     }
 
     /// Spinning did not pay and the endpoint parked: halve the spin
     /// budget (park earlier while idle) and lengthen the next park.
     pub(crate) fn on_park(&mut self) {
         self.spin = (self.spin / 2).max(SPIN_MIN);
-        self.park = self.park.saturating_mul(2).min(self.park_max);
+        self.park = self.park.saturating_mul(2).min(PARK_TIMEOUT);
     }
 }
 
@@ -230,7 +213,6 @@ impl BackoffController {
 /// counter the producer bumps when it has to sleep.
 pub(crate) fn ring(
     capacity: usize,
-    tuning: RingTuning,
     waiter: Arc<Waiter>,
     parks: Arc<AtomicU64>,
 ) -> (RingProducer, RingConsumer) {
@@ -258,7 +240,7 @@ pub(crate) fn ring(
             head_cache: 0,
             pool_head: 0,
             pool_tail_cache: 0,
-            backoff: BackoffController::new(tuning),
+            backoff: BackoffController::new(),
             registered: None,
         },
         RingConsumer {
@@ -554,15 +536,7 @@ mod tests {
     }
 
     fn test_pair(cap: usize) -> (RingProducer, RingConsumer) {
-        ring(
-            cap,
-            RingTuning {
-                spin_limit: 16,
-                park_timeout: Duration::from_micros(200),
-            },
-            Arc::new(Waiter::new()),
-            Arc::new(AtomicU64::new(0)),
-        )
+        ring(cap, Arc::new(Waiter::new()), Arc::new(AtomicU64::new(0)))
     }
 
     fn batch(tag: u64) -> Batch {
@@ -803,33 +777,29 @@ mod tests {
     }
 
     #[test]
-    fn backoff_controller_adapts_within_configured_bounds() {
-        let tuning = RingTuning {
-            spin_limit: 64,
-            park_timeout: Duration::from_micros(1_600),
-        };
-        let mut b = BackoffController::new(tuning);
-        assert_eq!(b.spin_limit(), 64, "starts at the spin bound");
+    fn backoff_controller_adapts_within_its_bounds() {
+        let mut b = BackoffController::new();
+        assert_eq!(b.spin_limit(), SPIN_LIMIT, "starts at the spin bound");
         assert_eq!(
             b.park_timeout(),
-            Duration::from_micros(100),
-            "starts at park_max / 16"
+            PARK_TIMEOUT / 16,
+            "starts at PARK_TIMEOUT / 16"
         );
         // Sustained idleness: spin decays to the floor, park grows to
-        // the configured bound — and both saturate there.
+        // `PARK_TIMEOUT` — and both saturate there.
         for _ in 0..20 {
             b.on_park();
         }
         assert_eq!(b.spin_limit(), SPIN_MIN);
-        assert_eq!(b.park_timeout(), Duration::from_micros(1_600));
+        assert_eq!(b.park_timeout(), PARK_TIMEOUT);
         // Sustained occupancy: spin recovers to the bound. The park
         // bound stays put — hot-path parks end via explicit wakes, so
         // a tight safety-net timer would only preempt the other side.
         for _ in 0..20 {
             b.on_spin_win();
         }
-        assert_eq!(b.spin_limit(), 64);
-        assert_eq!(b.park_timeout(), Duration::from_micros(1_600));
+        assert_eq!(b.spin_limit(), SPIN_LIMIT);
+        assert_eq!(b.park_timeout(), PARK_TIMEOUT);
     }
 
     #[test]

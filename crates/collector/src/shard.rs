@@ -11,12 +11,12 @@
 //! shares recorder state with another thread: the ingest hot path takes
 //! no locks, and the only synchronization is the ring hand-off itself.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory, PARK_TIMEOUT};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory};
 use crate::error::CollectorError;
 use crate::events::{Event, EventKind, EventRule};
 use crate::flow_table::{FlowEntry, FlowTable, TableStats};
 use crate::inference::{FlowSummary, ShardSnapshot};
-use crate::ring::{BackoffController, RingConsumer, RingTuning, Waiter};
+use crate::ring::{BackoffController, RingConsumer, Waiter};
 use pint_core::{Digest, DigestReport, RecorderImage};
 use pint_obs::{
     ClockHandle, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceStage,
@@ -214,7 +214,7 @@ pub(crate) struct ShardWorker {
     stats: Arc<ShardStats>,
     /// This shard's park slot; producers and the collector wake it.
     waiter: Arc<Waiter>,
-    /// Adaptive spin/park policy: spin widens toward `spin_limit` while
+    /// Adaptive spin/park policy: spin widens toward `SPIN_LIMIT` while
     /// polls keep finding work, decays when the worker ends up parking.
     backoff: BackoffController,
     /// Live backoff policy (`collector_adaptive_spin{shard}`).
@@ -301,10 +301,7 @@ impl ShardWorker {
             events_tx,
             stats,
             waiter,
-            backoff: BackoffController::new(RingTuning {
-                spin_limit: config.spin_limit,
-                park_timeout: PARK_TIMEOUT,
-            }),
+            backoff: BackoffController::new(),
             adaptive_spin: registry.gauge_shard("collector_adaptive_spin", shard as u32),
             adaptive_park_us: registry.gauge_shard("collector_adaptive_park_us", shard as u32),
             sync_pending: registry.gauge_shard("collector_sync_pending", shard as u32),

@@ -156,20 +156,15 @@ impl QueryResponse {
 /// undecodable or invalid request becomes an error response (with a
 /// best-effort request ID), and backend failures are stringified.
 ///
-/// Every response — success or error — is stamped with the backend's
-/// [`Watermark`] (zero if the backend tracks none), so clients always
-/// learn how fresh the answering state was.
+/// Every response — success or error — is stamped with a [`Watermark`]
+/// so clients always learn how fresh the answering state was:
+/// `watermark` when given (transports whose freshness authority is not
+/// the query backend itself — the fleet server stamps its aggregator's
+/// epoch watermark onto views merged from it), else
+/// `backend.watermark()`, else zero.
 ///
 /// This is the single server-side execution point — the fleet server
 /// and the standalone [`QueryResponder`] both route through it.
-pub fn respond<B: QueryBackend + ?Sized>(backend: &B, payload: &[u8]) -> Vec<u8> {
-    respond_with(backend, payload, None)
-}
-
-/// [`respond`] with an explicit watermark override — for transports
-/// whose freshness authority is not the query backend itself (the
-/// fleet server stamps its aggregator's epoch watermark onto views
-/// merged from it). `None` falls back to `backend.watermark()`.
 pub fn respond_with<B: QueryBackend + ?Sized>(
     backend: &B,
     payload: &[u8],
@@ -212,7 +207,7 @@ pub fn respond_with<B: QueryBackend + ?Sized>(
 /// poll-loop server core ([`pint_wire::server`]): one thread serves
 /// every connection, with the same connection cap and slow-loris
 /// deadline as the fleet tier's servers. `Query` frames are answered
-/// through [`respond`], `Metrics` requests with an (empty) metrics
+/// through [`respond_with`], `Metrics` requests with an (empty) metrics
 /// snapshot and `TraceDump` requests with an empty dump, other frames
 /// are ignored, and streams that cannot resynchronize are dropped.
 ///
@@ -232,7 +227,7 @@ impl QueryResponder {
     {
         let handler = move |ty: FrameType, payload: &[u8], reply: &mut Vec<u8>| {
             if ty == FrameType::Query {
-                reply.extend_from_slice(&respond(&*backend, payload));
+                reply.extend_from_slice(&respond_with(&*backend, payload, None));
             }
         };
         let core = FrameServer::bind(addr, "pint-query-server", ServerConfig::default(), handler)?;

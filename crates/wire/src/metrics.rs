@@ -129,6 +129,10 @@ fn get_shard(r: &mut WireReader<'_>) -> Result<Option<u32>, WireError> {
 const MIN_SCALAR_BYTES: usize = 3;
 // Histograms additionally carry 65 bucket varints and a sum varint.
 const MIN_HIST_BYTES: usize = 2 + HISTOGRAM_BUCKETS + 1;
+// A count is checked only against the bytes left, and an entry takes
+// 8-13x its smallest wire form in memory, so the decoder reserves at
+// most this many entries up front and grows as entries actually decode.
+const PREALLOC: usize = 256;
 
 impl WireEncode for MetricsSnapshot {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -160,7 +164,7 @@ impl WireEncode for MetricsSnapshot {
 impl WireDecode for MetricsSnapshot {
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = r.get_count(MIN_SCALAR_BYTES)?;
-        let mut counters = Vec::with_capacity(n);
+        let mut counters = Vec::with_capacity(n.min(PREALLOC));
         for _ in 0..n {
             let name = get_name(r)?;
             let shard = get_shard(r)?;
@@ -168,7 +172,7 @@ impl WireDecode for MetricsSnapshot {
             counters.push(ScalarMetric { name, shard, value });
         }
         let n = r.get_count(MIN_SCALAR_BYTES)?;
-        let mut gauges = Vec::with_capacity(n);
+        let mut gauges = Vec::with_capacity(n.min(PREALLOC));
         for _ in 0..n {
             let name = get_name(r)?;
             let shard = get_shard(r)?;
@@ -176,7 +180,7 @@ impl WireDecode for MetricsSnapshot {
             gauges.push(ScalarMetric { name, shard, value });
         }
         let n = r.get_count(MIN_HIST_BYTES)?;
-        let mut histograms = Vec::with_capacity(n);
+        let mut histograms = Vec::with_capacity(n.min(PREALLOC));
         for _ in 0..n {
             let name = get_name(r)?;
             let shard = get_shard(r)?;

@@ -290,14 +290,16 @@ impl WireDecode for StoreRecord {
                 let epoch = r.get_varint()?;
                 // Each covered entry is at least 3 bytes (source +
                 // floor + above count); reject counts the remaining
-                // input cannot back before allocating.
+                // input cannot back before allocating. An entry is 40
+                // bytes in memory and a seq 8, so reserve a bounded
+                // prefix and grow as entries actually decode.
                 let n = r.get_count(3)?;
-                let mut covered = Vec::with_capacity(n);
+                let mut covered = Vec::with_capacity(n.min(1_024));
                 for _ in 0..n {
                     let source = r.get_varint()?;
                     let floor = r.get_varint()?;
                     let n_above = r.get_count(1)?;
-                    let mut above = Vec::with_capacity(n_above);
+                    let mut above = Vec::with_capacity(n_above.min(4_096));
                     for _ in 0..n_above {
                         above.push(r.get_varint()?);
                     }

@@ -112,7 +112,9 @@ impl WireDecode for TraceDump {
         if count > MAX_TRACE_EVENTS {
             return Err(WireError::Invalid("too many events in one trace dump"));
         }
-        let mut events = Vec::with_capacity(count);
+        // An event is 32 bytes in memory against 5 on the wire: reserve
+        // a bounded prefix and grow as events actually decode.
+        let mut events = Vec::with_capacity(count.min(1_024));
         for _ in 0..count {
             let tick_ns = r.get_varint()?;
             let stage = TraceStage::from_u8(r.get_u8()?)

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `criterion` benchmark harness.
 //!
 //! The build environment has no crates.io access, so this crate provides
-//! the slice of criterion's API the workspace uses — `Criterion`,
-//! `benchmark_group`, `bench_function`, `bench_with_input`, `BenchmarkId`,
+//! the slice of criterion's API the workspace's one bench (`pint-bench`'s
+//! `store`) uses — `Criterion`, `benchmark_group`, `bench_function`,
 //! `Throughput`, `black_box`, and the `criterion_group!`/`criterion_main!`
 //! macros — backed by a simple but honest wall-clock measurement loop:
 //! per benchmark it calibrates an iteration count against a time budget,
@@ -13,12 +13,11 @@
 //! * `PINT_BENCH_MS` — per-benchmark measurement budget in milliseconds
 //!   (default 300; set small in CI to smoke-test benches quickly).
 //! * `PINT_BENCH_JSON` — if set, a JSON array of all results is written to
-//!   this path when the `Criterion` value drops (used to record baselines
-//!   such as `BENCH_collector.json`).
+//!   this path when the `Criterion` value drops (used to record the
+//!   `BENCH_store.json` baseline).
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -43,20 +42,6 @@ pub enum Throughput {
     Elements(u64),
     /// Iteration processes this many bytes.
     Bytes(u64),
-}
-
-/// Benchmark identifier with a parameter, e.g. `decode/16`.
-pub struct BenchmarkId {
-    full: String,
-}
-
-impl BenchmarkId {
-    /// `BenchmarkId::new("decode", 16)` → `decode/16`.
-    pub fn new(function: impl Into<String>, parameter: impl Display) -> Self {
-        Self {
-            full: format!("{}/{}", function.into(), parameter),
-        }
-    }
 }
 
 /// The measurement driver.
@@ -90,17 +75,9 @@ impl Criterion {
         }
     }
 
-    /// Runs a single ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        let budget = self.budget;
-        let res = run_one(id.to_string(), None, budget, f);
-        self.record(res);
-        self
-    }
-
-    /// Results recorded so far (shim extension): lets a bench compare
-    /// its fresh measurements against a committed baseline and attach
-    /// the verdict as a [`note`](Self::note).
+    /// Results recorded so far (shim extension): lets a bench derive a
+    /// figure from its own measurements (say, an on/off overhead pair)
+    /// and attach it as a [`note`](Self::note).
     pub fn results(&self) -> &[BenchResult] {
         &self.results
     }
@@ -179,16 +156,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Criterion-compat no-op (the shim sizes runs by time budget).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Criterion-compat no-op (the shim uses `PINT_BENCH_MS`).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Declares per-iteration work for subsequent benchmarks.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
@@ -199,19 +166,6 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
         let full = format!("{}/{}", self.name, id);
         let res = run_one(full, self.throughput, self.c.budget, f);
-        self.c.record(res);
-        self
-    }
-
-    /// Runs one parameterized benchmark in this group.
-    pub fn bench_with_input<I, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self {
-        let full = format!("{}/{}", self.name, id.full);
-        let res = run_one(full, self.throughput, self.c.budget, |b| f(b, input));
         self.c.record(res);
         self
     }
@@ -305,13 +259,12 @@ mod tests {
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Elements(100));
         g.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
-        g.bench_with_input(BenchmarkId::new("param", 7), &7u64, |b, &n| {
-            b.iter(|| (0..n).product::<u64>())
-        });
+        g.throughput(Throughput::Bytes(8));
+        g.bench_function("product", |b| b.iter(|| (1..8u64).product::<u64>()));
         g.finish();
         assert_eq!(c.results.len(), 2);
         assert!(c.results.iter().all(|r| r.mean_ns > 0.0 && r.iters >= 1));
-        assert_eq!(c.results[1].id, "g/param/7");
+        assert_eq!(c.results[1].id, "g/product");
     }
 
     #[test]

@@ -1,0 +1,180 @@
+//! A hostile count must not make a decoder reserve more memory than the
+//! payload that carries it.
+//!
+//! Decoders check each element count against the bytes left, but an
+//! element can take many times its smallest wire form in memory: a
+//! `ScalarMetric` is 40 bytes against 3 on the wire, a histogram ≈560
+//! against 68, a trace event 32 against 5. Every poll-core server
+//! decodes every inbound `Metrics` and `TraceDump` frame, so a peer
+//! that sends a report whose counts lie must not get a reservation
+//! sized by the lie. This binary installs its own counting
+//! allocator and records the largest single allocation made while one
+//! hostile payload decodes.
+
+#![allow(unsafe_code)]
+
+use pint::obs::HISTOGRAM_BUCKETS;
+use pint::wire::{
+    CheckpointRecord, MetricsMsg, MetricsReport, StoreRecord, TraceMsg, TraceReport, WireDecode,
+    WireEncode, WireWriter, MAX_TRACE_EVENTS,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const init and no destructor: usable inside the allocator for the
+    // thread's whole life, and `with` never allocates.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// System allocator that remembers, per thread, the largest single
+/// allocation (or reallocation target) since the last reset.
+struct LargestAlloc;
+
+fn note(size: usize) {
+    LARGEST.with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: defers entirely to `System` for memory; bookkeeping touches
+// only a non-allocating thread-local `Cell<usize>`.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Bytes behind each hostile metrics or checkpoint count.
+const BODY: usize = 1 << 20;
+
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    WireWriter::new(out).put_varint(v);
+}
+
+/// `prefix`, a count of `count` entries, then the `count *
+/// min_entry_bytes` bytes that back it, opening with `first`, an entry
+/// that fails: the count passes the bytes-left check and decoding stops
+/// at the first entry.
+fn lying_count(
+    mut prefix: Vec<u8>,
+    count: usize,
+    min_entry_bytes: usize,
+    first: &[u8],
+    pad: u8,
+) -> Vec<u8> {
+    put_varint(&mut prefix, count as u64);
+    let end = prefix.len() + count * min_entry_bytes;
+    prefix.extend_from_slice(first);
+    prefix.resize(end, pad);
+    prefix
+}
+
+/// A scalar or histogram entry with an empty name and a bad shard flag.
+const BAD_METRIC: [u8; 2] = [0x00, 0x07];
+
+/// A `Metrics` report header with an empty snapshot's three zero counts
+/// cut off, ready for a hostile snapshot body.
+fn report_header() -> Vec<u8> {
+    let mut bytes = MetricsReport {
+        request_id: 1,
+        source: 2,
+        snapshot: Default::default(),
+    }
+    .encode();
+    bytes.truncate(bytes.len() - 3);
+    bytes
+}
+
+/// Decodes `payload` as `T`, which must fail, and checks that no single
+/// allocation on this thread meanwhile exceeded the payload's size.
+fn assert_reserves_at_most_payload<T: WireDecode>(what: &str, payload: &[u8]) {
+    LARGEST.with(|c| c.set(0));
+    let decoded = T::decode(payload);
+    let largest = LARGEST.with(|c| c.get());
+    assert!(decoded.is_err(), "{what}: hostile payload decoded");
+    assert!(
+        largest <= payload.len(),
+        "{what}: one allocation of {largest} bytes for a {}-byte payload",
+        payload.len()
+    );
+}
+
+#[test]
+fn hostile_metrics_scalar_count_reserves_no_more_than_its_payload() {
+    // Smallest scalar: 1-byte name length, shard flag, value.
+    let payload = lying_count(report_header(), BODY / 3, 3, &BAD_METRIC, 0);
+    assert_reserves_at_most_payload::<MetricsMsg>("counters", &payload);
+
+    // No counters, then the lying gauge count.
+    let mut header = report_header();
+    header.push(0);
+    let payload = lying_count(header, BODY / 3, 3, &BAD_METRIC, 0);
+    assert_reserves_at_most_payload::<MetricsMsg>("gauges", &payload);
+}
+
+#[test]
+fn hostile_metrics_histogram_count_reserves_no_more_than_its_payload() {
+    // No counters, no gauges, then the lying histogram count. Smallest
+    // histogram: name length, shard flag, buckets, sum.
+    let mut header = report_header();
+    header.extend_from_slice(&[0, 0]);
+    let min = 2 + HISTOGRAM_BUCKETS + 1;
+    let payload = lying_count(header, BODY / min, min, &BAD_METRIC, 0);
+    assert_reserves_at_most_payload::<MetricsMsg>("histograms", &payload);
+}
+
+#[test]
+fn hostile_checkpoint_coverage_counts_reserve_no_more_than_their_payload() {
+    // A checkpoint record header: kind, source, epoch, then counts.
+    let mut header = StoreRecord::Checkpoint(CheckpointRecord {
+        source: 1,
+        epoch: 1,
+        covered: Vec::new(),
+        payload: Vec::new(),
+    })
+    .encode();
+    header.truncate(3);
+
+    // A `covered` count of 3-byte entries whose first entry (source 1,
+    // floor 0) claims more `above` seqs than the input holds.
+    let mut first = vec![1, 0];
+    put_varint(&mut first, u64::MAX >> 1);
+    let covered = lying_count(header.clone(), BODY / 3, 3, &first, 0);
+    // One covered source (1, floor 0) whose `above` count of 1-byte
+    // seqs lies, followed by a seq varint that never ends.
+    let mut one = header;
+    one.extend_from_slice(&[1, 1, 0]);
+    let above = lying_count(one, BODY, 1, &[], 0x80);
+
+    assert_reserves_at_most_payload::<StoreRecord>("covered", &covered);
+    assert_reserves_at_most_payload::<StoreRecord>("above", &above);
+}
+
+#[test]
+fn hostile_trace_event_count_reserves_no_more_than_its_payload() {
+    // A `TraceDump` report header with the empty dump's event count and
+    // dropped counter cut off.
+    let mut header = TraceReport {
+        request_id: 1,
+        source: 2,
+        dump: Default::default(),
+    }
+    .encode();
+    header.truncate(header.len() - 2);
+    // The most events a dump may hold, each at its 5-byte minimum; the
+    // first has an unknown stage.
+    let payload = lying_count(header, MAX_TRACE_EVENTS, 5, &[0x00, 0xFF], 0);
+    assert_reserves_at_most_payload::<TraceMsg>("events", &payload);
+}

@@ -402,3 +402,63 @@ fn fleet_server_answers_query_frames_on_the_ingest_connection() {
     }
     server.shutdown();
 }
+
+/// What a targeted read moves on the wire: on a 10 000-flow collector a
+/// 64-flow `FlowSet` answer must cost at least 10x fewer bytes than the
+/// full snapshot frame, and the 64-ID plan's own `Query` frame must stay
+/// under 1 KiB.
+#[test]
+fn targeted_plans_move_a_fraction_of_a_snapshot() {
+    const FLOWS: u64 = 10_000;
+    const SET: u64 = 64;
+    let agg = DynamicAggregator::new(11, 8, 100.0, 1.0e7);
+    let collector = Collector::spawn(
+        CollectorConfig::with_shards(4),
+        pint::collector::sketched_latency_factory(agg.clone(), 64),
+    );
+    let mut handle = collector.register_producer();
+    let mut ts = 0u64;
+    for pid in 0..4 {
+        for flow in 0..FLOWS {
+            let mut d = Digest::new(1);
+            for hop in 1..=HOPS {
+                agg.encode_hop(flow * 100 + pid, hop, 900.0 * hop as f64, &mut d, 0);
+            }
+            ts += 1;
+            handle
+                .push(DigestReport::new(
+                    flow,
+                    flow * 100 + pid,
+                    d,
+                    HOPS as u16,
+                    ts,
+                ))
+                .unwrap();
+        }
+    }
+    handle.flush().unwrap();
+    collector.barrier().unwrap();
+
+    let flow_set: Vec<u64> = (0..SET).map(|i| i * (FLOWS / SET)).collect();
+    let plan = TelemetryQuery::new().flows(flow_set).plan().unwrap();
+    let snapshot_bytes = collector.export_snapshot_frame(1, 1).unwrap().len();
+    let response_bytes = pint::query::QueryResponse {
+        request_id: 1,
+        result: Ok(collector.query(&plan).unwrap()),
+        watermark: Some(collector.watermark()),
+    }
+    .to_frame_bytes()
+    .len();
+    assert!(
+        response_bytes * 10 <= snapshot_bytes,
+        "a {SET}-flow answer is {response_bytes} B against a {snapshot_bytes} B snapshot"
+    );
+    let request_bytes = pint::query::QueryRequest {
+        request_id: 7,
+        plan,
+    }
+    .to_frame_bytes()
+    .len();
+    assert!(request_bytes < 1024, "a {SET}-ID plan is {request_bytes} B");
+    collector.shutdown();
+}
