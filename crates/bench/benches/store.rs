@@ -6,8 +6,9 @@
 //!
 //! * `store/journal_append_*` — digests/s and bytes/s appending delta
 //!   records through a `StoreWriter` (fsync off, the journal default).
-//! * `store/cold_restore_*` — digests/s and bytes/s for open → CRC
-//!   scan → decode → dedup'd replay of a persisted log.
+//! * `store/cold_restore_*` — digests/s and bytes/s for open (CRC
+//!   check and a walk that builds nothing) → dedup → replay of a
+//!   persisted log, decoding each delivered delta into one buffer.
 //! * `ingest_overhead/journal_{off,on}` — the collector's end-to-end
 //!   ingest rate with and without a journal attached; the derived
 //!   overhead percentages (hot-path, from the shards' own stage
@@ -118,9 +119,10 @@ fn bench_log(c: &mut Criterion) {
         })
     });
 
-    // Cold restore: open (CRC scan of every frame) → decode → replay
-    // through the dedup window into a sink, as Collector::restore does
-    // before state rebuilding.
+    // Cold restore: open (CRC check + walk of every frame) → replay
+    // through the dedup window, decoding each fresh delta into the
+    // buffer lent to the sink, as Collector::restore does before state
+    // rebuilding.
     let file_bytes = {
         let mut w = StoreWriter::create(
             &path,

@@ -2,7 +2,9 @@
 //!
 //! Prints the empirical error of `log₂`, `2^x`, multiply and divide as a
 //! function of the lookup-table precision `q`, against the paper's bound
-//! `log₂(1+ε) ≤ 1.44·2^−q` (our tables round to nearest: 0.72·2^−q).
+//! `log₂(1+2^−q) ≈ 1.44·2^−q`. Rounding to nearest does not halve it: the
+//! rounded mantissa lies in `[2^(q−1), 2^q)`. Exits 1 if the maximum at
+//! any `q` exceeds the bound by more than one table quantum, `2^−20`.
 //!
 //! Usage: `appc_fixedpoint [--samples 20000]`
 
@@ -12,6 +14,7 @@ use pint_dataplane::{ApproxAlu, Fx, LogExpTables};
 fn main() {
     let args = Args::parse(&["samples"]);
     let n = args.get_u64("samples", 20_000);
+    let mut over_bound = Vec::new();
 
     println!("# App C: data-plane approximate arithmetic error vs table precision q");
     println!(
@@ -44,13 +47,20 @@ fn main() {
             div_sum += (alu.div_int(a, b, 20).to_f64() - a as f64 / b as f64).abs()
                 / (a as f64 / b as f64);
         }
+        let bound = (1.0 + 2.0f64.powi(-(q as i32))).log2();
+        if log_max > bound + 2.0f64.powi(-20) {
+            over_bound.push(q);
+        }
         println!(
-            "{q:>3} {log_max:>12.2e} {:>12.2e} {:>12.2e} {:>12.2e} {:>12.2e}",
-            0.72 * 2.0f64.powi(-(q as i32)),
+            "{q:>3} {log_max:>12.2e} {bound:>12.2e} {:>12.2e} {:>12.2e} {:>12.2e}",
             exp_sum / n as f64,
             mul_sum / n as f64,
             div_sum / n as f64
         );
     }
     println!("\n# Memory: two 2^q-entry tables; q=8 → 512 entries (fits trivially in SRAM).");
+    if !over_bound.is_empty() {
+        eprintln!("log2 error exceeds log2(1+2^-q) + 2^-20 at q = {over_bound:?}");
+        std::process::exit(1);
+    }
 }

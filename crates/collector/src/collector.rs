@@ -15,7 +15,7 @@ use pint_query::{
     Projection, QueryBackend, QueryError, QueryPlan, QueryResult, Selector, Watermark,
 };
 use pint_store::{Journal, Replayer, StoreReader};
-use pint_wire::store::{CoveredSource, StoreRecord};
+use pint_wire::store::CoveredSource;
 use pint_wire::{frame_into, FrameType, WireError, WireReader, WireWriter};
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -342,17 +342,14 @@ impl Collector {
     ) -> Result<(Self, RestoreReport), CollectorError> {
         let collector = Self::spawn(config, factory);
         let mut replayer = Replayer::new(reader).observed(&collector.metrics);
-        if let Some(i) = reader.newest_checkpoint() {
-            let StoreRecord::Checkpoint(c) = &reader.records()[i] else {
-                unreachable!("newest_checkpoint indexes a checkpoint record");
-            };
-            collector.load_checkpoint(&c.payload)?;
+        if let Some(c) = reader.checkpoints().next_back() {
+            collector.load_checkpoint(c.payload)?;
             replayer = replayer.primed(&c.covered);
         }
         let mut handle = collector.register_producer();
         let mut push_err = None;
         let stats = replayer.replay(&mut |_, reports| {
-            for r in reports {
+            for r in reports.drain(..) {
                 if let Err(e) = handle.push(r) {
                     push_err.get_or_insert(e);
                 }

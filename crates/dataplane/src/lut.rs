@@ -72,8 +72,10 @@ impl LogExpTables {
 
     /// Approximates `log₂(x)` for an integer `x ≥ 1`.
     ///
-    /// The mantissa is rounded to the nearest `q`-bit value, so the error
-    /// is `≤ 0.72·2^−q` (the paper quotes `1.44·2^−q` for truncation).
+    /// The mantissa is rounded to the nearest `q`-bit value; the error
+    /// stays within the paper's `log₂(1+2^−q) ≈ 1.44·2^−q` plus the table
+    /// quantum. Rounding does not halve it: the rounded mantissa lies in
+    /// `[2^(q−1), 2^q)`, so its relative error reaches `2^−q`.
     pub fn log2_int(&self, x: u64) -> Fx {
         assert!(x >= 1, "log of non-positive value");
         if x < (1 << self.q) {

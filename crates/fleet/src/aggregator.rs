@@ -15,7 +15,6 @@ use pint_collector::CollectorSnapshot;
 use pint_obs::{FlightRecorder, Gauge, GaugeGroup, MetricsRegistry, TraceStage};
 use pint_query::{QueryError, QueryPlan, QueryResult, Watermark};
 use pint_store::{Journal, StoreReader};
-use pint_wire::store::StoreRecord;
 use pint_wire::{
     frame_into, parse_frame, FrameType, WireDecode, WireEncode, WireError, WireReader,
 };
@@ -327,36 +326,32 @@ impl FleetAggregator {
     }
 
     /// Rebuilds an aggregator from a persisted fleet log: every
-    /// checkpoint record's snapshot frame is walked and re-applied
-    /// through the same epoch gate as live ingestion (newest epoch per
-    /// collector wins, stale records counted), and held undecoded until
-    /// a read needs it. `Delta` records — which logs
-    /// written by aggregators that still took digest batches may hold
-    /// — are skipped; to replay their digests into a collector, run a
-    /// [`pint_store::Replayer`] over the same log.
+    /// checkpoint record's snapshot frame, read in place from the
+    /// reader's bytes, is walked and re-applied through the same epoch
+    /// gate as live ingestion (newest epoch per collector wins, stale
+    /// records counted), and held undecoded until a read needs it.
+    /// `Delta` records — which logs written by aggregators that still
+    /// took digest batches may hold — are skipped undecoded; to replay
+    /// their digests into a collector, run a [`pint_store::Replayer`]
+    /// over the same log.
     pub fn restore(
         config: FleetConfig,
         reader: &StoreReader,
     ) -> Result<(Self, FleetRestoreReport), FleetError> {
         let mut agg = Self::new(config);
         let mut report = FleetRestoreReport::default();
-        for record in reader.records() {
-            report.newest_epoch = Some(report.newest_epoch.unwrap_or(0).max(record.epoch()));
-            match record {
-                StoreRecord::Checkpoint(c) => {
-                    let (ty, payload) = parse_frame(&c.payload)?;
-                    if ty != FrameType::Snapshot {
-                        return Err(FleetError::UnsupportedFrame(ty));
-                    }
-                    if agg.apply_payload(payload)? {
-                        report.checkpoints_applied += 1;
-                    } else {
-                        report.checkpoints_stale += 1;
-                    }
-                }
-                StoreRecord::Delta { .. } => {}
+        for c in reader.checkpoints() {
+            let (ty, payload) = parse_frame(c.payload)?;
+            if ty != FrameType::Snapshot {
+                return Err(FleetError::UnsupportedFrame(ty));
+            }
+            if agg.apply_payload(payload)? {
+                report.checkpoints_applied += 1;
+            } else {
+                report.checkpoints_stale += 1;
             }
         }
+        report.newest_epoch = reader.newest_epoch();
         Ok((agg, report))
     }
 

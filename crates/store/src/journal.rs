@@ -428,22 +428,22 @@ mod tests {
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.records().len(), 7);
         let ck = r.newest_checkpoint().unwrap();
-        match &r.records()[ck] {
+        match r.record(ck) {
             StoreRecord::Checkpoint(c) => {
                 assert_eq!(c.covered, covered, "caller's covered list, verbatim");
                 assert_eq!(c.epoch, 1);
             }
             _ => unreachable!(),
         }
-        match &r.records()[6] {
+        match r.record(6) {
             StoreRecord::Delta { epoch, batch } => {
-                assert_eq!(*epoch, 1, "post-checkpoint delta stamped with new epoch");
+                assert_eq!(epoch, 1, "post-checkpoint delta stamped with new epoch");
                 assert_eq!(batch.seq, 6);
             }
             _ => unreachable!(),
         }
         // Writer-side stamping: epochs are monotone with file order.
-        let epochs: Vec<u64> = r.records().iter().map(StoreRecord::epoch).collect();
+        let epochs: Vec<u64> = r.records().map(|rec| rec.epoch()).collect();
         assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "{epochs:?}");
         std::fs::remove_file(&path).unwrap();
     }

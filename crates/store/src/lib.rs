@@ -13,9 +13,10 @@
 //!   versioned superblock (`pint-wire`'s [`Superblock`](pint_wire::store::Superblock) codec) then
 //!   `[len][crc32][payload]` record frames. Opening scans with full
 //!   hostile-input discipline (a store file is just bytes that
-//!   survived a crash): torn tails are detected by CRC and truncated
-//!   back to the last intact boundary, damage surfaces as typed
-//!   [`StoreError`]s / [`TailStatus`] verdicts, never a panic.
+//!   survived a crash): records are CRC-checked and walked, building
+//!   nothing, torn tails are truncated back to the last intact
+//!   boundary, damage surfaces as typed [`StoreError`]s /
+//!   [`TailStatus`] verdicts, never a panic. Records decode on demand.
 //! * **Compaction** — the log's analog of the flow table's byte-cap
 //!   eviction: past [`StoreOptions::max_bytes`] the writer rewrites
 //!   the file keeping the newest checkpoint per source plus everything
@@ -34,7 +35,7 @@
 //!   compaction). All drops, bytes, depths, and compactions are
 //!   `pint-obs` metrics.
 //! * [`Replayer`] — streams a persisted log back through any
-//!   `FnMut(source, reports)` sink (a `CollectorHandle`, a bench
+//!   `FnMut(source, &mut reports)` sink (a `CollectorHandle`, a bench
 //!   harness) at full speed or virtual-clock pace, deduplicating
 //!   persisted retransmissions exactly like a live receiver.
 //! * [`SpillQueue`] — a small durable FIFO a `DigestForwarder` uses to
@@ -43,10 +44,10 @@
 //!
 //! Restore policies live with the state owners (`Collector::restore`,
 //! `FleetAggregator::restore` in their crates); this crate supplies
-//! the mechanism: scan, verify, hand over records.
+//! the mechanism: scan, verify, decode on demand.
 //!
 //! ```
-//! use pint_store::{Journal, JournalConfig, StoreOptions, StoreReader, StoreWriter};
+//! use pint_store::{Journal, JournalConfig, Replayer, StoreOptions, StoreReader, StoreWriter};
 //! use pint_obs::MetricsRegistry;
 //! use pint_wire::store::{StoreKind, Superblock};
 //! use pint_wire::DigestBatch;
@@ -68,6 +69,10 @@
 //! let reader = StoreReader::open(&path)?;
 //! assert_eq!(reader.records().len(), 1);
 //! assert!(reader.tail().is_clean());
+//! let stats = Replayer::new(&reader).replay(&mut |source, reports| {
+//!     assert_eq!((source, reports.len()), (1, 0));
+//! });
+//! assert_eq!(stats.batches, 1);
 //! # std::fs::remove_file(&path).unwrap();
 //! # Ok::<(), pint_store::StoreError>(())
 //! ```
@@ -83,6 +88,6 @@ mod spill;
 
 pub use error::{StoreError, TailStatus, TornReason};
 pub use journal::{Journal, JournalConfig, JournalSender};
-pub use log::{open_kind, AppendInfo, StoreOptions, StoreReader, StoreWriter};
+pub use log::{AppendInfo, StoreOptions, StoreReader, StoreWriter};
 pub use replay::{ReplayStats, Replayer};
 pub use spill::SpillQueue;

@@ -24,8 +24,10 @@
 //! committed alone; the journal stages whole queue drains.
 
 use crate::error::{StoreError, TailStatus, TornReason};
-use pint_wire::store::{crc32, StoreKind, StoreRecord, Superblock, STORE_MAGIC};
-use pint_wire::{WireDecode, WireEncode, MAX_PAYLOAD};
+use pint_wire::store::{
+    crc32, read_record, CheckpointRecord, StoreKind, StoreRecord, Superblock, STORE_MAGIC,
+};
+use pint_wire::{SkipReports, WireDecode, WireEncode, MAX_PAYLOAD};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -71,24 +73,36 @@ pub(crate) struct Commit {
     pub(crate) compacted: Result<bool, StoreError>,
 }
 
-/// Scan metadata for one intact record.
+/// One intact record's index entry: where it sits and what it is, not
+/// its contents. [`StoreReader`] and [`StoreWriter`] both index with these.
 #[derive(Debug, Clone, Copy)]
-struct Span {
-    /// Offset of the record's 8-byte header.
-    offset: u64,
-    /// Payload length.
-    len: u32,
+pub(crate) struct Entry {
+    /// Offset of the record's 8-byte header, and its payload length.
+    pub(crate) offset: u64,
+    pub(crate) len: u32,
+    /// A delta's report count (0 for a checkpoint).
+    pub(crate) reports: u32,
+    pub(crate) epoch: u64,
+    /// Delta batch source / checkpoint source.
+    pub(crate) source: u64,
+    /// A delta's batch seq; `None` for a checkpoint.
+    pub(crate) seq: Option<u64>,
 }
 
-/// Shared scan: parse `bytes` as a store file. Returns the superblock,
-/// decoded records with their spans, the valid length, and the tail
-/// verdict. The only hard errors are a missing magic, a damaged or
-/// undecodable superblock, and a future version; record damage is a
-/// `TailStatus`, not an error.
-#[allow(clippy::type_complexity)]
-fn scan(
-    bytes: &[u8],
-) -> Result<(Superblock, Vec<(StoreRecord, Span)>, u64, TailStatus), StoreError> {
+impl Entry {
+    /// The record's payload in `bytes`, the file it indexes.
+    pub(crate) fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        let start = self.offset as usize + RECORD_HEADER;
+        &bytes[start..start + self.len as usize]
+    }
+}
+
+/// Shared scan: parse `bytes` as a store file, CRC-checking and walking
+/// each record. Returns the superblock, an index entry per intact
+/// record, the valid length, and the tail verdict. The only hard errors
+/// are a missing magic, a damaged or undecodable superblock, and a
+/// future version; record damage is a `TailStatus`, not an error.
+fn scan(bytes: &[u8]) -> Result<(Superblock, Vec<Entry>, u64, TailStatus), StoreError> {
     if bytes.len() < STORE_MAGIC.len() || bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
         return Err(StoreError::NotAStore);
     }
@@ -99,38 +113,38 @@ fn scan(
     };
     let superblock = Superblock::decode(sb_payload)?;
 
-    let mut records = Vec::new();
+    let mut entries = Vec::new();
     let mut off = sb_end;
     let tail = loop {
+        let torn = |reason| TailStatus::Torn {
+            offset: off,
+            reason,
+        };
         match frame_at(bytes, off) {
             Ok(None) => break TailStatus::Clean,
-            Ok(Some((payload, end))) => match StoreRecord::decode(payload) {
-                Ok(rec) => {
-                    records.push((
-                        rec,
-                        Span {
-                            offset: off,
-                            len: payload.len() as u32,
-                        },
-                    ));
-                    off = end;
-                }
-                Err(_) => {
-                    break TailStatus::Torn {
-                        offset: off,
-                        reason: TornReason::Undecodable,
+            Ok(Some((payload, end))) => {
+                let mut reports = SkipReports::default();
+                let (epoch, source, seq) = match read_record(payload, &mut reports) {
+                    Ok(StoreRecord::Delta { epoch, batch }) => {
+                        (epoch, batch.source, Some(batch.seq))
                     }
-                }
-            },
-            Err(reason) => {
-                break TailStatus::Torn {
+                    Ok(StoreRecord::Checkpoint(c)) => (c.epoch, c.source, None),
+                    Err(_) => break torn(TornReason::Undecodable),
+                };
+                entries.push(Entry {
                     offset: off,
-                    reason,
-                }
+                    len: payload.len() as u32,
+                    reports: reports.count as u32,
+                    epoch,
+                    source,
+                    seq,
+                });
+                off = end;
             }
+            Err(reason) => break torn(reason),
         }
     };
-    Ok((superblock, records, off, tail))
+    Ok((superblock, entries, off, tail))
 }
 
 /// Reads one `[len][crc][payload]` frame at `off`. `Ok(None)` at exact
@@ -159,40 +173,41 @@ fn frame_at(bytes: &[u8], off: u64) -> Result<Option<(&[u8], u64)>, TornReason> 
     Ok(Some((payload, (off + RECORD_HEADER + len) as u64)))
 }
 
-/// A fully-scanned store file: the superblock, every intact record,
-/// and the tail verdict.
+/// A scanned store file: the superblock, the intact bytes, an index of
+/// every intact record, and the tail verdict.
 ///
-/// The reader is eager — store files are bounded by compaction, and
-/// restore wants every record anyway — and works equally from a file
-/// ([`open`](Self::open)) or raw bytes ([`from_bytes`](Self::from_bytes),
-/// the fuzzing entry point: a store file is untrusted input like any
-/// frame off a socket, and parsing never panics).
+/// Records decode only when asked. The reader works equally from a
+/// file ([`open`](Self::open)) or raw bytes
+/// ([`from_bytes`](Self::from_bytes), the fuzzing entry point: a store
+/// file is untrusted input like any frame off a socket, and parsing
+/// never panics).
 pub struct StoreReader {
     superblock: Superblock,
-    records: Vec<StoreRecord>,
-    /// `(header offset, payload length)` per record, parallel to
-    /// `records`.
-    spans: Vec<(u64, u32)>,
-    valid_len: u64,
+    /// The file's intact prefix: magic, superblock and whole records.
+    pub(crate) bytes: Vec<u8>,
+    /// The index of every intact record.
+    pub(crate) entries: Vec<Entry>,
     tail: TailStatus,
 }
 
 impl StoreReader {
     /// Reads and scans a store file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
+        Self::scanned(std::fs::read(path)?)
     }
 
     /// Scans an in-memory store image.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let (superblock, records, valid_len, tail) = scan(bytes)?;
-        let spans = records.iter().map(|(_, s)| (s.offset, s.len)).collect();
+        Self::scanned(bytes.to_vec())
+    }
+
+    fn scanned(mut bytes: Vec<u8>) -> Result<Self, StoreError> {
+        let (superblock, entries, valid_len, tail) = scan(&bytes)?;
+        bytes.truncate(valid_len as usize);
         Ok(Self {
             superblock,
-            records: records.into_iter().map(|(r, _)| r).collect(),
-            spans,
-            valid_len,
+            bytes,
+            entries,
             tail,
         })
     }
@@ -202,19 +217,28 @@ impl StoreReader {
         &self.superblock
     }
 
-    /// Every intact record, in append order.
-    pub fn records(&self) -> &[StoreRecord] {
-        &self.records
+    /// Every intact record, in append order, each decoded as the
+    /// iterator reaches it.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = StoreRecord> + '_ {
+        (0..self.entries.len()).map(|i| self.record(i))
     }
 
-    /// `(header offset, payload length)` of record `i` in the file.
-    pub fn record_span(&self, i: usize) -> (u64, u32) {
-        self.spans[i]
+    /// Decodes intact record `i`, which always decodes: the scan's walk
+    /// and the decode are one reader. Panics if `i` is out of range.
+    pub fn record(&self, i: usize) -> StoreRecord {
+        StoreRecord::decode(self.entries[i].payload(&self.bytes)).expect("a scanned record decodes")
+    }
+
+    /// Every checkpoint record, in append order, read in place: the
+    /// payload borrows the reader's bytes.
+    pub fn checkpoints(&self) -> impl DoubleEndedIterator<Item = CheckpointRecord<&[u8]>> + '_ {
+        let checkpoints = self.entries.iter().filter(|e| e.seq.is_none());
+        checkpoints.map(|e| checkpoint_at(e.payload(&self.bytes)))
     }
 
     /// Bytes of intact data (magic + superblock + whole records).
     pub fn valid_len(&self) -> u64 {
-        self.valid_len
+        self.bytes.len() as u64
     }
 
     /// Whether the file ended cleanly or mid-record.
@@ -232,30 +256,14 @@ impl StoreReader {
     /// The highest epoch stamped on any intact record — the newest
     /// consistent epoch a restore can reach.
     pub fn newest_epoch(&self) -> Option<u64> {
-        self.records.iter().map(StoreRecord::epoch).max()
+        self.entries.iter().map(|e| e.epoch).max()
     }
 
     /// Index of the newest checkpoint record, if any (ties broken by
     /// position: the latest-written wins).
     pub fn newest_checkpoint(&self) -> Option<usize> {
-        self.records
-            .iter()
-            .rposition(|r| matches!(r, StoreRecord::Checkpoint(_)))
+        self.entries.iter().rposition(|e| e.seq.is_none())
     }
-}
-
-/// Compaction index entry for one record.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    /// Offset of the record's 8-byte frame header.
-    offset: u64,
-    /// Checkpoint vs delta.
-    is_checkpoint: bool,
-    /// Checkpoint source / delta batch source.
-    source: u64,
-    /// Delta batch seq (0 for checkpoints) — compaction checks it
-    /// against the newest checkpoint's coverage before dropping.
-    seq: u64,
 }
 
 /// Appends records to a store file; recovers torn tails on open and
@@ -270,7 +278,7 @@ pub struct StoreWriter {
     /// Offset right past the superblock frame (reset target).
     data_start: u64,
     /// Compaction index, parallel to the file's records.
-    index: Vec<IndexEntry>,
+    pub(crate) index: Vec<Entry>,
     /// Cumulative per-source delta seq high-water marks: the highest
     /// delta seq ever journaled (or claimed covered by a checkpoint)
     /// per source, surviving compaction — what a re-attaching producer
@@ -284,7 +292,7 @@ pub struct StoreWriter {
     buf: Vec<u8>,
     /// Index entries of the staged records (absolute offsets: `len`
     /// does not move until the group commits).
-    staged: Vec<IndexEntry>,
+    staged: Vec<Entry>,
     /// `(source, seq)` floor raises the staged records claim.
     staged_floors: Vec<(u64, u64)>,
     /// Epoch of the newest staged checkpoint.
@@ -343,51 +351,41 @@ impl StoreWriter {
         path: impl AsRef<Path>,
         opts: StoreOptions,
     ) -> Result<(Self, TailStatus), StoreError> {
+        Self::open_as(path, opts, None)
+    }
+
+    /// [`open`](Self::open), refusing a file not of kind `expected` before truncating it.
+    pub(crate) fn open_as(
+        path: impl AsRef<Path>,
+        opts: StoreOptions,
+        expected: Option<StoreKind>,
+    ) -> Result<(Self, TailStatus), StoreError> {
         let path = path.as_ref().to_path_buf();
         let bytes = std::fs::read(&path)?;
-        let (superblock, records, valid_len, tail) = scan(&bytes)?;
+        let (superblock, index, valid_len, tail) = scan(&bytes)?;
+        let found = superblock.kind;
+        if let Some(expected) = expected.filter(|&k| k != found) {
+            return Err(StoreError::WrongKind { expected, found });
+        }
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         if valid_len < bytes.len() as u64 {
             file.set_len(valid_len)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        let data_start = {
-            // Magic + the superblock frame.
-            let sb_len = frame_at(&bytes, STORE_MAGIC.len() as u64)
-                .ok()
-                .flatten()
-                .map(|(_, end)| end)
-                .ok_or(StoreError::CorruptSuperblock)?;
-            sb_len
-        };
-        let mut index = Vec::with_capacity(records.len());
-        let mut floors: BTreeMap<u64, u64> = BTreeMap::new();
+        // Magic + the superblock frame: where the first record is, or
+        // where the scan stopped when there is none.
+        let data_start = index.first().map_or(valid_len, |e| e.offset);
+        let mut floors = BTreeMap::new();
         let mut newest_checkpoint_epoch = 0u64;
-        for (rec, span) in &records {
-            match rec {
-                StoreRecord::Delta { batch, .. } => {
-                    let f = floors.entry(batch.source).or_insert(0);
-                    *f = (*f).max(batch.seq);
-                    index.push(IndexEntry {
-                        offset: span.offset,
-                        is_checkpoint: false,
-                        source: batch.source,
-                        seq: batch.seq,
-                    });
-                }
-                StoreRecord::Checkpoint(c) => {
-                    for cov in &c.covered {
-                        let f = floors.entry(cov.source).or_insert(0);
-                        *f = (*f).max(cov.max_seq());
+        for e in &index {
+            match e.seq {
+                Some(seq) => raise(&mut floors, e.source, seq),
+                None => {
+                    newest_checkpoint_epoch = e.epoch;
+                    for cov in checkpoint_at(e.payload(&bytes)).covered {
+                        raise(&mut floors, cov.source, cov.max_seq());
                     }
-                    newest_checkpoint_epoch = c.epoch;
-                    index.push(IndexEntry {
-                        offset: span.offset,
-                        is_checkpoint: true,
-                        source: c.source,
-                        seq: 0,
-                    });
                 }
             }
         }
@@ -488,29 +486,26 @@ impl StoreWriter {
                 max: MAX_PAYLOAD,
             });
         }
-        let offset = self.len + start as u64;
-        match record {
-            StoreRecord::Delta { batch, .. } => {
+        let (reports, epoch, source, seq) = match record {
+            StoreRecord::Delta { epoch, batch } => {
                 self.staged_floors.push((batch.source, batch.seq));
-                self.staged.push(IndexEntry {
-                    offset,
-                    is_checkpoint: false,
-                    source: batch.source,
-                    seq: batch.seq,
-                });
+                (batch.reports.len(), *epoch, batch.source, Some(batch.seq))
             }
             StoreRecord::Checkpoint(c) => {
                 self.staged_floors
                     .extend(c.covered.iter().map(|cov| (cov.source, cov.max_seq())));
                 self.staged_checkpoint_epoch = Some(c.epoch);
-                self.staged.push(IndexEntry {
-                    offset,
-                    is_checkpoint: true,
-                    source: c.source,
-                    seq: 0,
-                });
+                (0, c.epoch, c.source, None)
             }
-        }
+        };
+        self.staged.push(Entry {
+            offset: self.len + start as u64,
+            len: payload_len as u32,
+            reports: reports as u32,
+            epoch,
+            source,
+            seq,
+        });
         Ok((self.buf.len() - start) as u64)
     }
 
@@ -534,8 +529,7 @@ impl StoreWriter {
         }
         self.len += bytes;
         for (source, seq) in self.staged_floors.drain(..) {
-            let f = self.floors.entry(source).or_insert(0);
-            *f = (*f).max(seq);
+            raise(&mut self.floors, source, seq);
         }
         self.index.append(&mut self.staged);
         if let Some(epoch) = self.staged_checkpoint_epoch.take() {
@@ -614,7 +608,7 @@ impl StoreWriter {
     /// droppable → no-op. Returns whether a rewrite happened.
     pub fn compact(&mut self) -> Result<bool, StoreError> {
         // Newest checkpoint per source, and the globally newest one.
-        let global = match self.index.iter().rposition(|e| e.is_checkpoint) {
+        let global = match self.index.iter().rposition(|e| e.seq.is_none()) {
             Some(i) => i,
             None => return Ok(false),
         };
@@ -629,16 +623,7 @@ impl StoreWriter {
             v.truncate(self.len as usize);
             v
         };
-        let covered = {
-            let off = self.index[global].offset as usize;
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-            match StoreRecord::decode(&bytes[off + RECORD_HEADER..off + RECORD_HEADER + len]) {
-                Ok(StoreRecord::Checkpoint(c)) => c.covered,
-                // Unreachable for a file this writer scanned/appended;
-                // claim no coverage, which keeps every delta (safe).
-                _ => Vec::new(),
-            }
-        };
+        let covered = checkpoint_at(self.index[global].payload(&bytes)).covered;
         let covers =
             |source: u64, seq: u64| covered.iter().any(|c| c.source == source && c.covers(seq));
 
@@ -646,10 +631,11 @@ impl StoreWriter {
         let mut seen_sources = std::collections::BTreeSet::new();
         for i in (0..self.index.len()).rev() {
             let e = self.index[i];
-            if i > global
-                || (e.is_checkpoint && seen_sources.insert(e.source))
-                || (!e.is_checkpoint && !covers(e.source, e.seq))
-            {
+            let needed = match e.seq {
+                None => seen_sources.insert(e.source),
+                Some(seq) => !covers(e.source, seq),
+            };
+            if i > global || needed {
                 keep[i] = true;
             }
         }
@@ -669,12 +655,11 @@ impl StoreWriter {
                 continue;
             }
             let off = e.offset as usize;
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-            new_index.push(IndexEntry {
+            new_index.push(Entry {
                 offset: out.len() as u64,
                 ..*e
             });
-            out.extend_from_slice(&bytes[off..off + RECORD_HEADER + len]);
+            out.extend_from_slice(&bytes[off..off + RECORD_HEADER + e.len as usize]);
         }
 
         let tmp = self.path.with_extension("compact-tmp");
@@ -715,14 +700,25 @@ fn frame_into_buf(value: &impl WireEncode, out: &mut Vec<u8>) -> usize {
     len
 }
 
-/// Convenience guard: opens a reader and checks the superblock kind.
-pub fn open_kind(path: impl AsRef<Path>, expected: StoreKind) -> Result<StoreReader, StoreError> {
-    let reader = StoreReader::open(path)?;
-    let found = reader.superblock().kind;
-    if found != expected {
-        return Err(StoreError::WrongKind { expected, found });
+/// Raises `source`'s floor to at least `seq`.
+fn raise(floors: &mut BTreeMap<u64, u64>, source: u64, seq: u64) {
+    let f = floors.entry(source).or_insert(0);
+    *f = (*f).max(seq);
+}
+
+/// The checkpoint record at `payload`, read in place. Anything else
+/// (unreachable: the scan indexed it as a checkpoint) reads as one that
+/// covers nothing, so compaction keeps every delta: the safe side.
+fn checkpoint_at(payload: &[u8]) -> CheckpointRecord<&[u8]> {
+    match read_record(payload, &mut SkipReports::default()) {
+        Ok(StoreRecord::Checkpoint(c)) => c,
+        _ => CheckpointRecord {
+            source: 0,
+            epoch: 0,
+            covered: Vec::new(),
+            payload: &[],
+        },
     }
-    Ok(reader)
 }
 
 #[cfg(test)]
@@ -786,7 +782,7 @@ mod tests {
 
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.superblock(), &sb);
-        assert_eq!(r.records(), &recs[..]);
+        assert_eq!(r.records().collect::<Vec<_>>(), recs);
         assert!(r.tail().is_clean());
         assert!(!r.is_compacted());
         assert_eq!(r.newest_epoch(), Some(2));
@@ -909,11 +905,12 @@ mod tests {
             )
             .unwrap(),
         );
+        let opts = StoreOptions::default();
         assert!(matches!(
-            open_kind(&path, StoreKind::Collector),
+            StoreWriter::open_as(&path, opts, Some(StoreKind::Collector)),
             Err(StoreError::WrongKind { .. })
         ));
-        assert!(open_kind(&path, StoreKind::Spill).is_ok());
+        assert!(StoreWriter::open_as(&path, opts, Some(StoreKind::Spill)).is_ok());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -949,14 +946,11 @@ mod tests {
         assert!(r.tail().is_clean());
         // The newest checkpoint survived, with the tail after it.
         let ck = r.newest_checkpoint().expect("checkpoint kept");
-        match &r.records()[ck] {
+        match r.record(ck) {
             StoreRecord::Checkpoint(c) => assert_eq!(c.epoch, 20),
             _ => unreachable!(),
         }
-        let tail_epochs: Vec<u64> = r.records()[ck + 1..]
-            .iter()
-            .map(StoreRecord::epoch)
-            .collect();
+        let tail_epochs: Vec<u64> = r.records().skip(ck + 1).map(|rec| rec.epoch()).collect();
         assert!(tail_epochs.is_empty() || tail_epochs.iter().all(|&e| e > 15));
         std::fs::remove_file(&path).unwrap();
     }
@@ -998,7 +992,6 @@ mod tests {
         assert!(r.is_compacted());
         let mut delta_seqs: Vec<u64> = r
             .records()
-            .iter()
             .filter_map(|rec| match rec {
                 StoreRecord::Delta { batch, .. } => Some(batch.seq),
                 _ => None,
@@ -1072,7 +1065,10 @@ mod tests {
         drop(w);
 
         let r = StoreReader::open(&path).unwrap();
-        assert_eq!(r.records(), &[delta(0, 1, 2), delta(0, 4, 2)][..]);
+        assert_eq!(
+            r.records().collect::<Vec<_>>(),
+            [delta(0, 1, 2), delta(0, 4, 2)]
+        );
         assert!(r.tail().is_clean(), "{:?}", r.tail());
         std::fs::remove_file(&path).unwrap();
     }
@@ -1107,7 +1103,11 @@ mod tests {
             let intact = ends.iter().filter(|&&e| e <= cut).count();
             let boundary = ends[intact - 1];
             let r = StoreReader::from_bytes(&bytes[..cut as usize]).unwrap();
-            assert_eq!(r.records(), &recs[..intact], "cut at {cut}");
+            assert_eq!(
+                r.records().collect::<Vec<_>>(),
+                recs[..intact],
+                "cut at {cut}"
+            );
             assert_eq!(r.valid_len(), boundary);
             // A cut on a record boundary inside the group is no tear
             // at all: those records made it whole.
@@ -1144,7 +1144,7 @@ mod tests {
         drop(w);
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.records().len(), 1);
-        assert_eq!(r.records()[0].epoch(), 3);
+        assert_eq!(r.record(0).epoch(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -4,9 +4,11 @@
 //! append order — into a `CollectorHandle`-backed sink for offline
 //! analysis against a real collector, into a bench harness for
 //! regression-testing ingest on recorded traffic, or into anything
-//! else shaped `FnMut(source, Vec<DigestReport>)`. Replay runs the
-//! same [`SourceDedup`] window the live receivers run, so a log
-//! holding retransmitted duplicates replays each batch exactly once.
+//! else shaped `FnMut(source, &mut Vec<DigestReport>)`. Replay runs the
+//! same [`SourceDedup`] window the live receivers run, on the reader's
+//! index before any decode, so a log holding retransmitted duplicates
+//! replays each batch exactly once. Each batch delivered decodes into
+//! one reused buffer lent to the sink.
 //!
 //! [`replay`](Replayer::replay) goes at full speed;
 //! [`replay_paced`](Replayer::replay_paced) additionally drives a
@@ -17,7 +19,7 @@
 use crate::log::StoreReader;
 use pint_core::DigestReport;
 use pint_obs::{Counter, MetricsRegistry, VirtualClock};
-use pint_wire::store::{CoveredSource, StoreRecord};
+use pint_wire::store::{read_record, CoveredSource};
 use pint_wire::SourceDedup;
 use std::collections::BTreeMap;
 
@@ -73,7 +75,7 @@ impl<'a> Replayer<'a> {
     }
 
     /// Replays every delta at full speed.
-    pub fn replay(&self, sink: &mut dyn FnMut(u64, Vec<DigestReport>)) -> ReplayStats {
+    pub fn replay(&self, sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>)) -> ReplayStats {
         self.run(None, sink)
     }
 
@@ -84,7 +86,7 @@ impl<'a> Replayer<'a> {
     pub fn replay_paced(
         &self,
         clock: &VirtualClock,
-        sink: &mut dyn FnMut(u64, Vec<DigestReport>),
+        sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>),
     ) -> ReplayStats {
         self.run(Some(clock), sink)
     }
@@ -92,34 +94,37 @@ impl<'a> Replayer<'a> {
     fn run(
         &self,
         clock: Option<&VirtualClock>,
-        sink: &mut dyn FnMut(u64, Vec<DigestReport>),
+        sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>),
     ) -> ReplayStats {
         let mut stats = ReplayStats::default();
         let mut dedup: BTreeMap<u64, SourceDedup> = BTreeMap::new();
         for cov in &self.covered {
             cov.prime(dedup.entry(cov.source).or_default());
         }
-        for record in self.reader.records() {
-            match record {
-                StoreRecord::Checkpoint(_) => stats.checkpoints += 1,
-                StoreRecord::Delta { batch, .. } => {
-                    if !dedup.entry(batch.source).or_default().observe(batch.seq) {
-                        stats.duplicates += 1;
-                        continue;
-                    }
-                    if let Some(clock) = clock {
-                        if let Some(ts) = batch.reports.iter().map(|r| r.ts).max() {
-                            clock.set(ts);
-                        }
-                    }
-                    stats.batches += 1;
-                    stats.digests += batch.reports.len() as u64;
-                    if let Some(c) = &self.replayed {
-                        c.inc();
-                    }
-                    sink(batch.source, batch.reports.clone());
+        let mut reports = Vec::new();
+        for e in &self.reader.entries {
+            let Some(seq) = e.seq else {
+                stats.checkpoints += 1;
+                continue;
+            };
+            if !dedup.entry(e.source).or_default().observe(seq) {
+                stats.duplicates += 1;
+                continue;
+            }
+            reports.clear();
+            read_record(e.payload(&self.reader.bytes), &mut reports)
+                .expect("a scanned record decodes");
+            if let Some(clock) = clock {
+                if let Some(ts) = reports.iter().map(|r| r.ts).max() {
+                    clock.set(ts);
                 }
             }
+            stats.batches += 1;
+            stats.digests += reports.len() as u64;
+            if let Some(c) = &self.replayed {
+                c.inc();
+            }
+            sink(e.source, &mut reports);
         }
         stats
     }
@@ -131,7 +136,7 @@ mod tests {
     use crate::log::{StoreOptions, StoreWriter};
     use pint_core::Digest;
     use pint_obs::{Clock, MetricsRegistry};
-    use pint_wire::store::{StoreKind, Superblock};
+    use pint_wire::store::{StoreKind, StoreRecord, Superblock};
     use pint_wire::DigestBatch;
 
     fn batch(source: u64, seq: u64, ts: u64) -> DigestBatch {

@@ -18,7 +18,7 @@
 //! duplicate, so accounting stays exact.
 
 use crate::error::StoreError;
-use crate::log::{StoreOptions, StoreReader, StoreWriter};
+use crate::log::{StoreOptions, StoreWriter};
 use pint_wire::store::{StoreKind, StoreRecord, Superblock};
 use pint_wire::DigestBatch;
 use std::collections::VecDeque;
@@ -70,31 +70,21 @@ impl SpillQueue {
         let path: PathBuf = path.as_ref().to_path_buf();
         let exists = path.exists();
         let (writer, entries, digests, max_seq) = if exists {
-            let reader = StoreReader::open(&path)?;
-            let found = reader.superblock().kind;
-            if found != StoreKind::Spill {
-                return Err(StoreError::WrongKind {
-                    expected: StoreKind::Spill,
-                    found,
-                });
-            }
-            let (writer, _tail) = StoreWriter::open(&path, StoreOptions::default())?;
-            let mut entries = VecDeque::new();
-            let mut digests = 0u64;
-            let mut max_seq = 0u64;
-            for (i, record) in reader.records().iter().enumerate() {
-                if let StoreRecord::Delta { batch, .. } = record {
-                    let (offset, _len) = reader.record_span(i);
-                    let n = batch.reports.len() as u64;
-                    entries.push_back(SpillEntry {
-                        offset,
-                        seq: batch.seq,
-                        digests: n,
-                    });
-                    digests += n;
-                    max_seq = max_seq.max(batch.seq);
-                }
-            }
+            let (writer, _tail) =
+                StoreWriter::open_as(&path, StoreOptions::default(), Some(StoreKind::Spill))?;
+            let entries: VecDeque<SpillEntry> = writer
+                .index
+                .iter()
+                .filter_map(|e| {
+                    Some(SpillEntry {
+                        offset: e.offset,
+                        seq: e.seq?,
+                        digests: e.reports.into(),
+                    })
+                })
+                .collect();
+            let digests = entries.iter().map(|e| e.digests).sum();
+            let max_seq = entries.iter().map(|e| e.seq).max().unwrap_or(0);
             (writer, entries, digests, max_seq)
         } else {
             let writer = StoreWriter::create(
@@ -286,18 +276,27 @@ mod tests {
     fn wrong_kind_file_is_rejected() {
         let path = tmp("wrongkind");
         let _ = std::fs::remove_file(&path);
-        drop(
-            StoreWriter::create(
-                &path,
-                Superblock::new(StoreKind::Collector, 1, 0),
-                StoreOptions::default(),
-            )
-            .unwrap(),
-        );
+        let mut w = StoreWriter::create(
+            &path,
+            Superblock::new(StoreKind::Collector, 1, 0),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        w.append(&StoreRecord::Delta {
+            epoch: 1,
+            batch: batch(1, 2),
+        })
+        .unwrap();
+        drop(w);
+        // A torn tail: the refusal must come before any truncation, so
+        // another store's file is left exactly as it was.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
         assert!(matches!(
             SpillQueue::open(&path, 9),
             Err(StoreError::WrongKind { .. })
         ));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes[..bytes.len() - 2]);
         std::fs::remove_file(&path).unwrap();
     }
 }

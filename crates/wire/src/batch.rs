@@ -14,7 +14,7 @@
 use crate::error::WireError;
 use crate::frame::{frame_into, FrameType};
 use crate::rw::{WireReader, WireWriter};
-use crate::{WireDecode, WireEncode};
+use crate::{WireDecode, WireEncode, WireWalk};
 use pint_core::DigestReport;
 use std::collections::BTreeSet;
 
@@ -90,7 +90,7 @@ impl DigestBatch {
     ) -> Result<DigestBatch, WireError> {
         let start = out.len();
         let mut r = WireReader::new(payload);
-        let decoded = decode_appending(&mut r, out).and_then(|batch| {
+        let decoded = read_batch(&mut r, out).and_then(|batch| {
             r.expect_end()?;
             Ok(batch)
         });
@@ -119,12 +119,44 @@ impl WireEncode for DigestBatch {
     }
 }
 
-/// The one batch decoder: reads the envelope, appends the reports to
+/// Where the batch reader puts the reports it reads: a `Vec` decodes
+/// and keeps them, [`SkipReports`] checks them and builds nothing. Both
+/// run the one reader, so a batch a walk accepts always decodes.
+pub trait ReportSink {
+    /// Reads the batch's `count` reports at the cursor.
+    fn read(&mut self, r: &mut WireReader<'_>, count: usize) -> Result<(), WireError>;
+}
+
+impl ReportSink for Vec<DigestReport> {
+    fn read(&mut self, r: &mut WireReader<'_>, count: usize) -> Result<(), WireError> {
+        self.reserve(count);
+        for _ in 0..count {
+            self.push(DigestReport::decode_from(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// A [`ReportSink`] that walks reports and keeps only their count.
+#[derive(Debug, Default)]
+pub struct SkipReports {
+    /// Reports the batches read so far declared.
+    pub count: usize,
+}
+
+impl ReportSink for SkipReports {
+    fn read(&mut self, r: &mut WireReader<'_>, count: usize) -> Result<(), WireError> {
+        self.count += count;
+        (0..count).try_for_each(|_| DigestReport::walk_from(r))
+    }
+}
+
+/// The one batch reader: reads the envelope, hands each report to
 /// `out`, and returns the envelope with empty `reports`. Callers own
-/// rolling `out` back on error.
-fn decode_appending(
+/// rolling a `Vec` sink back on error.
+pub(crate) fn read_batch(
     r: &mut WireReader<'_>,
-    out: &mut Vec<DigestReport>,
+    out: &mut impl ReportSink,
 ) -> Result<DigestBatch, WireError> {
     let source = r.get_varint()?;
     let seq = r.get_varint()?;
@@ -135,10 +167,7 @@ fn decode_appending(
     if count > MAX_BATCH_REPORTS {
         return Err(WireError::Invalid("too many reports in one batch"));
     }
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(DigestReport::decode_from(r)?);
-    }
+    out.read(r, count)?;
     // Trailing extension: absent on old-version frames (payload ends
     // at the last report), present when the sender stamped a trace
     // context. `decode` enforces exact consumption, so the extension
@@ -165,7 +194,7 @@ fn decode_appending(
 impl WireDecode for DigestBatch {
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut reports = Vec::new();
-        let batch = decode_appending(r, &mut reports)?;
+        let batch = read_batch(r, &mut reports)?;
         Ok(DigestBatch { reports, ..batch })
     }
 }

@@ -50,16 +50,30 @@ impl WireEncode for DigestReport {
 
 impl WireDecode for DigestReport {
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let flow = r.get_varint()?;
-        let pid = r.get_varint()?;
-        let path_len = r.get_varint()?;
-        if path_len > u64::from(u16::MAX) {
-            return Err(WireError::Invalid("path length exceeds u16"));
-        }
-        let ts = r.get_varint()?;
+        let [flow, pid, path_len, ts] = report_head(r)?;
         let digest = Digest::decode_from(r)?;
         Ok(DigestReport::new(flow, pid, digest, path_len as u16, ts))
     }
+}
+
+impl WireWalk for DigestReport {
+    fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
+        report_head(r)?;
+        // The lane count is all `Digest::decode_from` checks.
+        let lanes = r.get_count(8)?;
+        r.get_bytes(lanes * 8).map(drop)
+    }
+}
+
+/// A report's `[flow, pid, path_len, ts]`, read by decode and walk.
+fn report_head(r: &mut WireReader<'_>) -> Result<[u64; 4], WireError> {
+    let flow = r.get_varint()?;
+    let pid = r.get_varint()?;
+    let path_len = r.get_varint()?;
+    if path_len > u64::from(u16::MAX) {
+        return Err(WireError::Invalid("path length exceeds u16"));
+    }
+    Ok([flow, pid, path_len, r.get_varint()?])
 }
 
 impl WireEncode for KllSketch {

@@ -111,7 +111,8 @@ pub mod store;
 pub mod trace;
 
 pub use batch::{
-    AckStatus, BatchAck, DigestBatch, SourceDedup, TraceContext, DEDUP_WINDOW, MAX_BATCH_REPORTS,
+    AckStatus, BatchAck, DigestBatch, ReportSink, SkipReports, SourceDedup, TraceContext,
+    DEDUP_WINDOW, MAX_BATCH_REPORTS,
 };
 pub use error::WireError;
 pub use fault::{FaultConfig, FaultInjector, FaultStats};
@@ -123,8 +124,8 @@ pub use metrics::{MetricsMsg, MetricsReport, MetricsRequest, MAX_METRIC_NAME};
 pub use rw::{WireReader, WireWriter};
 pub use server::{FrameHandler, FrameServer, ServerConfig, ServerStats};
 pub use store::{
-    crc32, CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock, STORE_MAGIC,
-    STORE_VERSION,
+    crc32, read_record, CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock,
+    STORE_MAGIC, STORE_VERSION,
 };
 pub use trace::{TraceMsg, TraceReport, TraceRequest, MAX_TRACE_EVENTS};
 

@@ -40,7 +40,7 @@
 //!   codecs live above this crate (`pint-collector`); the store only
 //!   needs to carry and checksum them.
 
-use crate::batch::{DigestBatch, SourceDedup};
+use crate::batch::{read_batch, DigestBatch, ReportSink, SourceDedup};
 use crate::error::WireError;
 use crate::rw::{WireReader, WireWriter};
 use crate::{WireDecode, WireEncode};
@@ -199,9 +199,11 @@ impl CoveredSource {
 }
 
 /// A full-state checkpoint: an opaque snapshot payload plus the
-/// per-source delta coverage it subsumes.
+/// per-source delta coverage it subsumes. The payload `P` is owned in a
+/// record being written or decoded, and borrowed (`&[u8]`) when
+/// [`read_record`] reads the record in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointRecord {
+pub struct CheckpointRecord<P = Vec<u8>> {
     /// Whose state this is (collector id for fleet journals, 0 for a
     /// collector's own journal).
     pub source: u64,
@@ -217,16 +219,17 @@ pub struct CheckpointRecord {
     pub covered: Vec<CoveredSource>,
     /// The encoded snapshot (opaque at this layer; the tier that wrote
     /// it owns the codec).
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
 /// Record kind bytes (first payload byte of every record).
 const RECORD_DELTA: u8 = 1;
 const RECORD_CHECKPOINT: u8 = 2;
 
-/// One log record: a delta batch or a full-state checkpoint.
+/// One log record: a delta batch or a full-state checkpoint (`P` is
+/// the checkpoint payload's type, see [`CheckpointRecord`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreRecord {
+pub enum StoreRecord<P = Vec<u8>> {
     /// One applied digest batch, stamped with its epoch.
     Delta {
         /// Epoch index the batch was applied under.
@@ -235,10 +238,10 @@ pub enum StoreRecord {
         batch: DigestBatch,
     },
     /// A full-state checkpoint.
-    Checkpoint(CheckpointRecord),
+    Checkpoint(CheckpointRecord<P>),
 }
 
-impl StoreRecord {
+impl<P> StoreRecord<P> {
     /// The epoch stamp of this record.
     pub fn epoch(&self) -> u64 {
         match self {
@@ -277,54 +280,87 @@ impl WireEncode for StoreRecord {
     }
 }
 
+/// The one store-record reader: a delta's reports go to `reports` (its
+/// batch comes back without them), a checkpoint's payload is borrowed.
+/// Like [`decode`](WireDecode::decode), it consumes `payload` exactly,
+/// so what it accepts with any sink decodes.
+pub fn read_record<'a>(
+    payload: &'a [u8],
+    reports: &mut impl ReportSink,
+) -> Result<StoreRecord<&'a [u8]>, WireError> {
+    let mut r = WireReader::new(payload);
+    let view = read_from(&mut r, reports)?;
+    r.expect_end()?;
+    Ok(view)
+}
+
+fn read_from<'a>(
+    r: &mut WireReader<'a>,
+    reports: &mut impl ReportSink,
+) -> Result<StoreRecord<&'a [u8]>, WireError> {
+    match r.get_u8()? {
+        RECORD_DELTA => {
+            let epoch = r.get_varint()?;
+            let batch = read_batch(r, reports)?;
+            Ok(StoreRecord::Delta { epoch, batch })
+        }
+        RECORD_CHECKPOINT => {
+            let source = r.get_varint()?;
+            let epoch = r.get_varint()?;
+            // Each covered entry is at least 3 bytes (source +
+            // floor + above count); reject counts the remaining
+            // input cannot back before allocating. An entry is 40
+            // bytes in memory and a seq 8, so reserve a bounded
+            // prefix and grow as entries actually decode.
+            let n = r.get_count(3)?;
+            let mut covered = Vec::with_capacity(n.min(1_024));
+            for _ in 0..n {
+                let source = r.get_varint()?;
+                let floor = r.get_varint()?;
+                let n_above = r.get_count(1)?;
+                let mut above = Vec::with_capacity(n_above.min(4_096));
+                for _ in 0..n_above {
+                    above.push(r.get_varint()?);
+                }
+                // Encoders emit ascending seqs (BTreeSet order);
+                // normalize anyway so `covers`' binary search is
+                // sound on arbitrary CRC-valid bytes.
+                above.sort_unstable();
+                above.dedup();
+                covered.push(CoveredSource {
+                    source,
+                    floor,
+                    above,
+                });
+            }
+            let len = r.get_count(1)?;
+            let payload = r.get_bytes(len)?;
+            Ok(StoreRecord::Checkpoint(CheckpointRecord {
+                source,
+                epoch,
+                covered,
+                payload,
+            }))
+        }
+        _ => Err(WireError::Invalid("unknown store record kind")),
+    }
+}
+
 impl WireDecode for StoreRecord {
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            RECORD_DELTA => {
-                let epoch = r.get_varint()?;
-                let batch = DigestBatch::decode_from(r)?;
-                Ok(StoreRecord::Delta { epoch, batch })
-            }
-            RECORD_CHECKPOINT => {
-                let source = r.get_varint()?;
-                let epoch = r.get_varint()?;
-                // Each covered entry is at least 3 bytes (source +
-                // floor + above count); reject counts the remaining
-                // input cannot back before allocating. An entry is 40
-                // bytes in memory and a seq 8, so reserve a bounded
-                // prefix and grow as entries actually decode.
-                let n = r.get_count(3)?;
-                let mut covered = Vec::with_capacity(n.min(1_024));
-                for _ in 0..n {
-                    let source = r.get_varint()?;
-                    let floor = r.get_varint()?;
-                    let n_above = r.get_count(1)?;
-                    let mut above = Vec::with_capacity(n_above.min(4_096));
-                    for _ in 0..n_above {
-                        above.push(r.get_varint()?);
-                    }
-                    // Encoders emit ascending seqs (BTreeSet order);
-                    // normalize anyway so `covers`' binary search is
-                    // sound on arbitrary CRC-valid bytes.
-                    above.sort_unstable();
-                    above.dedup();
-                    covered.push(CoveredSource {
-                        source,
-                        floor,
-                        above,
-                    });
-                }
-                let len = r.get_count(1)?;
-                let payload = r.get_bytes(len)?.to_vec();
-                Ok(StoreRecord::Checkpoint(CheckpointRecord {
-                    source,
-                    epoch,
-                    covered,
-                    payload,
-                }))
-            }
-            _ => Err(WireError::Invalid("unknown store record kind")),
-        }
+        let mut reports = Vec::new();
+        Ok(match read_from(r, &mut reports)? {
+            StoreRecord::Delta { epoch, batch } => StoreRecord::Delta {
+                epoch,
+                batch: DigestBatch { reports, ..batch },
+            },
+            StoreRecord::Checkpoint(c) => StoreRecord::Checkpoint(CheckpointRecord {
+                source: c.source,
+                epoch: c.epoch,
+                covered: c.covered,
+                payload: c.payload.to_vec(),
+            }),
+        })
     }
 }
 

@@ -11,7 +11,8 @@
 //!   collector that never crashed (rows, ordering, sketch coin state,
 //!   freshness watermarks).
 //! * **Replay** — a `Replayer` streams the same persisted log through
-//!   any sink at recorded pace; here it rebuilds a third collector via
+//!   any sink at recorded pace, lending each batch's reports in one
+//!   reused buffer; here it rebuilds a third collector via
 //!   its producer handle and drives a `VirtualClock` along the recorded
 //!   timeline, deduplicating persisted retransmissions on the way.
 //! * **Compacted restore** — a latency + path-tracing collector
@@ -194,7 +195,7 @@ fn main() {
             &clock,
             &mut |_source, reports| {
                 last_batch_ts = reports.iter().map(|r| r.ts).max().unwrap_or(last_batch_ts);
-                for r in reports {
+                for r in reports.drain(..) {
                     handle.push(r).expect("replay push");
                 }
             },

@@ -446,7 +446,7 @@ fn damaged_checkpoint_payloads_fail_typed() {
     ingest(&live, &workload(0, 9));
     checkpoint_only_log(&path, &live);
     let reader = StoreReader::open(&path).unwrap();
-    let StoreRecord::Checkpoint(good) = &reader.records()[0] else {
+    let StoreRecord::Checkpoint(good) = reader.record(0) else {
         panic!("a checkpoint-only log");
     };
     let restore = |payload: Vec<u8>| {
@@ -617,7 +617,6 @@ fn fleet_aggregator_journals_and_restores_snapshots() {
     assert!(
         reader
             .records()
-            .iter()
             .all(|r| matches!(r, StoreRecord::Checkpoint(c) if c.covered.is_empty())),
         "fleet logs are checkpoint-only, with nothing to cover"
     );
@@ -726,11 +725,10 @@ fn fleet_journal_holds_each_frame_as_received() {
     live.flush_store();
 
     let reader = StoreReader::open(&path).unwrap();
-    let journaled: Vec<&[u8]> = reader
+    let journaled: Vec<Vec<u8>> = reader
         .records()
-        .iter()
         .map(|r| match r {
-            StoreRecord::Checkpoint(c) => &c.payload[..],
+            StoreRecord::Checkpoint(c) => c.payload,
             other => panic!("fleet logs are checkpoint-only: {other:?}"),
         })
         .collect();

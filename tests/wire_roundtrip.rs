@@ -377,8 +377,8 @@ proptest! {
                     prop_assert!(n >= last_len, "cut at {} lost records", cut);
                     last_len = n;
                     prop_assert_eq!(
-                        r.records(),
-                        &full.records()[..n],
+                        r.records().collect::<Vec<_>>(),
+                        full.records().take(n).collect::<Vec<_>>(),
                         "records must be an exact prefix"
                     );
                 }
@@ -454,6 +454,129 @@ proptest! {
             Err(StoreError::NotAStore)
         ));
     }
+}
+
+/// A store record's scan walks its reports without building them, and
+/// restore later decodes the same bytes, so the walk must accept exactly
+/// what decode accepts. The edge case: a delta whose CRC is valid but
+/// whose report count overruns its payload (the count passes the
+/// bytes-left check, the reports then run out). The scan must end the
+/// intact prefix there as an undecodable tear, and reopening for writes
+/// must cut the file back to that prefix. The same holds for every
+/// truncation and byte flip of a delta and a checkpoint payload.
+#[test]
+fn store_walk_accepts_exactly_what_decode_accepts() {
+    use pint::store::{StoreWriter, TailStatus, TornReason};
+    use pint::wire::store::{
+        crc32, read_record, CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock,
+    };
+    use pint::wire::SkipReports;
+
+    let report = |i: u64| {
+        let mut d = Digest::new(1);
+        d.set(0, i.wrapping_mul(0x9E37_79B9));
+        DigestReport::new(i, 1_000 + i, d, 4, 50 + i)
+    };
+    let delta = |seq: u64| StoreRecord::Delta {
+        epoch: seq,
+        batch: DigestBatch {
+            source: 1,
+            seq,
+            reports: (0..3).map(|i| report(seq * 10 + i)).collect(),
+            trace: None,
+        },
+    };
+    let checkpoint = StoreRecord::Checkpoint(CheckpointRecord {
+        source: 0,
+        epoch: 9,
+        covered: vec![CoveredSource {
+            source: 1,
+            floor: 2,
+            above: vec![4, 7],
+        }],
+        payload: vec![0xC5; 24],
+    });
+    let agree = |bytes: &[u8]| {
+        let walked = read_record(bytes, &mut SkipReports::default()).is_ok();
+        walked == StoreRecord::decode(bytes).is_ok()
+    };
+    for good in [delta(1).encode(), checkpoint.encode()] {
+        for cut in 0..good.len() {
+            assert!(agree(&good[..cut]), "cut at {cut}");
+        }
+        for i in 0..good.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[i] ^= flip;
+                assert!(agree(&bad), "byte {i} ^ {flip:#x}");
+            }
+        }
+    }
+
+    // Delta payloads whose varints all parse but which break a bound
+    // only the report reader checks.
+    let delta_head = |count: u64| {
+        let mut out = vec![1u8]; // delta record kind
+        let mut w = WireWriter::new(&mut out);
+        for v in [3, 1, 3, count] {
+            w.put_varint(v); // epoch, source, seq, report count
+        }
+        out
+    };
+    // A path length past `u16`, in an otherwise well-formed report.
+    let mut long_path = delta_head(1);
+    for v in [7, 8, 1 << 16, 9, 0] {
+        WireWriter::new(&mut long_path).put_varint(v); // flow, pid, path_len, ts, lanes
+    }
+    // Two reports declared, one carried, padded so the count passes the
+    // bytes-left check.
+    let mut overrun = delta_head(2);
+    report(30).encode_into(&mut overrun);
+    overrun.extend_from_slice(&[0x80; 3]); // a varint that never ends
+    for bad in [&long_path, &overrun] {
+        assert!(StoreRecord::decode(bad).is_err());
+        assert!(agree(bad));
+    }
+
+    let mut path = std::env::temp_dir();
+    path.push(format!("pint-store-overrun-{}", std::process::id()));
+    let mut writer = StoreWriter::create(
+        &path,
+        Superblock::new(StoreKind::Collector, 1, 0),
+        pint::StoreOptions::default(),
+    )
+    .unwrap();
+    let intact = [delta(1), delta(2)];
+    for rec in &intact {
+        writer.append(rec).unwrap();
+    }
+    let boundary = writer.len();
+    drop(writer);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&(overrun.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&overrun).to_le_bytes());
+    bytes.extend_from_slice(&overrun);
+    // An intact record behind the tear stays unreachable.
+    let after = delta(4).encode();
+    bytes.extend_from_slice(&(after.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&after).to_le_bytes());
+    bytes.extend_from_slice(&after);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let torn = TailStatus::Torn {
+        offset: boundary,
+        reason: TornReason::Undecodable,
+    };
+    let reader = pint::StoreReader::open(&path).unwrap();
+    assert_eq!(reader.tail(), torn);
+    assert_eq!(reader.valid_len(), boundary);
+    assert_eq!(reader.records().collect::<Vec<_>>(), intact);
+    let (writer, tail) = StoreWriter::open(&path, pint::StoreOptions::default()).unwrap();
+    assert_eq!(tail, torn);
+    assert_eq!(writer.len(), boundary);
+    drop(writer);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), boundary);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
