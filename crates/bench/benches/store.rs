@@ -141,9 +141,11 @@ fn bench_log(c: &mut Criterion) {
         b.iter(|| {
             let reader = StoreReader::open(&path).expect("open store");
             let mut digests = 0u64;
-            let stats = Replayer::new(&reader).replay(&mut |_source, reports| {
-                digests += reports.len() as u64;
-            });
+            let stats = Replayer::new(&reader)
+                .replay(&mut |_source, reports| {
+                    digests += reports.len() as u64;
+                })
+                .expect("replay reads the log back");
             assert_eq!(digests, DIGESTS_PER_ITER);
             black_box(stats)
         })
@@ -152,9 +154,10 @@ fn bench_log(c: &mut Criterion) {
     g.bench_function("cold_restore_bytes", |b| {
         b.iter(|| {
             let reader = StoreReader::open(&path).expect("open store");
-            black_box(Replayer::new(&reader).replay(&mut |_source, reports| {
+            let stats = Replayer::new(&reader).replay(&mut |_source, reports| {
                 black_box(reports.len());
-            }))
+            });
+            black_box(stats.expect("replay reads the log back"))
         })
     });
     g.finish();

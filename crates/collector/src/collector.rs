@@ -1,7 +1,7 @@
 //! The collector: worker lifecycle, producer registration, snapshots,
 //! events, stats.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory};
 use crate::error::CollectorError;
 use crate::events::Event;
 use crate::handle::{shard_of, CollectorHandle};
@@ -155,7 +155,10 @@ pub struct Collector {
     ctrl: Vec<SyncSender<ShardMsg>>,
     waiters: Vec<Arc<Waiter>>,
     workers: Vec<JoinHandle<()>>,
-    events_rx: Mutex<Receiver<Event>>,
+    /// Fired events awaiting [`drain_events`](Self::drain_events); the
+    /// shards push while it holds fewer than
+    /// [`EVENT_CAPACITY`](crate::config::EVENT_CAPACITY).
+    events: Arc<Mutex<Vec<Event>>>,
     stats: Vec<Arc<ShardStats>>,
     registry: Arc<ProducerRegistry>,
     metrics: MetricsRegistry,
@@ -187,9 +190,7 @@ impl Collector {
     pub fn spawn(config: CollectorConfig, factory: RecorderFactory) -> Self {
         config.validate();
         let metrics = config.metrics.clone().unwrap_or_default();
-        // Bounded: a consumer that never drains costs dropped events
-        // (counted), not unbounded memory.
-        let (events_tx, events_rx) = sync_channel(EVENT_CAPACITY);
+        let events = Arc::new(Mutex::new(Vec::new()));
         let mut ctrl = Vec::with_capacity(config.shards);
         let mut waiters = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -202,7 +203,7 @@ impl Collector {
                 shard,
                 &config,
                 Arc::clone(&factory),
-                events_tx.clone(),
+                Arc::clone(&events),
                 Arc::clone(&shard_stats),
                 Arc::clone(&waiter),
                 &metrics,
@@ -243,7 +244,7 @@ impl Collector {
             ctrl,
             waiters,
             workers,
-            events_rx: Mutex::new(events_rx),
+            events,
             stats,
             registry,
             metrics,
@@ -342,19 +343,25 @@ impl Collector {
     ) -> Result<(Self, RestoreReport), CollectorError> {
         let collector = Self::spawn(config, factory);
         let mut replayer = Replayer::new(reader).observed(&collector.metrics);
+        let unreadable = |_| CollectorError::RestoreFailed {
+            reason: "a journal record no longer reads back intact",
+        };
         if let Some(c) = reader.checkpoints().next_back() {
-            collector.load_checkpoint(c.payload)?;
+            let c = c.map_err(unreadable)?;
+            collector.load_checkpoint(&c.payload)?;
             replayer = replayer.primed(&c.covered);
         }
         let mut handle = collector.register_producer();
         let mut push_err = None;
-        let stats = replayer.replay(&mut |_, reports| {
-            for r in reports.drain(..) {
-                if let Err(e) = handle.push(r) {
-                    push_err.get_or_insert(e);
+        let stats = replayer
+            .replay(&mut |_, reports| {
+                for r in reports.drain(..) {
+                    if let Err(e) = handle.push(r) {
+                        push_err.get_or_insert(e);
+                    }
                 }
-            }
-        });
+            })
+            .map_err(unreadable)?;
         if let Some(e) = push_err {
             return Err(e);
         }
@@ -660,11 +667,7 @@ impl Collector {
 
     /// Drains all events fired since the last drain.
     pub fn drain_events(&self) -> Vec<Event> {
-        self.events_rx
-            .lock()
-            .expect("event receiver poisoned")
-            .try_iter()
-            .collect()
+        std::mem::take(&mut *self.events.lock().expect("event queue poisoned"))
     }
 
     /// Aggregated live counters (relaxed reads; exact after `shutdown`

@@ -62,10 +62,12 @@ pub const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 /// churn. 256.
 pub const SPIN_LIMIT: u32 = 256;
 
-/// Bound on undelivered collector events: if the consumer stops
-/// draining, further events are counted as dropped instead of buffering
-/// without limit (the collector's memory stays bounded even with a
-/// negligent consumer). 65 536 events.
+/// Bound on undrained collector events: if the consumer stops
+/// draining, further events are counted in `events_dropped`
+/// (`collector_events_dropped_total`) instead of buffering without
+/// limit, so the collector's memory stays bounded even with a negligent
+/// consumer. The queue allocates as events arrive, not up front: this
+/// bounds it, an idle collector pays nothing for it. 65 536 events.
 pub const EVENT_CAPACITY: usize = 65_536;
 
 /// Tuning knobs for a [`Collector`](crate::Collector).

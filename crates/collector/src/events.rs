@@ -24,8 +24,12 @@
 //!
 //! The fired set is a bitmask in the flow table, so a flow that is
 //! evicted and later recreated starts re-armed (with no `Cleared`
-//! event — eviction is not a recovery signal). Fired events go to a
-//! bounded queue — see [`EVENT_CAPACITY`](crate::config::EVENT_CAPACITY).
+//! event — eviction is not a recovery signal). Fired events go to one
+//! queue the shards share, drained by `Collector::drain_events`. It
+//! grows only as events arrive, so a collector whose rules never fire
+//! holds no event memory, and it never holds more than
+//! [`EVENT_CAPACITY`](crate::config::EVENT_CAPACITY) events: past that
+//! a shard counts the event as dropped and never blocks.
 
 use crate::config::FlowId;
 use pint_core::FlowRecorder;

@@ -376,6 +376,64 @@ mod tests {
     }
 
     #[test]
+    fn a_full_event_queue_counts_the_rest_until_a_drain_makes_room() {
+        const EXTRA: u64 = 5;
+        let agg = DynamicAggregator::new(9, 8, 100.0, 1.0e7);
+        let metrics = pint_obs::MetricsRegistry::new();
+        let factory: RecorderFactory = {
+            let agg = agg.clone();
+            Arc::new(move |_, _| {
+                Box::new(pint_core::dynamic::DynamicRecorder::new_exact(
+                    agg.clone(),
+                    1,
+                )) as Box<dyn FlowRecorder>
+            })
+        };
+        let collector = Collector::spawn(
+            CollectorConfig {
+                shards: 2,
+                max_flows_per_shard: 4_096,
+                metrics: Some(metrics.clone()),
+                // Holds for every flow, so each new flow fires once.
+                rules: vec![EventRule::new(RuleCondition::PathChanged {
+                    min_inconsistencies: 0,
+                })],
+                ..CollectorConfig::default()
+            },
+            factory,
+        );
+        let mut handle = collector.register_producer();
+        let mut push_flows = |flows: std::ops::Range<u64>| {
+            for flow in flows {
+                handle
+                    .push(encode_latency(&agg, flow, flow, 1, 1_000.0))
+                    .unwrap();
+            }
+            handle.flush().unwrap();
+            collector.barrier().unwrap();
+        };
+        let capacity = config::EVENT_CAPACITY as u64;
+        push_flows(0..capacity + EXTRA);
+        let dropped = || {
+            metrics
+                .snapshot()
+                .counter_total("collector_events_dropped_total")
+        };
+        let stats = collector.stats();
+        assert_eq!((stats.events, stats.events_dropped), (capacity, EXTRA));
+        assert_eq!(dropped(), EXTRA);
+        assert_eq!(collector.drain_events().len() as u64, capacity);
+        assert!(collector.drain_events().is_empty());
+
+        push_flows(capacity + EXTRA..capacity + EXTRA + 1);
+        let events = collector.drain_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].flow, capacity + EXTRA);
+        assert_eq!(dropped(), EXTRA);
+        collector.shutdown();
+    }
+
+    #[test]
     fn tail_latency_alarm_fires_once_per_flow() {
         let agg = DynamicAggregator::new(9, 8, 100.0, 1.0e7);
         let collector = Collector::spawn(

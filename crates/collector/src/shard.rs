@@ -11,7 +11,7 @@
 //! shares recorder state with another thread: the ingest hot path takes
 //! no locks, and the only synchronization is the ring hand-off itself.
 
-use crate::config::{CollectorConfig, FlowId, RecorderFactory};
+use crate::config::{CollectorConfig, FlowId, RecorderFactory, EVENT_CAPACITY};
 use crate::error::CollectorError;
 use crate::events::{Event, EventKind, EventRule};
 use crate::flow_table::{FlowEntry, FlowTable, TableStats};
@@ -26,8 +26,8 @@ use pint_sketches::KllSketch;
 use pint_store::JournalSender;
 use pint_wire::{DigestBatch, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 
 /// Per-operation stage timing (flow-table touch, KLL update) samples one
 /// digest in this many: individual `Clock` reads around every digest
@@ -210,7 +210,8 @@ pub(crate) struct ShardWorker {
     table: FlowTable,
     factory: RecorderFactory,
     rules: Vec<EventRule>,
-    events_tx: SyncSender<Event>,
+    /// The collector's event queue, shared by every shard.
+    events: Arc<Mutex<Vec<Event>>>,
     stats: Arc<ShardStats>,
     /// This shard's park slot; producers and the collector wake it.
     waiter: Arc<Waiter>,
@@ -275,7 +276,7 @@ impl ShardWorker {
         shard: usize,
         config: &CollectorConfig,
         factory: RecorderFactory,
-        events_tx: SyncSender<Event>,
+        events: Arc<Mutex<Vec<Event>>>,
         stats: Arc<ShardStats>,
         waiter: Arc<Waiter>,
         registry: &MetricsRegistry,
@@ -298,7 +299,7 @@ impl ShardWorker {
             ),
             factory,
             rules: config.rules.clone(),
-            events_tx,
+            events,
             stats,
             waiter,
             backoff: BackoffController::new(),
@@ -830,7 +831,7 @@ impl ShardWorker {
                             entry.fired_ts[rule_idx] = ts;
                         }
                         fired += Self::deliver(
-                            &self.events_tx,
+                            &self.events,
                             &self.stats,
                             Event {
                                 flow,
@@ -847,7 +848,7 @@ impl ShardWorker {
                         entry.fired_rules &= !bit;
                         if was_fired {
                             fired += Self::deliver(
-                                &self.events_tx,
+                                &self.events,
                                 &self.stats,
                                 Event {
                                     flow,
@@ -867,17 +868,19 @@ impl ShardWorker {
         }
     }
 
-    /// Sends one event without ever blocking the ingest path: returns 1
-    /// on delivery; a full queue or gone consumer counts into
-    /// `events_dropped` and returns 0. (Associated fn over the two
-    /// fields it needs, so callers can hold a flow-table borrow.)
-    fn deliver(events_tx: &SyncSender<Event>, stats: &ShardStats, event: Event) -> u64 {
-        match events_tx.try_send(event) {
-            Ok(()) => 1,
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                stats.events_dropped.inc();
-                0
-            }
+    /// Queues one event without ever blocking the ingest path: returns 1
+    /// on delivery; a queue already holding [`EVENT_CAPACITY`] events
+    /// counts this one into `events_dropped` and returns 0. (Associated
+    /// fn over the two fields it needs, so callers can hold a flow-table
+    /// borrow.)
+    fn deliver(events: &Mutex<Vec<Event>>, stats: &ShardStats, event: Event) -> u64 {
+        let mut queue = events.lock().expect("event queue poisoned");
+        if queue.len() < EVENT_CAPACITY {
+            queue.push(event);
+            1
+        } else {
+            stats.events_dropped.inc();
+            0
         }
     }
 

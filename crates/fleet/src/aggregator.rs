@@ -326,8 +326,8 @@ impl FleetAggregator {
     }
 
     /// Rebuilds an aggregator from a persisted fleet log: every
-    /// checkpoint record's snapshot frame, read in place from the
-    /// reader's bytes, is walked and re-applied through the same epoch
+    /// checkpoint record's snapshot frame, read back from the file and
+    /// CRC-checked again, is walked and re-applied through the same epoch
     /// gate as live ingestion (newest epoch per collector wins, stale
     /// records counted), and held undecoded until a read needs it.
     /// `Delta` records — which logs written by aggregators that still
@@ -341,7 +341,8 @@ impl FleetAggregator {
         let mut agg = Self::new(config);
         let mut report = FleetRestoreReport::default();
         for c in reader.checkpoints() {
-            let (ty, payload) = parse_frame(c.payload)?;
+            let c = c?;
+            let (ty, payload) = parse_frame(&c.payload)?;
             if ty != FrameType::Snapshot {
                 return Err(FleetError::UnsupportedFrame(ty));
             }

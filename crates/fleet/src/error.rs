@@ -1,5 +1,6 @@
 //! Fleet-tier errors.
 
+use pint_store::StoreError;
 use pint_wire::{FrameType, WireError};
 use std::fmt;
 
@@ -16,6 +17,9 @@ pub enum FleetError {
     /// [`DigestForwarder`](crate::DigestForwarder) consumes. Counted in
     /// [`FleetStats::unsupported_frames`](crate::FleetStats).
     UnsupportedFrame(FrameType),
+    /// A journal record could not be read back during
+    /// [`FleetAggregator::restore`](crate::FleetAggregator::restore).
+    Store(StoreError),
 }
 
 impl fmt::Display for FleetError {
@@ -23,6 +27,7 @@ impl fmt::Display for FleetError {
         match self {
             FleetError::Wire(e) => write!(f, "fleet frame decode failed: {e}"),
             FleetError::Io(e) => write!(f, "fleet transport failed: {e}"),
+            FleetError::Store(e) => write!(f, "fleet journal read failed: {e}"),
             FleetError::UnsupportedFrame(ty) => {
                 write!(
                     f,
@@ -38,6 +43,12 @@ impl std::error::Error for FleetError {}
 impl From<WireError> for FleetError {
     fn from(e: WireError) -> Self {
         FleetError::Wire(e)
+    }
+}
+
+impl From<StoreError> for FleetError {
+    fn from(e: StoreError) -> Self {
+        FleetError::Store(e)
     }
 }
 

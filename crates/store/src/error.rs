@@ -32,6 +32,13 @@ pub enum StoreError {
         /// The kind the superblock declares.
         found: pint_wire::StoreKind,
     },
+    /// A record the open scan found intact no longer reads back as the
+    /// same intact frame: the file was cut or rewritten under the
+    /// reader, which holds no copy of it.
+    Changed {
+        /// Offset of the record's header.
+        offset: u64,
+    },
     /// A record was too large to frame (its encoding exceeds the
     /// 64 MiB payload bound shared with the socket wire format).
     RecordTooLarge {
@@ -54,6 +61,9 @@ impl fmt::Display for StoreError {
                     f,
                     "store kind mismatch: expected {expected:?}, found {found:?}"
                 )
+            }
+            StoreError::Changed { offset } => {
+                write!(f, "store record at offset {offset} changed after the scan")
             }
             StoreError::RecordTooLarge { len, max } => {
                 write!(

@@ -428,14 +428,14 @@ mod tests {
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.records().len(), 7);
         let ck = r.newest_checkpoint().unwrap();
-        match r.record(ck) {
+        match r.record(ck).unwrap() {
             StoreRecord::Checkpoint(c) => {
                 assert_eq!(c.covered, covered, "caller's covered list, verbatim");
                 assert_eq!(c.epoch, 1);
             }
             _ => unreachable!(),
         }
-        match r.record(6) {
+        match r.record(6).unwrap() {
             StoreRecord::Delta { epoch, batch } => {
                 assert_eq!(epoch, 1, "post-checkpoint delta stamped with new epoch");
                 assert_eq!(batch.seq, 6);
@@ -443,7 +443,7 @@ mod tests {
             _ => unreachable!(),
         }
         // Writer-side stamping: epochs are monotone with file order.
-        let epochs: Vec<u64> = r.records().map(|rec| rec.epoch()).collect();
+        let epochs: Vec<u64> = r.records().map(|rec| rec.unwrap().epoch()).collect();
         assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "{epochs:?}");
         std::fs::remove_file(&path).unwrap();
     }

@@ -13,10 +13,13 @@
 //!   versioned superblock (`pint-wire`'s [`Superblock`](pint_wire::store::Superblock) codec) then
 //!   `[len][crc32][payload]` record frames. Opening scans with full
 //!   hostile-input discipline (a store file is just bytes that
-//!   survived a crash): records are CRC-checked and walked, building
-//!   nothing, torn tails are truncated back to the last intact
-//!   boundary, damage surfaces as typed [`StoreError`]s /
-//!   [`TailStatus`] verdicts, never a panic. Records decode on demand.
+//!   survived a crash): the file is read through one bounded window,
+//!   records are CRC-checked and walked, building nothing, torn tails
+//!   are truncated back to the last intact boundary, damage surfaces as
+//!   typed [`StoreError`]s / [`TailStatus`] verdicts, never a panic. The
+//!   reader keeps the open file and a per-record index, not the file's
+//!   bytes: records are read back, CRC-checked again and decoded on
+//!   demand, so a file cut under the reader is a typed error too.
 //! * **Compaction** — the log's analog of the flow table's byte-cap
 //!   eviction: past [`StoreOptions::max_bytes`] the writer rewrites
 //!   the file keeping the newest checkpoint per source plus everything
@@ -44,7 +47,7 @@
 //!
 //! Restore policies live with the state owners (`Collector::restore`,
 //! `FleetAggregator::restore` in their crates); this crate supplies
-//! the mechanism: scan, verify, decode on demand.
+//! the mechanism: scan, verify, read back and decode on demand.
 //!
 //! ```
 //! use pint_store::{Journal, JournalConfig, Replayer, StoreOptions, StoreReader, StoreWriter};
@@ -68,10 +71,11 @@
 //!
 //! let reader = StoreReader::open(&path)?;
 //! assert_eq!(reader.records().len(), 1);
+//! assert_eq!(reader.record(0)?.epoch(), 0);
 //! assert!(reader.tail().is_clean());
 //! let stats = Replayer::new(&reader).replay(&mut |source, reports| {
 //!     assert_eq!((source, reports.len()), (1, 0));
-//! });
+//! })?;
 //! assert_eq!(stats.batches, 1);
 //! # std::fs::remove_file(&path).unwrap();
 //! # Ok::<(), pint_store::StoreError>(())

@@ -22,6 +22,11 @@
 //! there — so one failed write never strands later records behind a
 //! torn fragment. [`StoreWriter::append`] is one record staged and
 //! committed alone; the journal stages whole queue drains.
+//!
+//! Reads go through one bounded [`Window`] of [`WINDOW`] bytes: the
+//! open scan (reader and writer alike), replay and compaction read the
+//! file in order through it, and a single record is read alone into a
+//! buffer of its exact size. Nothing holds the whole file in memory.
 
 use crate::error::{StoreError, TailStatus, TornReason};
 use pint_wire::store::{
@@ -30,11 +35,11 @@ use pint_wire::store::{
 use pint_wire::{SkipReports, WireDecode, WireEncode, MAX_PAYLOAD};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Per-record frame header: u32 length + u32 CRC.
-const RECORD_HEADER: usize = 8;
+pub(crate) const RECORD_HEADER: usize = 8;
 
 /// Tuning of a [`StoreWriter`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -89,127 +94,271 @@ pub(crate) struct Entry {
     pub(crate) seq: Option<u64>,
 }
 
-impl Entry {
-    /// The record's payload in `bytes`, the file it indexes.
-    pub(crate) fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        let start = self.offset as usize + RECORD_HEADER;
-        &bytes[start..start + self.len as usize]
+/// Bytes the scan, replay and compaction read at a time: 512 KiB, one
+/// buffer reused for every record it holds, small enough that a replay
+/// (window plus one decoded batch) stays under 1 MiB. A longer record
+/// grows the window to that record's length, never past the bytes the
+/// file still holds, so a header's claimed length costs no allocation
+/// until the file is known to back it.
+pub(crate) const WINDOW: usize = 512 << 10;
+
+/// Positional reads of a store's bytes: an open file or an image.
+pub(crate) trait ReadAt {
+    /// Fills `buf` from offset `off`; an `UnexpectedEof` error if the
+    /// source ends first.
+    fn fill_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()>;
+}
+
+impl ReadAt for File {
+    fn fill_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, off)
     }
 }
 
-/// Shared scan: parse `bytes` as a store file, CRC-checking and walking
-/// each record. Returns the superblock, an index entry per intact
-/// record, the valid length, and the tail verdict. The only hard errors
-/// are a missing magic, a damaged or undecodable superblock, and a
-/// future version; record damage is a `TailStatus`, not an error.
-fn scan(bytes: &[u8]) -> Result<(Superblock, Vec<Entry>, u64, TailStatus), StoreError> {
-    if bytes.len() < STORE_MAGIC.len() || bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
+impl ReadAt for [u8] {
+    fn fill_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        let src = usize::try_from(off)
+            .ok()
+            .and_then(|off| self.get(off..)?.get(..buf.len()))
+            .ok_or(io::ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+}
+
+/// What [`Window::frame`] found at an offset.
+pub(crate) enum Frame<'a> {
+    /// The offset is the end of the readable bytes.
+    End,
+    /// An intact `[len][crc][payload]` frame, header included.
+    Record(&'a [u8]),
+    /// The frame is damaged or cut short.
+    Torn(TornReason),
+}
+
+/// A bounded read window over a store's first `limit` bytes: the one
+/// read path of the scan, replay, compaction and positional reads.
+pub(crate) struct Window<'a, S: ?Sized> {
+    src: &'a S,
+    limit: u64,
+    /// Bytes one refill reads, unless a record needs more.
+    chunk: usize,
+    /// Offset of `buf[0]`.
+    start: u64,
+    buf: Vec<u8>,
+}
+
+impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
+    pub(crate) fn new(src: &'a S, limit: u64, chunk: usize) -> Self {
+        Self {
+            src,
+            limit,
+            chunk,
+            start: 0,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The `n` bytes at `off`, which the caller has checked lie below
+    /// `limit`. A miss refills the window from `off`: `chunk` bytes, or
+    /// `n` if more, but never past `limit`.
+    fn get(&mut self, off: u64, n: usize) -> io::Result<&[u8]> {
+        let end = self.start + self.buf.len() as u64;
+        if off < self.start || off + n as u64 > end {
+            let len = (n.max(self.chunk) as u64).min(self.limit - off) as usize;
+            if len > self.buf.capacity() {
+                self.buf.reserve_exact(len - self.buf.len());
+            }
+            self.buf.resize(len, 0);
+            if let Err(e) = self.src.fill_at(off, &mut self.buf) {
+                self.buf.clear();
+                return Err(e);
+            }
+            self.start = off;
+        }
+        let at = (off - self.start) as usize;
+        Ok(&self.buf[at..at + n])
+    }
+
+    /// The frame at `off`, CRC-checked. Lengths are checked against
+    /// `limit` before any payload is read.
+    pub(crate) fn frame(&mut self, off: u64) -> io::Result<Frame<'_>> {
+        let remaining = self.limit.saturating_sub(off);
+        if remaining == 0 {
+            return Ok(Frame::End);
+        }
+        if remaining < RECORD_HEADER as u64 {
+            return Ok(Frame::Torn(TornReason::TruncatedHeader));
+        }
+        let header = self.get(off, RECORD_HEADER)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+        if len > MAX_PAYLOAD {
+            return Ok(Frame::Torn(TornReason::LengthOverflow));
+        }
+        if remaining - (RECORD_HEADER as u64) < len as u64 {
+            return Ok(Frame::Torn(TornReason::TruncatedPayload));
+        }
+        let frame = self.get(off, RECORD_HEADER + len)?;
+        if crc32(&frame[RECORD_HEADER..]) != crc {
+            return Ok(Frame::Torn(TornReason::CrcMismatch));
+        }
+        Ok(Frame::Record(frame))
+    }
+
+    /// Indexed record `e`'s frame, read again and CRC-checked again:
+    /// nothing holds a copy of the file, so a record is only as intact
+    /// as the file is now. Anything but the same intact frame is
+    /// [`StoreError::Changed`].
+    pub(crate) fn entry(&mut self, e: &Entry) -> Result<&[u8], StoreError> {
+        match self.frame(e.offset) {
+            Ok(Frame::Record(frame)) if frame.len() == RECORD_HEADER + e.len as usize => Ok(frame),
+            Err(err) if err.kind() != io::ErrorKind::UnexpectedEof => Err(err.into()),
+            _ => Err(StoreError::Changed { offset: e.offset }),
+        }
+    }
+}
+
+/// Record `e`'s payload, read alone into a buffer of its exact size and
+/// checked again (see [`Window::entry`]).
+pub(crate) fn read_payload(src: &(impl ReadAt + ?Sized), e: &Entry) -> Result<Vec<u8>, StoreError> {
+    let frame = RECORD_HEADER + e.len as usize;
+    let mut window = Window::new(src, e.offset + frame as u64, frame);
+    window.entry(e)?;
+    let mut payload = window.buf;
+    payload.drain(..RECORD_HEADER);
+    Ok(payload)
+}
+
+/// Shared scan: read the first `len` bytes of `src` as a store file
+/// through one [`Window`], CRC-checking and walking each record, and
+/// show each intact record to `visit`. Returns the superblock, an index
+/// entry per intact record, the valid length, and the tail verdict. The
+/// only hard errors are a read failure, a missing magic, a damaged or
+/// undecodable superblock, and a future version; record damage is a
+/// `TailStatus`, not an error.
+fn scan<S: ReadAt + ?Sized>(
+    src: &S,
+    len: u64,
+    mut visit: impl FnMut(&StoreRecord<&[u8]>),
+) -> Result<(Superblock, Vec<Entry>, u64, TailStatus), StoreError> {
+    let mut window = Window::new(src, len, WINDOW);
+    if len < STORE_MAGIC.len() as u64 || window.get(0, STORE_MAGIC.len())? != STORE_MAGIC {
         return Err(StoreError::NotAStore);
     }
-    let sb_off = STORE_MAGIC.len();
-    let (sb_payload, sb_end) = match frame_at(bytes, sb_off as u64) {
-        Ok(Some((payload, end))) => (payload, end),
-        Ok(None) | Err(_) => return Err(StoreError::CorruptSuperblock),
+    let sb_off = STORE_MAGIC.len() as u64;
+    let (superblock, mut off) = match window.frame(sb_off)? {
+        Frame::Record(frame) => (
+            Superblock::decode(&frame[RECORD_HEADER..])?,
+            sb_off + frame.len() as u64,
+        ),
+        Frame::End | Frame::Torn(_) => return Err(StoreError::CorruptSuperblock),
     };
-    let superblock = Superblock::decode(sb_payload)?;
 
     let mut entries = Vec::new();
-    let mut off = sb_end;
     let tail = loop {
         let torn = |reason| TailStatus::Torn {
             offset: off,
             reason,
         };
-        match frame_at(bytes, off) {
-            Ok(None) => break TailStatus::Clean,
-            Ok(Some((payload, end))) => {
-                let mut reports = SkipReports::default();
-                let (epoch, source, seq) = match read_record(payload, &mut reports) {
-                    Ok(StoreRecord::Delta { epoch, batch }) => {
-                        (epoch, batch.source, Some(batch.seq))
-                    }
-                    Ok(StoreRecord::Checkpoint(c)) => (c.epoch, c.source, None),
-                    Err(_) => break torn(TornReason::Undecodable),
-                };
-                entries.push(Entry {
-                    offset: off,
-                    len: payload.len() as u32,
-                    reports: reports.count as u32,
-                    epoch,
-                    source,
-                    seq,
-                });
-                off = end;
-            }
-            Err(reason) => break torn(reason),
-        }
+        let frame = match window.frame(off)? {
+            Frame::End => break TailStatus::Clean,
+            Frame::Torn(reason) => break torn(reason),
+            Frame::Record(frame) => frame,
+        };
+        let payload = &frame[RECORD_HEADER..];
+        let mut reports = SkipReports::default();
+        let Ok(record) = read_record(payload, &mut reports) else {
+            break torn(TornReason::Undecodable);
+        };
+        visit(&record);
+        let (epoch, source, seq) = match record {
+            StoreRecord::Delta { epoch, batch } => (epoch, batch.source, Some(batch.seq)),
+            StoreRecord::Checkpoint(c) => (c.epoch, c.source, None),
+        };
+        entries.push(Entry {
+            offset: off,
+            len: payload.len() as u32,
+            reports: reports.count as u32,
+            epoch,
+            source,
+            seq,
+        });
+        off += frame.len() as u64;
     };
     Ok((superblock, entries, off, tail))
 }
 
-/// Reads one `[len][crc][payload]` frame at `off`. `Ok(None)` at exact
-/// end of input; `Err` classifies a tear.
-fn frame_at(bytes: &[u8], off: u64) -> Result<Option<(&[u8], u64)>, TornReason> {
-    let off = off as usize;
-    let remaining = bytes.len() - off;
-    if remaining == 0 {
-        return Ok(None);
-    }
-    if remaining < RECORD_HEADER {
-        return Err(TornReason::TruncatedHeader);
-    }
-    let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(TornReason::LengthOverflow);
-    }
-    if remaining - RECORD_HEADER < len {
-        return Err(TornReason::TruncatedPayload);
-    }
-    let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-    let payload = &bytes[off + RECORD_HEADER..off + RECORD_HEADER + len];
-    if crc32(payload) != crc {
-        return Err(TornReason::CrcMismatch);
-    }
-    Ok(Some((payload, (off + RECORD_HEADER + len) as u64)))
+/// Where a [`StoreReader`]'s bytes come from.
+enum Source {
+    File(File),
+    /// A [`StoreReader::from_bytes`] image's intact prefix.
+    Image(Vec<u8>),
 }
 
-/// A scanned store file: the superblock, the intact bytes, an index of
+impl ReadAt for Source {
+    fn fill_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        match self {
+            Source::File(file) => file.fill_at(off, buf),
+            Source::Image(bytes) => bytes.fill_at(off, buf),
+        }
+    }
+}
+
+/// A scanned store file: the superblock, the open file, an index of
 /// every intact record, and the tail verdict.
 ///
-/// Records decode only when asked. The reader works equally from a
-/// file ([`open`](Self::open)) or raw bytes
+/// The reader holds no copy of the file's bytes. Opening reads the file
+/// once through a bounded 512 KiB window; later reads go back to the file —
+/// [`record`](Self::record) and [`checkpoints`](Self::checkpoints)
+/// positionally, a [`Replayer`](crate::Replayer) through the same
+/// window in file order — and CRC-check every record again before it
+/// is decoded, so a file cut or rewritten under the reader surfaces as
+/// a typed [`StoreError`], never a panic. The reader works equally
+/// from a file ([`open`](Self::open)) or raw bytes
 /// ([`from_bytes`](Self::from_bytes), the fuzzing entry point: a store
 /// file is untrusted input like any frame off a socket, and parsing
 /// never panics).
 pub struct StoreReader {
     superblock: Superblock,
-    /// The file's intact prefix: magic, superblock and whole records.
-    pub(crate) bytes: Vec<u8>,
+    source: Source,
     /// The index of every intact record.
     pub(crate) entries: Vec<Entry>,
+    valid_len: u64,
     tail: TailStatus,
 }
 
 impl StoreReader {
-    /// Reads and scans a store file.
+    /// Opens and scans a store file, keeping it open for later reads.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::scanned(std::fs::read(path)?)
-    }
-
-    /// Scans an in-memory store image.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::scanned(bytes.to_vec())
-    }
-
-    fn scanned(mut bytes: Vec<u8>) -> Result<Self, StoreError> {
-        let (superblock, entries, valid_len, tail) = scan(&bytes)?;
-        bytes.truncate(valid_len as usize);
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let (superblock, entries, valid_len, tail) = scan(&file, len, |_| {})?;
         Ok(Self {
             superblock,
-            bytes,
+            source: Source::File(file),
             entries,
+            valid_len,
             tail,
         })
+    }
+
+    /// Scans an in-memory store image, keeping a copy of its intact
+    /// prefix.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        let (superblock, entries, valid_len, tail) = scan(bytes, bytes.len() as u64, |_| {})?;
+        Ok(Self {
+            superblock,
+            source: Source::Image(bytes[..valid_len as usize].to_vec()),
+            entries,
+            valid_len,
+            tail,
+        })
+    }
+
+    /// A [`WINDOW`] over the intact bytes, for reads in file order.
+    pub(crate) fn window(&self) -> Window<'_, impl ReadAt> {
+        Window::new(&self.source, self.valid_len, WINDOW)
     }
 
     /// The file's superblock.
@@ -217,28 +366,53 @@ impl StoreReader {
         &self.superblock
     }
 
-    /// Every intact record, in append order, each decoded as the
-    /// iterator reaches it.
-    pub fn records(&self) -> impl ExactSizeIterator<Item = StoreRecord> + '_ {
+    /// Every intact record, in append order, each read and decoded as
+    /// the iterator reaches it.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Result<StoreRecord, StoreError>> + '_ {
         (0..self.entries.len()).map(|i| self.record(i))
     }
 
-    /// Decodes intact record `i`, which always decodes: the scan's walk
-    /// and the decode are one reader. Panics if `i` is out of range.
-    pub fn record(&self, i: usize) -> StoreRecord {
-        StoreRecord::decode(self.entries[i].payload(&self.bytes)).expect("a scanned record decodes")
+    /// Reads and decodes intact record `i`. A record the scan accepted
+    /// decodes (the scan's walk and the decode are one reader) unless
+    /// the file changed since. Panics if `i` is out of range.
+    pub fn record(&self, i: usize) -> Result<StoreRecord, StoreError> {
+        let e = &self.entries[i];
+        let payload = read_payload(&self.source, e)?;
+        StoreRecord::decode(&payload).map_err(|_| StoreError::Changed { offset: e.offset })
     }
 
-    /// Every checkpoint record, in append order, read in place: the
-    /// payload borrows the reader's bytes.
-    pub fn checkpoints(&self) -> impl DoubleEndedIterator<Item = CheckpointRecord<&[u8]>> + '_ {
+    /// Every checkpoint record, in append order, each read into a
+    /// buffer of its own when the iterator reaches it.
+    pub fn checkpoints(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = Result<CheckpointRecord, StoreError>> + '_ {
         let checkpoints = self.entries.iter().filter(|e| e.seq.is_none());
-        checkpoints.map(|e| checkpoint_at(e.payload(&self.bytes)))
+        checkpoints.map(|e| {
+            let mut payload = read_payload(&self.source, e)?;
+            let Ok(StoreRecord::Checkpoint(c)) = read_record(&payload, &mut SkipReports::default())
+            else {
+                return Err(StoreError::Changed { offset: e.offset });
+            };
+            let CheckpointRecord {
+                source,
+                epoch,
+                covered,
+                payload: body,
+            } = c;
+            // The snapshot is the record's tail: keep it in place.
+            payload.drain(..payload.len() - body.len());
+            Ok(CheckpointRecord {
+                source,
+                epoch,
+                covered,
+                payload,
+            })
+        })
     }
 
     /// Bytes of intact data (magic + superblock + whole records).
     pub fn valid_len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.valid_len
     }
 
     /// Whether the file ended cleanly or mid-record.
@@ -361,14 +535,24 @@ impl StoreWriter {
         expected: Option<StoreKind>,
     ) -> Result<(Self, TailStatus), StoreError> {
         let path = path.as_ref().to_path_buf();
-        let bytes = std::fs::read(&path)?;
-        let (superblock, index, valid_len, tail) = scan(&bytes)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let file_len = file.metadata()?.len();
+        let mut floors = BTreeMap::new();
+        let mut newest_checkpoint_epoch = 0u64;
+        let (superblock, index, valid_len, tail) = scan(&file, file_len, |record| match record {
+            StoreRecord::Delta { batch, .. } => raise(&mut floors, batch.source, batch.seq),
+            StoreRecord::Checkpoint(c) => {
+                newest_checkpoint_epoch = c.epoch;
+                for cov in &c.covered {
+                    raise(&mut floors, cov.source, cov.max_seq());
+                }
+            }
+        })?;
         let found = superblock.kind;
         if let Some(expected) = expected.filter(|&k| k != found) {
             return Err(StoreError::WrongKind { expected, found });
         }
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        if valid_len < bytes.len() as u64 {
+        if valid_len < file_len {
             file.set_len(valid_len)?;
             file.sync_data()?;
         }
@@ -376,19 +560,6 @@ impl StoreWriter {
         // Magic + the superblock frame: where the first record is, or
         // where the scan stopped when there is none.
         let data_start = index.first().map_or(valid_len, |e| e.offset);
-        let mut floors = BTreeMap::new();
-        let mut newest_checkpoint_epoch = 0u64;
-        for e in &index {
-            match e.seq {
-                Some(seq) => raise(&mut floors, e.source, seq),
-                None => {
-                    newest_checkpoint_epoch = e.epoch;
-                    for cov in checkpoint_at(e.payload(&bytes)).covered {
-                        raise(&mut floors, cov.source, cov.max_seq());
-                    }
-                }
-            }
-        }
         Ok((
             Self {
                 file,
@@ -413,6 +584,11 @@ impl StoreWriter {
     /// The file path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The open file, for positional reads of its records.
+    pub(crate) fn file(&self) -> &File {
+        &self.file
     }
 
     /// The superblock (its `compactions` count reflects rewrites done
@@ -613,17 +789,14 @@ impl StoreWriter {
             None => return Ok(false),
         };
 
-        // Re-read the file up front: the keep decision needs the newest
-        // checkpoint's coverage decoded, and kept records' raw frames
-        // are copied verbatim (their CRCs are already computed).
-        let bytes = {
-            let mut v = Vec::with_capacity(self.len as usize);
-            self.file.seek(SeekFrom::Start(0))?;
-            self.file.read_to_end(&mut v)?;
-            v.truncate(self.len as usize);
-            v
+        // The keep decision needs the newest checkpoint's coverage.
+        // Anything else (unreachable: the scan indexed it as one) covers
+        // nothing, so every delta is kept: the safe side.
+        let payload = read_payload(&self.file, &self.index[global])?;
+        let covered = match read_record(&payload, &mut SkipReports::default()) {
+            Ok(StoreRecord::Checkpoint(c)) => c.covered,
+            _ => Vec::new(),
         };
-        let covered = checkpoint_at(self.index[global].payload(&bytes)).covered;
         let covers =
             |source: u64, seq: u64| covered.iter().any(|c| c.source == source && c.covers(seq));
 
@@ -645,33 +818,32 @@ impl StoreWriter {
         }
         let mut sb = self.superblock.clone();
         sb.compactions += 1;
-        let mut out = Vec::with_capacity(bytes.len() / 2);
-        out.extend_from_slice(&STORE_MAGIC);
-        frame_into_buf(&sb, &mut out);
-        let new_data_start = out.len() as u64;
-        let mut new_index = Vec::new();
-        for (i, e) in self.index.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            let off = e.offset as usize;
-            new_index.push(Entry {
-                offset: out.len() as u64,
-                ..*e
-            });
-            out.extend_from_slice(&bytes[off..off + RECORD_HEADER + e.len as usize]);
-        }
+        let mut head = Vec::with_capacity(64);
+        head.extend_from_slice(&STORE_MAGIC);
+        frame_into_buf(&sb, &mut head);
+        let new_data_start = head.len() as u64;
 
+        // Kept frames are copied verbatim through the window (their
+        // CRCs are already computed, and checked again on the way).
         let tmp = self.path.with_extension("compact-tmp");
-        {
-            let mut f = OpenOptions::new()
+        let mut out = BufWriter::new(
+            OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
+                .open(&tmp)?,
+        );
+        out.write_all(&head)?;
+        let mut len = new_data_start;
+        let mut new_index = Vec::new();
+        let mut window = Window::new(&self.file, self.len, WINDOW);
+        for (e, _) in self.index.iter().zip(&keep).filter(|(_, &k)| k) {
+            let frame = window.entry(e)?;
+            out.write_all(frame)?;
+            new_index.push(Entry { offset: len, ..*e });
+            len += frame.len() as u64;
         }
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
         std::fs::rename(&tmp, &self.path)?;
         // The old fd points at the unlinked inode; reopen the new file
         // positioned at its end.
@@ -679,7 +851,7 @@ impl StoreWriter {
         file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.superblock = sb;
-        self.len = out.len() as u64;
+        self.len = len;
         self.data_start = new_data_start;
         self.index = new_index;
         Ok(true)
@@ -704,21 +876,6 @@ fn frame_into_buf(value: &impl WireEncode, out: &mut Vec<u8>) -> usize {
 fn raise(floors: &mut BTreeMap<u64, u64>, source: u64, seq: u64) {
     let f = floors.entry(source).or_insert(0);
     *f = (*f).max(seq);
-}
-
-/// The checkpoint record at `payload`, read in place. Anything else
-/// (unreachable: the scan indexed it as a checkpoint) reads as one that
-/// covers nothing, so compaction keeps every delta: the safe side.
-fn checkpoint_at(payload: &[u8]) -> CheckpointRecord<&[u8]> {
-    match read_record(payload, &mut SkipReports::default()) {
-        Ok(StoreRecord::Checkpoint(c)) => c,
-        _ => CheckpointRecord {
-            source: 0,
-            epoch: 0,
-            covered: Vec::new(),
-            payload: &[],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -782,7 +939,7 @@ mod tests {
 
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.superblock(), &sb);
-        assert_eq!(r.records().collect::<Vec<_>>(), recs);
+        assert_eq!(r.records().collect::<Result<Vec<_>, _>>().unwrap(), recs);
         assert!(r.tail().is_clean());
         assert!(!r.is_compacted());
         assert_eq!(r.newest_epoch(), Some(2));
@@ -946,11 +1103,15 @@ mod tests {
         assert!(r.tail().is_clean());
         // The newest checkpoint survived, with the tail after it.
         let ck = r.newest_checkpoint().expect("checkpoint kept");
-        match r.record(ck) {
+        match r.record(ck).unwrap() {
             StoreRecord::Checkpoint(c) => assert_eq!(c.epoch, 20),
             _ => unreachable!(),
         }
-        let tail_epochs: Vec<u64> = r.records().skip(ck + 1).map(|rec| rec.epoch()).collect();
+        let tail_epochs: Vec<u64> = r
+            .records()
+            .skip(ck + 1)
+            .map(|rec| rec.unwrap().epoch())
+            .collect();
         assert!(tail_epochs.is_empty() || tail_epochs.iter().all(|&e| e > 15));
         std::fs::remove_file(&path).unwrap();
     }
@@ -992,7 +1153,7 @@ mod tests {
         assert!(r.is_compacted());
         let mut delta_seqs: Vec<u64> = r
             .records()
-            .filter_map(|rec| match rec {
+            .filter_map(|rec| match rec.unwrap() {
                 StoreRecord::Delta { batch, .. } => Some(batch.seq),
                 _ => None,
             })
@@ -1066,7 +1227,7 @@ mod tests {
 
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(
-            r.records().collect::<Vec<_>>(),
+            r.records().collect::<Result<Vec<_>, _>>().unwrap(),
             [delta(0, 1, 2), delta(0, 4, 2)]
         );
         assert!(r.tail().is_clean(), "{:?}", r.tail());
@@ -1104,7 +1265,7 @@ mod tests {
             let boundary = ends[intact - 1];
             let r = StoreReader::from_bytes(&bytes[..cut as usize]).unwrap();
             assert_eq!(
-                r.records().collect::<Vec<_>>(),
+                r.records().collect::<Result<Vec<_>, _>>().unwrap(),
                 recs[..intact],
                 "cut at {cut}"
             );
@@ -1144,7 +1305,7 @@ mod tests {
         drop(w);
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.records().len(), 1);
-        assert_eq!(r.record(0).epoch(), 3);
+        assert_eq!(r.record(0).unwrap().epoch(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 }

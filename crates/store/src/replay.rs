@@ -7,8 +7,9 @@
 //! else shaped `FnMut(source, &mut Vec<DigestReport>)`. Replay runs the
 //! same [`SourceDedup`] window the live receivers run, on the reader's
 //! index before any decode, so a log holding retransmitted duplicates
-//! replays each batch exactly once. Each batch delivered decodes into
-//! one reused buffer lent to the sink.
+//! replays each batch exactly once. Deltas are read back in file order
+//! through one bounded window, CRC-checked again, and each batch
+//! delivered decodes into one reused buffer lent to the sink.
 //!
 //! [`replay`](Replayer::replay) goes at full speed;
 //! [`replay_paced`](Replayer::replay_paced) additionally drives a
@@ -16,10 +17,11 @@
 //! delivery, so time-dependent consumers (TTL eviction, freshness
 //! watermarks) observe the recorded timeline instead of wall time.
 
-use crate::log::StoreReader;
+use crate::error::StoreError;
+use crate::log::{StoreReader, RECORD_HEADER};
 use pint_core::DigestReport;
 use pint_obs::{Counter, MetricsRegistry, VirtualClock};
-use pint_wire::store::{read_record, CoveredSource};
+use pint_wire::store::{read_record, CoveredSource, StoreRecord};
 use pint_wire::SourceDedup;
 use std::collections::BTreeMap;
 
@@ -74,8 +76,14 @@ impl<'a> Replayer<'a> {
         self
     }
 
-    /// Replays every delta at full speed.
-    pub fn replay(&self, sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>)) -> ReplayStats {
+    /// Replays every delta at full speed. A delta that no longer reads
+    /// back as the record the scan indexed (the file changed under the
+    /// reader) stops the replay with [`StoreError::Changed`] or the
+    /// read's I/O error; the batches before it were delivered.
+    pub fn replay(
+        &self,
+        sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>),
+    ) -> Result<ReplayStats, StoreError> {
         self.run(None, sink)
     }
 
@@ -87,7 +95,7 @@ impl<'a> Replayer<'a> {
         &self,
         clock: &VirtualClock,
         sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>),
-    ) -> ReplayStats {
+    ) -> Result<ReplayStats, StoreError> {
         self.run(Some(clock), sink)
     }
 
@@ -95,13 +103,14 @@ impl<'a> Replayer<'a> {
         &self,
         clock: Option<&VirtualClock>,
         sink: &mut dyn FnMut(u64, &mut Vec<DigestReport>),
-    ) -> ReplayStats {
+    ) -> Result<ReplayStats, StoreError> {
         let mut stats = ReplayStats::default();
         let mut dedup: BTreeMap<u64, SourceDedup> = BTreeMap::new();
         for cov in &self.covered {
             cov.prime(dedup.entry(cov.source).or_default());
         }
         let mut reports = Vec::new();
+        let mut window = self.reader.window();
         for e in &self.reader.entries {
             let Some(seq) = e.seq else {
                 stats.checkpoints += 1;
@@ -112,8 +121,12 @@ impl<'a> Replayer<'a> {
                 continue;
             }
             reports.clear();
-            read_record(e.payload(&self.reader.bytes), &mut reports)
-                .expect("a scanned record decodes");
+            let frame = window.entry(e)?;
+            match read_record(&frame[RECORD_HEADER..], &mut reports) {
+                Ok(StoreRecord::Delta { batch, .. })
+                    if batch.source == e.source && Some(batch.seq) == e.seq => {}
+                _ => return Err(StoreError::Changed { offset: e.offset }),
+            }
             if let Some(clock) = clock {
                 if let Some(ts) = reports.iter().map(|r| r.ts).max() {
                     clock.set(ts);
@@ -126,7 +139,7 @@ impl<'a> Replayer<'a> {
             }
             sink(e.source, &mut reports);
         }
-        stats
+        Ok(stats)
     }
 }
 
@@ -174,12 +187,12 @@ mod tests {
         let clock = VirtualClock::new();
         let view = clock.clone();
         let mut seen = Vec::new();
-        let stats = Replayer::new(&reader).observed(&registry).replay_paced(
-            &clock,
-            &mut |source, reports| {
+        let stats = Replayer::new(&reader)
+            .observed(&registry)
+            .replay_paced(&clock, &mut |source, reports| {
                 seen.push((source, reports.len(), view.now_ns()));
-            },
-        );
+            })
+            .unwrap();
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.duplicates, 1);
         assert_eq!(stats.digests, 3);

@@ -4,7 +4,7 @@
 //! A `DigestForwarder`'s outbound queue is bounded; under overload the
 //! in-memory policy sheds the oldest batch. A [`SpillQueue`] gives it
 //! a durable middle ground: the displaced batch's *frame* goes to disk
-//! and only a tiny index entry (offset, seq, digest count) stays in
+//! and only a tiny index entry (offset, length, seq, digest count) stays in
 //! memory, so spilled depth is bounded by disk, not RAM. When the link
 //! recovers, batches pop back off in seq order and re-enter the
 //! outbound queue.
@@ -18,31 +18,19 @@
 //! duplicate, so accounting stays exact.
 
 use crate::error::StoreError;
-use crate::log::{StoreOptions, StoreWriter};
+use crate::log::{read_payload, Entry, StoreOptions, StoreWriter};
 use pint_wire::store::{StoreKind, StoreRecord, Superblock};
 use pint_wire::DigestBatch;
+use pint_wire::WireDecode;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-
-/// One spilled batch's in-memory index entry.
-#[derive(Debug, Clone, Copy)]
-struct SpillEntry {
-    /// Offset of the record's frame header in the file.
-    offset: u64,
-    /// The batch's sequence number.
-    seq: u64,
-    /// Reports inside the batch.
-    digests: u64,
-}
 
 /// A durable FIFO of sealed [`DigestBatch`]es (see the module docs).
 pub struct SpillQueue {
     writer: StoreWriter,
-    read: File,
-    entries: VecDeque<SpillEntry>,
-    /// Sum of `digests` over `entries`.
+    /// The spilled batches' index entries, oldest first.
+    entries: VecDeque<Entry>,
+    /// Sum of the report counts over `entries`.
     digests: u64,
     /// Highest seq ever pushed (survives drains within this process;
     /// recovered from the file on reopen). A restarting forwarder
@@ -72,19 +60,14 @@ impl SpillQueue {
         let (writer, entries, digests, max_seq) = if exists {
             let (writer, _tail) =
                 StoreWriter::open_as(&path, StoreOptions::default(), Some(StoreKind::Spill))?;
-            let entries: VecDeque<SpillEntry> = writer
+            let entries: VecDeque<Entry> = writer
                 .index
                 .iter()
-                .filter_map(|e| {
-                    Some(SpillEntry {
-                        offset: e.offset,
-                        seq: e.seq?,
-                        digests: e.reports.into(),
-                    })
-                })
+                .filter(|e| e.seq.is_some())
+                .copied()
                 .collect();
-            let digests = entries.iter().map(|e| e.digests).sum();
-            let max_seq = entries.iter().map(|e| e.seq).max().unwrap_or(0);
+            let digests = entries.iter().map(|e| u64::from(e.reports)).sum();
+            let max_seq = entries.iter().filter_map(|e| e.seq).max().unwrap_or(0);
             (writer, entries, digests, max_seq)
         } else {
             let writer = StoreWriter::create(
@@ -94,10 +77,8 @@ impl SpillQueue {
             )?;
             (writer, VecDeque::new(), 0, 0)
         };
-        let read = File::open(&path)?;
         Ok(Self {
             writer,
-            read,
             entries,
             digests,
             max_seq,
@@ -106,17 +87,20 @@ impl SpillQueue {
 
     /// Appends one sealed batch to the spill.
     pub fn push(&mut self, batch: &DigestBatch) -> Result<(), StoreError> {
-        let offset = self.writer.len();
         self.writer.append(&StoreRecord::Delta {
             epoch: batch.seq,
             batch: batch.clone(),
         })?;
+        // A spill holds no checkpoint, so it never compacts: the record
+        // just appended is the index's last.
+        self.entries.push_back(
+            *self
+                .writer
+                .index
+                .last()
+                .expect("an appended record is indexed"),
+        );
         let n = batch.reports.len() as u64;
-        self.entries.push_back(SpillEntry {
-            offset,
-            seq: batch.seq,
-            digests: n,
-        });
         self.digests += n;
         self.max_seq = self.max_seq.max(batch.seq);
         Ok(())
@@ -130,36 +114,19 @@ impl SpillQueue {
             Some(e) => e,
             None => return Ok(None),
         };
-        self.digests -= entry.digests;
-        let batch = self.read_at(entry.offset)?;
+        self.digests -= u64::from(entry.reports);
+        let batch = match StoreRecord::decode(&read_payload(self.writer.file(), &entry)?)? {
+            StoreRecord::Delta { batch, .. } => batch,
+            StoreRecord::Checkpoint(_) => {
+                return Err(StoreError::Changed {
+                    offset: entry.offset,
+                })
+            }
+        };
         if self.entries.is_empty() {
             self.writer.reset()?;
-            self.read = File::open(self.writer.path())?;
         }
         Ok(Some(batch))
-    }
-
-    fn read_at(&mut self, offset: u64) -> Result<DigestBatch, StoreError> {
-        use pint_wire::store::crc32;
-        use pint_wire::WireDecode;
-        self.read.seek(SeekFrom::Start(offset))?;
-        let mut header = [0u8; 8];
-        self.read.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        let mut payload = vec![0u8; len];
-        self.read.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(StoreError::Wire(pint_wire::WireError::Invalid(
-                "spill record checksum mismatch",
-            )));
-        }
-        match StoreRecord::decode(&payload)? {
-            StoreRecord::Delta { batch, .. } => Ok(batch),
-            StoreRecord::Checkpoint(_) => Err(StoreError::Wire(pint_wire::WireError::Invalid(
-                "checkpoint record in a spill queue",
-            ))),
-        }
     }
 
     /// Spilled batches waiting to resume.
@@ -179,7 +146,7 @@ impl SpillQueue {
 
     /// Sequence number of the oldest spilled batch, if any.
     pub fn front_seq(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.seq)
+        self.entries.front().and_then(|e| e.seq)
     }
 
     /// Highest batch seq this spill has ever held — a restarting

@@ -200,6 +200,7 @@ fn main() {
                 }
             },
         );
+        let stats = stats.expect("replay reads the log back");
         handle.flush().expect("replay flush");
         stats
     };

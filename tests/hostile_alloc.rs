@@ -9,15 +9,21 @@
 //! that sends a report whose counts lie must not get a reservation
 //! sized by the lie. This binary installs its own counting
 //! allocator and records the largest single allocation made while one
-//! hostile payload decodes.
+//! hostile payload decodes. A store file is untrusted the same way: a
+//! record header's claimed length must not size a read before the file
+//! is known to hold that many bytes.
 
 #![allow(unsafe_code)]
 
+use pint::core::{Digest, DigestReport};
 use pint::obs::HISTOGRAM_BUCKETS;
+use pint::store::{TailStatus, TornReason};
+use pint::wire::store::{StoreKind, Superblock};
 use pint::wire::{
-    CheckpointRecord, MetricsMsg, MetricsReport, StoreRecord, TraceMsg, TraceReport, WireDecode,
-    WireEncode, WireWriter, MAX_TRACE_EVENTS,
+    CheckpointRecord, DigestBatch, MetricsMsg, MetricsReport, StoreRecord, TraceMsg, TraceReport,
+    WireDecode, WireEncode, WireWriter, MAX_PAYLOAD, MAX_TRACE_EVENTS,
 };
+use pint::{StoreOptions, StoreReader, StoreWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -177,4 +183,80 @@ fn hostile_trace_event_count_reserves_no_more_than_its_payload() {
     // first has an unknown stage.
     let payload = lying_count(header, MAX_TRACE_EVENTS, 5, &[0x00, 0xFF], 0);
     assert_reserves_at_most_payload::<TraceMsg>("events", &payload);
+}
+
+/// The store's read window.
+const WINDOW: usize = 512 << 10;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// this thread made meanwhile.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(|c| c.get()))
+}
+
+#[test]
+fn a_store_header_claiming_max_payload_reserves_no_more_than_the_window() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("pint-hostile-store-{}", std::process::id()));
+    let mut writer = StoreWriter::create(
+        &path,
+        Superblock::new(StoreKind::Collector, 1, 0),
+        StoreOptions::default(),
+    )
+    .unwrap();
+    // More intact records than one window holds, so reading the whole
+    // file at once would show too.
+    for seq in 1..=300u64 {
+        let reports = (0..256u64)
+            .map(|i| {
+                let mut d = Digest::new(1);
+                d.set(0, seq ^ (i << 20));
+                DigestReport::new(i, seq * 1_000 + i, d, 5, seq)
+            })
+            .collect();
+        let batch = DigestBatch {
+            source: 1,
+            seq,
+            reports,
+            trace: None,
+        };
+        writer
+            .append(&StoreRecord::Delta { epoch: 0, batch })
+            .unwrap();
+    }
+    let boundary = writer.len();
+    drop(writer);
+    assert!(boundary > 2 * WINDOW as u64, "{boundary}-byte store");
+    // The last header claims the largest payload a record may have,
+    // with 16 bytes behind it.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    bytes.extend_from_slice(&[0xA5; 16]);
+    std::fs::write(&path, &bytes).unwrap();
+    drop(bytes);
+
+    let torn = TailStatus::Torn {
+        offset: boundary,
+        reason: TornReason::TruncatedPayload,
+    };
+    let (reader, largest) = largest_alloc(|| StoreReader::open(&path).unwrap());
+    assert_eq!(reader.tail(), torn);
+    assert!(
+        largest <= WINDOW,
+        "reader open: one allocation of {largest} bytes"
+    );
+    drop(reader);
+    let ((writer, tail), largest) =
+        largest_alloc(|| StoreWriter::open(&path, StoreOptions::default()).unwrap());
+    assert_eq!(tail, torn);
+    assert_eq!(writer.len(), boundary);
+    assert!(
+        largest <= WINDOW,
+        "writer open: one allocation of {largest} bytes"
+    );
+    drop(writer);
+    std::fs::remove_file(&path).unwrap();
 }

@@ -30,7 +30,12 @@ use pint::wire::store::{CheckpointRecord, CoveredSource, StoreKind, StoreRecord,
 use pint::wire::{
     frame_into, parse_frame, DigestBatch, FrameType, WireDecode, WireEncode, WireReader, WireWriter,
 };
-use pint::{Journal, JournalConfig, SpillQueue, StoreOptions, StoreReader, StoreWriter};
+use pint::{
+    Journal, JournalConfig, Replayer, SpillQueue, StoreError, StoreOptions, StoreReader,
+    StoreWriter,
+};
+use std::fs::OpenOptions;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -446,7 +451,7 @@ fn damaged_checkpoint_payloads_fail_typed() {
     ingest(&live, &workload(0, 9));
     checkpoint_only_log(&path, &live);
     let reader = StoreReader::open(&path).unwrap();
-    let StoreRecord::Checkpoint(good) = reader.record(0) else {
+    let StoreRecord::Checkpoint(good) = reader.record(0).unwrap() else {
         panic!("a checkpoint-only log");
     };
     let restore = |payload: Vec<u8>| {
@@ -478,6 +483,58 @@ fn damaged_checkpoint_payloads_fail_typed() {
         bad[i] ^= 0x5A;
         restore(bad);
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The reader holds no copy of the file, so a journal changed after it
+/// was opened — a byte flipped in place, the tail cut, everything past
+/// the superblock cut — fails replay and restore with typed errors:
+/// every record is CRC-checked again as it is read back.
+#[test]
+fn a_journal_changed_under_the_reader_fails_replay_and_restore_typed() {
+    let path = unique_path("changed");
+    journal_with_checkpoint(&path, &workload(0, 12), &workload(1, 12), None);
+    let reader = StoreReader::open(&path).unwrap();
+    let records = reader.records().len();
+    assert!(
+        reader.newest_checkpoint().unwrap() + 1 < records,
+        "deltas follow the checkpoint"
+    );
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    let len = reader.valid_len();
+    let assert_typed = |what: &str| {
+        let replay = Replayer::new(&reader).replay(&mut |_, _| {});
+        assert!(
+            matches!(replay, Err(StoreError::Changed { .. })),
+            "{what}: {replay:?}"
+        );
+        assert!(matches!(
+            reader.record(records - 1),
+            Err(StoreError::Changed { .. })
+        ));
+        match Collector::restore(config(), factory(), &reader) {
+            Err(CollectorError::RestoreFailed { .. }) => {}
+            Err(e) => panic!("{what}: restore failed with {e:?}, not RestoreFailed"),
+            Ok(_) => panic!("{what}: restore read a changed journal"),
+        }
+    };
+
+    let mut byte = [0u8];
+    file.read_exact_at(&mut byte, len - 3).unwrap();
+    file.write_all_at(&[byte[0] ^ 0x5A], len - 3).unwrap();
+    assert_typed("flipped");
+    file.set_len(len - 3).unwrap();
+    assert_typed("tail cut");
+    file.set_len(24).unwrap();
+    assert_typed("records cut");
+    assert!(matches!(
+        reader.checkpoints().next_back(),
+        Some(Err(StoreError::Changed { .. }))
+    ));
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -617,7 +674,7 @@ fn fleet_aggregator_journals_and_restores_snapshots() {
     assert!(
         reader
             .records()
-            .all(|r| matches!(r, StoreRecord::Checkpoint(c) if c.covered.is_empty())),
+            .all(|r| matches!(r.unwrap(), StoreRecord::Checkpoint(c) if c.covered.is_empty())),
         "fleet logs are checkpoint-only, with nothing to cover"
     );
     let (restored, report) = FleetAggregator::restore(FleetConfig::default(), &reader).unwrap();
@@ -727,7 +784,7 @@ fn fleet_journal_holds_each_frame_as_received() {
     let reader = StoreReader::open(&path).unwrap();
     let journaled: Vec<Vec<u8>> = reader
         .records()
-        .map(|r| match r {
+        .map(|r| match r.unwrap() {
             StoreRecord::Checkpoint(c) => c.payload,
             other => panic!("fleet logs are checkpoint-only: {other:?}"),
         })

@@ -1,19 +1,24 @@
-//! Restore streams the journal: opening a store keeps the file's bytes
-//! and a small per-record index, not a decoded copy of every record, and
-//! replay decodes each delta into one reused buffer.
+//! Memory follows the data. Opening a store keeps the open file and a
+//! small per-record index, and reads the file through one bounded
+//! window, so its peak is a constant however long the journal; replay
+//! reads deltas back through the same window and decodes each into one
+//! reused buffer. An idle collector allocates its event queue only as
+//! events fire.
 //!
 //! This binary installs its own counting allocator, which tracks live
-//! heap bytes and their peak, and holds exactly one test, so no other
-//! test's allocations share the count.
+//! heap bytes and their peak. Its tests take one lock for their whole
+//! run, so no other test's allocations share the count.
 
 #![allow(unsafe_code)]
 
+use pint::collector::RecorderFactory;
 use pint::core::{Digest, DigestReport};
 use pint::wire::store::{StoreKind, StoreRecord, Superblock};
 use pint::wire::DigestBatch;
-use pint::{Replayer, StoreOptions, StoreReader, StoreWriter};
+use pint::{Collector, CollectorConfig, Replayer, StoreOptions, StoreReader, StoreWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -52,6 +57,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Held by each test for its whole run: the count is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Runs `f` and returns its result with the peak live bytes it reached
 /// above the live bytes at entry.
 fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -61,11 +69,14 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed) - entry)
 }
 
-const BATCHES: u64 = 200;
+/// The store's read window.
+const WINDOW: usize = 512 << 10;
+const BATCHES: u64 = 800;
 const REPORTS_PER_BATCH: u64 = 256;
 
 #[test]
 fn reader_holds_the_file_not_a_decoded_copy_and_replay_reuses_one_buffer() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut path = std::env::temp_dir();
     path.push(format!("pint-store-memory-{}", std::process::id()));
     let mut writer = StoreWriter::create(
@@ -95,20 +106,23 @@ fn reader_holds_the_file_not_a_decoded_copy_and_replay_reuses_one_buffer() {
     drop(writer);
     let file_len = std::fs::metadata(&path).unwrap().len() as usize;
     let digests = BATCHES * REPORTS_PER_BATCH;
-    assert!(digests >= 50_000);
+    assert!(file_len >= 4 * WINDOW, "{file_len}-byte journal");
 
+    // The window, plus the index: one 48-byte entry per record, with
+    // room for the `Vec` doubling past the last one.
     let (reader, open_peak) = peak_above_entry(|| StoreReader::open(&path).unwrap());
+    let open_limit = WINDOW + (128 << 10);
     assert!(reader.tail().is_clean());
     assert!(
-        open_peak * 2 < file_len * 3,
-        "opening a {file_len}-byte store peaked {open_peak} bytes above entry (limit 1.5×)"
+        open_peak < open_limit,
+        "opening a {file_len}-byte store peaked {open_peak} bytes above entry (limit {open_limit})"
     );
 
     let mut delivered = 0u64;
     let (stats, replay_peak) = peak_above_entry(|| {
         Replayer::new(&reader).replay(&mut |_, reports| delivered += reports.len() as u64)
     });
-    assert_eq!(stats.digests, digests);
+    assert_eq!(stats.unwrap().digests, digests);
     assert_eq!(delivered, digests);
     assert!(
         replay_peak <= 1 << 20,
@@ -116,4 +130,18 @@ fn reader_holds_the_file_not_a_decoded_copy_and_replay_reuses_one_buffer() {
     );
     drop(reader);
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn an_idle_collector_holds_no_event_queue() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let factory: RecorderFactory = Arc::new(|_, _| unreachable!("no digest arrives"));
+    let (collector, spawn_peak) =
+        peak_above_entry(|| Collector::spawn(CollectorConfig::default(), factory));
+    assert!(
+        spawn_peak < 256 << 10,
+        "spawning a collector with no rules peaked {spawn_peak} bytes above entry (limit 256 KiB)"
+    );
+    assert!(collector.drain_events().is_empty());
+    collector.shutdown();
 }

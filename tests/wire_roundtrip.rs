@@ -377,8 +377,8 @@ proptest! {
                     prop_assert!(n >= last_len, "cut at {} lost records", cut);
                     last_len = n;
                     prop_assert_eq!(
-                        r.records().collect::<Vec<_>>(),
-                        full.records().take(n).collect::<Vec<_>>(),
+                        r.records().collect::<Result<Vec<_>, _>>().unwrap(),
+                        full.records().take(n).collect::<Result<Vec<_>, _>>().unwrap(),
                         "records must be an exact prefix"
                     );
                 }
@@ -405,7 +405,7 @@ proptest! {
             if let Ok(r) = pint::StoreReader::from_bytes(&corrupt) {
                 // Whatever survived must still be fully traversable.
                 for rec in r.records() {
-                    let _ = rec.epoch();
+                    let _ = rec.unwrap().epoch();
                 }
                 let _ = (r.newest_epoch(), r.newest_checkpoint(), r.tail());
             }
@@ -570,7 +570,10 @@ fn store_walk_accepts_exactly_what_decode_accepts() {
     let reader = pint::StoreReader::open(&path).unwrap();
     assert_eq!(reader.tail(), torn);
     assert_eq!(reader.valid_len(), boundary);
-    assert_eq!(reader.records().collect::<Vec<_>>(), intact);
+    assert_eq!(
+        reader.records().collect::<Result<Vec<_>, _>>().unwrap(),
+        intact
+    );
     let (writer, tail) = StoreWriter::open(&path, pint::StoreOptions::default()).unwrap();
     assert_eq!(tail, torn);
     assert_eq!(writer.len(), boundary);
