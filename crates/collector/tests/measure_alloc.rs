@@ -40,11 +40,13 @@ fn measured_bytes_track_the_estimate() {
     let measured = snap.gauge_total("collector_state_bytes_measured");
     assert!(estimate > 0, "estimate gauge not published");
     assert!(measured > 0, "measured gauge not published");
-    // The loose bound from the shard-side debug assert, checked here in
-    // release-compiled tests too: the estimate must be the same order of
-    // magnitude as what the allocator actually handed out.
+    // Tighter than the shard-side debug assert's 8x/16x, which only
+    // checks estimates above 1 MiB: with one buffer per sketch, what the
+    // allocator hands out stays within 2x of the estimate (measured
+    // ≈1.6x here, the rest being buffer growth headroom and the boxed
+    // recorder).
     assert!(
-        measured >= estimate / 8 && measured <= estimate * 16,
+        measured >= estimate / 2 && measured <= estimate * 4,
         "estimate {estimate} vs measured {measured} diverged"
     );
     collector.shutdown();
@@ -100,7 +102,7 @@ fn reads_between_applies_leave_the_measured_footprint_alone() {
         "measured footprint fell from {before} to {after} across read/apply rounds"
     );
     assert!(
-        after >= estimate / 8 && after <= estimate * 16,
+        after >= estimate / 2 && after <= estimate * 4,
         "estimate {estimate} vs measured {after} diverged"
     );
     collector.shutdown();

@@ -135,8 +135,10 @@ impl FlowRecorder for DynamicRecorder {
     }
 
     fn state_bytes(&self) -> usize {
-        // 8 bytes per retained sample plus the per-hop store headers.
-        self.stored_items() * 8 + (self.path_len() + 1) * 48
+        // 8 bytes per retained sample, plus per hop the store's slot in
+        // the hop list and the one level boundary that opens a young
+        // sketch's buffer.
+        self.stored_items() * 8 + (self.path_len() + 1) * (std::mem::size_of::<HopStore>() + 8)
     }
 
     fn quantile(&mut self, hop: usize, phi: f64) -> Option<f64> {

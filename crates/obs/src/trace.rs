@@ -16,7 +16,7 @@
 //! produce byte-identical dumps — the property the netsim tests pin.
 
 use crate::clock::{ClockHandle, MonotonicClock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which pipeline stage recorded an event.
@@ -104,12 +104,16 @@ impl TraceDump {
 
 /// One slot of a shard ring: a seqlock version word plus the event
 /// fields as plain atomics (this crate forbids `unsafe`, so torn-read
-/// protection is the version protocol, not a memory fence dance).
+/// protection is the version protocol and fences, all safe code).
 ///
-/// Protocol: the writer bumps `version` to odd, stores the fields
-/// (relaxed), then bumps to even (release). A reader snapshots
-/// `version` (acquire), copies the fields, and re-reads `version`: any
-/// change or an odd value means the slot was torn and is skipped.
+/// Protocol: the version names the ordinal the slot holds. The writer
+/// of ordinal `o` stores `2o + 1` (write in progress), a release
+/// fence, the fields (relaxed), then `2o + 2` (release). A reader that
+/// expects ordinal `o` loads the version (acquire), copies the fields,
+/// takes an acquire fence and re-reads the version; it keeps the event
+/// only if both reads are `2o + 2`. So a slot whose ordinal was claimed
+/// but not yet written (or still holds an older ordinal) is skipped,
+/// never read as zeroed fields.
 #[derive(Debug)]
 struct Slot {
     version: AtomicU64,
@@ -167,6 +171,13 @@ impl std::fmt::Debug for FlightRecorder {
     }
 }
 
+/// The version a slot holds once ordinal `ordinal` is written in it
+/// (the write in progress is one less).
+#[inline]
+fn written(ordinal: u64) -> u64 {
+    ordinal.wrapping_mul(2).wrapping_add(2)
+}
+
 impl FlightRecorder {
     /// A recorder with `shards` rings of `capacity` events each, timed
     /// by the default [`MonotonicClock`].
@@ -211,7 +222,7 @@ impl FlightRecorder {
 
     /// Records one event into shard `shard % shards` (wrapping keeps
     /// any caller-supplied lane valid). Wait-free, zero allocation:
-    /// one `fetch_add` plus five stores.
+    /// one `fetch_add`, six stores and a fence.
     pub fn record(&self, shard: u32, stage: TraceStage, source: u64, seq: u64) {
         self.record_at(shard, stage, source, seq, self.inner.clock.now_ns());
     }
@@ -223,16 +234,16 @@ impl FlightRecorder {
         let ring = &self.inner.shards[shard as usize % self.inner.shards.len()];
         let ordinal = ring.head.fetch_add(1, Ordering::Relaxed);
         let slot = &ring.slots[(ordinal % ring.slots.len() as u64) as usize];
-        // Odd = write in progress; readers skip. The writer re-reads
-        // nothing: last claim wins on the (documented) multi-writer
-        // misuse, and the version parity still protects readers.
-        let v = slot.version.load(Ordering::Relaxed) | 1;
-        slot.version.store(v, Ordering::Relaxed);
+        // Odd = write in progress; readers skip. The fence keeps the
+        // field stores from being seen before the odd version.
+        let v = written(ordinal);
+        slot.version.store(v.wrapping_sub(1), Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.tick_ns.store(tick_ns, Ordering::Relaxed);
         slot.stage.store(stage as u64, Ordering::Relaxed);
         slot.source.store(source, Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Relaxed);
-        slot.version.store(v.wrapping_add(1), Ordering::Release);
+        slot.version.store(v, Ordering::Release);
     }
 
     /// Non-destructive drain: copies every stable slot of every shard
@@ -246,17 +257,18 @@ impl FlightRecorder {
             let cap = ring.slots.len() as u64;
             dropped += head.saturating_sub(cap);
             let live = head.min(cap);
-            for i in 0..live {
-                let slot = &ring.slots[(head.saturating_sub(live) + i) as usize % cap as usize];
-                let v0 = slot.version.load(Ordering::Acquire);
-                if v0 & 1 == 1 {
-                    continue; // write in progress
+            for ordinal in head - live..head {
+                let slot = &ring.slots[(ordinal % cap) as usize];
+                let v = written(ordinal);
+                if slot.version.load(Ordering::Acquire) != v {
+                    continue; // claimed but unwritten, in progress, or lapped
                 }
                 let tick_ns = slot.tick_ns.load(Ordering::Relaxed);
                 let stage = slot.stage.load(Ordering::Relaxed);
                 let source = slot.source.load(Ordering::Relaxed);
                 let seq = slot.seq.load(Ordering::Relaxed);
-                if slot.version.load(Ordering::Acquire) != v0 {
+                fence(Ordering::Acquire);
+                if slot.version.load(Ordering::Relaxed) != v {
                     continue; // torn by a concurrent writer
                 }
                 let Some(stage) = TraceStage::from_u8(stage as u8) else {
@@ -284,9 +296,8 @@ impl FlightRecorder {
         for ring in self.inner.shards.iter() {
             ring.head.store(0, Ordering::Release);
             for slot in ring.slots.iter() {
-                // Parity back to even-and-stable so post-reset reads
-                // of unclaimed slots are skipped-by-emptiness (head ==
-                // 0), not misread.
+                // No ordinal writes version 0, so a reset slot is
+                // skipped until its next ordinal is written.
                 slot.version.store(0, Ordering::Relaxed);
             }
         }
@@ -375,6 +386,25 @@ mod tests {
         let dump = rec.snapshot();
         assert_eq!(dump.events.len(), 4 * 64);
         assert_eq!(dump.dropped, 4 * (1_000 - 64));
+    }
+
+    #[test]
+    fn a_claimed_but_unwritten_slot_is_never_read() {
+        let rec = FlightRecorder::new(1, 4);
+        let ring = &rec.inner.shards[0];
+        // A writer has claimed ordinal 0 but not yet stored anything:
+        // the slot still holds its zeroed fields.
+        ring.head.fetch_add(1, Ordering::Relaxed);
+        assert!(rec.snapshot().is_empty(), "zeroed slot read as an event");
+        // Once the ring wraps, a claimed slot still holds the ordinal
+        // one lap older; that event is gone, not returned again.
+        ring.head.store(0, Ordering::Relaxed);
+        for i in 0..4u64 {
+            rec.record(0, TraceStage::ServerApplied, 9, i);
+        }
+        ring.head.fetch_add(1, Ordering::Relaxed);
+        let seqs: Vec<u64> = rec.snapshot().events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
     }
 
     #[test]

@@ -10,6 +10,24 @@
 //! weight `2^h`. When the sketch exceeds its capacity the lowest over-full
 //! level is sorted and every other element (random offset) is promoted one
 //! level up, halving the stored item count at that level.
+//!
+//! # Layout
+//!
+//! As in Apache DataSketches' KLL, the whole tower lives in one buffer,
+//! so a sketch costs one heap block however many levels it holds. For a
+//! tower of `L` levels the buffer is
+//!
+//! ```text
+//! [ start(0) … start(L-1) | level L-1 | … | level 1 | level 0 ]
+//! ```
+//!
+//! The first `L` words are the level boundaries: `start(h)` is the index
+//! where level `h`'s items begin, and level `h` ends where level `h - 1`
+//! begins (level 0 ends at the buffer's end). The top level starts right
+//! after the boundaries, at index `L`. The bottom level comes last, so
+//! an update is a `push`. A compaction sorts level `h`, packs the items
+//! it promotes to the front of the level (that is, onto the end of level
+//! `h + 1`), and closes the gap it leaves.
 
 /// Capacity decay rate between compactor levels (the `c` parameter of the
 /// KLL paper; 2/3 is the value used in the authors' reference code).
@@ -23,6 +41,11 @@ const MAX_LEVELS: usize = 64;
 
 /// A KLL quantile sketch over `u64` values.
 ///
+/// The levels and their items share one `Vec<u64>` (see the
+/// [module docs](self) for the layout): one heap block per sketch, none
+/// before the first update. `k`, the level count and the cached tower
+/// capacity are `u32`s, so the sketch itself is 56 bytes.
+///
 /// ```
 /// use pint_sketches::KllSketch;
 /// let mut sk = KllSketch::new(200);
@@ -34,14 +57,8 @@ const MAX_LEVELS: usize = 64;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KllSketch {
-    /// Accuracy parameter: the top compactor holds up to `k` items.
-    k: usize,
-    /// `compactors[h]` holds items of weight `2^h`.
-    compactors: Vec<Vec<u64>>,
-    /// Total items currently stored across all compactors.
-    size: usize,
-    /// Total capacity across all compactors; exceeded ⇒ compress.
-    max_size: usize,
+    /// The level boundaries, then the items, top level first.
+    buf: Vec<u64>,
     /// Stream length observed so far.
     n: u64,
     /// Compaction coin state: a splitmix64 counter advanced once per
@@ -49,6 +66,13 @@ pub struct KllSketch {
     /// serializable — `pint-wire` round-trips it and a decoded sketch
     /// behaves *identically* to the original, coin flips included.
     coin: u64,
+    /// Accuracy parameter: the top compactor holds up to `k` items.
+    k: u32,
+    /// Number of compactor levels (the boundaries opening `buf`).
+    levels: u32,
+    /// Total capacity across all levels, saturating at `u32::MAX`;
+    /// reached ⇒ compress.
+    max_size: u32,
 }
 
 impl KllSketch {
@@ -59,17 +83,19 @@ impl KllSketch {
     }
 
     /// Creates a sketch with an explicit RNG seed (compaction coin flips).
-    /// The first compactor is allocated by the first update, so a
-    /// sketch that never sees an item holds no heap memory.
+    /// The buffer is allocated by the first update, so a sketch that
+    /// never sees an item holds no heap memory. Panics if `k` is below
+    /// 2 or above `u32::MAX`.
     pub fn with_seed(k: usize, seed: u64) -> Self {
         assert!(k >= MIN_CAP, "KLL k must be at least {MIN_CAP}");
+        let k = u32::try_from(k).expect("KLL k must fit in a u32");
         Self {
-            k,
-            compactors: Vec::new(),
-            size: 0,
-            max_size: 0,
+            buf: Vec::new(),
             n: 0,
             coin: seed,
+            k,
+            levels: 0,
+            max_size: 0,
         }
     }
 
@@ -103,27 +129,47 @@ impl KllSketch {
     }
 
     fn capacity_of(&self, h: usize) -> usize {
-        let depth = self.compactors.len() - h - 1;
-        let cap = (self.k as f64) * DECAY.powi(depth as i32);
+        let depth = self.levels as usize - h - 1;
+        let cap = f64::from(self.k) * DECAY.powi(depth as i32);
         (cap.ceil() as usize).max(MIN_CAP)
     }
 
+    /// Recomputes the cached tower capacity for the current level count.
+    fn refresh_max_size(&mut self) {
+        let total: usize = (0..self.levels as usize).map(|h| self.capacity_of(h)).sum();
+        self.max_size = u32::try_from(total).unwrap_or(u32::MAX);
+    }
+
+    /// Level `h`'s items occupy `buf[start..end]`.
+    #[inline]
+    fn bounds(&self, h: usize) -> (usize, usize) {
+        let end = match h {
+            0 => self.buf.len(),
+            _ => self.buf[h - 1] as usize,
+        };
+        (self.buf[h] as usize, end)
+    }
+
+    /// Adds an empty top level: one more boundary word, which shifts
+    /// every level one slot to the right.
     fn grow(&mut self) {
-        self.compactors.push(Vec::new());
-        self.max_size = (0..self.compactors.len())
-            .map(|h| self.capacity_of(h))
-            .sum();
+        let top = self.levels as usize;
+        for start in &mut self.buf[..top] {
+            *start += 1;
+        }
+        self.buf.insert(top, top as u64 + 1);
+        self.levels += 1;
+        self.refresh_max_size();
     }
 
     /// Inserts a value into the sketch.
     pub fn update(&mut self, v: u64) {
-        if self.compactors.is_empty() {
+        if self.levels == 0 {
             self.grow();
         }
-        self.compactors[0].push(v);
-        self.size += 1;
+        self.buf.push(v);
         self.n += 1;
-        if self.size >= self.max_size {
+        if self.stored_items() >= self.max_size as usize {
             self.compress();
         }
     }
@@ -140,11 +186,15 @@ impl KllSketch {
         let mut remaining = weight;
         while remaining > 0 {
             let h = 63 - remaining.leading_zeros() as usize;
-            while self.compactors.len() <= h {
+            while self.levels as usize <= h {
                 self.grow();
             }
-            self.compactors[h].push(v);
-            self.size += 1;
+            // Append to level `h`: every level below it moves one slot on.
+            let (_, end) = self.bounds(h);
+            self.buf.insert(end, v);
+            for start in &mut self.buf[..h] {
+                *start += 1;
+            }
             remaining -= 1u64 << h;
         }
         self.n += weight;
@@ -154,44 +204,47 @@ impl KllSketch {
     /// Compacts until the tower fits its capacity (or compaction stops
     /// making progress).
     fn compress_to_fit(&mut self) {
-        while self.size >= self.max_size {
-            let before = self.size;
+        while self.stored_items() >= self.max_size as usize {
+            let before = self.stored_items();
             self.compress();
-            if self.size == before {
+            if self.stored_items() == before {
                 break;
             }
         }
     }
 
+    /// Compacts the lowest level at or over its capacity; compacting one
+    /// level suffices to fall under `max_size` (as in the reference
+    /// implementation).
     fn compress(&mut self) {
-        for h in 0..self.compactors.len() {
-            if self.compactors[h].len() >= self.capacity_of(h) {
-                if h + 1 >= self.compactors.len() {
-                    self.grow();
-                }
-                // In place: sort, promote every other item upward, keep
-                // the level's buffer (small sketches compact every few
-                // updates — a scratch allocation here would dominate the
-                // ingest hot path).
-                let offset = usize::from(self.flip());
-                let (lower, upper) = self.compactors.split_at_mut(h + 1);
-                let items = &mut lower[h];
-                items.sort_unstable();
-                let len = items.len();
-                let next = &mut upper[0];
-                let mut i = offset;
-                while i < len {
-                    next.push(items[i]);
-                    i += 2;
-                }
-                let promoted = (len - offset).div_ceil(2);
-                self.size -= len;
-                self.size += promoted;
-                items.clear();
-                // Compacting one level suffices to fall under max_size;
-                // matching the reference implementation we stop here.
-                break;
-            }
+        let levels = self.levels as usize;
+        let Some(h) = (0..levels).find(|&h| {
+            let (start, end) = self.bounds(h);
+            end - start >= self.capacity_of(h)
+        }) else {
+            return;
+        };
+        if h + 1 == levels {
+            self.grow();
+        }
+        // In place: sort, pack every other item (from a random offset)
+        // to the front of the level, where it joins the end of level
+        // h + 1, then close the gap behind it.
+        let (start, end) = self.bounds(h);
+        let offset = usize::from(self.flip());
+        let items = &mut self.buf[start..end];
+        items.sort_unstable();
+        let len = items.len();
+        let promoted = (len - offset).div_ceil(2);
+        for j in 0..promoted {
+            items[j] = items[offset + 2 * j];
+        }
+        let level_h = start + promoted;
+        self.buf.drain(level_h..end);
+        self.buf[h] = level_h as u64;
+        let gap = (len - promoted) as u64;
+        for below in &mut self.buf[..h] {
+            *below -= gap;
         }
     }
 
@@ -207,19 +260,18 @@ impl KllSketch {
 
     /// Number of items currently retained.
     pub fn stored_items(&self) -> usize {
-        self.size
+        self.buf.len() - self.levels as usize
     }
 
     /// Returns all (value, weight) pairs currently held.
     fn weighted_items(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.size);
-        for (h, c) in self.compactors.iter().enumerate() {
+        let mut out = Vec::with_capacity(self.stored_items());
+        for (h, c) in self.levels().enumerate() {
             let w = 1u64 << h;
             out.extend(c.iter().map(|&v| (v, w)));
         }
         out
     }
-
     /// Estimates the rank (number of stream items `< v`).
     pub fn rank(&self, v: u64) -> u64 {
         self.weighted_items()
@@ -254,12 +306,29 @@ impl KllSketch {
     /// Merges another sketch into this one (levelwise concatenation
     /// followed by compaction).
     pub fn merge(&mut self, other: &KllSketch) {
-        while self.compactors.len() < other.compactors.len() {
+        let added = other.stored_items();
+        let new_levels = other.levels.saturating_sub(self.levels) as usize;
+        self.buf.reserve(new_levels + added);
+        while self.levels < other.levels {
             self.grow();
         }
-        for (h, c) in other.compactors.iter().enumerate() {
-            self.compactors[h].extend_from_slice(c);
-            self.size += c.len();
+        // Widen each of `other`'s levels in place, bottom level (the
+        // buffer's end) first: no level starts left of where it started
+        // before, so a moved level never lands on one still to move.
+        // Levels above `other`'s top stay where they are.
+        let old_len = self.buf.len();
+        self.buf.resize(old_len + added, 0);
+        let (mut old_end, mut new_end) = (old_len, old_len + added);
+        for (h, theirs) in other.levels().enumerate() {
+            let old_start = self.buf[h] as usize;
+            let mine = old_end - old_start;
+            let new_start = new_end - mine - theirs.len();
+            if new_start != old_start {
+                self.buf.copy_within(old_start..old_end, new_start);
+            }
+            self.buf[new_start + mine..new_end].copy_from_slice(theirs);
+            self.buf[h] = new_start as u64;
+            (old_end, new_end) = (old_start, new_start);
         }
         self.n += other.n;
         self.compress_to_fit();
@@ -269,12 +338,18 @@ impl KllSketch {
 
     /// The accuracy parameter `k` the sketch was built with.
     pub fn accuracy_k(&self) -> usize {
-        self.k
+        self.k as usize
     }
 
     /// The compaction coin state (see [`from_parts`](Self::from_parts)).
     pub fn coin_state(&self) -> u64 {
         self.coin
+    }
+
+    /// Level `h`'s items.
+    fn level(&self, h: usize) -> &[u64] {
+        let (start, end) = self.bounds(h);
+        &self.buf[start..end]
     }
 
     /// The compactor levels, bottom (weight 1) first. Level `h` holds
@@ -283,7 +358,7 @@ impl KllSketch {
     /// [`coin_state`](Self::coin_state), and [`count`](Self::count) this
     /// is the sketch's complete state.
     pub fn levels(&self) -> impl ExactSizeIterator<Item = &[u64]> {
-        self.compactors.iter().map(Vec::as_slice)
+        (0..self.levels as usize).map(move |h| self.level(h))
     }
 
     /// Rebuilds a sketch from serialized state — the exact inverse of
@@ -291,8 +366,15 @@ impl KllSketch {
     /// the result is `==` to the original and makes the same compaction
     /// decisions from here on.
     ///
-    /// Validates untrusted input instead of panicking: `k` below the
-    /// implementation minimum, more than 64 levels (a `u64` cannot weight
+    /// `buf` is the flat form described in the [module docs](self): for
+    /// `levels` levels, `levels` boundary words (where each level's
+    /// items start), then the items, top level first. A decoder that
+    /// knows every level's length fills it in place, so rebuilding a
+    /// sketch takes exactly one allocation.
+    ///
+    /// Validates untrusted input instead of panicking: boundaries that
+    /// do not tile the buffer, `k` below the implementation minimum or
+    /// above `u32::MAX`, more than 64 levels (a `u64` cannot weight
     /// level 64), a stored-item weight total overflowing `u64` (which
     /// would make [`quantile`](Self::quantile) panic in debug builds), or
     /// stored items without a stream (`n == 0` yet items present, and
@@ -301,20 +383,42 @@ impl KllSketch {
         k: usize,
         coin: u64,
         n: u64,
-        levels: Vec<Vec<u64>>,
+        levels: usize,
+        buf: Vec<u64>,
     ) -> Result<Self, &'static str> {
-        let size = Self::check_parts(k, n, levels.iter().map(Vec::len))?;
+        if levels > MAX_LEVELS {
+            return Err("too many KLL compactor levels");
+        }
+        let starts = buf
+            .get(..levels)
+            .ok_or("KLL level boundaries do not tile the buffer")?;
+        // Walking up from the buffer's end, each level must start at or
+        // before the one below it, and the top one right after the
+        // boundaries.
+        let mut lens = [0usize; MAX_LEVELS];
+        let mut end = buf.len();
+        for (len, &start) in lens.iter_mut().zip(starts) {
+            if start > end as u64 {
+                return Err("KLL level boundaries out of order");
+            }
+            *len = end - start as usize;
+            end = start as usize;
+        }
+        if end != levels {
+            return Err("KLL level boundaries do not tile the buffer");
+        }
+        Self::check_parts(k, n, lens[..levels].iter().copied())?;
         let mut s = Self {
-            k,
-            compactors: levels,
-            size,
-            max_size: 0,
+            buf,
             n,
             coin,
+            k: k as u32,
+            levels: levels as u32,
+            max_size: 0,
         };
         // Recompute the capacity sum for the level count as-is; do NOT
         // compact here — decode must preserve state exactly.
-        s.max_size = (0..s.compactors.len()).map(|h| s.capacity_of(h)).sum();
+        s.refresh_max_size();
         Ok(s)
     }
 
@@ -328,6 +432,9 @@ impl KllSketch {
     ) -> Result<usize, &'static str> {
         if k < MIN_CAP {
             return Err("KLL accuracy parameter below minimum");
+        }
+        if k > u32::MAX as usize {
+            return Err("KLL accuracy parameter implausibly large");
         }
         if level_lens.len() > MAX_LEVELS {
             return Err("too many KLL compactor levels");
@@ -520,8 +627,16 @@ mod tests {
             sk.update(v * 17 % 4_096);
         }
         let levels: Vec<Vec<u64>> = sk.levels().map(<[u64]>::to_vec).collect();
-        let mut rebuilt =
-            KllSketch::from_parts(sk.accuracy_k(), sk.coin_state(), sk.count(), levels).unwrap();
+        assert!(levels.len() > 2, "the stream compacts several levels");
+        let (num_levels, buf) = flat(&levels);
+        let mut rebuilt = KllSketch::from_parts(
+            sk.accuracy_k(),
+            sk.coin_state(),
+            sk.count(),
+            num_levels,
+            buf,
+        )
+        .unwrap();
         assert_eq!(sk, rebuilt, "reconstruction is bit-exact");
         // Same future behavior: identical coin flips ⇒ identical state
         // after identical updates.
@@ -532,32 +647,88 @@ mod tests {
         assert_eq!(sk, rebuilt, "future compactions identical");
     }
 
+    /// Levels given bottom first, in the flat form `from_parts` takes.
+    fn flat(levels: &[Vec<u64>]) -> (usize, Vec<u64>) {
+        let mut buf = vec![0; levels.len()];
+        for (h, level) in levels.iter().enumerate().rev() {
+            buf[h] = buf.len() as u64;
+            buf.extend_from_slice(level);
+        }
+        (levels.len(), buf)
+    }
+
+    fn from_levels(k: usize, n: u64, levels: &[Vec<u64>]) -> Result<KllSketch, &'static str> {
+        let (num_levels, buf) = flat(levels);
+        KllSketch::from_parts(k, 0, n, num_levels, buf)
+    }
+
     #[test]
     fn from_parts_rejects_malformed_state() {
-        assert!(KllSketch::from_parts(1, 0, 0, Vec::new()).is_err(), "k");
+        assert!(from_levels(1, 0, &[]).is_err(), "k");
+        assert!(from_levels(1 << 32, 0, &[]).is_err(), "k beyond u32");
         assert!(
-            KllSketch::from_parts(8, 0, 0, vec![Vec::new(); 65]).is_err(),
+            from_levels(8, 0, &vec![Vec::new(); 65]).is_err(),
             "level count"
         );
         assert!(
-            KllSketch::from_parts(8, 0, 0, vec![vec![1, 2, 3]]).is_err(),
+            from_levels(8, 0, &[vec![1, 2, 3]]).is_err(),
             "items without stream length"
         );
         assert!(
-            KllSketch::from_parts(8, 0, 9, vec![Vec::new()]).is_err(),
+            from_levels(8, 9, &[Vec::new()]).is_err(),
             "stream length without items"
         );
         // 2^63-weighted items overflowing the total weight.
         let mut levels = vec![Vec::new(); 64];
         levels[63] = vec![0; 3];
         assert!(
-            KllSketch::from_parts(8, 0, u64::MAX, levels).is_err(),
+            from_levels(8, u64::MAX, &levels).is_err(),
             "weight overflow"
         );
+        // Boundaries that do not tile the buffer.
+        let parts = |levels: usize, buf: Vec<u64>| KllSketch::from_parts(8, 0, 3, levels, buf);
+        assert!(parts(2, vec![2]).is_err(), "fewer words than levels");
+        assert!(parts(0, vec![5]).is_err(), "items outside any level");
+        assert!(parts(2, vec![2, 3, 7, 8]).is_err(), "level 1 after level 0");
+        assert!(parts(2, vec![9, 2, 7, 8]).is_err(), "level 0 past the end");
+        assert!(
+            parts(2, vec![3, 3, 7, 8]).is_err(),
+            "a gap after the boundaries"
+        );
+        assert!(
+            parts(2, vec![u64::MAX, 2, 7]).is_err(),
+            "a boundary past usize"
+        );
+        assert_eq!(
+            parts(2, vec![3, 2, 7, 8]).map_err(drop),
+            from_levels(8, 3, &[vec![8], vec![7]]).map_err(drop),
+        );
         // An empty, never-updated sketch round-trips too.
-        let empty = KllSketch::from_parts(8, 7, 0, Vec::new()).unwrap();
+        let empty = KllSketch::from_parts(8, 7, 0, 0, Vec::new()).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.quantile(0.5), None);
+    }
+
+    #[test]
+    fn one_buffer_holds_every_level() {
+        let mut sk = KllSketch::with_seed(8, 3);
+        for v in 0..1_000u64 {
+            sk.update(v % 97);
+        }
+        sk.update_weighted(5, 0b1011);
+        let mut other = KllSketch::with_seed(8, 4);
+        for v in 0..300u64 {
+            other.update(v);
+        }
+        sk.merge(&other);
+        let levels: Vec<Vec<u64>> = sk.levels().map(<[u64]>::to_vec).collect();
+        assert!(levels.len() > 4, "{} levels", levels.len());
+        assert_eq!(flat(&levels), (levels.len(), sk.buf.clone()));
+        assert_eq!(
+            sk.stored_items(),
+            levels.iter().map(Vec::len).sum::<usize>()
+        );
+        assert_eq!(std::mem::size_of::<KllSketch>(), 56);
     }
 
     #[test]

@@ -98,62 +98,73 @@ impl WireEncode for KllSketch {
 }
 
 impl WireDecode for KllSketch {
+    /// Two passes over the levels. The first is the walk: it reads each
+    /// level's length, skips its items and vets the lengths, so the
+    /// sketch's one buffer is allocated once, at its exact size, and
+    /// only for a sketch whose items the payload holds. The second
+    /// decodes each level's items straight into their place.
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let k = r.get_varint()?;
-        if k > u32::MAX as u64 {
-            return Err(WireError::Invalid(
-                "KLL accuracy parameter implausibly large",
-            ));
-        }
-        let coin = r.get_u64()?;
-        let n = r.get_varint()?;
-        let num_levels = r.get_count(1)?;
-        // Reject before allocating: a hostile count costs 1 wire byte
-        // per claimed level but ~24 in-memory bytes per `Vec` header —
-        // and `from_parts` caps levels at 64 anyway (a u64 cannot
-        // weight level 64).
-        if num_levels > 64 {
-            return Err(WireError::Invalid("too many KLL compactor levels"));
-        }
-        let mut levels = Vec::with_capacity(num_levels);
-        for _ in 0..num_levels {
-            let items = r.get_count(1)?;
-            // Pre-reserve conservatively: `items` is backed by ≥ 1 wire
-            // byte each but costs 8 in-memory bytes each; growing past
-            // the cap is paid only as elements actually decode.
-            let mut level = Vec::with_capacity(items.min(65_536));
-            for _ in 0..items {
-                level.push(r.get_varint()?);
+        let (k, coin, n, num_levels) = kll_head(r)?;
+        let mut items = r.clone();
+        let mut lens = [0usize; 64];
+        let lens = &mut lens[..num_levels];
+        let size = kll_level_lens(r, k, n, lens)?;
+        // The flat form `from_parts` takes: where each level starts,
+        // then the items, top level first.
+        let mut buf = vec![0u64; num_levels + size];
+        let mut end = buf.len();
+        for (h, &len) in lens.iter().enumerate() {
+            let start = end - len;
+            buf[h] = start as u64;
+            // The count was read and checked by the first pass.
+            items.get_varint()?;
+            for slot in &mut buf[start..end] {
+                *slot = items.get_varint()?;
             }
-            levels.push(level);
+            end = start;
         }
-        KllSketch::from_parts(k as usize, coin, n, levels).map_err(WireError::Invalid)
+        KllSketch::from_parts(k as usize, coin, n, num_levels, buf).map_err(WireError::Invalid)
     }
 }
 
 impl WireWalk for KllSketch {
     fn walk_from(r: &mut WireReader<'_>) -> Result<(), WireError> {
-        let k = r.get_varint()?;
-        if k > u32::MAX as u64 {
-            return Err(WireError::Invalid(
-                "KLL accuracy parameter implausibly large",
-            ));
-        }
-        r.get_u64()?;
-        let n = r.get_varint()?;
-        let num_levels = r.get_count(1)?;
-        if num_levels > 64 {
-            return Err(WireError::Invalid("too many KLL compactor levels"));
-        }
-        let mut lens = [0usize; 64];
-        for len in &mut lens[..num_levels] {
-            *len = r.get_count(1)?;
-            r.skip_varints(*len)?;
-        }
-        KllSketch::check_parts(k as usize, n, lens[..num_levels].iter().copied())
-            .map(drop)
-            .map_err(WireError::Invalid)
+        let (k, _, n, num_levels) = kll_head(r)?;
+        kll_level_lens(r, k, n, &mut [0; 64][..num_levels]).map(drop)
     }
+}
+
+/// A sketch's `(k, coin, n, level count)`, read by decode and walk.
+fn kll_head(r: &mut WireReader<'_>) -> Result<(u64, u64, u64, usize), WireError> {
+    let k = r.get_varint()?;
+    if k > u32::MAX as u64 {
+        return Err(WireError::Invalid(
+            "KLL accuracy parameter implausibly large",
+        ));
+    }
+    let coin = r.get_u64()?;
+    let n = r.get_varint()?;
+    let num_levels = r.get_count(1)?;
+    // `from_parts` caps levels at 64 (a u64 cannot weight level 64).
+    if num_levels > 64 {
+        return Err(WireError::Invalid("too many KLL compactor levels"));
+    }
+    Ok((k, coin, n, num_levels))
+}
+
+/// Reads each level's item count into `lens`, skips its items, and
+/// makes [`KllSketch::check_parts`]'s checks. Returns the item total.
+fn kll_level_lens(
+    r: &mut WireReader<'_>,
+    k: u64,
+    n: u64,
+    lens: &mut [usize],
+) -> Result<usize, WireError> {
+    for len in lens.iter_mut() {
+        *len = r.get_count(1)?;
+        r.skip_varints(*len)?;
+    }
+    KllSketch::check_parts(k as usize, n, lens.iter().copied()).map_err(WireError::Invalid)
 }
 
 impl WireEncode for PathProgress {

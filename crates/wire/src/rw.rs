@@ -67,7 +67,9 @@ impl<'a> WireWriter<'a> {
 ///
 /// Every accessor returns a typed [`WireError`] instead of panicking;
 /// element counts can be validated against the remaining input *before*
-/// any allocation via [`check_count`](Self::check_count).
+/// any allocation via [`check_count`](Self::check_count). A clone is a
+/// second cursor over the same bytes, for decoders that read twice.
+#[derive(Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,

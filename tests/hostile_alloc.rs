@@ -9,7 +9,9 @@
 //! that sends a report whose counts lie must not get a reservation
 //! sized by the lie. This binary installs its own counting
 //! allocator and records the largest single allocation made while one
-//! hostile payload decodes. A store file is untrusted the same way: a
+//! hostile payload decodes. A KLL sketch's level counts are vetted the
+//! same way: its one buffer is sized only once every level's items are
+//! known to be there. A store file is untrusted the same way: a
 //! record header's claimed length must not size a read before the file
 //! is known to hold that many bytes.
 
@@ -17,6 +19,7 @@
 
 use pint::core::{Digest, DigestReport};
 use pint::obs::HISTOGRAM_BUCKETS;
+use pint::sketches::KllSketch;
 use pint::store::{TailStatus, TornReason};
 use pint::wire::store::{StoreKind, Superblock};
 use pint::wire::{
@@ -183,6 +186,48 @@ fn hostile_trace_event_count_reserves_no_more_than_its_payload() {
     // first has an unknown stage.
     let payload = lying_count(header, MAX_TRACE_EVENTS, 5, &[0x00, 0xFF], 0);
     assert_reserves_at_most_payload::<TraceMsg>("events", &payload);
+}
+
+/// The most items the nested-`Vec` sketch decoder reserved for one
+/// level before any of them decoded.
+const KLL_LEVEL_CAP: usize = 65_536;
+
+/// A sketch header (`k`, coin, `n`) claiming 64 levels; each of the
+/// first 63 holds `per_level` one-byte items, and the top one claims
+/// `per_level` items whose bytes are `top_pad`.
+fn sketch_claiming_64_levels(n: u64, per_level: usize, top_pad: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut w = WireWriter::new(&mut out);
+    w.put_varint(8);
+    w.put_u64(0x5EED);
+    w.put_varint(n);
+    w.put_varint(64);
+    for h in 0..64 {
+        w.put_varint(per_level as u64);
+        let item = if h < 63 { 0x01 } else { top_pad };
+        w.put_bytes(&vec![item; per_level]);
+    }
+    out
+}
+
+#[test]
+fn a_sketch_claiming_64_large_levels_reserves_no_more_than_the_level_cap() {
+    let per_level = BODY / 64;
+    // The top level's items never end: its count passes the bytes-left
+    // check, and the decode fails inside that level.
+    let unending = sketch_claiming_64_levels(1 << 40, per_level, 0x80);
+    // Every item is there, but 16 384 items of weight 2^63 overflow the
+    // stream's weight.
+    let overflowing = sketch_claiming_64_levels(1 << 40, per_level, 0x01);
+    for (what, payload) in [("unending", unending), ("overflowing", overflowing)] {
+        let (decoded, largest) = largest_alloc(|| KllSketch::decode(&payload));
+        assert!(decoded.is_err(), "{what}: hostile sketch decoded");
+        assert!(
+            largest <= KLL_LEVEL_CAP * 8,
+            "{what}: one allocation of {largest} bytes for a {}-byte sketch",
+            payload.len()
+        );
+    }
 }
 
 /// The store's read window.
