@@ -18,6 +18,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+/// Shard workers cross-check `state_bytes` above this estimate only.
+pub const CROSS_CHECK_FLOOR: i64 = 1 << 20;
+
 thread_local! {
     // i64 + const init: no destructor is registered, so the cell is
     // accessible for the whole thread lifetime (including inside the

@@ -750,7 +750,7 @@ impl ShardWorker {
             .state_bytes_measured
             .set(self.measured_net.max(0) as u64);
         let estimate = self.table.total_bytes() as i64;
-        if estimate > (1 << 20) {
+        if estimate > crate::alloc_track::CROSS_CHECK_FLOOR {
             debug_assert!(
                 self.measured_net >= estimate / 8
                     && self.measured_net <= estimate.saturating_mul(16),

@@ -6,7 +6,7 @@
 
 #![cfg(feature = "measure-alloc")]
 
-use pint_collector::alloc_track::thread_net_bytes;
+use pint_collector::alloc_track::{thread_net_bytes, CROSS_CHECK_FLOOR};
 use pint_collector::{sketched_latency_factory, Collector, CollectorConfig};
 use pint_core::dynamic::DynamicAggregator;
 use pint_core::{Digest, DigestReport};
@@ -48,6 +48,52 @@ fn measured_bytes_track_the_estimate() {
     assert!(
         measured >= estimate / 2 && measured <= estimate * 4,
         "estimate {estimate} vs measured {measured} diverged"
+    );
+    collector.shutdown();
+}
+
+/// The shard worker's own 8x/16x cross-check of estimate against
+/// measurement (a `debug_assert` on the shard thread) runs only above
+/// `CROSS_CHECK_FLOOR` estimated bytes per shard. One shard holding
+/// 2 048 latency recorders crosses it; the gauges show that it did, so
+/// this test fails if the check ever stops arming.
+#[test]
+fn the_shard_side_cross_check_arms() {
+    let agg = DynamicAggregator::new(4, 8, 100.0, 1.0e7);
+    let collector = Collector::spawn(
+        CollectorConfig {
+            shards: 1,
+            ..CollectorConfig::default()
+        },
+        sketched_latency_factory(agg.clone(), 256),
+    );
+    let mut handle = collector.register_producer();
+    for flow in 0..2_048u64 {
+        for pid in 0..64u64 {
+            let mut d = Digest::new(1);
+            agg.encode_hop(flow * 1_000 + pid, 1, 1_000.0, &mut d, 0);
+            handle
+                .push(DigestReport::new(flow, flow * 1_000 + pid, d, 4, pid))
+                .unwrap();
+        }
+    }
+    handle.flush().unwrap();
+    // A failed cross-check panics the shard thread, and the barrier
+    // then fails.
+    collector.barrier().unwrap();
+
+    let snap = collector.metrics().snapshot();
+    let estimate = snap.gauge("collector_state_bytes", Some(0)).unwrap() as i64;
+    let measured = snap
+        .gauge("collector_state_bytes_measured", Some(0))
+        .unwrap() as i64;
+    assert!(
+        estimate > CROSS_CHECK_FLOOR,
+        "estimate {estimate} never crossed the {CROSS_CHECK_FLOOR}-byte floor"
+    );
+    assert!(
+        measured >= estimate / 8 && measured <= estimate * 16,
+        "estimate {estimate} vs measured {measured} diverged beyond 8x/16x"
     );
     collector.shutdown();
 }

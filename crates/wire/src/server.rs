@@ -26,6 +26,11 @@
 //! stall, or die without delaying any other connection or the accept
 //! path. A handler's own work is not bounded: while it runs (a fleet
 //! query's merge, a full scan), no other connection is served.
+//!
+//! A tick in which nothing moved ends in a sleep: [`EXCHANGE_SLEEP`] if
+//! any connection moved (bytes read, a frame handled, reply bytes
+//! flushed) within the last [`IDLE_SLEEP`], whatever the frame was and
+//! whether it got a reply; [`IDLE_SLEEP`] once all are silent.
 
 use crate::{
     frame_into, FramePoll, FrameReader, FrameType, MetricsMsg, MetricsReport, ReadFrameError,
@@ -49,17 +54,15 @@ pub const MAX_CONNECTIONS: usize = 1_024;
 /// firehose peer can monopolize the poll thread.
 const FRAMES_PER_TICK: usize = 64;
 
-/// Sleep after a tick in which nothing moved: the poll thread never
-/// spins while idle, at the price of noticing a new frame up to 1 ms
-/// late. A `DigestForwarder` writes each batch as it seals, so this
-/// sleep bounds how long a sealed batch waits for the poll thread.
+/// The sleep once every connection has been silent this long: an idle
+/// server wakes once a millisecond and never spins. Only a frame that
+/// ends such a silence waits up to 1 ms; a paced forwarder's next
+/// sealed batch or a request chained on an answer waits ≤ 50 µs.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// Sleep instead of [`IDLE_SLEEP`] while a connection is mid-exchange
-/// (see [`Conn::mid_exchange`]): its peer's next bytes are due within
-/// microseconds, and a 1 ms tick would add up to a millisecond to each
-/// link of a request→reply chain such as sequential `Query` round
-/// trips, or "send snapshots, then confirm with a `Metrics` request".
+/// The sleep within [`IDLE_SLEEP`] of any connection's movement. Its
+/// cost is ≈1 ms of short sleeps after each movement: ≈8% of a core for
+/// a stream of 2 frames/ms (2 vCPU); a saturated one never sleeps.
 const EXCHANGE_SLEEP: Duration = Duration::from_micros(50);
 
 /// What a [`FrameServer`] needs besides its handler.
@@ -239,14 +242,25 @@ fn poll_loop(
         if progressed {
             stats.active = conns.len();
             handler.tick(&stats);
-        } else if conns.iter().any(Conn::mid_exchange) {
-            std::thread::sleep(EXCHANGE_SLEEP);
         } else {
-            std::thread::sleep(IDLE_SLEEP);
+            let last = conns.iter().map(|c| c.last_progress);
+            std::thread::sleep(idle_wait(Instant::now(), last));
         }
     }
     stats.active = 0;
     handler.tick(&stats);
+}
+
+/// The module docs' wait rule, given `now` and each connection's last
+/// movement. A slow-loris peer stops holding the short sleep 1 ms after
+/// its last byte.
+fn idle_wait(now: Instant, last_progress: impl IntoIterator<Item = Instant>) -> Duration {
+    let recent = |t: Instant| now.saturating_duration_since(t) < IDLE_SLEEP;
+    if last_progress.into_iter().any(recent) {
+        EXCHANGE_SLEEP
+    } else {
+        IDLE_SLEEP
+    }
 }
 
 /// One connection's poll-loop state.
@@ -259,13 +273,6 @@ struct Conn {
     /// Last instant this connection moved: bytes read, a frame
     /// decoded, or reply bytes flushed.
     last_progress: Instant,
-    /// The last frame got a reply — clients chain their next request
-    /// on answers. Digest batches are the exception: a forwarder writes
-    /// its batches as they seal, never waiting on an ack, so an ack
-    /// predicts no next frame, and counting them would hold the poll
-    /// thread at the short sleep for as long as a paced digest stream
-    /// runs.
-    answered: bool,
 }
 
 impl Conn {
@@ -278,16 +285,7 @@ impl Conn {
             writer,
             write_buf: Vec::new(),
             last_progress: Instant::now(),
-            answered: false,
         })
-    }
-
-    /// Whether the peer is mid-exchange — partway through sending a
-    /// frame, or just answered — and moved within the last
-    /// [`IDLE_SLEEP`]. A slow-loris peer stops qualifying 1 ms after its
-    /// last byte.
-    fn mid_exchange(&self) -> bool {
-        (self.reader.buffered() > 0 || self.answered) && self.last_progress.elapsed() < IDLE_SLEEP
     }
 
     /// Serves one tick: decodes up to [`FRAMES_PER_TICK`] frames (one
@@ -308,9 +306,7 @@ impl Conn {
             match self.reader.poll_frame() {
                 Ok(FramePoll::Frame(ty, payload)) => {
                     progressed = true;
-                    let before = self.write_buf.len();
                     dispatch(ty, &payload, config, handler, &mut self.write_buf);
-                    self.answered = self.write_buf.len() > before && ty != FrameType::DigestBatch;
                 }
                 Ok(FramePoll::Pending) => break,
                 Ok(FramePoll::Closed) => {
@@ -522,5 +518,57 @@ mod tests {
         drop(server);
         let last = ticks.try_iter().last().expect("a final tick at shutdown");
         assert_eq!(last.active, 0);
+    }
+
+    #[test]
+    fn the_wait_rule_reads_only_how_recently_a_connection_moved() {
+        let t0 = Instant::now();
+        let at = |us| t0 + Duration::from_micros(us);
+        assert_eq!(idle_wait(t0, []), IDLE_SLEEP);
+        assert_eq!(idle_wait(at(999), [t0]), EXCHANGE_SLEEP);
+        assert_eq!(idle_wait(at(1_000), [t0]), IDLE_SLEEP);
+        assert_eq!(idle_wait(at(5_000), [t0, at(4_500)]), EXCHANGE_SLEEP);
+        assert_eq!(idle_wait(at(5_000), [t0, at(4_000)]), IDLE_SLEEP);
+
+        // Whatever moved a connection holds the short wait for the next
+        // IDLE_SLEEP: an acked batch, a one-way snapshot, half a frame.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0).unwrap();
+        let mut handler = |ty: FrameType, _: &[u8], reply: &mut Vec<u8>| {
+            if ty == FrameType::DigestBatch {
+                frame_into(
+                    FrameType::BatchAck,
+                    &MetricsRequest { request_id: 1 },
+                    reply,
+                );
+            }
+        };
+        let config = ServerConfig::default();
+        let mut stats = ServerStats::default();
+        for (ty, cut) in [
+            (FrameType::DigestBatch, None),
+            (FrameType::Snapshot, None),
+            (FrameType::Hello, Some(5)),
+        ] {
+            // A tick with nothing to read is no movement.
+            let before = conn.last_progress;
+            assert_eq!(conn.tick(&config, &mut handler, &mut stats), Some(false));
+            assert_eq!(conn.last_progress, before);
+            let mut out = Vec::new();
+            frame_into(ty, &MetricsRequest { request_id: 2 }, &mut out);
+            out.truncate(cut.unwrap_or(out.len()));
+            client.write_all(&out).unwrap();
+            while !conn.tick(&config, &mut handler, &mut stats).expect("kept") {}
+            assert!(conn.write_buf.is_empty(), "{ty:?}: reply not flushed");
+            // Still short when the earlier movement has gone stale.
+            let now = before + IDLE_SLEEP;
+            assert_eq!(
+                idle_wait(now, [conn.last_progress]),
+                EXCHANGE_SLEEP,
+                "{ty:?}"
+            );
+        }
+        assert_eq!(stats.framing_errors, 0);
     }
 }
